@@ -1,5 +1,5 @@
 """Privacy analysis: the (T,L,K,C) audit, minimal violating traces, maximal
-frequent traces, prefix trees and the two greedy scores.
+frequent traces and the two greedy scores.
 
 A candidate with a non-empty match violates the requirements when fewer than
 K cases match it, or when the adversary's confidence in a protected sensitive
@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from math import ceil
 from typing import Dict, Iterable, Optional
 
-from .background import BkSpec, Candidate, ProjectedLog
+from .background import BkSpec, Candidate, ProjectedLog, prefix_span
 from .log import (
     EventLog,
     LogError,
     Perspective,
     ProjectedEvent,
     TimestampAccuracy,
+    is_subsequence,
     project_instance,
 )
 
@@ -38,16 +39,33 @@ __all__ = [
     "Verdict",
     "MvtSet",
     "MftSet",
-    "PrefixTree",
     "AuditReport",
     "focal_values",
     "is_violating",
     "audit_tlkc",
     "enumerate_mvt",
     "enumerate_mft",
+    "coverage",
     "score",
     "n_score",
 ]
+
+
+def check_requirements(req) -> None:
+    """Validate the L, K, C, theta and alpha/beta fields of ``req``."""
+    if req.L < 1:
+        raise LogError("L must be a positive integer")
+    if req.K < 1:
+        raise LogError("K must be a positive integer")
+    if not 0 < req.C <= 1:
+        raise LogError("C must lie in (0, 1]")
+    if req.theta is not None and not 0 <= req.theta <= 1:
+        raise LogError("theta must lie in [0, 1]")
+    if (req.alpha is None) != (req.beta is None):
+        raise LogError("alpha and beta must be given together")
+    if req.alpha is not None:
+        if req.alpha < 0 or req.beta < 0 or abs(req.alpha + req.beta - 1) > 1e-9:
+            raise LogError("alpha and beta must be non-negative and sum to 1")
 
 
 @dataclass(frozen=True)
@@ -75,19 +93,7 @@ class PrivacyParams:
         object.__setattr__(self, "accuracy", TimestampAccuracy.parse(self.accuracy))
         object.__setattr__(self, "bk", BkSpec.parse(self.bk))
         object.__setattr__(self, "sensitive", tuple(self.sensitive))
-        if self.L < 1:
-            raise LogError("L must be a positive integer")
-        if self.K < 1:
-            raise LogError("K must be a positive integer")
-        if not 0 < self.C <= 1:
-            raise LogError("C must lie in (0, 1]")
-        if self.theta is not None and not 0 <= self.theta <= 1:
-            raise LogError("theta must lie in [0, 1]")
-        if (self.alpha is None) != (self.beta is None):
-            raise LogError("alpha and beta must be given together")
-        if self.alpha is not None:
-            if self.alpha < 0 or self.beta < 0 or abs(self.alpha + self.beta - 1) > 1e-9:
-                raise LogError("alpha and beta must be non-negative and sum to 1")
+        check_requirements(self)
 
     @property
     def perspective(self) -> Perspective:
@@ -183,7 +189,18 @@ def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdi
 
 
 @dataclass(frozen=True)
-class MvtSet:
+class _Items:
+    items: tuple
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+@dataclass(frozen=True)
+class MvtSet(_Items):
     """Minimal violating candidates, each with its verdict.
 
     Every proper sub-candidate of every item is non-violating; an empty set
@@ -191,12 +208,6 @@ class MvtSet:
     """
 
     items: tuple  # of (Candidate, Verdict), canonically ordered
-
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
 
     @property
     def candidates(self) -> tuple:
@@ -207,71 +218,14 @@ class MvtSet:
 
 
 @dataclass(frozen=True)
-class MftSet:
+class MftSet(_Items):
     """Maximal frequent subtraces with their supports."""
 
     items: tuple  # of (pattern tuple, support), canonically ordered
     threshold: int = 1
 
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
     def utility_loss(self, e: ProjectedEvent) -> int:
         return sum(1 for pattern, _ in self.items if e in pattern)
-
-
-class PrefixTree:
-    """Prefix tree over element sequences; each node is a descriptor with an
-    occurrence count and every root-to-leaf path is one stored trace."""
-
-    def __init__(self, sequences: Iterable[tuple] = ()):
-        self.root: dict = {}
-        self.counts: Counter = Counter()
-        self.sequences: list = []
-        for seq in sequences:
-            self.insert(seq)
-
-    def insert(self, seq: tuple) -> None:
-        node = self.root
-        for e in seq:
-            node = node.setdefault(e, {})
-            self.counts[e] += 1
-        self.sequences.append(tuple(seq))
-
-    def delete_containing(self, e: ProjectedEvent) -> int:
-        """Drop every stored sequence containing the descriptor; returns how many."""
-        keep, dropped = [], 0
-        for seq in self.sequences:
-            if e in seq:
-                dropped += 1
-                for x in seq:
-                    self.counts[x] -= 1
-            else:
-                keep.append(seq)
-        self._rebuild(keep)
-        return dropped
-
-    def _rebuild(self, sequences):
-        self.root = {}
-        self.counts = Counter()
-        self.sequences = []
-        for seq in sequences:
-            self.insert(seq)
-
-    def events(self) -> set:
-        return {e for e, n in self.counts.items() if n > 0}
-
-    def node_count(self) -> int:
-        def walk(node):
-            return sum(1 + walk(child) for child in node.values())
-
-        return walk(self.root)
-
-    def __bool__(self) -> bool:
-        return bool(self.sequences)
 
 
 def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
@@ -307,7 +261,6 @@ def enumerate_mft(
     ps: Perspective,
     theta: float,
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
-    max_len: Optional[int] = None,
 ) -> MftSet:
     """Maximal frequent subtraces (subsequence semantics) of the projected log.
 
@@ -318,40 +271,20 @@ def enumerate_mft(
         return MftSet((), threshold=len(log) + 1)
     traces = tuple(project_instance(inst, ps, accuracy) for inst in log)
     threshold = max(1, ceil(theta * len(traces)))
-    if max_len is None:
-        max_len = max((len(t) for t in traces), default=0)
+    longest = max((len(t) for t in traces), default=0)
 
-    frequent: Dict[tuple, int] = {}
+    def frequent_enough(pattern, positions) -> bool:
+        return len(positions) >= threshold
 
-    def grow(prefix: tuple, positions: Dict[int, int]):
-        extensions: Dict[ProjectedEvent, Dict[int, int]] = {}
-        for idx, start in positions.items():
-            trace = traces[idx]
-            seen = set()
-            for j in range(start, len(trace)):
-                e = trace[j]
-                if e in seen:
-                    continue
-                seen.add(e)
-                extensions.setdefault(e, {})[idx] = j + 1
-        for e, nxt in extensions.items():
-            if len(nxt) < threshold:
-                continue
-            pattern = prefix + (e,)
-            frequent[pattern] = len(nxt)
-            if len(pattern) < max_len:
-                grow(pattern, nxt)
-
-    grow((), {i: 0 for i in range(len(traces))})
-
-    def contained(small: tuple, big: tuple) -> bool:
-        it = iter(big)
-        return all(x in it for x in small)
-
+    frequent: Dict[tuple, int] = {
+        pattern: len(positions)
+        for pattern, positions in prefix_span(traces, longest, frequent_enough)
+        if frequent_enough(pattern, positions)
+    }
     by_len = sorted(frequent, key=len, reverse=True)
     maximal = []
     for p in by_len:
-        if not any(len(q) > len(p) and contained(p, q) for q in maximal):
+        if not any(len(q) > len(p) and is_subsequence(p, q) for q in maximal):
             maximal.append(p)
     maximal.sort(key=lambda p: (len(p), tuple(e.sort_key() for e in p)))
     return MftSet(tuple((p, frequent[p]) for p in maximal), threshold=threshold)
@@ -415,20 +348,30 @@ def score(e: ProjectedEvent, mvt: MvtSet, mft: MftSet) -> float:
     return pg / (mft.utility_loss(e) + 1)
 
 
+def coverage(
+    log: EventLog,
+    ps: Perspective,
+    accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
+) -> Dict[ProjectedEvent, float]:
+    """Per descriptor, the fraction of cases whose projected trace contains it."""
+    counts: Counter = Counter()
+    for inst in log:
+        counts.update(set(project_instance(inst, ps, accuracy)))
+    n = len(log)
+    return {e: c / n for e, c in counts.items()}
+
+
 def n_score(
     e: ProjectedEvent,
     mvt: MvtSet,
-    log: EventLog,
-    ps: Perspective,
+    coverage: Dict[ProjectedEvent, float],
     alpha: float,
     beta: float,
-    accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
 ) -> float:
     """Normalized score: alpha * relative privacy gain + beta * frequency-aware
-    utility, both in [0, 1]."""
+    utility, both in [0, 1].  ``coverage`` is the map :func:`coverage` returns."""
     if len(mvt) == 0:
         raise LogError("normalized score needs a non-empty set of minimal violations")
     rpg = mvt.privacy_gain(e) / len(mvt)
-    covered = sum(1 for inst in log if e in project_instance(inst, ps, accuracy))
-    nul = 1.0 - covered / len(log)
+    nul = 1.0 - coverage.get(e, 0.0)
     return alpha * rpg + beta * nul

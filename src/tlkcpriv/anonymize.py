@@ -29,11 +29,13 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .analysis import (
-    MftSet,
     MvtSet,
     PrivacyParams,
+    coverage,
     enumerate_mft,
     enumerate_mvt,
+    n_score,
+    score,
 )
 from .log import (
     EventLog,
@@ -42,6 +44,7 @@ from .log import (
     ProcessInstance,
     ProjectedEvent,
     TimestampAccuracy,
+    is_subsequence,
     project_instance,
 )
 
@@ -99,6 +102,18 @@ class AnonymizationResult:
     runtime_seconds: float
 
 
+def _result(log, out, dropped, started, winners=(), iterations=()):
+    """The result of turning ``log`` into ``out`` in a run begun at ``started``."""
+    return AnonymizationResult(
+        log=out,
+        suppression=SuppressionSet(tuple(winners)),
+        dropped_cases=tuple(dropped),
+        iterations=tuple(iterations),
+        events_removed=log.total_events - out.total_events,
+        runtime_seconds=time.perf_counter() - started,
+    )
+
+
 def suppress_global(
     log: EventLog,
     descriptors: Iterable[ProjectedEvent],
@@ -145,6 +160,14 @@ class BaseAnonymizer:
     def fit(self, log: EventLog, y=None):
         return self
 
+    def transform(self, log: EventLog) -> EventLog:
+        result = self.anonymize(log)
+        self.suppression_ = result.suppression
+        self.iterations_ = result.iterations
+        self.dropped_cases_ = result.dropped_cases
+        self.events_removed_ = result.events_removed
+        return result.log
+
     def fit_transform(self, log: EventLog, y=None) -> EventLog:
         return self.fit(log).transform(log)
 
@@ -153,50 +176,57 @@ class BaseAnonymizer:
         return f"{type(self).__name__}({args})"
 
 
-def _winner_sort_key(e: ProjectedEvent):
-    return e.sort_key()
+class _Tally:
+    """Per descriptor, how many still-alive item sets contain it."""
+
+    def __init__(self, item_sets):
+        self.sets = [set(items) for items in item_sets]
+        self.alive = set(range(len(self.sets)))
+        self.count: Counter = Counter()
+        self.holders: dict = {}
+        for i, elems in enumerate(self.sets):
+            for e in elems:
+                self.count[e] += 1
+                self.holders.setdefault(e, []).append(i)
+
+    def delete_containing(self, e: ProjectedEvent) -> None:
+        for i in self.holders.get(e, ()):
+            if i in self.alive:
+                self.alive.remove(i)
+                for x in self.sets[i]:
+                    self.count[x] -= 1
 
 
 class _GreedyIndex:
-    """Incremental privacy-gain / utility-loss bookkeeping for the greedy loops.
+    """Incremental privacy-gain / utility-loss bookkeeping for the greedy loop.
 
-    Keeps, per descriptor, the number of still-alive minimal violations and
-    frequent patterns containing it; deleting a winner touches only the items
-    that actually contain it.
+    Counts, per descriptor, the still-alive minimal violations and frequent
+    patterns containing it; deleting a winner touches only the items that
+    actually contain it.  ``privacy_gain``, ``utility_loss`` and ``len`` (the
+    surviving violations) let it stand in for both the :class:`MvtSet` and
+    the :class:`MftSet` that :func:`score` and :func:`n_score` take.
     """
 
-    def __init__(self, mvt_sets, mft_sets):
-        self.mvt_sets = mvt_sets
-        self.mft_sets = mft_sets
-        self.alive_mvts = set(range(len(mvt_sets)))
-        self.alive_mfts = set(range(len(mft_sets)))
-        self.pg: Counter = Counter()
-        self.ul: Counter = Counter()
-        self.ev_to_mvts: dict = {}
-        self.ev_to_mfts: dict = {}
-        for i, elems in enumerate(mvt_sets):
-            for e in elems:
-                self.pg[e] += 1
-                self.ev_to_mvts.setdefault(e, []).append(i)
-        for i, elems in enumerate(mft_sets):
-            for e in elems:
-                self.ul[e] += 1
-                self.ev_to_mfts.setdefault(e, []).append(i)
+    def __init__(self, mvt: MvtSet, mft):
+        self.mvts = _Tally(c.elements for c in mvt.candidates)
+        self.mfts = _Tally(p for p, _ in mft)
+
+    def __len__(self):
+        return len(self.mvts.alive)
+
+    def privacy_gain(self, e: ProjectedEvent) -> int:
+        return self.mvts.count[e]
+
+    def utility_loss(self, e: ProjectedEvent) -> int:
+        return self.mfts.count[e]
 
     def events(self):
-        return sorted((e for e, n in self.pg.items() if n > 0), key=_winner_sort_key)
+        gains = self.mvts.count
+        return sorted((e for e, n in gains.items() if n > 0), key=ProjectedEvent.sort_key)
 
-    def delete_containing(self, winner):
-        for i in self.ev_to_mvts.get(winner, ()):
-            if i in self.alive_mvts:
-                self.alive_mvts.remove(i)
-                for e in self.mvt_sets[i]:
-                    self.pg[e] -= 1
-        for i in self.ev_to_mfts.get(winner, ()):
-            if i in self.alive_mfts:
-                self.alive_mfts.remove(i)
-                for e in self.mft_sets[i]:
-                    self.ul[e] -= 1
+    def delete_containing(self, winner: ProjectedEvent) -> None:
+        self.mvts.delete_containing(winner)
+        self.mfts.delete_containing(winner)
 
 
 def _tie_key(seed: Optional[int]):
@@ -206,7 +236,7 @@ def _tie_key(seed: Optional[int]):
     deterministic pseudo-random order instead.
     """
     if seed is None:
-        return _winner_sort_key
+        return ProjectedEvent.sort_key
     from zlib import crc32
 
     def key(e: ProjectedEvent):
@@ -215,15 +245,68 @@ def _tie_key(seed: Optional[int]):
     return key
 
 
+def _anonymize_greedily(
+    log: EventLog, params: PrivacyParams, tie_break, start_round
+) -> AnonymizationResult:
+    """The greedy suppression rounds shared by both TLKC anonymizers.
+
+    Each round mines the minimal violating candidates of the current log and
+    asks ``start_round(log)`` for the round's maximal frequent subtraces (or
+    ``()``) and its ``rank(e, index)``.  It then repeatedly picks the
+    highest-ranked descriptor (ties: higher privacy gain, then the tie-break
+    order), prunes every violation and frequent subtrace containing it, and
+    finally suppresses the winners globally.  If that drops emptied cases,
+    the survivors go through another round, so the output always passes the
+    audit.
+    """
+    started = time.perf_counter()
+    ps, accuracy = params.perspective, params.accuracy
+    tie_key = _tie_key(tie_break)
+    current = log
+    all_winners: list = []
+    all_iterations: list = []
+    all_dropped: list = []
+
+    while True:
+        mvt = enumerate_mvt(current, params)
+        if len(mvt) == 0:
+            break
+        mft, rank = start_round(current)
+        index = _GreedyIndex(mvt, mft)
+        winners = []
+        while len(index):
+            events = index.events()
+            ranks = {e: (rank(e, index), index.privacy_gain(e)) for e in events}
+            best = max(ranks.values())
+            winner = min((e for e in events if ranks[e] == best), key=tie_key)
+            winners.append(winner)
+            index.delete_containing(winner)
+            all_iterations.append(IterationRecord(winner, best[0], len(index)))
+        current, dropped = suppress_global(current, winners, ps, accuracy)
+        all_winners.extend(winners)
+        all_dropped.extend(dropped)
+        if not current.instances:
+            raise ParameterError(
+                f"suppression emptied the whole log; requirements are too strict "
+                f"(T={accuracy.value}, L={params.L}, K={params.K}, C={params.C})"
+            )
+        if not dropped:
+            # no case vanished, so every remaining candidate kept its
+            # match set and the log is guaranteed violation-free
+            break
+    return _result(log, current, all_dropped, started, all_winners, all_iterations)
+
+
 class TlkcAnonymizer(BaseAnonymizer):
     """Greedy suppression until no minimal violating candidate remains.
 
     Repeatedly picks the descriptor with the highest privacy-gain to
-    utility-loss ratio, prunes every minimal violating candidate and maximal
-    frequent subtrace containing it, and finally suppresses the winners
-    globally.  Ties break on higher privacy gain, then canonical descriptor
-    order.  If global suppression drops emptied cases, the survivors are
-    re-anonymized so the output always passes the audit.
+    utility-loss ratio (:func:`score`), prunes every minimal violating
+    candidate and maximal frequent subtrace containing it, and finally
+    suppresses the winners globally.  Ties break on higher privacy gain,
+    then canonical descriptor order.  If global suppression drops emptied
+    cases, the survivors are re-anonymized so the output always passes the
+    audit.
     """
 
     def __init__(
@@ -235,7 +318,6 @@ class TlkcAnonymizer(BaseAnonymizer):
         theta=0.5,
         bk="rel/ar",
         sensitive=(),
-        max_pattern_len=None,
         tie_break=None,
     ):
         self.accuracy = accuracy
@@ -245,101 +327,30 @@ class TlkcAnonymizer(BaseAnonymizer):
         self.theta = theta
         self.bk = bk
         self.sensitive = sensitive
-        self.max_pattern_len = max_pattern_len
         self.tie_break = tie_break
 
-    def _params(self) -> PrivacyParams:
+    def anonymize(self, log: EventLog) -> AnonymizationResult:
         if self.theta is None:
             raise LogError("theta is required for the classic greedy algorithm")
-        return PrivacyParams(
-            accuracy=self.accuracy,
-            L=self.L,
-            K=self.K,
-            C=self.C,
-            bk=self.bk,
-            sensitive=tuple(self.sensitive),
-            theta=self.theta,
+        params = PrivacyParams(
+            self.accuracy, self.L, self.K, self.C, self.bk, self.sensitive, theta=self.theta
         )
 
-    def anonymize(self, log: EventLog) -> AnonymizationResult:
-        started = time.perf_counter()
-        params = self._params()
-        ps = params.perspective
-        original_events = log.total_events
-        current = log
-        all_winners: list = []
-        all_iterations: list = []
-        all_dropped: list = []
+        def start_round(current):
+            mft = enumerate_mft(current, params.perspective, params.theta, params.accuracy)
+            return mft, lambda e, index: score(e, index, index)
 
-        while True:
-            mvt = enumerate_mvt(current, params)
-            if len(mvt) == 0:
-                break
-            mft = enumerate_mft(
-                current, ps, params.theta, params.accuracy, self.max_pattern_len
-            )
-            winners, iterations = self._greedy(mvt, mft)
-            current, dropped = suppress_global(current, winners, ps, params.accuracy)
-            all_winners.extend(winners)
-            all_iterations.extend(iterations)
-            all_dropped.extend(dropped)
-            if not current.instances:
-                raise ParameterError(
-                    f"suppression emptied the whole log; requirements are too strict "
-                    f"(T={params.accuracy.value}, L={params.L}, K={params.K}, C={params.C})"
-                )
-            if not dropped:
-                # no case vanished, so every remaining candidate kept its
-                # match set and the log is guaranteed violation-free
-                break
-
-        return AnonymizationResult(
-            log=current,
-            suppression=SuppressionSet(tuple(all_winners)),
-            dropped_cases=tuple(all_dropped),
-            iterations=tuple(all_iterations),
-            events_removed=original_events - current.total_events,
-            runtime_seconds=time.perf_counter() - started,
-        )
-
-    def _greedy(self, mvt: MvtSet, mft: MftSet):
-        state = _GreedyIndex(
-            [set(c.elements) for c in mvt.candidates], [set(p) for p, _ in mft]
-        )
-        winners, iterations = [], []
-        while state.alive_mvts:
-            def rank(e):
-                pg = state.pg[e]
-                return pg / (state.ul.get(e, 0) + 1), pg
-
-            events = state.events()
-            best_rank = max(rank(e) for e in events)
-            tied = [e for e in events if rank(e) == best_rank]
-            winner = min(tied, key=_tie_key(self.tie_break))  # score, then PG, then tie order
-            winners.append(winner)
-            state.delete_containing(winner)
-            iterations.append(
-                IterationRecord(winner, best_rank[0], len(state.alive_mvts))
-            )
-        return winners, iterations
-
-    def transform(self, log: EventLog) -> EventLog:
-        result = self.anonymize(log)
-        self.suppression_ = result.suppression
-        self.iterations_ = result.iterations
-        self.dropped_cases_ = result.dropped_cases
-        self.events_removed_ = result.events_removed
-        return result.log
+        return _anonymize_greedily(log, params, self.tie_break, start_round)
 
 
 class TlkcExtAnonymizer(BaseAnonymizer):
-    """Greedy suppression with the normalized score.
+    """Greedy suppression with the normalized score (:func:`n_score`).
 
     The winner maximizes ``alpha * relative privacy gain + beta * (1 -
     variant coverage)``; maximal frequent subtraces play no role.  The
     relative privacy gain is recomputed per iteration against the surviving
     minimal violating candidates, while variant coverage stays fixed to the
-    input log.
+    round's input log.
     """
 
     def __init__(
@@ -364,107 +375,40 @@ class TlkcExtAnonymizer(BaseAnonymizer):
         self.sensitive = sensitive
         self.tie_break = tie_break
 
-    def _params(self) -> PrivacyParams:
-        return PrivacyParams(
-            accuracy=self.accuracy,
-            L=self.L,
-            K=self.K,
-            C=self.C,
-            bk=self.bk,
-            sensitive=tuple(self.sensitive),
-            alpha=self.alpha,
-            beta=self.beta,
-        )
-
     def anonymize(self, log: EventLog) -> AnonymizationResult:
-        started = time.perf_counter()
-        params = self._params()
-        ps = params.perspective
-        original_events = log.total_events
-        current = log
-        all_winners: list = []
-        all_iterations: list = []
-        all_dropped: list = []
-
-        while True:
-            mvt = enumerate_mvt(current, params)
-            if len(mvt) == 0:
-                break
-            coverage = self._coverage(current, ps, params.accuracy)
-            winners, iterations = self._greedy(mvt, coverage, params)
-            current, dropped = suppress_global(current, winners, ps, params.accuracy)
-            all_winners.extend(winners)
-            all_iterations.extend(iterations)
-            all_dropped.extend(dropped)
-            if not current.instances:
-                raise ParameterError(
-                    f"suppression emptied the whole log; requirements are too strict "
-                    f"(T={params.accuracy.value}, L={params.L}, K={params.K}, C={params.C})"
-                )
-            if not dropped:
-                break
-
-        return AnonymizationResult(
-            log=current,
-            suppression=SuppressionSet(tuple(all_winners)),
-            dropped_cases=tuple(all_dropped),
-            iterations=tuple(all_iterations),
-            events_removed=original_events - current.total_events,
-            runtime_seconds=time.perf_counter() - started,
+        params = PrivacyParams(
+            self.accuracy, self.L, self.K, self.C, self.bk, self.sensitive,
+            alpha=self.alpha, beta=self.beta,
         )
 
-    @staticmethod
-    def _coverage(log: EventLog, ps: Perspective, accuracy: TimestampAccuracy):
-        counts: Counter = Counter()
-        for inst in log:
-            for e in set(project_instance(inst, ps, accuracy)):
-                counts[e] += 1
-        n = len(log)
-        return {e: c / n for e, c in counts.items()}
+        def start_round(current):
+            cov = coverage(current, params.perspective, params.accuracy)
+            return (), lambda e, index: n_score(e, index, cov, params.alpha, params.beta)
 
-    def _greedy(self, mvt: MvtSet, coverage, params: PrivacyParams):
-        state = _GreedyIndex([set(c.elements) for c in mvt.candidates], [])
-        winners, iterations = [], []
-        while state.alive_mvts:
-            total = len(state.alive_mvts)
-
-            def rank(e):
-                rpg = state.pg[e] / total
-                nul = 1.0 - coverage.get(e, 0.0)
-                return params.alpha * rpg + params.beta * nul, state.pg[e]
-
-            events = state.events()
-            best_rank = max(rank(e) for e in events)
-            tied = [e for e in events if rank(e) == best_rank]
-            winner = min(tied, key=_tie_key(self.tie_break))
-            winners.append(winner)
-            state.delete_containing(winner)
-            iterations.append(IterationRecord(winner, best_rank[0], len(state.alive_mvts)))
-        return winners, iterations
-
-    def transform(self, log: EventLog) -> EventLog:
-        result = self.anonymize(log)
-        self.suppression_ = result.suppression
-        self.iterations_ = result.iterations
-        self.dropped_cases_ = result.dropped_cases
-        self.events_removed_ = result.events_removed
-        return result.log
+        return _anonymize_greedily(log, params, self.tie_break, start_round)
 
 
-class Baseline1(BaseAnonymizer):
-    """Keep a case only if its variant occurs at least k times."""
+class _KBaseline(BaseAnonymizer):
+    """Parameters shared by the two k-anonymity baselines."""
 
     def __init__(self, k=2, ps="ART", accuracy="hours"):
         self.k = k
         self.ps = ps
         self.accuracy = accuracy
 
-    def anonymize(self, log: EventLog) -> AnonymizationResult:
-        started = time.perf_counter()
+    def _view(self):
+        """Check k; return the perspective and timestamp accuracy to project on."""
         if self.k < 1:
             raise LogError("k must be a positive integer")
-        ps = Perspective.parse(self.ps)
-        accuracy = TimestampAccuracy.parse(self.accuracy)
+        return Perspective.parse(self.ps), TimestampAccuracy.parse(self.accuracy)
+
+
+class Baseline1(_KBaseline):
+    """Keep a case only if its variant occurs at least k times."""
+
+    def anonymize(self, log: EventLog) -> AnonymizationResult:
+        started = time.perf_counter()
+        ps, accuracy = self._view()
         counts = Counter(project_instance(inst, ps, accuracy) for inst in log)
         kept, dropped = [], []
         for inst in log:
@@ -472,26 +416,7 @@ class Baseline1(BaseAnonymizer):
                 kept.append(inst)
             else:
                 dropped.append(inst.case_id)
-        out = EventLog(tuple(kept), log.sensitive_attrs)
-        return AnonymizationResult(
-            log=out,
-            suppression=SuppressionSet(),
-            dropped_cases=tuple(dropped),
-            iterations=(),
-            events_removed=log.total_events - out.total_events,
-            runtime_seconds=time.perf_counter() - started,
-        )
-
-    def transform(self, log: EventLog) -> EventLog:
-        result = self.anonymize(log)
-        self.dropped_cases_ = result.dropped_cases
-        self.events_removed_ = result.events_removed
-        return result.log
-
-
-def _is_subsequence(small: tuple, big: tuple) -> bool:
-    it = iter(big)
-    return all(x in it for x in small)
+        return _result(log, EventLog(tuple(kept), log.sensitive_attrs), dropped, started)
 
 
 def _longest_common_subsequence(a: tuple, b: tuple) -> tuple:
@@ -527,7 +452,7 @@ def _canon(seq: tuple) -> tuple:
     return tuple(e.sort_key() for e in seq)
 
 
-class Baseline2(BaseAnonymizer):
+class Baseline2(_KBaseline):
     """k-anonymize trace variants by removing events.
 
     Two regimes drive each violating variant to the most similar subtrace
@@ -550,17 +475,9 @@ class Baseline2(BaseAnonymizer):
     variant occurring at least k times.
     """
 
-    def __init__(self, k=2, ps="ART", accuracy="hours"):
-        self.k = k
-        self.ps = ps
-        self.accuracy = accuracy
-
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         started = time.perf_counter()
-        if self.k < 1:
-            raise LogError("k must be a positive integer")
-        ps = Perspective.parse(self.ps)
-        accuracy = TimestampAccuracy.parse(self.accuracy)
+        ps, accuracy = self._view()
 
         # per case: surviving (event index, descriptor) pairs
         state = {
@@ -605,7 +522,6 @@ class Baseline2(BaseAnonymizer):
 
         kept_instances = []
         dropped = []
-        case_index = {inst.case_id: inst for inst in log}
         for inst in log:
             pairs = state[inst.case_id]
             if pairs:
@@ -616,14 +532,7 @@ class Baseline2(BaseAnonymizer):
             else:
                 dropped.append(inst.case_id)
         out = EventLog(tuple(kept_instances), log.sensitive_attrs)
-        return AnonymizationResult(
-            log=out,
-            suppression=SuppressionSet(),
-            dropped_cases=tuple(dropped),
-            iterations=(),
-            events_removed=log.total_events - out.total_events,
-            runtime_seconds=time.perf_counter() - started,
-        )
+        return _result(log, out, dropped, started)
 
     def _merge_step(self, state, live, classes, violating) -> bool:
         # absorb: violating class onto an existing proper-subtrace class
@@ -633,7 +542,7 @@ class Baseline2(BaseAnonymizer):
                 for u in classes
                 if u != rep
                 and len(u) < len(rep)
-                and _is_subsequence(u, rep)
+                and is_subsequence(u, rep)
                 and len(classes[u]) + len(classes[rep]) >= self.k
             ]
             if options:
@@ -664,8 +573,3 @@ class Baseline2(BaseAnonymizer):
             kept_positions = _earliest_embedding(target, descs)
             state[cid] = [pairs[p] for p in kept_positions]
 
-    def transform(self, log: EventLog) -> EventLog:
-        result = self.anonymize(log)
-        self.dropped_cases_ = result.dropped_cases
-        self.events_removed_ = result.events_removed
-        return result.log

@@ -29,6 +29,7 @@ from .log import (
     Perspective,
     ProjectedEvent,
     TimestampAccuracy,
+    is_subsequence,
     project_instance,
 )
 
@@ -60,22 +61,6 @@ class BkAttr(Enum):
     AR = "ar"
 
 
-_PERSPECTIVE = {
-    (BkType.SET, BkAttr.AC): Perspective.A,
-    (BkType.MULT, BkAttr.AC): Perspective.A,
-    (BkType.SEQ, BkAttr.AC): Perspective.A,
-    (BkType.SET, BkAttr.RE): Perspective.R,
-    (BkType.MULT, BkAttr.RE): Perspective.R,
-    (BkType.SEQ, BkAttr.RE): Perspective.R,
-    (BkType.SET, BkAttr.AR): Perspective.AR,
-    (BkType.MULT, BkAttr.AR): Perspective.AR,
-    (BkType.SEQ, BkAttr.AR): Perspective.AR,
-    (BkType.REL, BkAttr.AC): Perspective.AT,
-    (BkType.REL, BkAttr.RE): Perspective.RT,
-    (BkType.REL, BkAttr.AR): Perspective.ART,
-}
-
-
 @dataclass(frozen=True)
 class BkSpec:
     """Type and attribute of the assumed background knowledge."""
@@ -85,7 +70,8 @@ class BkSpec:
 
     @property
     def perspective(self) -> Perspective:
-        return _PERSPECTIVE[(self.bk_type, self.bk_attr)]
+        kept = {BkAttr.AC: "A", BkAttr.RE: "R", BkAttr.AR: "AR"}[self.bk_attr]
+        return Perspective(kept + "T" if self.bk_type is BkType.REL else kept)
 
     @property
     def ordered(self) -> bool:
@@ -134,18 +120,6 @@ class Candidate:
     def size(self) -> int:
         return len(self.elements)
 
-    def sub_candidates(self) -> Iterator["Candidate"]:
-        """All candidates one element smaller (drop one position / count)."""
-        if self.size == 1:
-            return
-        seen = set()
-        for i in range(len(self.elements)):
-            rest = self.elements[:i] + self.elements[i + 1 :]
-            sub = Candidate(self.bk_type, rest)
-            if sub not in seen:
-                seen.add(sub)
-                yield sub
-
     def proper_sub_candidates(self) -> Iterator["Candidate"]:
         """Every non-empty proper sub-candidate, any size.
 
@@ -166,15 +140,9 @@ class Candidate:
         return format_candidate(self)
 
 
-def _contains(cand: Candidate, trace_elems: tuple, elem_set: frozenset, elem_counter) -> bool:
-    kind = cand.bk_type
-    if kind is BkType.SET:
-        return all(e in elem_set for e in cand.elements)
-    if kind is BkType.MULT:
-        need = Counter(cand.elements)
-        return all(elem_counter[e] >= n for e, n in need.items())
-    it = iter(trace_elems)
-    return all(e in it for e in cand.elements)  # subsequence
+def _covers(counter: Counter, need: Counter) -> bool:
+    """Multiset containment: ``counter`` holds every element ``need`` asks for."""
+    return all(counter[e] >= n for e, n in need.items())
 
 
 class ProjectedLog:
@@ -196,10 +164,17 @@ class ProjectedLog:
         self.elem_counters = tuple(Counter(t) for t in self.traces)
 
     def match_indices(self, cand: Candidate) -> frozenset:
+        elems = cand.elements
+        if cand.bk_type is BkType.SET:
+            need = frozenset(elems)
+            return frozenset(i for i, have in enumerate(self.elem_sets) if need <= have)
+        if cand.bk_type is BkType.MULT:
+            need = Counter(elems)
+            return frozenset(
+                i for i, have in enumerate(self.elem_counters) if _covers(have, need)
+            )
         return frozenset(
-            i
-            for i in range(len(self.traces))
-            if _contains(cand, self.traces[i], self.elem_sets[i], self.elem_counters[i])
+            i for i, trace in enumerate(self.traces) if is_subsequence(elems, trace)
         )
 
     def instances(self, indices: Iterable[int]) -> tuple:
@@ -260,13 +235,20 @@ def _enumerate(plog: ProjectedLog, max_size, extend):
         yield from _enumerate_bags(plog, max_size, extend)
 
 
-def _enumerate_sequences(plog, max_size, extend):
-    # PrefixSpan-style growth: state is, per supporting trace, the position
-    # right after the earliest embedding of the pattern so far.
-    def grow(prefix_elems, positions, size):
+def prefix_span(traces, max_size, extend):
+    """Depth-first PrefixSpan (Pei et al. 2001) over element sequences.
+
+    Yields each pattern of 1..max_size elements that is a subsequence of some
+    trace, with a map from every supporting trace index to the position right
+    after the pattern's earliest embedding there.  Siblings come in canonical
+    element order; a pattern is yielded before ``extend(pattern, positions)``
+    decides whether it grows.
+    """
+
+    def grow(prefix, positions):
         extensions = {}
         for idx, start in positions.items():
-            trace = plog.traces[idx]
+            trace = traces[idx]
             seen = set()
             for j in range(start, len(trace)):
                 e = trace[j]
@@ -274,23 +256,30 @@ def _enumerate_sequences(plog, max_size, extend):
                     continue
                 seen.add(e)
                 extensions.setdefault(e, {})[idx] = j + 1
-        for e in sorted(extensions, key=lambda x: x.sort_key()):
-            nxt = extensions[e]
-            cand = Candidate(plog.spec.bk_type, prefix_elems + (e,))
-            matched = frozenset(nxt)
-            yield cand, matched
-            if size < max_size and (extend is None or extend(cand, matched)):
-                yield from grow(prefix_elems + (e,), nxt, size + 1)
+        for e in sorted(extensions, key=ProjectedEvent.sort_key):
+            pattern, nxt = prefix + (e,), extensions[e]
+            yield pattern, nxt
+            if len(pattern) < max_size and extend(pattern, nxt):
+                yield from grow(pattern, nxt)
 
-    yield from grow((), {i: 0 for i in range(len(plog.traces))}, 1)
+    yield from grow((), dict.fromkeys(range(len(traces)), 0))
+
+
+def _enumerate_sequences(plog, max_size, extend):
+    # extend must see the very candidate and match set the consumer was given
+    last = None
+
+    def extend_last(pattern, positions):
+        return extend is None or extend(*last)
+
+    for pattern, positions in prefix_span(plog.traces, max_size, extend_last):
+        last = (Candidate(plog.spec.bk_type, pattern), frozenset(positions))
+        yield last
 
 
 def _enumerate_bags(plog, max_size, extend):
     is_set = plog.spec.bk_type is BkType.SET
-
-    def capacity(idx, elems):
-        need = Counter(elems)
-        return all(plog.elem_counters[idx][e] >= n for e, n in need.items())
+    counters = plog.elem_counters
 
     def grow(elems, support, size):
         last = elems[-1] if elems else None
@@ -304,7 +293,8 @@ def _enumerate_bags(plog, max_size, extend):
                 if not is_set and e.sort_key() < last.sort_key():
                     continue
             new = elems + (e,)
-            matched = frozenset(i for i in support if capacity(i, new))
+            need = Counter(new)
+            matched = frozenset(i for i in support if _covers(counters[i], need))
             if not matched:
                 continue
             cand = Candidate(plog.spec.bk_type, new)
@@ -326,6 +316,9 @@ _ELEMENT_RE = re.compile(
 )
 
 
+_BRACKETS = {BkType.SET: "{}", BkType.MULT: "[]", BkType.SEQ: "<>", BkType.REL: "<>"}
+
+
 class CandidateSyntaxError(LogError):
     def __init__(self, text: str, pos: int, message: str):
         super().__init__(f"cannot parse candidate {text!r} at position {pos}: {message}")
@@ -335,8 +328,7 @@ class CandidateSyntaxError(LogError):
 def parse_candidate(text: str, spec: BkSpec) -> Candidate:
     """Parse a candidate literal for the given background-knowledge spec."""
     text = text.strip()
-    brackets = {BkType.SET: "{}", BkType.MULT: "[]", BkType.SEQ: "<>", BkType.REL: "<>"}
-    opener, closer = brackets[spec.bk_type]
+    opener, closer = _BRACKETS[spec.bk_type]
     if not text.startswith(opener) or not text.endswith(closer):
         raise CandidateSyntaxError(
             text, 0, f"{spec.bk_type.value} candidates are written {opener}...{closer}"
@@ -382,8 +374,7 @@ def parse_candidate(text: str, spec: BkSpec) -> Candidate:
 
 
 def format_candidate(cand: Candidate) -> str:
-    brackets = {BkType.SET: "{}", BkType.MULT: "[]", BkType.SEQ: "<>", BkType.REL: "<>"}
-    opener, closer = brackets[cand.bk_type]
+    opener, closer = _BRACKETS[cand.bk_type]
     if cand.bk_type is BkType.MULT:
         counts = Counter(cand.elements)
         parts = [

@@ -14,8 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .analysis import PrivacyParams, audit_tlkc
@@ -27,7 +26,7 @@ from .anonymize import (
     TlkcExtAnonymizer,
 )
 from .background import BkSpec, confidence, match, parse_candidate
-from .io import RunConfig, load_log, read_config, save_log
+from .io import RunConfig, config_lines, load_log, read_config, save_log, split_list
 from .log import (
     EventLog,
     LogError,
@@ -78,7 +77,6 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_output=False):
     )
     parser.add_argument("--tie-break", type=int, dest="tie_break", help="seed for an "
                         "alternative tie-break order (default: canonical rule)")
-    parser.add_argument("--threads", type=int, help="upper bound on internal parallelism")
     parser.add_argument("--csv-case", help="CSV case id column")
     parser.add_argument("--csv-activity", help="CSV activity column")
     parser.add_argument("--csv-timestamp", help="CSV timestamp column")
@@ -90,19 +88,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if getattr(args, "config", None):
         values.update(read_config(args.config))
-    names = {f.name for f in dataclass_fields(RunConfig)}
+    names = {f.name for f in fields(RunConfig)}
     for name in names:
         flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
     for listy in ("sensitive", "discretize"):
         if isinstance(values.get(listy), str):
-            values[listy] = tuple(
-                s.strip() for s in values[listy].split(",") if s.strip()
-            )
+            values[listy] = split_list(values[listy])
     if values.get("csv_resource") == "":
         values["csv_resource"] = None
-    values = {k: v for k, v in values.items() if k in names}
     return RunConfig(**values)
 
 
@@ -123,21 +118,8 @@ def _load_prepared(config: RunConfig) -> EventLog:
 
 
 def _privacy_params(config: RunConfig) -> PrivacyParams:
-    return PrivacyParams(
-        accuracy=config.accuracy,
-        L=config.L,
-        K=config.K,
-        C=config.C,
-        bk=config.bk,
-        sensitive=config.sensitive,
-        theta=config.theta,
-        alpha=config.alpha,
-        beta=config.beta,
-    )
-
-
-def _config_lines(config: RunConfig) -> list:
-    return [f"{key} = {'' if value is None else value}" for key, value in config.items()]
+    # RunConfig carries every PrivacyParams field under the same name
+    return PrivacyParams(**{f.name: getattr(config, f.name) for f in fields(PrivacyParams)})
 
 
 def _write_report(path, lines) -> None:
@@ -146,33 +128,23 @@ def _write_report(path, lines) -> None:
 
 def _make_anonymizer(config: RunConfig):
     algorithm = config.algorithm.lower()
+    greedy = dict(
+        accuracy=config.accuracy,
+        L=config.L,
+        K=config.K,
+        C=config.C,
+        bk=config.bk,
+        sensitive=config.sensitive,
+        tie_break=config.tie_break,
+    )
     if algorithm == "tlkc":
         if config.theta is None:
             raise LogError("the tlkc algorithm needs --theta")
-        return TlkcAnonymizer(
-            accuracy=config.accuracy,
-            L=config.L,
-            K=config.K,
-            C=config.C,
-            theta=config.theta,
-            bk=config.bk,
-            sensitive=config.sensitive,
-            tie_break=config.tie_break,
-        )
+        return TlkcAnonymizer(theta=config.theta, **greedy)
     if algorithm == "tlkc-ext":
         alpha = 0.5 if config.alpha is None else config.alpha
         beta = 0.5 if config.beta is None else config.beta
-        return TlkcExtAnonymizer(
-            accuracy=config.accuracy,
-            L=config.L,
-            K=config.K,
-            C=config.C,
-            alpha=alpha,
-            beta=beta,
-            bk=config.bk,
-            sensitive=config.sensitive,
-            tie_break=config.tie_break,
-        )
+        return TlkcExtAnonymizer(alpha=alpha, beta=beta, **greedy)
     ps = BkSpec.parse(config.bk).perspective
     if algorithm == "baseline1":
         return Baseline1(k=config.K, ps=ps, accuracy=config.accuracy)
@@ -189,15 +161,12 @@ def cmd_anonymize(args) -> int:
     if not config.output:
         raise LogError("no output path given (use --output)")
     log = _load_prepared(config)
-    anonymizer = _make_anonymizer(config)
-    started = time.perf_counter()
-    result = anonymizer.anonymize(log)
-    elapsed = time.perf_counter() - started
+    result = _make_anonymizer(config).anonymize(log)
     out_fmt = config.format or Path(config.output).suffix.lstrip(".").lower() or None
     save_log(result.log, config.output, fmt=out_fmt, colmap=config.colmap())
 
     lines = ["# effective configuration"]
-    lines += _config_lines(config)
+    lines += config_lines(config)
     lines.append("# iterations")
     for i, rec in enumerate(result.iterations, start=1):
         lines.append(
@@ -210,7 +179,7 @@ def cmd_anonymize(args) -> int:
     lines.append("# summary")
     lines.append(f"events removed: {result.events_removed}")
     lines.append(f"cases dropped: {len(result.dropped_cases)}")
-    lines.append(f"runtime seconds: {elapsed:.3f}")
+    lines.append(f"runtime seconds: {result.runtime_seconds:.3f}")
     report_path = args.report or f"{config.output}.report.txt"
     _write_report(report_path, lines)
 
@@ -228,7 +197,7 @@ def cmd_audit(args) -> int:
     config = _build_config(args)
     log = _load_prepared(config)
     report = audit_tlkc(log, _privacy_params(config))
-    lines = ["# effective configuration"] + _config_lines(config) + report.lines()
+    lines = ["# effective configuration"] + config_lines(config) + report.lines()
     for line in report.lines():
         print(line)
     if args.report:
@@ -265,8 +234,7 @@ def cmd_attack(args) -> int:
 def cmd_evaluate(args) -> int:
     config = _build_config(args)
     original = _load_prepared(config)
-    anon_config = RunConfig(**{**dict(_cfg_kv(config)), "input": args.anonymized})
-    anonymized = _load_prepared(anon_config)
+    anonymized = _load_prepared(replace(config, input=args.anonymized))
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     ps = BkSpec.parse(config.bk).perspective
     accuracy = TimestampAccuracy.parse(config.accuracy)
@@ -280,24 +248,16 @@ def cmd_evaluate(args) -> int:
                 "perspective": ps.value,
             }
             print(f"emd ({ps.value}): {report.summary()}")
-        elif metric == "dfg":
-            cmp = dfg_compare(original, anonymized)
-            payload["metrics"]["dfg"] = _graph_payload(cmp, args.edge_diff)
-            print(f"dfg: {cmp.summary()}")
-        elif metric == "handover":
-            cmp = handover_compare(original, anonymized)
-            payload["metrics"]["handover"] = _graph_payload(cmp, args.edge_diff)
-            print(f"handover: {cmp.summary()}")
+        elif metric in ("dfg", "handover"):
+            compare = dfg_compare if metric == "dfg" else handover_compare
+            cmp = compare(original, anonymized)
+            payload["metrics"][metric] = _graph_payload(cmp, args.edge_diff)
+            print(f"{metric}: {cmp.summary()}")
         else:
             raise LogError(f"unknown metric {metric!r}; expected emd, dfg or handover")
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return EXIT_OK
-
-
-def _cfg_kv(config: RunConfig):
-    for f in dataclass_fields(RunConfig):
-        yield f.name, getattr(config, f.name)
 
 
 def _graph_payload(cmp, include_edges):
@@ -378,15 +338,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # ParameterError is a LogError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except LogError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -10,11 +10,12 @@ from __future__ import annotations
 import logging
 import xml.etree.ElementTree as ET
 import csv as csvlib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
+from .analysis import check_requirements
 from .log import Event, EventLog, LogError, ProcessInstance
 
 __all__ = [
@@ -342,7 +343,6 @@ class RunConfig:
     discretize: tuple = ()
     relativize: bool = False
     tie_break: Optional[int] = None
-    threads: int = 1
     csv_case: str = "CaseId"
     csv_activity: str = "Activity"
     csv_timestamp: str = "Timestamp"
@@ -352,22 +352,7 @@ class RunConfig:
     def __post_init__(self):
         self.sensitive = tuple(self.sensitive)
         self.discretize = tuple(self.discretize)
-        if self.K < 1:
-            raise LogError("K must be a positive integer")
-        if self.L < 1:
-            raise LogError("L must be a positive integer")
-        if not 0 < self.C <= 1:
-            raise LogError("C must lie in (0, 1]")
-        if self.theta is not None and not 0 <= self.theta <= 1:
-            raise LogError("theta must lie in [0, 1]")
-        if (self.alpha is None) != (self.beta is None):
-            raise LogError("alpha and beta must be given together")
-        if self.alpha is not None and (
-            self.alpha < 0 or self.beta < 0 or abs(self.alpha + self.beta - 1) > 1e-9
-        ):
-            raise LogError("alpha and beta must be non-negative and sum to 1")
-        if self.threads < 1:
-            raise LogError("threads must be a positive integer")
+        check_requirements(self)
 
     def colmap(self) -> CsvColumnMap:
         return CsvColumnMap(
@@ -380,34 +365,39 @@ class RunConfig:
         )
 
     def items(self):
-        for name in (
-            "input output format algorithm accuracy L K C theta alpha beta bk "
-            "relativize tie_break threads csv_case csv_activity csv_timestamp "
-            "csv_resource csv_timestamp_format"
-        ).split():
-            yield name, getattr(self, name)
-        yield "sensitive", ",".join(self.sensitive)
-        yield "discretize", ",".join(self.discretize)
+        """Every field in declaration order, the comma lists last and joined."""
+        lists = ("sensitive", "discretize")
+        for f in fields(self):
+            if f.name not in lists:
+                yield f.name, getattr(self, f.name)
+        for name in lists:
+            yield name, ",".join(getattr(self, name))
+
+
+def split_list(text: str) -> tuple:
+    """The non-empty items of a comma-separated list, stripped."""
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 _CONFIG_CASTS = {
     "L": int,
     "K": int,
-    "threads": int,
     "tie_break": int,
     "C": float,
     "theta": float,
     "alpha": float,
     "beta": float,
     "relativize": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "sensitive": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
-    "discretize": lambda v: tuple(s.strip() for s in v.split(",") if s.strip()),
+    "sensitive": split_list,
+    "discretize": split_list,
 }
 
 
 def read_config(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` file of :class:`RunConfig` fields; '#'
+    starts a comment."""
     path = Path(path)
+    known = {f.name for f in fields(RunConfig)}
     out = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -420,6 +410,8 @@ def read_config(path) -> dict:
         if "=" not in line:
             raise LogError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in known:
+            raise LogError(f"{path}:{lineno}: unknown config key {key!r}")
         if value == "":
             continue  # blank value = unset
         cast = _CONFIG_CASTS.get(key, str)
@@ -430,6 +422,10 @@ def read_config(path) -> dict:
     return out
 
 
+def config_lines(config: RunConfig) -> list:
+    """The ``key = value`` lines that :func:`write_config` writes."""
+    return [f"{key} = {'' if value is None else value}" for key, value in config.items()]
+
+
 def write_config(config: RunConfig, path) -> None:
-    lines = [f"{key} = {'' if value is None else value}" for key, value in config.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(config_lines(config)) + "\n", encoding="utf-8")

@@ -268,6 +268,12 @@ def project_instance(
     return project(inst.trace, ps, accuracy, case_id=inst.case_id)
 
 
+def is_subsequence(small: Sequence, big: Sequence) -> bool:
+    """Whether ``small`` occurs in ``big`` in order, gaps allowed."""
+    it = iter(big)
+    return all(x in it for x in small)
+
+
 def relative_timestamps(trace: Sequence[Event], t0: int = 0) -> tuple:
     """Rebase a trace so its first event is at ``t0``, preserving all gaps."""
     trace = tuple(trace)

@@ -13,6 +13,7 @@ from tlkcpriv import (
     ProjectedEvent,
     TimestampAccuracy,
     audit_tlkc,
+    coverage,
     enumerate_mft,
     enumerate_mvt,
     focal_values,
@@ -20,7 +21,6 @@ from tlkcpriv import (
     n_score,
     score,
 )
-from tlkcpriv.analysis import PrefixTree
 
 from .conftest import build_log
 from .oracles import brute_focal, brute_mvt, random_log
@@ -286,16 +286,15 @@ class TestScores:
 
     def test_n_score_of_visit_event(self, treatment_log, treatment_mvt):
         got = n_score(
-            E_VI5, treatment_mvt, treatment_log, Perspective.ART, 0.5, 0.5, HOURS
+            E_VI5, treatment_mvt, coverage(treatment_log, Perspective.ART, HOURS), 0.5, 0.5
         )
         # relative gain 3/5, unaffected-variant mass 6/8
         assert got == pytest.approx(0.5 * (3 / 5) + 0.5 * 0.75)
 
     def test_n_score_bounds(self, treatment_log, treatment_mvt):
+        cov = coverage(treatment_log, Perspective.ART, HOURS)
         for e in (E_RE, E_HO, E_VI5, E_BT, E_VI8, E_RL):
-            value = n_score(
-                e, treatment_mvt, treatment_log, Perspective.ART, 0.5, 0.5, HOURS
-            )
+            value = n_score(e, treatment_mvt, cov, 0.5, 0.5)
             assert 0.0 <= value <= 1.0
 
     def test_n_score_alpha_zero_full_coverage(self):
@@ -309,13 +308,14 @@ class TestScores:
         )
         mvt = enumerate_mvt(log, params)
         assert len(mvt) == 1  # the single activity matches both cases, 2 < K
-        assert n_score(pe("a"), mvt, log, Perspective.A, 0.0, 1.0) == 0.0
+        assert n_score(pe("a"), mvt, coverage(log, Perspective.A), 0.0, 1.0) == 0.0
 
     def test_n_score_empty_mvt_rejected(self, treatment_log):
         from tlkcpriv.analysis import MvtSet
 
+        cov = coverage(treatment_log, Perspective.ART, HOURS)
         with pytest.raises(LogError):
-            n_score(E_RE, MvtSet(()), treatment_log, Perspective.ART, 0.5, 0.5, HOURS)
+            n_score(E_RE, MvtSet(()), cov, 0.5, 0.5)
 
 
 class TestAudit:
@@ -377,22 +377,3 @@ class TestAudit:
             set(r) == {"candidate", "verdict", "match_size", "max_confidence"}
             for r in records
         )
-
-
-class TestPrefixTree:
-    def test_counts_and_paths(self):
-        a, b, c = pe("a"), pe("b"), pe("c")
-        tree = PrefixTree([(a, b), (a, c), (a, b)])
-        assert tree.counts[a] == 3 and tree.counts[b] == 2
-        assert tree.node_count() == 3  # a, a->b, a->c
-        assert tree.events() == {a, b, c}
-
-    def test_delete_containing(self):
-        a, b, c = pe("a"), pe("b"), pe("c")
-        tree = PrefixTree([(a, b), (c,)])
-        dropped = tree.delete_containing(b)
-        assert dropped == 1
-        assert tree.events() == {c}
-        assert bool(tree)
-        tree.delete_containing(c)
-        assert not tree

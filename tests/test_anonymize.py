@@ -10,6 +10,8 @@ from tlkcpriv import (
     BkType,
     EventLog,
     LogError,
+    MftSet,
+    MvtSet,
     ParameterError,
     Perspective,
     PrivacyParams,
@@ -19,6 +21,11 @@ from tlkcpriv import (
     TlkcAnonymizer,
     TlkcExtAnonymizer,
     audit_tlkc,
+    coverage,
+    enumerate_mft,
+    enumerate_mvt,
+    n_score,
+    score,
     suppress_global,
     variants,
 )
@@ -297,3 +304,57 @@ class TestEstimatorProtocol:
     def test_repr_mentions_params(self):
         text = repr(Baseline2(k=3, ps="A"))
         assert "Baseline2" in text and "k=3" in text
+
+
+class TestGreedyCoreAgainstScores:
+    """Each first-round iteration score equals ``score`` / ``n_score``
+    recomputed from scratch on the minimal violations and frequent subtraces
+    that survive the earlier winners, which checks the greedy index's
+    incremental counts against the plain ``privacy_gain`` / ``utility_loss``
+    scans."""
+
+    @pytest.mark.parametrize("algorithm", ["tlkc", "tlkc-ext"])
+    def test_first_round_scores_recomputed(self, algorithm):
+        rng = random.Random(6007)
+        checked = 0
+        for _ in range(20):
+            log = random_log(rng, max_cases=16)
+            spec = BkSpec(rng.choice(list(BkType)), rng.choice(list(BkAttr)))
+            common = dict(
+                accuracy="hours", L=rng.choice([1, 2]), K=rng.choice([2, 3]),
+                C=rng.choice([0.5, 1.0]), bk=spec, sensitive=("Disease",),
+            )
+            mvt_left = list(enumerate_mvt(log, PrivacyParams(**common)))
+            if algorithm == "tlkc":
+                theta = rng.choice([0.25, 0.5])
+                anonymizer = TlkcAnonymizer(theta=theta, **common)
+                mft_left = list(enumerate_mft(log, spec.perspective, theta, HOURS))
+            else:
+                alpha = rng.choice([0.0, 0.3, 0.5, 1.0])
+                anonymizer = TlkcExtAnonymizer(alpha=alpha, beta=1 - alpha, **common)
+                cov = coverage(log, spec.perspective, HOURS)
+                mft_left = []
+            try:
+                result = anonymizer.anonymize(log)
+            except ParameterError:
+                continue
+            if not mvt_left:
+                continue
+
+            def rank(e):
+                mvt = MvtSet(tuple(mvt_left))
+                if algorithm == "tlkc":
+                    return score(e, mvt, MftSet(tuple(mft_left)))
+                return n_score(e, mvt, cov, alpha, 1 - alpha)
+
+            for rec in result.iterations:
+                alive = {e for cand, _ in mvt_left for e in cand.elements}
+                assert rec.score == rank(rec.winner)
+                assert rec.score == max(rank(e) for e in alive)
+                mvt_left = [(c, v) for c, v in mvt_left if rec.winner not in c.elements]
+                mft_left = [(p, n) for p, n in mft_left if rec.winner not in p]
+                assert rec.remaining_mvts == len(mvt_left)
+                if not mvt_left:
+                    break  # the first round ends here
+            checked += 1
+        assert checked >= 10

@@ -18,6 +18,7 @@ from tlkcpriv import (
     relativize_log,
     truncate_to_accuracy,
 )
+from tlkcpriv.background import ProjectedLog
 
 from .conftest import build_log
 from .oracles import brute_match, random_log
@@ -92,6 +93,7 @@ class TestMatch:
             for bk_type in BkType:
                 for bk_attr in BkAttr:
                     spec = BkSpec(bk_type, bk_attr)
+                    plog = ProjectedLog(log, spec, HOURS)
                     seen = 0
                     for cand, indices in enumerate_candidates(log, spec, 2, HOURS):
                         oracle = brute_match(
@@ -99,6 +101,7 @@ class TestMatch:
                             spec.perspective, HOURS.unit_seconds,
                         )
                         assert indices == oracle
+                        assert plog.match_indices(cand) == oracle
                         seen += 1
                         if seen > 40:
                             break

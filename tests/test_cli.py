@@ -42,6 +42,17 @@ class TestAnonymize:
         assert "winner=VI/D1@5" in report and "winner=RE/E4@1" in report
         assert "events removed: 6" in report
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("algorithm = tlkc\ntheta = 0.25\nk = 8\n")
+        out = tmp_path / "anon.csv"
+        code = run(["anonymize", "--config", str(conf), "-i", TREATMENT, "-o", str(out),
+                    "--sensitive", "Disease"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "run.conf:3: unknown config key 'k'" in err
+        assert not out.exists()
+
     def test_baseline1_warns_on_empty_output(self, tmp_path, capsys):
         out = tmp_path / "anon.csv"
         code = run(
@@ -217,10 +228,6 @@ class TestDiscretizeFlag:
         assert code == 0
         out = capsys.readouterr().out
         assert "high=" in out and "low=" in out
-
-    def test_thread_validation(self, capsys):
-        code = run(["stats", "-i", HOSPITAL, *HOSPITAL_FLAGS, "--threads", "0"])
-        assert code == 2
 
 
 class TestStats:

@@ -208,6 +208,14 @@ class TestRunConfig:
         with pytest.raises(LogError):
             RunConfig(**bad)
 
+    @pytest.mark.parametrize("line", ["k = 8", "threads = 1", "report ="])
+    def test_unknown_key_rejected_with_its_line(self, tmp_path, line):
+        target = tmp_path / "run.conf"
+        target.write_text(f"# only RunConfig fields are keys\nK = 2\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(LogError, match=rf"run\.conf:3: unknown config key '{key}'"):
+            read_config(target)
+
     def test_malformed_file_reported(self, tmp_path):
         target = tmp_path / "bad.conf"
         target.write_text("K: 2\n")
