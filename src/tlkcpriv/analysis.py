@@ -146,8 +146,13 @@ class _Checker:
         self.params = params
         self.plog = ProjectedLog(log, params.bk, params.accuracy)
         self.focal = focal_values(log, params.sensitive)
-        self.sensitive_rows = {
-            attr: tuple(inst.sensitive.get(attr) for inst in log)
+        # the cases holding each attribute's focal value, by the same ``==``
+        # test a per-case comparison would make (a NaN focal value holds none)
+        self.focal_cases = {
+            attr: frozenset(
+                i for i, inst in enumerate(log)
+                if inst.sensitive.get(attr) == self.focal.get(attr)
+            )
             for attr in params.sensitive
         }
         self._memo: Dict[Candidate, Verdict] = {}
@@ -159,8 +164,8 @@ class _Checker:
         k_viol = n < self.params.K
         c_viol = []
         max_conf = 0.0
-        for attr, rows in self.sensitive_rows.items():
-            hits = sum(1 for i in indices if rows[i] == self.focal[attr])
+        for attr, cases in self.focal_cases.items():
+            hits = len(indices & cases)
             conf = hits / n
             max_conf = max(max_conf, conf)
             if conf > self.params.C:
@@ -294,7 +299,6 @@ def enumerate_mft(
 class AuditReport:
     satisfied: bool
     violations: tuple  # of (Candidate, Verdict)
-    candidate_count: int
     params: PrivacyParams
 
     def lines(self) -> list:
@@ -335,7 +339,6 @@ def audit_tlkc(log: EventLog, params: PrivacyParams) -> AuditReport:
     return AuditReport(
         satisfied=len(mvt) == 0,
         violations=mvt.items,
-        candidate_count=len(mvt),
         params=params,
     )
 

@@ -148,9 +148,14 @@ def _covers(counter: Counter, need: Counter) -> bool:
 class ProjectedLog:
     """A log projected on the perspective induced by a background-knowledge spec.
 
-    Precomputes per-case element sequences, sets and counters so repeated
-    candidate matching is cheap.  ``accuracy`` bounds the timestamp precision
-    available to the adversary (only relevant for timed perspectives).
+    Beside the projected traces and their element counters it keeps one
+    inverted index: ``postings[e]`` is the frozenset of trace indices whose
+    projection contains descriptor ``e``.  A candidate can only match traces
+    in the intersection of its elements' postings, so containment is tested
+    on those traces alone, and not at all where the intersection already
+    decides it (sets, multisets without repeats, single elements).
+    ``accuracy`` bounds the timestamp precision available to the adversary
+    (only relevant for timed perspectives).
     """
 
     def __init__(self, log: EventLog, spec: BkSpec, accuracy: TimestampAccuracy):
@@ -160,22 +165,30 @@ class ProjectedLog:
         self.traces = tuple(
             project_instance(inst, spec.perspective, accuracy) for inst in log
         )
-        self.elem_sets = tuple(frozenset(t) for t in self.traces)
         self.elem_counters = tuple(Counter(t) for t in self.traces)
+        postings = {}
+        for i, counter in enumerate(self.elem_counters):
+            for e in counter:
+                postings.setdefault(e, []).append(i)
+        self.postings = {e: frozenset(ids) for e, ids in postings.items()}
 
     def match_indices(self, cand: Candidate) -> frozenset:
         elems = cand.elements
-        if cand.bk_type is BkType.SET:
-            need = frozenset(elems)
-            return frozenset(i for i, have in enumerate(self.elem_sets) if need <= have)
+        distinct = set(elems)
+        if not distinct <= self.postings.keys():
+            return frozenset()
+        first, *rest = sorted((self.postings[e] for e in distinct), key=len)
+        found = first.intersection(*rest)
+        if cand.bk_type is BkType.SET or len(elems) == 1:
+            return found
         if cand.bk_type is BkType.MULT:
+            if len(distinct) == len(elems):
+                return found
             need = Counter(elems)
-            return frozenset(
-                i for i, have in enumerate(self.elem_counters) if _covers(have, need)
-            )
-        return frozenset(
-            i for i, trace in enumerate(self.traces) if is_subsequence(elems, trace)
-        )
+            counters = self.elem_counters
+            return frozenset(i for i in found if _covers(counters[i], need))
+        traces = self.traces
+        return frozenset(i for i in found if is_subsequence(elems, traces[i]))
 
     def instances(self, indices: Iterable[int]) -> tuple:
         return tuple(self.log.instances[i] for i in sorted(indices))
@@ -278,31 +291,33 @@ def _enumerate_sequences(plog, max_size, extend):
 
 
 def _enumerate_bags(plog, max_size, extend):
+    # a child adds an element no smaller than its parent's last one (sets:
+    # strictly larger), so it walks the sorted descriptors from there; its
+    # match is the parent's support narrowed by the new element's postings,
+    # or, for one more copy of the last element, by that element's count
     is_set = plog.spec.bk_type is BkType.SET
     counters = plog.elem_counters
+    postings = plog.postings
+    order = sorted(postings, key=ProjectedEvent.sort_key)
 
-    def grow(elems, support, size):
-        last = elems[-1] if elems else None
-        pool = set()
-        for idx in support:
-            pool.update(plog.elem_sets[idx])
-        for e in sorted(pool, key=lambda x: x.sort_key()):
-            if last is not None:
-                if is_set and e.sort_key() <= last.sort_key():
-                    continue
-                if not is_set and e.sort_key() < last.sort_key():
-                    continue
-            new = elems + (e,)
-            need = Counter(new)
-            matched = frozenset(i for i in support if _covers(counters[i], need))
+    def grow(elems, support, start, repeats):
+        for j in range(start, len(order)):
+            e = order[j]
+            if elems and e == elems[-1]:
+                count = repeats + 1
+                matched = frozenset(i for i in support if counters[i][e] >= count)
+            else:
+                count = 1
+                matched = support & postings[e]
             if not matched:
                 continue
+            new = elems + (e,)
             cand = Candidate(plog.spec.bk_type, new)
             yield cand, matched
-            if size < max_size and (extend is None or extend(cand, matched)):
-                yield from grow(new, matched, size + 1)
+            if len(new) < max_size and (extend is None or extend(cand, matched)):
+                yield from grow(new, matched, j + 1 if is_set else j, count)
 
-    yield from grow((), frozenset(range(len(plog.traces))), 1)
+    yield from grow((), frozenset(range(len(plog.traces))), 0, 0)
 
 
 # --- candidate literal syntax ---------------------------------------------

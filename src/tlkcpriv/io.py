@@ -13,7 +13,7 @@ import csv as csvlib
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_args, get_type_hints
 
 from .analysis import check_requirements
 from .log import Event, EventLog, LogError, ProcessInstance
@@ -379,6 +379,11 @@ def split_list(text: str) -> tuple:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+# the fields that may hold None, which write_config writes as a blank value
+_NULLABLE = frozenset(
+    name for name, hint in get_type_hints(RunConfig).items() if type(None) in get_args(hint)
+)
+
 _CONFIG_CASTS = {
     "L": int,
     "K": int,
@@ -413,7 +418,9 @@ def read_config(path) -> dict:
         if key not in known:
             raise LogError(f"{path}:{lineno}: unknown config key {key!r}")
         if value == "":
-            continue  # blank value = unset
+            if key in _NULLABLE:  # blank value = None where None is allowed, else unset
+                out[key] = None
+            continue
         cast = _CONFIG_CASTS.get(key, str)
         try:
             out[key] = cast(value)

@@ -6,9 +6,11 @@ from tlkcpriv import (
     BkAttr,
     BkSpec,
     BkType,
+    Candidate,
     CandidateSyntaxError,
     LogError,
     Perspective,
+    ProjectedEvent,
     TimestampAccuracy,
     confidence,
     enumerate_candidates,
@@ -21,7 +23,7 @@ from tlkcpriv import (
 from tlkcpriv.background import ProjectedLog
 
 from .conftest import build_log
-from .oracles import brute_match, random_log
+from .oracles import all_candidates, brute_match, random_log
 
 HOURS = TimestampAccuracy.HOURS
 SECONDS = TimestampAccuracy.SECONDS
@@ -87,24 +89,112 @@ class TestMatch:
             match(hospital_log, spec, cand)
 
     def test_matches_brute_force_on_random_logs(self):
+        # every realized candidate up to size 3, so multiset repeat counts of
+        # 3 go through the enumerator's repeat branch too
         rng = random.Random(99)
+        triple_repeats = 0
         for _ in range(15):
             log = random_log(rng, max_cases=6, max_events=5)
             for bk_type in BkType:
                 for bk_attr in BkAttr:
                     spec = BkSpec(bk_type, bk_attr)
                     plog = ProjectedLog(log, spec, HOURS)
-                    seen = 0
-                    for cand, indices in enumerate_candidates(log, spec, 2, HOURS):
+                    found = list(enumerate_candidates(log, spec, 3, HOURS))
+                    payloads = [cand.elements for cand, _ in found]
+                    assert len(set(payloads)) == len(payloads)
+                    assert set(payloads) == all_candidates(
+                        log, bk_type, spec.perspective, HOURS.unit_seconds, 3
+                    )
+                    for cand, indices in found:
                         oracle = brute_match(
                             log, bk_type, bk_attr, cand.elements,
                             spec.perspective, HOURS.unit_seconds,
                         )
                         assert indices == oracle
                         assert plog.match_indices(cand) == oracle
-                        seen += 1
-                        if seen > 40:
-                            break
+                        triple_repeats += (
+                            bk_type is BkType.MULT and cand.size == 3 and len(set(cand.elements)) == 1
+                        )
+        assert triple_repeats > 0
+
+    @staticmethod
+    def _probes(plog, rng):
+        """Candidates that need not be realized: an absent descriptor, repeats
+        of one descriptor (timed twins under rel) and random draws."""
+        ps = plog.spec.perspective
+        absent = ProjectedEvent(
+            "zz" if ps.has_activity else None,
+            "zz" if ps.has_resource else None,
+            999 if ps.has_time else None,
+        )
+        present = sorted(plog.postings, key=ProjectedEvent.sort_key)
+        e = present[0]
+        probes = [(absent,), (e, absent), (absent, e), (e, e), (e, e, e)]
+        probes += [tuple(rng.choices(present, k=rng.randint(1, 3))) for _ in range(30)]
+        if plog.spec.bk_type is BkType.SET:
+            probes = [p for p in probes if len(set(p)) == len(p)]
+        return [Candidate(plog.spec.bk_type, p) for p in probes]
+
+    def test_unrealized_and_repeated_candidates_match_brute_force(self):
+        rng = random.Random(314)
+        empty = 0
+        for _ in range(15):
+            log = random_log(rng, max_cases=6, max_events=5)
+            for bk_type in BkType:
+                for bk_attr in BkAttr:
+                    spec = BkSpec(bk_type, bk_attr)
+                    plog = ProjectedLog(log, spec, HOURS)
+                    for cand in self._probes(plog, rng):
+                        oracle = brute_match(
+                            log, bk_type, bk_attr, cand.elements,
+                            spec.perspective, HOURS.unit_seconds,
+                        )
+                        assert plog.match_indices(cand) == oracle, cand
+                        empty += not oracle
+        assert empty > 0
+
+    def test_containment_is_tested_only_on_the_posting_intersection(self, monkeypatch):
+        # a full-log scan calls the containment test on every trace; the
+        # index may call it only on traces holding every element, and not
+        # at all where the postings decide the match by themselves
+        import tlkcpriv.background as background
+
+        calls = []
+        for name in ("is_subsequence", "_covers"):
+            inner = getattr(background, name)
+
+            def counted(*args, inner=inner):
+                calls.append(1)
+                return inner(*args)
+
+            monkeypatch.setattr(background, name, counted)
+        rng = random.Random(2718)
+        checked = 0
+        for _ in range(10):
+            log = random_log(rng, max_cases=8, max_events=5)
+            for bk_type in BkType:
+                for bk_attr in BkAttr:
+                    spec = BkSpec(bk_type, bk_attr)
+                    plog = ProjectedLog(log, spec, HOURS)
+                    realized = [c for c, _ in enumerate_candidates(log, spec, 3, HOURS)]
+                    for cand in realized + self._probes(plog, rng):
+                        holders = [
+                            brute_match(log, bk_type, bk_attr, (e,),
+                                        spec.perspective, HOURS.unit_seconds)
+                            for e in set(cand.elements)
+                        ]
+                        calls.clear()
+                        plog.match_indices(cand)
+                        assert len(calls) <= len(frozenset.intersection(*holders)), cand
+                        decided = (
+                            bk_type is BkType.SET
+                            or cand.size == 1
+                            or bk_type is BkType.MULT and len(holders) == cand.size
+                        )
+                        if decided:
+                            assert not calls, cand
+                        checked += len(calls) > 0
+        assert checked > 0
 
     def test_anti_monotone(self, hospital_log):
         spec = BkSpec.parse("seq/ac")

@@ -185,13 +185,16 @@ class TestRunConfig:
         assert config.sensitive == ("Disease",)
 
     def test_round_trip(self, tmp_path):
-        config = RunConfig(algorithm="baseline2", K=3, sensitive=("Disease", "Age"))
         target = tmp_path / "run.conf"
-        write_config(config, target)
-        again = RunConfig(**{k: v for k, v in read_config(target).items() if v != ""})
-        assert again.algorithm == "baseline2"
-        assert again.K == 3
-        assert again.sensitive == ("Disease", "Age")
+        for config in (
+            RunConfig(algorithm="baseline2", K=3, sensitive=("Disease", "Age")),
+            RunConfig(),
+            RunConfig(csv_resource=None),  # blank on disk, a CSV without resources
+            RunConfig(input="log.csv", theta=0.3, tie_break=7, discretize=("Age",)),
+            RunConfig(algorithm="tlkc-ext", alpha=0.25, beta=0.75, relativize=True),
+        ):
+            write_config(config, target)
+            assert RunConfig(**read_config(target)) == config
 
     @pytest.mark.parametrize(
         "bad",
