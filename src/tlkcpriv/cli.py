@@ -26,7 +26,15 @@ from .anonymize import (
     TlkcExtAnonymizer,
 )
 from .background import BkSpec, confidence, match, parse_candidate
-from .io import RunConfig, config_lines, load_log, read_config, save_log, split_list
+from .io import (
+    LogFileError,
+    RunConfig,
+    config_lines,
+    load_log,
+    read_config,
+    save_log,
+    split_list,
+)
 from .log import (
     EventLog,
     LogError,
@@ -338,7 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError) as exc:  # ParameterError is a LogError
+    except (ParameterError, LogFileError, OSError) as exc:  # runtime failures
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except LogError as exc:

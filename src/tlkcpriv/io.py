@@ -7,18 +7,20 @@ resource, timestamp and the declared case-level sensitive attributes.
 
 from __future__ import annotations
 
-import logging
-import xml.etree.ElementTree as ET
 import csv as csvlib
+import logging
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
+from xml.parsers import expat
 
 from .analysis import check_requirements
 from .log import Event, EventLog, LogError, ProcessInstance
 
 __all__ = [
+    "LogFileError",
     "CsvColumnMap",
     "RunConfig",
     "read_xes",
@@ -34,6 +36,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 ISO_FORMAT = "iso"
+
+
+class LogFileError(LogError):
+    """A log file could not be opened, parsed as XML or written."""
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,20 @@ def _format_timestamp(seconds: int, fmt: str) -> str:
     return dt.strftime(fmt)
 
 
+def _memoized(convert, arg):
+    """``convert(value, arg)``, computed once per distinct value; made for one
+    read or write, since logs repeat few distinct timestamps and labels."""
+    cache = {}
+
+    def cached(value):
+        out = cache.get(value)
+        if out is None:
+            out = cache[value] = convert(value, arg)
+        return out
+
+    return cached
+
+
 def _coerce_value(text):
     """Sensitive attribute values: numbers where they parse, else strings."""
     if text is None:
@@ -100,7 +120,7 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
-        raise LogError(f"cannot read {path}: {exc}") from None
+        raise LogFileError(f"cannot read {path}: {exc}") from None
     with handle:
         reader = csvlib.DictReader(handle)
         header = reader.fieldnames or []
@@ -122,12 +142,13 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
                 order.append(cid)
             rows_by_case[cid].append((lineno, row))
 
+    parse_stamp = _memoized(_parse_timestamp, colmap.timestamp_format)
     instances = []
     for cid in order:
         rows = rows_by_case[cid]
         events = []
         for lineno, row in rows:
-            ts = _parse_timestamp(row[colmap.timestamp_col], colmap.timestamp_format)
+            ts = parse_stamp(row[colmap.timestamp_col])
             resource = None
             if colmap.resource_col:
                 resource = row[colmap.resource_col].strip() or None
@@ -152,10 +173,11 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
     if colmap.resource_col:
         header.append(colmap.resource_col)
     header += list(colmap.sensitive_cols)
+    stamp = _memoized(_format_timestamp, colmap.timestamp_format)
     try:
         handle = path.open("w", newline="", encoding="utf-8")
     except OSError as exc:
-        raise LogError(f"cannot write {path}: {exc}") from None
+        raise LogFileError(f"cannot write {path}: {exc}") from None
     with handle:
         writer = csvlib.writer(handle)
         writer.writerow(header)
@@ -164,7 +186,7 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
                 row = [
                     inst.case_id,
                     ev.activity,
-                    _format_timestamp(ev.timestamp, colmap.timestamp_format),
+                    stamp(ev.timestamp),
                 ]
                 if colmap.resource_col:
                     row.append(ev.resource if ev.resource is not None else "")
@@ -177,6 +199,32 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
 # --- XES ---------------------------------------------------------------------
 
 _XES_NS = "http://www.xes-standard.org/"
+_XES_HEADER = "<?xml version='1.0' encoding='utf-8'?>\n"
+_XES_LOG_TAG = f'<log xes.version="2.0" xmlns="{_XES_NS}"'
+
+# XES attribute tags whose value is kept as the text it is
+_XES_TEXT_TAGS = frozenset({"string", "date", "boolean", "id"})
+
+# the escaping ElementTree applies to attribute values, in one pass
+_ATTR_ESCAPES = str.maketrans(
+    {
+        "&": "&amp;",
+        "<": "&lt;",
+        ">": "&gt;",
+        '"': "&quot;",
+        "\r": "&#13;",
+        "\n": "&#10;",
+        "\t": "&#09;",
+    }
+)
+
+
+class _LocalNames(dict):
+    """Raw expat element name ("uri}tag" or "tag") -> local tag name."""
+
+    def __missing__(self, name):
+        tag = self[name] = name.rsplit("}", 1)[-1]
+        return tag
 
 
 def read_xes(path, sensitive_attrs=()) -> EventLog:
@@ -185,110 +233,172 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
     Standard keys: concept:name (case id on traces, activity on events),
     org:resource, time:timestamp.  Declared sensitive attributes are read
     from trace-level attributes (missing ones become explicit nulls); other
-    trace/event attributes are dropped with a counted warning.
+    trace/event attributes are dropped with a counted warning.  Only direct
+    children of ``<trace>`` and ``<event>`` are attributes.
+
+    The file is parsed as a stream: only the open trace is held, and each
+    case is built when its ``</trace>`` closes.  A parse error anywhere in
+    the file is reported before any error in its content, and content errors
+    come in document order of the traces.
     """
     path = Path(path)
-    try:
-        tree = ET.parse(path)
-    except (OSError, ET.ParseError) as exc:
-        raise LogError(f"cannot read {path}: {exc}") from None
-    root = tree.getroot()
     sensitive_attrs = tuple(sensitive_attrs)
+    kept_keys = {"concept:name", "org:resource", "time:timestamp", *sensitive_attrs}
+    parse_stamp = _memoized(_parse_timestamp, ISO_FORMAT)
+    local_names = _LocalNames()
     instances = []
     dropped_attrs = 0
-    kept_keys = {"concept:name", "org:resource", "time:timestamp", *sensitive_attrs}
+    error = None  # the first content error, raised once the whole file has parsed
+    depth = 0  # of the element being opened or closed; the root is at 1
+    trace_attrs = trace_error = events = None  # the open trace, if any
+    event_attrs = event_error = None  # the open event, if any
 
-    def local(tag):
-        return tag.rsplit("}", 1)[-1]
-
-    def attr_map(element, skip_children=()):
-        nonlocal dropped_attrs
-        out = {}
-        for child in element:
-            tag = local(child.tag)
-            if tag in skip_children:
-                continue
-            key = child.get("key")
-            if key is None:
-                continue
-            if key not in kept_keys:
-                dropped_attrs += 1  # outside the modeled fields
-                continue
-            value = child.get("value")
-            if tag == "int":
+    def start(name, attrs):
+        nonlocal depth, dropped_attrs
+        nonlocal trace_attrs, trace_error, events, event_attrs, event_error
+        depth += 1
+        if depth == 4:
+            if event_attrs is None:
+                return
+            out, tag = event_attrs, local_names[name]
+        elif depth == 3:
+            if events is None:
+                return
+            tag = local_names[name]
+            if tag == "event":
+                event_attrs, event_error = {}, None
+                return
+            out = trace_attrs
+        else:
+            if depth == 2 and local_names[name] == "trace":
+                trace_attrs, trace_error, events = {}, None, []
+            return
+        # an attribute child of the open trace or event
+        key = attrs.get("key")
+        if key is None:
+            return
+        if key not in kept_keys:
+            dropped_attrs += 1  # outside the modeled fields
+            return
+        value = attrs.get("value")
+        try:
+            if tag in _XES_TEXT_TAGS:
+                out[key] = value
+            elif tag == "int":
                 out[key] = int(value)
             elif tag == "float":
                 out[key] = float(value)
-            elif tag in ("string", "date", "boolean", "id"):
-                out[key] = value
             else:
                 dropped_attrs += 1
-        return out
+        except (TypeError, ValueError) as exc:  # kept until the trace is checked
+            if out is event_attrs:
+                event_error = event_error or exc
+            else:
+                trace_error = trace_error or exc
 
-    for trace_el in root:
-        if local(trace_el.tag) != "trace":
-            continue
-        trace_attrs = attr_map(trace_el, skip_children=("event",))
+    def end(name):
+        nonlocal depth, events, event_attrs, error
+        if depth == 3:
+            if event_attrs is not None:
+                events.append(event_error or event_attrs)
+                event_attrs = None
+        elif depth == 2 and events is not None:
+            if error is None:
+                try:
+                    instances.append(instance(trace_attrs, trace_error, events))
+                except (TypeError, ValueError) as exc:  # LogError is a ValueError
+                    error = exc
+            events = None
+        depth -= 1
+
+    def instance(trace_attrs, trace_error, events):
+        # checks in the order of a tree walk: trace attributes, then events
+        if trace_error is not None:
+            raise trace_error
         case_id = trace_attrs.get("concept:name")
         if case_id is None:
             raise LogError(f"{path}: trace without concept:name case id")
-        events = []
-        for pos, event_el in enumerate(e for e in trace_el if local(e.tag) == "event"):
-            ev_attrs = attr_map(event_el)
+        stamped = []
+        for ev_attrs in events:
+            if isinstance(ev_attrs, Exception):  # a failed cast in this event
+                raise ev_attrs
             activity = ev_attrs.get("concept:name")
             if activity is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without concept:name")
             stamp = ev_attrs.get("time:timestamp")
             if stamp is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
-            ts = _parse_timestamp(str(stamp), ISO_FORMAT)
-            events.append((ts, pos, Event(str(activity), ev_attrs.get("org:resource"), ts)))
-        events.sort(key=lambda t: (t[0], t[1]))
+            ts = parse_stamp(str(stamp))
+            stamped.append((ts, Event(str(activity), ev_attrs.get("org:resource"), ts)))
+        stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
         sensitive = {
             attr: _coerce_value(str(trace_attrs[attr])) if attr in trace_attrs else None
             for attr in sensitive_attrs
         }
-        instances.append(
-            ProcessInstance(str(case_id), tuple(ev for _, _, ev in events), sensitive)
-        )
+        return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
+
+    parser = expat.ParserCreate(namespace_separator="}")
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    try:
+        with path.open("rb") as handle:
+            parser.ParseFile(handle)
+    except (OSError, expat.ExpatError) as exc:
+        raise LogFileError(f"cannot read {path}: {exc}") from None
+    if error is not None:
+        raise error
     if dropped_attrs:
         logger.warning("dropped %d unrecognized XES attributes from %s", dropped_attrs, path)
     return EventLog(tuple(instances), sensitive_attrs)
 
 
 def write_xes(log: EventLog, path) -> None:
-    root = ET.Element("log", {"xes.version": "2.0", "xmlns": _XES_NS})
-    for inst in log:
-        trace_el = ET.SubElement(root, "trace")
-        ET.SubElement(trace_el, "string", {"key": "concept:name", "value": inst.case_id})
-        for attr in log.sensitive_attrs:
-            value = inst.sensitive.get(attr)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                ET.SubElement(trace_el, "boolean", {"key": attr, "value": str(value).lower()})
-            elif isinstance(value, int):
-                ET.SubElement(trace_el, "int", {"key": attr, "value": str(value)})
-            elif isinstance(value, float):
-                ET.SubElement(trace_el, "float", {"key": attr, "value": repr(value)})
-            else:
-                ET.SubElement(trace_el, "string", {"key": attr, "value": str(value)})
-        for ev in inst.trace:
-            ev_el = ET.SubElement(trace_el, "event")
-            ET.SubElement(ev_el, "string", {"key": "concept:name", "value": ev.activity})
-            if ev.resource is not None:
-                ET.SubElement(ev_el, "string", {"key": "org:resource", "value": ev.resource})
-            ET.SubElement(
-                ev_el,
-                "date",
-                {"key": "time:timestamp", "value": _format_timestamp(ev.timestamp, ISO_FORMAT)},
-            )
-    tree = ET.ElementTree(root)
-    ET.indent(tree)
+    """Write an XES log, one element per line, indented by two spaces."""
+    esc = _ATTR_ESCAPES
+    label = _memoized(str.translate, esc)
+    keys = {attr: attr.translate(esc) for attr in log.sensitive_attrs}
+    stamp = _memoized(_format_timestamp, ISO_FORMAT)
     try:
-        tree.write(path, encoding="utf-8", xml_declaration=True)
+        with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as out:
+            if not log.instances:
+                out.write(f"{_XES_HEADER}{_XES_LOG_TAG} />")
+                return
+            out.write(f"{_XES_HEADER}{_XES_LOG_TAG}>")
+            for inst in log:
+                case_id = inst.case_id.translate(esc)
+                lines = [f'\n  <trace>\n    <string key="concept:name" value="{case_id}" />']
+                for attr, key in keys.items():
+                    value = inst.sensitive.get(attr)
+                    if value is None:
+                        continue
+                    if isinstance(value, bool):
+                        tag, text = "boolean", str(value).lower()
+                    elif isinstance(value, int):
+                        tag, text = "int", str(value)
+                    elif isinstance(value, float):
+                        tag, text = "float", repr(value)
+                    else:
+                        tag, text = "string", str(value).translate(esc)
+                    lines.append(f'\n    <{tag} key="{key}" value="{text}" />')
+                for ev in inst.trace:
+                    activity = label(ev.activity)
+                    lines.append(
+                        f'\n    <event>\n      <string key="concept:name" value="{activity}" />'
+                    )
+                    if ev.resource is not None:
+                        resource = label(ev.resource)
+                        lines.append(
+                            f'\n      <string key="org:resource" value="{resource}" />'
+                        )
+                    lines.append(
+                        f'\n      <date key="time:timestamp" value="{stamp(ev.timestamp)}" />'
+                        "\n    </event>"
+                    )
+                lines.append("\n  </trace>")
+                out.write("".join(lines))
+            out.write("\n</log>")
     except OSError as exc:
-        raise LogError(f"cannot write {path}: {exc}") from None
+        raise LogFileError(f"cannot write {path}: {exc}") from None
 
 
 # --- format dispatch ----------------------------------------------------------

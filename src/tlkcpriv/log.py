@@ -242,9 +242,10 @@ def project(
     and an event has none.
     """
     unit = accuracy.unit_seconds
+    has_activity, has_resource, has_time = ps.has_activity, ps.has_resource, ps.has_time
     out = []
     for ev in trace:
-        if ps.has_resource and ev.resource is None:
+        if has_resource and ev.resource is None:
             where = f" in case {case_id!r}" if case_id is not None else ""
             raise MissingResourceError(
                 f"perspective {ps.value} requires a resource but event "
@@ -252,9 +253,9 @@ def project(
             )
         out.append(
             ProjectedEvent(
-                activity=ev.activity if ps.has_activity else None,
-                resource=ev.resource if ps.has_resource else None,
-                time=ev.timestamp // unit if ps.has_time else None,
+                activity=ev.activity if has_activity else None,
+                resource=ev.resource if has_resource else None,
+                time=ev.timestamp // unit if has_time else None,
             )
         )
     return tuple(out)

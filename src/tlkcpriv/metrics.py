@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .log import (
     EventLog,
@@ -74,6 +72,14 @@ class UtilityReport:
         )
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve: importing scipy
+    takes longer than many runs that never solve a transport problem."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def emd_data_utility(
     original: EventLog,
     anonymized: EventLog,
@@ -118,6 +124,8 @@ def emd_data_utility(
         for i in range(n):
             rows.append(n + j)
             cols.append(i * m + j)
+    from scipy.sparse import csr_matrix  # deferred like scipy.optimize, see linprog
+
     a_eq = csr_matrix(
         (np.ones(len(rows)), (rows, cols)), shape=(n + m, n * m)
     )

@@ -1,11 +1,14 @@
 """Brute-force reference implementations, kept independent of the package
 internals: containment is re-derived from scratch, candidates are enumerated
-exhaustively, and the transport problem is searched on a grid.
+exhaustively, the transport problem is searched on a grid, and XES goes
+through a whole ElementTree.
 """
 
 import itertools
 import random
+import xml.etree.ElementTree as ET
 from collections import Counter
+from pathlib import Path
 
 from tlkcpriv import (
     BkType,
@@ -16,6 +19,8 @@ from tlkcpriv import (
     ProcessInstance,
     ProjectedEvent,
 )
+from tlkcpriv.io import ISO_FORMAT, _coerce_value, _format_timestamp, _parse_timestamp
+from tlkcpriv.log import LogError
 
 HOUR = 3600
 
@@ -194,6 +199,117 @@ def brute_transport_cost(weights_a, weights_b, cost, steps=60):
 
     rec(0, ia, list(ib), 0.0)
     return best[0] / steps
+
+
+# --- XES through an element tree ------------------------------------------------
+
+
+def tree_read_xes(path, sensitive_attrs=()):
+    """The reference XES reader: parse the whole tree, then walk it.
+
+    Returns the log and the number of dropped attributes.
+    """
+    path = Path(path)
+    try:
+        tree = ET.parse(path)
+    except (OSError, ET.ParseError) as exc:
+        raise LogError(f"cannot read {path}: {exc}") from None
+    root = tree.getroot()
+    sensitive_attrs = tuple(sensitive_attrs)
+    instances = []
+    dropped_attrs = 0
+    kept_keys = {"concept:name", "org:resource", "time:timestamp", *sensitive_attrs}
+
+    def local(tag):
+        return tag.rsplit("}", 1)[-1]
+
+    def attr_map(element, skip_children=()):
+        nonlocal dropped_attrs
+        out = {}
+        for child in element:
+            tag = local(child.tag)
+            if tag in skip_children:
+                continue
+            key = child.get("key")
+            if key is None:
+                continue
+            if key not in kept_keys:
+                dropped_attrs += 1
+                continue
+            value = child.get("value")
+            if tag == "int":
+                out[key] = int(value)
+            elif tag == "float":
+                out[key] = float(value)
+            elif tag in ("string", "date", "boolean", "id"):
+                out[key] = value
+            else:
+                dropped_attrs += 1
+        return out
+
+    for trace_el in root:
+        if local(trace_el.tag) != "trace":
+            continue
+        trace_attrs = attr_map(trace_el, skip_children=("event",))
+        case_id = trace_attrs.get("concept:name")
+        if case_id is None:
+            raise LogError(f"{path}: trace without concept:name case id")
+        events = []
+        for pos, event_el in enumerate(e for e in trace_el if local(e.tag) == "event"):
+            ev_attrs = attr_map(event_el)
+            activity = ev_attrs.get("concept:name")
+            if activity is None:
+                raise LogError(f"{path}: case {case_id!r} has an event without concept:name")
+            stamp = ev_attrs.get("time:timestamp")
+            if stamp is None:
+                raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
+            ts = _parse_timestamp(str(stamp), ISO_FORMAT)
+            events.append((ts, pos, Event(str(activity), ev_attrs.get("org:resource"), ts)))
+        events.sort(key=lambda t: (t[0], t[1]))
+        sensitive = {
+            attr: _coerce_value(str(trace_attrs[attr])) if attr in trace_attrs else None
+            for attr in sensitive_attrs
+        }
+        instances.append(
+            ProcessInstance(str(case_id), tuple(ev for _, _, ev in events), sensitive)
+        )
+    return EventLog(tuple(instances), sensitive_attrs), dropped_attrs
+
+
+def tree_write_xes(log: EventLog, path) -> None:
+    """The reference XES writer: build a tree, indent it, serialize it."""
+    root = ET.Element("log", {"xes.version": "2.0", "xmlns": "http://www.xes-standard.org/"})
+    for inst in log:
+        trace_el = ET.SubElement(root, "trace")
+        ET.SubElement(trace_el, "string", {"key": "concept:name", "value": inst.case_id})
+        for attr in log.sensitive_attrs:
+            value = inst.sensitive.get(attr)
+            if value is None:
+                continue
+            if isinstance(value, bool):
+                ET.SubElement(trace_el, "boolean", {"key": attr, "value": str(value).lower()})
+            elif isinstance(value, int):
+                ET.SubElement(trace_el, "int", {"key": attr, "value": str(value)})
+            elif isinstance(value, float):
+                ET.SubElement(trace_el, "float", {"key": attr, "value": repr(value)})
+            else:
+                ET.SubElement(trace_el, "string", {"key": attr, "value": str(value)})
+        for ev in inst.trace:
+            ev_el = ET.SubElement(trace_el, "event")
+            ET.SubElement(ev_el, "string", {"key": "concept:name", "value": ev.activity})
+            if ev.resource is not None:
+                ET.SubElement(ev_el, "string", {"key": "org:resource", "value": ev.resource})
+            ET.SubElement(
+                ev_el,
+                "date",
+                {"key": "time:timestamp", "value": _format_timestamp(ev.timestamp, ISO_FORMAT)},
+            )
+    tree = ET.ElementTree(root)
+    ET.indent(tree)
+    try:
+        tree.write(path, encoding="utf-8", xml_declaration=True)
+    except OSError as exc:
+        raise LogError(f"cannot write {path}: {exc}") from None
 
 
 # --- random log generator -------------------------------------------------------

@@ -79,8 +79,33 @@ class TestAnonymize:
              "-i", str(tmp_path / "missing.csv"), "-o", str(tmp_path / "x.csv"),
              *TREATMENT_FLAGS]
         )
-        assert code == 2
+        assert code == 3
         assert "missing.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["missing", "truncated-end", "truncated-mid-trace"])
+    def test_unreadable_xes_input_is_runtime_failure(self, fault, tmp_path, capsys):
+        source = tmp_path / "log.xes"
+        text = (DATA / "hospital_log.xes").read_text()
+        if fault == "truncated-end":
+            source.write_text(text[: text.rindex("</log>")])
+        elif fault == "truncated-mid-trace":
+            source.write_text(text[: text.index("<event>", text.index("<trace>", 200)) + 20])
+        code = run(
+            ["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-i", str(source),
+             "-o", str(tmp_path / "x.xes"), *TREATMENT_FLAGS]
+        )
+        assert code == 3
+        assert f"error: cannot read {source}: " in capsys.readouterr().err
+        assert not (tmp_path / "x.xes").exists()
+
+    def test_unwritable_xes_output_is_runtime_failure(self, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "x.xes"
+        code = run(
+            ["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-i", TREATMENT,
+             "-o", str(target), *TREATMENT_FLAGS]
+        )
+        assert code == 3
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
 
     def test_config_file_with_flag_override(self, tmp_path):
         out = tmp_path / "anon.csv"

@@ -1,7 +1,14 @@
+import logging
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlkcpriv import (
     CsvColumnMap,
+    Event,
+    EventLog,
     LogError,
     ProcessInstance,
     RunConfig,
@@ -16,6 +23,7 @@ from tlkcpriv import (
 )
 
 from .conftest import DATA, HOSPITAL_COLMAP
+from .oracles import tree_read_xes, tree_write_xes
 
 
 class TestCsv:
@@ -144,6 +152,278 @@ class TestXes:
         )
         log = read_xes(target, ("Disease",))
         assert log.instances[0].sensitive == {"Disease": None}
+
+
+# --- streaming XES against the element-tree reference --------------------------
+
+STANDARD_KEYS = ("concept:name", "org:resource", "time:timestamp")
+
+
+def _xml_legal(ch):
+    cp = ord(ch)
+    return (
+        ch in "\t\n\r"
+        or 0x20 <= cp <= 0xD7FF
+        or 0xE000 <= cp <= 0xFFFD
+        or 0x10000 <= cp <= 0x10FFFF
+    )
+
+
+# markup and whitespace characters that need escaping, plus any legal character
+XML_CHARS = st.one_of(
+    st.sampled_from("&<>\"'\t\n\r é€中"),
+    st.characters(blacklist_categories=("Cs",)).filter(_xml_legal),
+)
+LABELS = st.text(XML_CHARS, min_size=1, max_size=6)
+
+
+def _text_survives(value):
+    """Strings that read back as themselves: no surrounding whitespace and
+    no numeral, which the reader would turn into a number."""
+    if value != value.strip() or not value:
+        return False
+    for cast in (int, float):
+        try:
+            cast(value)
+            return False
+        except ValueError:
+            pass
+    return True
+
+
+SENSITIVE_VALUES = {
+    "int": st.integers(-(10**20), 10**20),
+    "float": st.floats(allow_nan=False),
+    "bool": st.booleans(),
+    "str": st.text(XML_CHARS, min_size=1, max_size=6).filter(_text_survives),
+}
+
+
+@st.composite
+def xes_logs(draw):
+    names = draw(
+        st.lists(
+            LABELS.filter(lambda k: k not in STANDARD_KEYS), max_size=3, unique=True
+        )
+    )
+    kinds = [draw(st.sampled_from(sorted(SENSITIVE_VALUES))) for _ in names]
+    case_ids = draw(st.lists(st.text(XML_CHARS, max_size=6), max_size=5, unique=True))
+    instances = []
+    for case_id in case_ids:
+        stamps = sorted(draw(st.lists(st.integers(-(10**9), 4 * 10**9), min_size=1, max_size=4)))
+        trace = tuple(
+            Event(draw(LABELS), draw(st.none() | st.text(XML_CHARS, max_size=4)), ts)
+            for ts in stamps
+        )
+        sensitive = {
+            name: draw(st.none() | SENSITIVE_VALUES[kind]) for name, kind in zip(names, kinds)
+        }
+        instances.append(ProcessInstance(case_id, trace, sensitive))
+    return EventLog(tuple(instances), tuple(names))
+
+
+def _as_read_back(log):
+    """The log that reading the written file gives: booleans are written as
+    XES booleans and read back as their text."""
+    return EventLog(
+        tuple(
+            ProcessInstance(
+                inst.case_id,
+                inst.trace,
+                {
+                    attr: str(value).lower() if isinstance(value, bool) else value
+                    for attr, value in inst.sensitive.items()
+                },
+            )
+            for inst in log
+        ),
+        log.sensitive_attrs,
+    )
+
+
+def _read_counting_drops(path, sensitive_attrs, caplog):
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="tlkcpriv.io"):
+        log = read_xes(path, sensitive_attrs)
+    found = re.search(r"dropped (\d+) unrecognized", caplog.text)
+    return log, int(found.group(1)) if found else 0
+
+
+def _assert_same_failure(path, sensitive_attrs=()):
+    with pytest.raises(Exception) as expected:
+        tree_read_xes(path, sensitive_attrs)
+    with pytest.raises(type(expected.value)) as got:
+        read_xes(path, sensitive_attrs)
+    assert str(got.value) == str(expected.value)
+    return got.value
+
+
+class TestXesAgainstTreeReference:
+    @settings(max_examples=150, deadline=None)
+    @given(log=xes_logs())
+    def test_writer_bytes_and_round_trip(self, log, tmp_path_factory):
+        out = tmp_path_factory.mktemp("xes")
+        write_xes(log, out / "stream.xes")
+        tree_write_xes(log, out / "tree.xes")
+        assert (out / "stream.xes").read_bytes() == (out / "tree.xes").read_bytes()
+        again = read_xes(out / "stream.xes", log.sensitive_attrs)
+        assert again == tree_read_xes(out / "tree.xes", log.sensitive_attrs)[0]
+        assert again == _as_read_back(log)
+
+    @pytest.mark.parametrize(
+        "log",
+        [
+            EventLog(()),
+            EventLog((), ("Disease",)),
+            EventLog((ProcessInstance("1", (Event("a", None, 0),)),)),
+            EventLog(
+                (ProcessInstance("x", (Event("a", "r", 7),), {"D": 1, "E": 2.5, "F": True}),),
+                ("D", "E", "F"),
+            ),
+        ],
+        ids=["empty", "empty-with-attrs", "no-sensitive", "int-float-bool"],
+    )
+    def test_writer_bytes_on_fixed_logs(self, log, tmp_path):
+        write_xes(log, tmp_path / "stream.xes")
+        tree_write_xes(log, tmp_path / "tree.xes")
+        assert (tmp_path / "stream.xes").read_bytes() == (tmp_path / "tree.xes").read_bytes()
+        assert read_xes(tmp_path / "stream.xes", log.sensitive_attrs) == _as_read_back(log)
+
+    def test_fixture_files_write_identically(self, hospital_log, treatment_log, tmp_path):
+        for log in (hospital_log, treatment_log):
+            write_xes(log, tmp_path / "stream.xes")
+            tree_write_xes(log, tmp_path / "tree.xes")
+            assert (tmp_path / "stream.xes").read_bytes() == (tmp_path / "tree.xes").read_bytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            pytest.param(
+                '<trace><string key="concept:name" value="1">'
+                '<string key="concept:name" value="nested"/></string>'
+                '<string key="Disease" value="x"><int key="Age" value="9"/></string>'
+                '<event><string key="concept:name" value="a">'
+                '<string key="org:resource" value="deep"/></string>'
+                '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>',
+                id="nested-attributes",
+            ),
+            pytest.param(
+                '<trace><string key="concept:name" value="1"/>'
+                '<list key="Disease"><values><string key="Disease" value="x"/></values></list>'
+                '<container key="Age"/><list key="org:role"/>'
+                '<event><string key="concept:name" value="a"/>'
+                '<container key="org:resource"><string key="r" value="r"/></container>'
+                '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>',
+                id="unknown-types",
+            ),
+            pytest.param(
+                '<trace><event><string key="concept:name" value="b"/>'
+                '<date key="time:timestamp" value="1970-01-01T01:00:00Z"/></event>'
+                '<event><string key="concept:name" value="a"/>'
+                '<id key="org:resource" value="r"/>'
+                '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event>'
+                '<event><string key="concept:name" value="c"/>'
+                '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event>'
+                '<float key="Age" value="3.5"/><boolean key="Disease" value="true"/>'
+                '<string key="concept:name" value="late"/></trace>',
+                id="trace-attributes-after-events",
+            ),
+            pytest.param(
+                '<extension name="Concept" prefix="concept" uri="http://x/concept.xesext"/>'
+                '<global scope="trace"><string key="concept:name" value="g"/></global>'
+                '<classifier name="Activity" keys="concept:name"/>'
+                '<string key="concept:name" value="the log"/>'
+                '<trace><string key="concept:name" value="1"/><int key="Age" value="4"/>'
+                '<event><string key="concept:name" value="a"/><string key="x" value="y"/>'
+                '<string value="no key"/>'
+                '<date key="time:timestamp" value="1970-01-01T00:00:00+02:00"/></event></trace>',
+                id="log-level-elements",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "root",
+        [
+            ('<log xmlns="http://www.xes-standard.org/">', "</log>"),
+            ("<log>", "</log>"),
+            ('<xes:log xmlns:xes="http://www.xes-standard.org/">', "</xes:log>"),
+        ],
+        ids=["default-namespace", "no-namespace", "prefixed-namespace"],
+    )
+    def test_reader_matches_tree_reader(self, body, root, tmp_path, caplog):
+        start, end = root
+        if start.startswith("<xes:"):
+            body = re.sub(r"<(/?)(?!xes:)([a-z])", r"<\1xes:\2", body)
+        target = tmp_path / "log.xes"
+        target.write_text(f'<?xml version="1.0" encoding="UTF-8"?>{start}{body}{end}')
+        expected, expected_dropped = tree_read_xes(target, ("Age", "Disease"))
+        log, dropped = _read_counting_drops(target, ("Age", "Disease"), caplog)
+        assert log == expected
+        assert dropped == expected_dropped
+        assert len(log) == 1
+
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            '<trace><event><string key="concept:name" value="a"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/>'
+            '<event><string key="concept:name" value="a"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/><event>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/><event>'
+            '<string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="yesterday"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/><event>'
+            '<string key="concept:name" value="a"/>'
+            '<int key="time:timestamp" value="5"/></event></trace>',
+            # the bad event comes first in the file, the bad trace attribute wins
+            '<trace><string key="concept:name" value="1"/>'
+            '<event><int key="concept:name" value="a"/></event>'
+            '<int key="Age" value="old"/></trace>',
+            '<trace><string key="concept:name" value="1"/><int key="Age"/>'
+            '<event><string key="concept:name" value="a"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/></trace>',
+            # a content error in a trace, then a parse error later in the file
+            "<trace><event/></trace><trace>",
+        ],
+    )
+    def test_content_errors_match_tree_reader(self, trace, tmp_path):
+        target = tmp_path / "bad.xes"
+        good = (
+            '<trace><string key="concept:name" value="0"/><event>'
+            '<string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>'
+        )
+        target.write_text(f"<log>{good}{trace}{good.replace('0', '2', 1)}</log>")
+        _assert_same_failure(target, ("Age",))
+
+
+class TestXesErrors:
+    @pytest.mark.parametrize("cut", ["end", "mid-trace"])
+    def test_truncated_file(self, cut, tmp_path):
+        text = (DATA / "hospital_log.xes").read_text()
+        if cut == "end":
+            text = text[: text.rindex("</log>")]
+        else:
+            text = text[: text.index("<event>", text.index("<trace>", 200)) + 20]
+        target = tmp_path / "cut.xes"
+        target.write_text(text)
+        error = _assert_same_failure(target)
+        assert str(error).startswith(f"cannot read {target}: ")
+
+    def test_missing_file(self, tmp_path):
+        error = _assert_same_failure(tmp_path / "missing.xes")
+        assert str(error).startswith(f"cannot read {tmp_path / 'missing.xes'}: ")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_output(self, where, hospital_log, tmp_path):
+        target = tmp_path / "no" / "out.xes" if where == "missing-dir" else tmp_path
+        with pytest.raises(LogError) as expected:
+            tree_write_xes(hospital_log, target)
+        with pytest.raises(LogError) as got:
+            write_xes(hospital_log, target)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith(f"cannot write {target}: ")
 
 
 class TestModelInvariantsAtIo:
