@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv as csvlib
 import logging
+import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -97,25 +98,37 @@ def _memoized(convert, arg):
 
 
 def _coerce_value(text):
-    """Sensitive attribute values: numbers where they parse, else strings."""
+    """Sensitive attribute values: numbers where they parse, else strings.
+
+    Non-finite float spellings (``nan``, ``inf``, ``-inf``) stay text: a NaN
+    is not equal to itself, so it could never match or group as a value.
+    """
     if text is None:
         return None
     text = text.strip()
     if text == "":
         return None
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return value if math.isfinite(value) else text
 
 
 # --- CSV --------------------------------------------------------------------
 
 
 def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
-    """Load a flat CSV log: rows grouped by case, ordered by timestamp (stable)."""
+    """Load a flat CSV log: rows grouped by case, ordered by timestamp (stable).
+
+    Case ids, activities and resources are taken verbatim, so that whatever
+    :func:`write_csv` writes reads back the same; an empty resource cell
+    means no resource.
+    """
     path = Path(path)
     try:
         handle = path.open(newline="", encoding="utf-8")
@@ -134,7 +147,7 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
         rows_by_case: dict = {}
         order: list = []
         for lineno, row in enumerate(reader):
-            cid = row[colmap.case_col].strip()
+            cid = row[colmap.case_col]
             if not cid:
                 raise LogError(f"{path}: row {lineno + 2} has an empty case id")
             if cid not in rows_by_case:
@@ -151,8 +164,8 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
             ts = parse_stamp(row[colmap.timestamp_col])
             resource = None
             if colmap.resource_col:
-                resource = row[colmap.resource_col].strip() or None
-            events.append((ts, lineno, Event(row[colmap.activity_col].strip(), resource, ts)))
+                resource = row[colmap.resource_col] or None
+            events.append((ts, lineno, Event(row[colmap.activity_col], resource, ts)))
         events.sort(key=lambda t: (t[0], t[1]))  # stable: file order breaks ties
         sensitive = {}
         for attr in colmap.sensitive_cols:
@@ -202,8 +215,9 @@ _XES_NS = "http://www.xes-standard.org/"
 _XES_HEADER = "<?xml version='1.0' encoding='utf-8'?>\n"
 _XES_LOG_TAG = f'<log xes.version="2.0" xmlns="{_XES_NS}"'
 
-# XES attribute tags whose value is kept as the text it is
+# XES attribute tags whose value is kept as the text it is, and the numeric ones
 _XES_TEXT_TAGS = frozenset({"string", "date", "boolean", "id"})
+_XES_NUMBER_TAGS = {"int": int, "float": float}
 
 # the escaping ElementTree applies to attribute values, in one pass
 _ATTR_ESCAPES = str.maketrans(
@@ -217,6 +231,14 @@ _ATTR_ESCAPES = str.maketrans(
         "\t": "&#09;",
     }
 )
+
+
+def _bad_number(path, case_id, tag, key, value) -> LogError:
+    """The error for a kept numeric XES attribute whose value does not cast;
+    ``case_id`` is None when the trace has no readable case id."""
+    where = f"{path}: " if case_id is None else f"{path}: case {case_id!r}: "
+    what = "no value" if value is None else f"bad value {value!r}"
+    return LogError(f"{where}<{tag}> attribute {key!r} has {what}")
 
 
 class _LocalNames(dict):
@@ -281,20 +303,20 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
             dropped_attrs += 1  # outside the modeled fields
             return
         value = attrs.get("value")
+        if tag in _XES_TEXT_TAGS:
+            out[key] = value
+            return
+        cast = _XES_NUMBER_TAGS.get(tag)
+        if cast is None:
+            dropped_attrs += 1
+            return
         try:
-            if tag in _XES_TEXT_TAGS:
-                out[key] = value
-            elif tag == "int":
-                out[key] = int(value)
-            elif tag == "float":
-                out[key] = float(value)
-            else:
-                dropped_attrs += 1
-        except (TypeError, ValueError) as exc:  # kept until the trace is checked
+            out[key] = cast(value)
+        except (TypeError, ValueError):  # reported when the trace is checked
             if out is event_attrs:
-                event_error = event_error or exc
+                event_error = event_error or (tag, key, value)
             else:
-                trace_error = trace_error or exc
+                trace_error = trace_error or (tag, key, value)
 
     def end(name):
         nonlocal depth, events, event_attrs, error
@@ -306,22 +328,22 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
             if error is None:
                 try:
                     instances.append(instance(trace_attrs, trace_error, events))
-                except (TypeError, ValueError) as exc:  # LogError is a ValueError
+                except LogError as exc:
                     error = exc
             events = None
         depth -= 1
 
     def instance(trace_attrs, trace_error, events):
         # checks in the order of a tree walk: trace attributes, then events
-        if trace_error is not None:
-            raise trace_error
         case_id = trace_attrs.get("concept:name")
+        if trace_error is not None:
+            raise _bad_number(path, case_id, *trace_error)
         if case_id is None:
             raise LogError(f"{path}: trace without concept:name case id")
         stamped = []
         for ev_attrs in events:
-            if isinstance(ev_attrs, Exception):  # a failed cast in this event
-                raise ev_attrs
+            if isinstance(ev_attrs, tuple):  # a failed cast in this event
+                raise _bad_number(path, case_id, *ev_attrs)
             activity = ev_attrs.get("concept:name")
             if activity is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without concept:name")

@@ -40,20 +40,44 @@ TRANSPORT_SIZE_CAP = 250_000
 
 def normalized_levenshtein(s1: Sequence, s2: Sequence) -> float:
     """Edit distance with unit costs, divided by the longer length; 0 iff equal."""
-    n, m = len(s1), len(s2)
-    if n == 0 and m == 0:
-        return 0.0
-    if n == 0 or m == 0:
-        return 1.0
-    prev = list(range(m + 1))
-    for i in range(1, n + 1):
-        cur = [i] + [0] * m
-        a = s1[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if a == s2[j - 1] else 1
-            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
-        prev = cur
-    return prev[m] / max(n, m)
+    return float(_edit_distance_matrix([s1], [s2])[0, 0])
+
+
+def _edit_distance_matrix(va: Sequence[Sequence], vb: Sequence[Sequence]) -> np.ndarray:
+    """Normalized edit distance between every sequence of ``va`` (rows) and of
+    ``vb`` (columns), as a float64 matrix.
+
+    Symbols are coded as small ints, ``vb`` is padded with -1 into one array,
+    and the Wagner-Fischer DP runs one row of ``va`` at a time over every
+    column at once: after the insert/delete/substitute step, the dependency
+    ``cur[j] = min(cur[j], cur[j-1] + 1)`` is the running minimum of
+    ``cur[j] - j``, plus ``j``.  Integer distances divided by the longer
+    length give the same floats as Python's ``int / int``.
+    """
+    codes: dict = {}
+    a = [[codes.setdefault(e, len(codes)) for e in x] for x in va]
+    b = [[codes.setdefault(e, len(codes)) for e in y] for y in vb]
+    len_a = np.array([len(x) for x in a], dtype=np.int64)
+    len_b = np.array([len(y) for y in b], dtype=np.int64)
+    m, width = len(b), int(len_b.max(initial=0))
+    padded = np.full((m, width), -1, dtype=np.int64)
+    for j, y in enumerate(b):
+        padded[j, : len(y)] = y
+    ar = np.arange(width + 1, dtype=np.int64)
+    b_rows = np.arange(m)
+    dist = np.empty((len(a), m), dtype=np.int64)
+    t = np.empty((m, width + 1), dtype=np.int64)
+    for i, x in enumerate(a):
+        prev = np.broadcast_to(ar, t.shape)  # distances from the empty prefix
+        for k, c in enumerate(x, 1):
+            t[:, 0] = k
+            np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (padded != c), out=t[:, 1:])
+            prev = np.minimum.accumulate(t - ar, axis=1) + ar
+        dist[i] = prev[b_rows, len_b]
+    longer = np.maximum.outer(len_a, len_b)
+    out = np.zeros(dist.shape)
+    np.divide(dist, longer, out=out, where=longer > 0)  # two empty sequences: 0
+    return out
 
 
 @dataclass(frozen=True)
@@ -109,21 +133,13 @@ def emd_data_utility(
             f"variant cost matrix {n}x{m} exceeds the exact-transport cap "
             f"({TRANSPORT_SIZE_CAP}); sample the logs before comparing"
         )
-    cost = np.empty((n, m))
-    for i, x in enumerate(va):
-        for j, y in enumerate(vb):
-            cost[i, j] = normalized_levenshtein(x, y)
+    cost = _edit_distance_matrix(va, vb)
 
-    # transportation LP: row sums = wa, column sums = wb (sparse constraints)
-    rows, cols = [], []
-    for i in range(n):
-        for j in range(m):
-            rows.append(i)
-            cols.append(i * m + j)
-    for j in range(m):
-        for i in range(n):
-            rows.append(n + j)
-            cols.append(i * m + j)
+    # transportation LP: row sums = wa, column sums = wb (sparse constraints);
+    # flow (i, j) is variable i * m + j
+    cells = np.arange(n * m)
+    rows = np.concatenate([np.repeat(np.arange(n), m), np.repeat(np.arange(n, n + m), n)])
+    cols = np.concatenate([cells, cells.reshape(n, m).T.ravel()])
     from scipy.sparse import csr_matrix  # deferred like scipy.optimize, see linprog
 
     a_eq = csr_matrix(
@@ -137,12 +153,8 @@ def emd_data_utility(
         raise LogError(f"transportation solve failed: {res.message}")
     flow = res.x.reshape(n, m)
     total = float(np.sum(flow * cost))
-    plan = tuple(
-        ((i, j), float(flow[i, j]), float(cost[i, j]))
-        for i in range(n)
-        for j in range(m)
-        if flow[i, j] > 1e-12
-    )
+    i, j = np.nonzero(flow > 1e-12)  # row-major, like a loop over (i, j)
+    plan = tuple(zip(zip(i.tolist(), j.tolist()), flow[i, j].tolist(), cost[i, j].tolist()))
     du = 1.0 - total
     return UtilityReport(du, total, plan, tuple(va), tuple(vb))
 

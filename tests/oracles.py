@@ -1,7 +1,7 @@
 """Brute-force reference implementations, kept independent of the package
 internals: containment is re-derived from scratch, candidates are enumerated
-exhaustively, the transport problem is searched on a grid, and XES goes
-through a whole ElementTree.
+exhaustively, the transport problem is searched on a grid, edit distances
+are filled cell by cell, and XES goes through a whole ElementTree.
 """
 
 import itertools
@@ -9,6 +9,8 @@ import random
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from tlkcpriv import (
     BkType,
@@ -18,8 +20,15 @@ from tlkcpriv import (
     Perspective,
     ProcessInstance,
     ProjectedEvent,
+    variants,
 )
-from tlkcpriv.io import ISO_FORMAT, _coerce_value, _format_timestamp, _parse_timestamp
+from tlkcpriv.io import (
+    ISO_FORMAT,
+    _bad_number,
+    _coerce_value,
+    _format_timestamp,
+    _parse_timestamp,
+)
 from tlkcpriv.log import LogError
 
 HOUR = 3600
@@ -156,6 +165,74 @@ def brute_directly_follows(log: EventLog, ps: Perspective):
     return dict(counts)
 
 
+# --- edit distance and EMD report cell by cell --------------------------------
+
+
+def scalar_levenshtein(s1, s2):
+    """The reference edit distance: the textbook DP, cell by cell, divided by
+    the longer length."""
+    n, m = len(s1), len(s2)
+    if n == 0 and m == 0:
+        return 0.0
+    if n == 0 or m == 0:
+        return 1.0
+    prev = list(range(m + 1))
+    for i in range(1, n + 1):
+        cur = [i] + [0] * m
+        a = s1[i - 1]
+        for j in range(1, m + 1):
+            cost = 0 if a == s2[j - 1] else 1
+            cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
+        prev = cur
+    return prev[m] / max(n, m)
+
+
+def scalar_cost_matrix(va, vb):
+    """The reference ground-cost matrix, one ``scalar_levenshtein`` per cell."""
+    return [[scalar_levenshtein(x, y) for y in vb] for x in va]
+
+
+def scalar_emd_report(original, anonymized, ps, accuracy):
+    """``emd_data_utility`` built cell by cell: the scalar cost matrix, the
+    transport constraints appended in loops and the plan read in a double
+    loop; returns ``(du, transport_cost, plan)``."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    mult_a, _ = variants(original, ps, accuracy)
+    mult_b, _ = variants(anonymized, ps, accuracy)
+    va = sorted(mult_a, key=lambda v: tuple(e.sort_key() for e in v))
+    vb = sorted(mult_b, key=lambda v: tuple(e.sort_key() for e in v))
+    wa = np.array([mult_a[v] for v in va], dtype=float)
+    wb = np.array([mult_b[v] for v in vb], dtype=float)
+    wa /= wa.sum()
+    wb /= wb.sum()
+    n, m = len(va), len(vb)
+    cost = np.array(scalar_cost_matrix(va, vb))
+    rows, cols = [], []
+    for i in range(n):
+        for j in range(m):
+            rows.append(i)
+            cols.append(i * m + j)
+    for j in range(m):
+        for i in range(n):
+            rows.append(n + j)
+            cols.append(i * m + j)
+    a_eq = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m, n * m))
+    res = linprog(
+        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs"
+    )
+    flow = res.x.reshape(n, m)
+    total = float(np.sum(flow * cost))
+    plan = tuple(
+        ((i, j), float(flow[i, j]), float(cost[i, j]))
+        for i in range(n)
+        for j in range(m)
+        if flow[i, j] > 1e-12
+    )
+    return 1.0 - total, total, plan
+
+
 # --- transport cost by grid search --------------------------------------------
 
 
@@ -223,9 +300,11 @@ def tree_read_xes(path, sensitive_attrs=()):
     def local(tag):
         return tag.rsplit("}", 1)[-1]
 
-    def attr_map(element, skip_children=()):
+    def attr_map(element, case_id=None, skip_children=()):
+        """The kept attributes; a failed cast raises once all are read, naming
+        ``case_id`` or, for the trace itself, its own concept:name."""
         nonlocal dropped_attrs
-        out = {}
+        out, error = {}, None
         for child in element:
             tag = local(child.tag)
             if tag in skip_children:
@@ -237,14 +316,20 @@ def tree_read_xes(path, sensitive_attrs=()):
                 dropped_attrs += 1
                 continue
             value = child.get("value")
-            if tag == "int":
-                out[key] = int(value)
-            elif tag == "float":
-                out[key] = float(value)
-            elif tag in ("string", "date", "boolean", "id"):
-                out[key] = value
-            else:
-                dropped_attrs += 1
+            try:
+                if tag == "int":
+                    out[key] = int(value)
+                elif tag == "float":
+                    out[key] = float(value)
+                elif tag in ("string", "date", "boolean", "id"):
+                    out[key] = value
+                else:
+                    dropped_attrs += 1
+            except (TypeError, ValueError):
+                error = error or (tag, key, value)
+        if error is not None:
+            owner = out.get("concept:name") if case_id is None else case_id
+            raise _bad_number(path, owner, *error)
         return out
 
     for trace_el in root:
@@ -256,7 +341,7 @@ def tree_read_xes(path, sensitive_attrs=()):
             raise LogError(f"{path}: trace without concept:name case id")
         events = []
         for pos, event_el in enumerate(e for e in trace_el if local(e.tag) == "event"):
-            ev_attrs = attr_map(event_el)
+            ev_attrs = attr_map(event_el, case_id)
             activity = ev_attrs.get("concept:name")
             if activity is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without concept:name")

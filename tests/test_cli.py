@@ -275,6 +275,21 @@ class TestStats:
         out = capsys.readouterr().out
         assert "variants[R]: n/a" in out
 
+    @pytest.mark.parametrize(
+        "attribute", ['<int key="Disease" value="old"/>', '<int key="Disease"/>']
+    )
+    def test_malformed_numeric_attribute_is_usage_error(self, attribute, tmp_path, capsys):
+        source = tmp_path / "bad.xes"
+        source.write_text(
+            f'<log><trace><string key="concept:name" value="7"/>{attribute}'
+            '<event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace></log>'
+        )
+        code = run(["stats", "-i", str(source), "--sensitive", "Disease"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {source}: case '7': <int> attribute 'Disease' has " in err
+
     def test_treatment_counts(self, capsys):
         code = run(["stats", "-i", TREATMENT, "-T", "hours", "--sensitive", "Disease"])
         assert code == 0

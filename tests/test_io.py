@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 
 import pytest
@@ -6,12 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlkcpriv import (
+    BkType,
+    Candidate,
     CsvColumnMap,
     Event,
     EventLog,
     LogError,
+    PrivacyParams,
     ProcessInstance,
+    ProjectedEvent,
     RunConfig,
+    is_violating,
     load_log,
     read_config,
     read_csv,
@@ -83,6 +89,115 @@ class TestCsv:
         with pytest.raises(LogError, match="timestamp"):
             read_csv(target, CsvColumnMap(resource_col=None))
 
+    def test_non_finite_values_stay_text_across_rows(self, tmp_path):
+        # a float NaN would differ from itself on the case's second row
+        target = tmp_path / "log.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp,D\n"
+            "1,a,1970-01-01T00:00:00,nan\n1,b,1970-01-01T01:00:00, nan\n"
+            "2,a,1970-01-01T00:00:00,inf\n2,b,1970-01-01T01:00:00,inf\n"
+            "3,a,1970-01-01T00:00:00,-inf\n4,a,1970-01-01T00:00:00,2.5\n"
+        )
+        log = read_csv(target, CsvColumnMap(resource_col=None, sensitive_cols=("D",)))
+        assert [i.sensitive["D"] for i in log] == ["nan", "inf", "-inf", 2.5]
+
+    def test_cells_are_taken_verbatim(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text(
+            'CaseId,Activity,Timestamp,Resource\n" 1","a ",1970-01-01T00:00:00," r"\n'
+        )
+        (inst,) = read_csv(target, CsvColumnMap())
+        assert (inst.case_id, inst.trace[0].activity, inst.trace[0].resource) == (" 1", "a ", " r")
+
+
+# --- CSV round trip ---------------------------------------------------------------
+
+# the characters CSV has to quote, whitespace and non-ASCII, plus any character
+CSV_CHARS = st.one_of(
+    st.sampled_from(',"\'\n\r\t é€中'),
+    st.characters(blacklist_categories=("Cs",)),
+)
+CSV_TEXT = st.text(CSV_CHARS, min_size=1, max_size=6)
+CSV_STANDARD = ("CaseId", "Activity", "Timestamp", "Resource")
+
+
+def _reads_as_text(value):
+    """Sensitive strings that read back as themselves: trimmed, non-empty and
+    not a finite number (numerals read back as numbers)."""
+    if value != value.strip() or not value:
+        return False
+    for cast in (int, float):
+        try:
+            return not math.isfinite(cast(value))
+        except (ValueError, OverflowError):
+            pass
+    return True
+
+
+# text that parses as a non-finite float, and so stays text
+NAN_LIKE = ["nan", "NaN", "inf", "-inf", "Infinity", "-nan", "1e999"]
+
+CSV_SENSITIVE_VALUES = {
+    "int": st.integers(-(10**20), 10**20),
+    "float": st.floats(),
+    "str": st.one_of(st.sampled_from(NAN_LIKE), CSV_TEXT).map(str.strip).filter(_reads_as_text),
+}
+
+
+@st.composite
+def csv_logs(draw):
+    names = draw(
+        st.lists(CSV_TEXT.filter(lambda k: k not in CSV_STANDARD), max_size=3, unique=True)
+    )
+    kinds = [draw(st.sampled_from(sorted(CSV_SENSITIVE_VALUES))) for _ in names]
+    case_ids = draw(st.lists(CSV_TEXT, max_size=5, unique=True))
+    instances = []
+    for case_id in case_ids:
+        stamps = sorted(draw(st.lists(st.integers(-(10**9), 4 * 10**9), min_size=1, max_size=4)))
+        trace = tuple(
+            Event(draw(CSV_TEXT), draw(st.none() | CSV_TEXT), ts) for ts in stamps
+        )
+        sensitive = {
+            name: draw(st.none() | CSV_SENSITIVE_VALUES[kind]) for name, kind in zip(names, kinds)
+        }
+        instances.append(ProcessInstance(case_id, trace, sensitive))
+    return EventLog(tuple(instances), tuple(names))
+
+
+def _read_back_value(value):
+    """A sensitive value as reading it back gives it: a non-finite float is
+    written as ``nan``/``inf``/``-inf`` and read back as that text, and an XES
+    boolean as its text."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
+
+
+def _as_read_back(log):
+    return EventLog(
+        tuple(
+            ProcessInstance(
+                inst.case_id,
+                inst.trace,
+                {attr: _read_back_value(value) for attr, value in inst.sensitive.items()},
+            )
+            for inst in log
+        ),
+        log.sensitive_attrs,
+    )
+
+
+class TestCsvRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(log=csv_logs())
+    def test_write_then_read_gives_the_same_log(self, log, tmp_path_factory):
+        target = tmp_path_factory.mktemp("csv") / "log.csv"
+        colmap = CsvColumnMap(sensitive_cols=log.sensitive_attrs)
+        write_csv(log, target, colmap)
+        assert read_csv(target, colmap) == _as_read_back(log)
+
 
 class TestXes:
     def test_fixture_matches_csv_twin(self, hospital_log):
@@ -141,6 +256,55 @@ class TestXes:
             read_xes(target)
         assert "dropped 2" in caplog.text
 
+    def test_non_finite_values_stay_text_and_match_as_focal(self, tmp_path):
+        traces = "".join(
+            f'<trace><string key="concept:name" value="{cid}"/>'
+            f'<{tag} key="Disease" value="{value}"/>'
+            '<event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>'
+            for cid, tag, value in [
+                ("1", "string", "nan"), ("2", "float", "NaN"), ("3", "string", " nan "),
+                ("4", "float", "-inf"), ("5", "string", "x"),
+            ]
+        )
+        target = tmp_path / "nan.xes"
+        target.write_text(f"<log>{traces}</log>")
+        log = read_xes(target, ("Disease",))
+        assert [i.sensitive["Disease"] for i in log] == ["nan", "nan", "nan", "-inf", "x"]
+        params = PrivacyParams(
+            accuracy="hours", L=1, K=1, C=0.5, bk="set/ac", sensitive=("Disease",)
+        )
+        verdict = is_violating(Candidate(BkType.SET, (ProjectedEvent("a"),)), log, params)
+        assert verdict.max_confidence == 3 / 5  # the three nan cases share the focal value
+
+    @pytest.mark.parametrize(
+        "trace_attrs, event_attr, message",
+        [
+            ('<int key="Disease" value="old"/>', "",
+             "case '1': <int> attribute 'Disease' has bad value 'old'"),
+            ('<float key="Disease"/>', "", "case '1': <float> attribute 'Disease' has no value"),
+            ("", '<float key="org:resource" value="1,5"/>',
+             "case '1': <float> attribute 'org:resource' has bad value '1,5'"),
+            ('<int key="concept:name" value="x"/>', "",
+             "<int> attribute 'concept:name' has bad value 'x'"),
+        ],
+        ids=["bad-int", "no-value", "on-an-event", "no-case-id"],
+    )
+    def test_malformed_number_names_path_case_and_key(
+        self, trace_attrs, event_attr, message, tmp_path
+    ):
+        if "concept:name" not in trace_attrs:
+            trace_attrs = '<string key="concept:name" value="1"/>' + trace_attrs
+        target = tmp_path / "bad.xes"
+        target.write_text(
+            f"<log><trace>{trace_attrs}<event>{event_attr}"
+            '<string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace></log>'
+        )
+        with pytest.raises(LogError) as got:
+            read_xes(target, ("Disease",))
+        assert str(got.value) == f"{target}: {message}"
+
     def test_declared_but_absent_attribute_is_null(self, tmp_path):
         target = tmp_path / "n.xes"
         target.write_text(
@@ -177,25 +341,13 @@ XML_CHARS = st.one_of(
 LABELS = st.text(XML_CHARS, min_size=1, max_size=6)
 
 
-def _text_survives(value):
-    """Strings that read back as themselves: no surrounding whitespace and
-    no numeral, which the reader would turn into a number."""
-    if value != value.strip() or not value:
-        return False
-    for cast in (int, float):
-        try:
-            cast(value)
-            return False
-        except ValueError:
-            pass
-    return True
-
-
 SENSITIVE_VALUES = {
     "int": st.integers(-(10**20), 10**20),
-    "float": st.floats(allow_nan=False),
+    "float": st.floats(),
     "bool": st.booleans(),
-    "str": st.text(XML_CHARS, min_size=1, max_size=6).filter(_text_survives),
+    "str": st.one_of(st.sampled_from(NAN_LIKE), st.text(XML_CHARS, min_size=1, max_size=6))
+    .map(str.strip)
+    .filter(_reads_as_text),
 }
 
 
@@ -220,25 +372,6 @@ def xes_logs(draw):
         }
         instances.append(ProcessInstance(case_id, trace, sensitive))
     return EventLog(tuple(instances), tuple(names))
-
-
-def _as_read_back(log):
-    """The log that reading the written file gives: booleans are written as
-    XES booleans and read back as their text."""
-    return EventLog(
-        tuple(
-            ProcessInstance(
-                inst.case_id,
-                inst.trace,
-                {
-                    attr: str(value).lower() if isinstance(value, bool) else value
-                    for attr, value in inst.sensitive.items()
-                },
-            )
-            for inst in log
-        ),
-        log.sensitive_attrs,
-    )
 
 
 def _read_counting_drops(path, sensitive_attrs, caplog):
@@ -381,6 +514,9 @@ class TestXesAgainstTreeReference:
             '<event><int key="concept:name" value="a"/></event>'
             '<int key="Age" value="old"/></trace>',
             '<trace><string key="concept:name" value="1"/><int key="Age"/>'
+            '<event><string key="concept:name" value="a"/></event></trace>',
+            # the case id comes after the bad attribute, and is still named
+            '<trace><float key="Age" value="x"/><string key="concept:name" value="1"/>'
             '<event><string key="concept:name" value="a"/></event></trace>',
             '<trace><string key="concept:name" value="1"/></trace>',
             # a content error in a trace, then a parse error later in the file

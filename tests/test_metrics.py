@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,17 @@ from tlkcpriv import (
     handover_compare,
     normalized_levenshtein,
 )
+from tlkcpriv import metrics
+from tlkcpriv.log import ProjectedEvent
 
 from .conftest import build_log
-from .oracles import brute_transport_cost, random_log
+from .oracles import (
+    brute_transport_cost,
+    random_log,
+    scalar_cost_matrix,
+    scalar_emd_report,
+    scalar_levenshtein,
+)
 
 HOURS = TimestampAccuracy.HOURS
 
@@ -57,6 +66,92 @@ class TestLevenshtein:
             return normalized_levenshtein(x, y) * max(len(x), len(y))
 
         assert edits(s, t) <= edits(s, u) + edits(u, t) + 1e-9
+
+
+# symbols: a two-letter alphabet (many repeats), a ten-letter one, and
+# descriptors with resource and time fields
+SYMBOL_SETS = [
+    st.sampled_from("ab"),
+    st.sampled_from("abcdefghij"),
+    st.builds(
+        ProjectedEvent,
+        st.sampled_from("ab"),
+        st.none() | st.sampled_from(["r1", "r2"]),
+        st.none() | st.integers(0, 3),
+    ),
+]
+
+
+@st.composite
+def variant_lists(draw):
+    """Two lists of variants, empty ones included, either of even lengths or
+    with one side of at most one symbol and the other of 30 to 40."""
+    symbols = draw(st.sampled_from(SYMBOL_SETS))
+    sides = []
+    for length in draw(st.sampled_from([(8, 8), (1, 40), (40, 1)])):
+        variant = st.lists(symbols, min_size=max(0, length - 10), max_size=length).map(tuple)
+        sides.append(draw(st.lists(variant, max_size=6)))
+    return sides
+
+
+class TestEditDistanceKernel:
+    @given(sides=variant_lists())
+    @example(sides=[[(), ("a",)], [(), ("a", "b"), ("b",) * 40]])
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_equals_the_scalar_dp_exactly(self, sides):
+        va, vb = sides
+        got = metrics._edit_distance_matrix(va, vb)
+        assert got.dtype == np.float64
+        assert got.shape == (len(va), len(vb))
+        assert got.tolist() == scalar_cost_matrix(va, vb)
+        for x, y in zip(va, vb):
+            assert normalized_levenshtein(x, y) == scalar_levenshtein(x, y)
+
+    @pytest.mark.parametrize(
+        "pair, ps, accuracy",
+        [
+            ("hospital-treatment", Perspective.A, TimestampAccuracy.SECONDS),
+            ("treatment-reference", Perspective.A, HOURS),
+            ("treatment-reference", Perspective.AR, HOURS),
+            ("treatment-reference", Perspective.ART, HOURS),
+            ("random", Perspective.AR, HOURS),
+            ("random", Perspective.RT, HOURS),
+        ],
+    )
+    def test_report_equals_the_scalar_build(
+        self, pair, ps, accuracy, hospital_log, treatment_log
+    ):
+        if pair == "hospital-treatment":
+            original, anonymized = hospital_log, treatment_log
+        elif pair == "treatment-reference":
+            original = treatment_log
+            anonymized = TlkcAnonymizer(**REFERENCE).anonymize(treatment_log).log
+        else:
+            rng = random.Random(31)
+            original = random_log(rng, max_cases=12, max_events=8)
+            anonymized = random_log(rng, max_cases=12, max_events=8)
+        report = emd_data_utility(original, anonymized, ps, accuracy)
+        assert report.transport_cost > 0
+        expected = scalar_emd_report(original, anonymized, ps, accuracy)
+        assert (report.du, report.transport_cost, report.plan) == expected
+
+    def test_one_kernel_call_per_report(self, treatment_log, monkeypatch):
+        # the whole matrix comes from one call, never from a per-cell distance
+        kernel, calls = metrics._edit_distance_matrix, []
+
+        def counting(va, vb):
+            calls.append((len(va), len(vb)))
+            return kernel(va, vb)
+
+        def per_cell(s1, s2):
+            raise AssertionError("the cost matrix was filled cell by cell")
+
+        monkeypatch.setattr(metrics, "_edit_distance_matrix", counting)
+        monkeypatch.setattr(metrics, "normalized_levenshtein", per_cell)
+        anonymized = TlkcAnonymizer(**REFERENCE).anonymize(treatment_log).log
+        report = emd_data_utility(treatment_log, anonymized, Perspective.AR, HOURS)
+        assert calls == [(len(report.original_variants), len(report.anonymized_variants))]
+        assert calls[0][0] * calls[0][1] > 1
 
 
 class TestEmd:
