@@ -31,7 +31,6 @@ from .log import (
     ProjectedEvent,
     TimestampAccuracy,
     is_subsequence,
-    project_instance,
 )
 
 __all__ = [
@@ -274,7 +273,7 @@ def enumerate_mft(
     """
     if theta > 1:
         return MftSet((), threshold=len(log) + 1)
-    traces = tuple(project_instance(inst, ps, accuracy) for inst in log)
+    traces = log.projected(ps, accuracy)
     threshold = max(1, ceil(theta * len(traces)))
     longest = max((len(t) for t in traces), default=0)
 
@@ -357,9 +356,7 @@ def coverage(
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
 ) -> Dict[ProjectedEvent, float]:
     """Per descriptor, the fraction of cases whose projected trace contains it."""
-    counts: Counter = Counter()
-    for inst in log:
-        counts.update(set(project_instance(inst, ps, accuracy)))
+    counts = Counter(e for trace in log.projected(ps, accuracy) for e in set(trace))
     n = len(log)
     return {e: c / n for e, c in counts.items()}
 

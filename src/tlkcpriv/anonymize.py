@@ -45,7 +45,6 @@ from .log import (
     ProjectedEvent,
     TimestampAccuracy,
     is_subsequence,
-    project_instance,
 )
 
 __all__ = [
@@ -114,6 +113,18 @@ def _result(log, out, dropped, started, winners=(), iterations=()):
     )
 
 
+def _cut(log: EventLog, traces: Iterable[tuple]):
+    """``log`` with each case's trace replaced, in case order; emptied cases
+    are dropped.  Returns (new log, dropped ids)."""
+    kept, dropped = [], []
+    for inst, trace in zip(log, traces):
+        if trace:
+            kept.append(ProcessInstance(inst.case_id, trace, inst.sensitive))
+        else:
+            dropped.append(inst.case_id)
+    return EventLog(tuple(kept), log.sensitive_attrs), tuple(dropped)
+
+
 def suppress_global(
     log: EventLog,
     descriptors: Iterable[ProjectedEvent],
@@ -125,17 +136,10 @@ def suppress_global(
     Cases whose trace empties are dropped. Returns (new log, dropped ids).
     """
     targets = set(descriptors)
-    kept_instances, dropped = [], []
-    for inst in log:
-        descs = project_instance(inst, ps, accuracy)
-        kept = tuple(
-            ev for ev, d in zip(inst.trace, descs) if d not in targets
-        )
-        if kept:
-            kept_instances.append(ProcessInstance(inst.case_id, kept, inst.sensitive))
-        else:
-            dropped.append(inst.case_id)
-    return EventLog(tuple(kept_instances), log.sensitive_attrs), tuple(dropped)
+    return _cut(log, (
+        tuple(ev for ev, d in zip(inst.trace, descs) if d not in targets)
+        for inst, descs in zip(log, log.projected(ps, accuracy))
+    ))
 
 
 class BaseAnonymizer:
@@ -409,14 +413,12 @@ class Baseline1(_KBaseline):
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         started = time.perf_counter()
         ps, accuracy = self._view()
-        counts = Counter(project_instance(inst, ps, accuracy) for inst in log)
-        kept, dropped = [], []
-        for inst in log:
-            if counts[project_instance(inst, ps, accuracy)] >= self.k:
-                kept.append(inst)
-            else:
-                dropped.append(inst.case_id)
-        return _result(log, EventLog(tuple(kept), log.sensitive_attrs), dropped, started)
+        traces = log.projected(ps, accuracy)
+        counts = Counter(traces)
+        out, dropped = _cut(
+            log, (i.trace if counts[t] >= self.k else () for i, t in zip(log, traces))
+        )
+        return _result(log, out, dropped, started)
 
 
 def _longest_common_subsequence(a: tuple, b: tuple) -> tuple:
@@ -481,8 +483,8 @@ class Baseline2(_KBaseline):
 
         # per case: surviving (event index, descriptor) pairs
         state = {
-            inst.case_id: list(enumerate(project_instance(inst, ps, accuracy)))
-            for inst in log
+            inst.case_id: list(enumerate(descs))
+            for inst, descs in zip(log, log.projected(ps, accuracy))
         }
         structural = False
 
@@ -520,18 +522,9 @@ class Baseline2(_KBaseline):
                 for cid in violating[rep]:
                     state[cid] = []
 
-        kept_instances = []
-        dropped = []
-        for inst in log:
-            pairs = state[inst.case_id]
-            if pairs:
-                kept = tuple(inst.trace[i] for i, _ in pairs)
-                kept_instances.append(
-                    ProcessInstance(inst.case_id, kept, inst.sensitive)
-                )
-            else:
-                dropped.append(inst.case_id)
-        out = EventLog(tuple(kept_instances), log.sensitive_attrs)
+        out, dropped = _cut(
+            log, (tuple(inst.trace[i] for i, _ in state[inst.case_id]) for inst in log)
+        )
         return _result(log, out, dropped, started)
 
     def _merge_step(self, state, live, classes, violating) -> bool:

@@ -30,7 +30,6 @@ from .log import (
     ProjectedEvent,
     TimestampAccuracy,
     is_subsequence,
-    project_instance,
 )
 
 __all__ = [
@@ -162,9 +161,7 @@ class ProjectedLog:
         self.log = log
         self.spec = spec
         self.accuracy = accuracy
-        self.traces = tuple(
-            project_instance(inst, spec.perspective, accuracy) for inst in log
-        )
+        self.traces = log.projected(spec.perspective, accuracy)
         self.elem_counters = tuple(Counter(t) for t in self.traces)
         postings = {}
         for i, counter in enumerate(self.elem_counters):

@@ -150,6 +150,8 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
             cid = row[colmap.case_col]
             if not cid:
                 raise LogError(f"{path}: row {lineno + 2} has an empty case id")
+            if not row[colmap.activity_col]:
+                raise LogError(f"{path}: row {lineno + 2} has an empty activity")
             if cid not in rows_by_case:
                 rows_by_case[cid] = []
                 order.append(cid)

@@ -7,7 +7,8 @@ since the Unix epoch (UTC); after relativization they encode offsets from a
 shared origin, which keeps timed matching a plain equality check.
 
 Logs are immutable after construction and all operations here are pure
-functions, safe for concurrent readers.
+functions, safe for concurrent readers.  :meth:`EventLog.projected` caches a
+pure function in one assignment, so concurrent readers at worst project twice.
 """
 
 from __future__ import annotations
@@ -148,6 +149,10 @@ class EventLog:
     instances: tuple
     sensitive_attrs: tuple = ()
 
+    # ((ps, accuracy), traces) of the last projection; not a field, so it
+    # stays out of the constructor, ``==`` and ``repr``
+    _projection = (None, ())
+
     def __post_init__(self):
         instances = tuple(self.instances)
         object.__setattr__(self, "instances", instances)
@@ -193,8 +198,24 @@ class EventLog:
             ev.resource is not None for inst in self.instances for ev in inst.trace
         )
 
+    def projected(
+        self, ps: Perspective, accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS
+    ) -> tuple:
+        """Every case's trace projected on ``ps`` (see :func:`project`), in case order.
 
-@dataclass(frozen=True)
+        The last ``(ps, accuracy)`` asked for is kept, so each greedy round
+        projects once."""
+        key, traces = self._projection
+        if key != (ps, accuracy):
+            traces = tuple(
+                project(inst.trace, ps, accuracy, case_id=inst.case_id)
+                for inst in self.instances
+            )
+            object.__setattr__(self, "_projection", ((ps, accuracy), traces))
+        return traces
+
+
+@dataclass(frozen=True, slots=True)
 class ProjectedEvent:
     """Event descriptor under a perspective: only the kept fields are non-None.
 
@@ -261,14 +282,6 @@ def project(
     return tuple(out)
 
 
-def project_instance(
-    inst: ProcessInstance,
-    ps: Perspective,
-    accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
-) -> tuple:
-    return project(inst.trace, ps, accuracy, case_id=inst.case_id)
-
-
 def is_subsequence(small: Sequence, big: Sequence) -> bool:
     """Whether ``small`` occurs in ``big`` in order, gaps allowed."""
     it = iter(big)
@@ -328,7 +341,7 @@ def variants(
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
 ):
     """Multiset of projected traces and the set of distinct ones (the variants)."""
-    multiset = Counter(project_instance(inst, ps, accuracy) for inst in log)
+    multiset = Counter(log.projected(ps, accuracy))
     return multiset, set(multiset)
 
 
@@ -353,15 +366,11 @@ def directly_follows(log: EventLog, ps: Perspective) -> dict:
     """
     if ps not in (Perspective.A, Perspective.R):
         raise LogError(f"directly-follows is defined for perspectives A and R, not {ps.value}")
+    attr = "activity" if ps is Perspective.A else "resource"
     counts: Counter = Counter()
-    for inst in log:
-        labels = project_instance(inst, ps)
-        for a, b in zip(labels, labels[1:]):
-            key = (
-                a.activity if ps is Perspective.A else a.resource,
-                b.activity if ps is Perspective.A else b.resource,
-            )
-            counts[key] += 1
+    for trace in log.projected(ps):
+        labels = [getattr(e, attr) for e in trace]
+        counts.update(zip(labels, labels[1:]))
     return dict(counts)
 
 

@@ -376,3 +376,16 @@ def test_criterion_8_scale_smoke():
     )
     assert audit_tlkc(result.log, params).satisfied
     assert len(result.log) > 0
+
+
+@criterion(9, "scale gate: 5000-case log, both greedy variants suppress over 2+ rounds, audit-clean")
+def test_criterion_9_scale_gate():
+    log = truncate_to_accuracy(_synthetic_big_log(5000, 4025), HOURS)
+    common = dict(accuracy="hours", L=2, K=5, C=0.8, bk="seq/ar", sensitive=("Disease",))
+    params = PrivacyParams(**common)
+    for anonymizer in (TlkcAnonymizer(theta=0.2, **common), TlkcExtAnonymizer(**common)):
+        result = anonymizer.anonymize(log)
+        assert len(result.iterations) >= 1
+        # a dropped case sends the survivors through a second round
+        assert len(result.dropped_cases) >= 1
+        assert audit_tlkc(result.log, params).satisfied

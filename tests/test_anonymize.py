@@ -25,11 +25,12 @@ from tlkcpriv import (
     enumerate_mft,
     enumerate_mvt,
     n_score,
+    project,
     score,
     suppress_global,
+    truncate_to_accuracy,
     variants,
 )
-from tlkcpriv.log import project_instance
 
 from .conftest import (
     TREATMENT_2ANON,
@@ -39,6 +40,7 @@ from .conftest import (
     hours_view,
 )
 from .oracles import random_log
+from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
 
@@ -107,9 +109,9 @@ class TestGreedy:
 
     def test_output_projection_is_subsequence_of_input(self, treatment_log):
         result = TlkcAnonymizer(**REFERENCE).anonymize(treatment_log)
-        originals = {i.case_id: project_instance(i, Perspective.ART, HOURS) for i in treatment_log}
+        originals = {i.case_id: project(i.trace, Perspective.ART, HOURS) for i in treatment_log}
         for inst in result.log:
-            kept = project_instance(inst, Perspective.ART, HOURS)
+            kept = project(inst.trace, Perspective.ART, HOURS)
             it = iter(originals[inst.case_id])
             assert all(e in it for e in kept)
 
@@ -257,9 +259,9 @@ class TestBaseline2:
             if result.log.instances:
                 multiset, _ = variants(result.log, Perspective.A)
                 assert all(n >= k for n in multiset.values())
-            originals = {i.case_id: project_instance(i, Perspective.A) for i in log}
+            originals = {i.case_id: project(i.trace, Perspective.A) for i in log}
             for inst in result.log:
-                kept = project_instance(inst, Perspective.A)
+                kept = project(inst.trace, Perspective.A)
                 it = iter(originals[inst.case_id])
                 assert all(e in it for e in kept)
 
@@ -358,3 +360,54 @@ class TestGreedyCoreAgainstScores:
                     break  # the first round ends here
             checked += 1
         assert checked >= 10
+
+
+class TestOneProjectionPerRound:
+    """Every greedy round projects its log once, shared by MVT mining, MFT
+    mining or coverage, and global suppression; an audit projects once."""
+
+    COMMON = dict(accuracy="hours", L=2, K=5, C=0.8, bk="seq/ar", sensitive=("Disease",))
+
+    @staticmethod
+    def _log():
+        # built afresh, so no earlier projection is cached on it
+        return truncate_to_accuracy(_synthetic_big_log(200, 4025), HOURS)
+
+    @pytest.fixture
+    def project_calls(self, monkeypatch):
+        import tlkcpriv.log
+
+        calls = []
+        original = tlkcpriv.log.project
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tlkcpriv.log, "project", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "anonymizer",
+        [TlkcAnonymizer(theta=0.2, **COMMON), TlkcExtAnonymizer(**COMMON)],
+        ids=["tlkc", "tlkc-ext"],
+    )
+    def test_greedy_rounds(self, anonymizer, project_calls, monkeypatch):
+        import tlkcpriv.anonymize
+
+        round_sizes = []
+        mine = tlkcpriv.anonymize.enumerate_mvt
+
+        def recording(log, params):
+            round_sizes.append(len(log))
+            return mine(log, params)
+
+        monkeypatch.setattr(tlkcpriv.anonymize, "enumerate_mvt", recording)
+        result = anonymizer.anonymize(self._log())
+        assert len(round_sizes) >= 2 and result.dropped_cases
+        assert len(project_calls) == sum(round_sizes)
+
+    def test_audit(self, project_calls):
+        log = self._log()
+        audit_tlkc(log, PrivacyParams(**self.COMMON))
+        assert len(project_calls) == len(log)

@@ -275,6 +275,13 @@ class TestStats:
         out = capsys.readouterr().out
         assert "variants[R]: n/a" in out
 
+    def test_empty_activity_is_usage_error(self, capsys, tmp_path):
+        source = tmp_path / "e.csv"
+        source.write_text("CaseId,Activity,Timestamp\n1,,1970-01-01T00:00:00\n")
+        code = run(["stats", "-i", str(source), "--csv-resource", ""])
+        assert code == 2
+        assert f"error: {source}: row 2 has an empty activity" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "attribute", ['<int key="Disease" value="old"/>', '<int key="Disease"/>']
     )

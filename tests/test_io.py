@@ -89,6 +89,21 @@ class TestCsv:
         with pytest.raises(LogError, match="timestamp"):
             read_csv(target, CsvColumnMap(resource_col=None))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "CaseId,Activity,Timestamp\n1,a,1970-01-01T00:00:00\n2,,1970-01-01T00:00:00\n",
+            # a short row leaves the activity cell missing rather than blank
+            "CaseId,Timestamp,Activity\n1,1970-01-01T00:00:00,a\n2,1970-01-01T00:00:00\n",
+        ],
+        ids=["blank", "missing"],
+    )
+    def test_empty_activity_names_path_and_row(self, body, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text(body)
+        with pytest.raises(LogError, match=re.escape(f"{target}: row 3 has an empty activity")):
+            read_csv(target, CsvColumnMap(resource_col=None))
+
     def test_non_finite_values_stay_text_across_rows(self, tmp_path):
         # a float NaN would differ from itself on the case's second row
         target = tmp_path / "log.csv"

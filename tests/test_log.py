@@ -91,6 +91,41 @@ class TestProject:
             project(case(log, "42").trace, Perspective.R, case_id="42")
 
 
+class TestProjectedLog:
+    KEYS = [(ps, acc) for ps in Perspective for acc in TimestampAccuracy]
+
+    def test_equals_per_case_projection_for_every_key(self):
+        rng = random.Random(2406)
+        for _ in range(30):
+            log = random_log(rng)
+            first = log.projected(*self.KEYS[0])
+            for ps, acc in self.KEYS:
+                want = tuple(project(inst.trace, ps, acc, inst.case_id) for inst in log)
+                assert log.projected(ps, acc) == want
+                assert log.projected(ps, acc) is log.projected(ps, acc)
+            # the first key was evicted long ago and comes back equal
+            assert log.projected(*self.KEYS[0]) == first
+
+    def test_default_accuracy_is_seconds(self, treatment_log):
+        log = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
+        assert log.projected(Perspective.ART) == log.projected(
+            Perspective.ART, TimestampAccuracy.SECONDS
+        )
+
+    def test_projected_log_equals_unprojected_twin(self, treatment_log):
+        log = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
+        twin = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
+        log.projected(Perspective.AR, HOURS)
+        assert log == twin and twin == log
+        assert repr(log) == repr(twin)
+
+    def test_missing_resource_names_case(self):
+        log = build_log({"1": [("a", "r", 0)], "42": [("b", None, 0)]})
+        with pytest.raises(MissingResourceError, match="'42'"):
+            log.projected(Perspective.R)
+        assert len(log.projected(Perspective.A)) == 2
+
+
 class TestRelativeTimestamps:
     def test_half_hour_gap(self):
         trace = (Event("a", None, 10 * HOUR), Event("b", None, 10 * HOUR + 1800))
