@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import ceil
 from typing import Dict, Iterable, Optional
 
@@ -139,7 +140,8 @@ def focal_values(log: EventLog, attrs: Iterable[str]) -> Dict[str, object]:
 
 
 class _Checker:
-    """Shared verdict machinery over one projected log."""
+    """Shared verdict machinery over one projected log; candidates are code
+    tuples (see :class:`ProjectedLog`)."""
 
     def __init__(self, log: EventLog, params: PrivacyParams):
         self.params = params
@@ -154,7 +156,7 @@ class _Checker:
             )
             for attr in params.sensitive
         }
-        self._memo: Dict[Candidate, Verdict] = {}
+        self._memo: Dict[tuple, Verdict] = {}
 
     def verdict_for_indices(self, indices: frozenset) -> Verdict:
         n = len(indices)
@@ -171,11 +173,11 @@ class _Checker:
                 c_viol.append(attr)
         return Verdict(n, k_viol, tuple(c_viol), max_conf)
 
-    def verdict(self, cand: Candidate) -> Verdict:
-        v = self._memo.get(cand)
+    def verdict(self, codes: tuple) -> Verdict:
+        v = self._memo.get(codes)
         if v is None:
-            v = self.verdict_for_indices(self.plog.match_indices(cand))
-            self._memo[cand] = v
+            v = self.verdict_for_indices(self.plog.match_indices(codes))
+            self._memo[codes] = v
         return v
 
 
@@ -186,7 +188,7 @@ def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdi
     realized background knowledge.
     """
     checker = _Checker(log, params)
-    indices = checker.plog.match_indices(cand)
+    indices = checker.plog.match_candidate(cand)
     if not indices:
         raise LogError(f"candidate {cand} matches no case; nothing to check")
     return checker.verdict_for_indices(indices)
@@ -232,6 +234,15 @@ class MftSet(_Items):
         return sum(1 for pattern, _ in self.items if e in pattern)
 
 
+def _proper_subs(codes: tuple) -> dict:
+    """Every non-empty proper sub-tuple of ``codes``, smaller ones first, each
+    once (as keys).  Bag candidates are sorted code tuples, and so are their
+    subs."""
+    return dict.fromkeys(
+        sub for size in range(1, len(codes)) for sub in combinations(codes, size)
+    )
+
+
 def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
     """All minimal violating candidates of size up to L.
 
@@ -240,24 +251,22 @@ def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
     violates and no proper sub-candidate of any size does.
     """
     checker = _Checker(log, params)
+    memo = checker._memo
     items = []
 
     # the generator yields a candidate before asking whether to extend it,
     # so the verdict memo below is always populated in time
-    def extend(cand: Candidate, indices: frozenset) -> bool:
-        return checker._memo[cand].ok
+    def extend(codes: tuple, indices: frozenset) -> bool:
+        return memo[codes].ok
 
     from .background import _enumerate
 
-    for cand, indices in _enumerate(checker.plog, params.L, extend):
-        verdict = checker.verdict_for_indices(indices)
-        checker._memo[cand] = verdict
-        if not verdict.ok and all(
-            checker.verdict(sub).ok for sub in cand.proper_sub_candidates()
-        ):
-            items.append((cand, verdict))
-    items.sort(key=lambda cv: (cv[0].size, tuple(e.sort_key() for e in cv[0].elements)))
-    return MvtSet(tuple(items))
+    for codes, indices in _enumerate(checker.plog, params.L, extend):
+        verdict = memo[codes] = checker.verdict_for_indices(indices)
+        if not verdict.ok and all(checker.verdict(sub).ok for sub in _proper_subs(codes)):
+            items.append((codes, verdict))
+    items.sort(key=lambda cv: (len(cv[0]), cv[0]))
+    return MvtSet(tuple((checker.plog.decode(codes), v) for codes, v in items))
 
 
 def enumerate_mft(
@@ -273,7 +282,7 @@ def enumerate_mft(
     """
     if theta > 1:
         return MftSet((), threshold=len(log) + 1)
-    traces = log.projected(ps, accuracy)
+    traces, alphabet = log.coded(ps, accuracy)
     threshold = max(1, ceil(theta * len(traces)))
     longest = max((len(t) for t in traces), default=0)
 
@@ -290,8 +299,11 @@ def enumerate_mft(
     for p in by_len:
         if not any(len(q) > len(p) and is_subsequence(p, q) for q in maximal):
             maximal.append(p)
-    maximal.sort(key=lambda p: (len(p), tuple(e.sort_key() for e in p)))
-    return MftSet(tuple((p, frequent[p]) for p in maximal), threshold=threshold)
+    maximal.sort(key=lambda p: (len(p), p))
+    decode = alphabet.__getitem__
+    return MftSet(
+        tuple((tuple(map(decode, p)), frequent[p]) for p in maximal), threshold=threshold
+    )
 
 
 @dataclass(frozen=True)
@@ -356,9 +368,10 @@ def coverage(
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
 ) -> Dict[ProjectedEvent, float]:
     """Per descriptor, the fraction of cases whose projected trace contains it."""
-    counts = Counter(e for trace in log.projected(ps, accuracy) for e in set(trace))
+    traces, alphabet = log.coded(ps, accuracy)
+    counts = Counter(c for trace in traces for c in set(trace))
     n = len(log)
-    return {e: c / n for e, c in counts.items()}
+    return {alphabet[c]: k / n for c, k in counts.items()}
 
 
 def n_score(

@@ -135,10 +135,12 @@ def suppress_global(
 
     Cases whose trace empties are dropped. Returns (new log, dropped ids).
     """
+    traces, alphabet = log.coded(ps, accuracy)
     targets = set(descriptors)
+    drop = {c for c, e in enumerate(alphabet) if e in targets}
     return _cut(log, (
-        tuple(ev for ev, d in zip(inst.trace, descs) if d not in targets)
-        for inst, descs in zip(log, log.projected(ps, accuracy))
+        tuple(ev for ev, c in zip(inst.trace, codes) if c not in drop)
+        for inst, codes in zip(log, traces)
     ))
 
 
@@ -413,7 +415,7 @@ class Baseline1(_KBaseline):
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         started = time.perf_counter()
         ps, accuracy = self._view()
-        traces = log.projected(ps, accuracy)
+        traces, _ = log.coded(ps, accuracy)
         counts = Counter(traces)
         out, dropped = _cut(
             log, (i.trace if counts[t] >= self.k else () for i, t in zip(log, traces))
@@ -450,10 +452,6 @@ def _earliest_embedding(small: tuple, big: tuple) -> tuple:
     return tuple(pos)
 
 
-def _canon(seq: tuple) -> tuple:
-    return tuple(e.sort_key() for e in seq)
-
-
 class Baseline2(_KBaseline):
     """k-anonymize trace variants by removing events.
 
@@ -481,11 +479,10 @@ class Baseline2(_KBaseline):
         started = time.perf_counter()
         ps, accuracy = self._view()
 
-        # per case: surviving (event index, descriptor) pairs
-        state = {
-            inst.case_id: list(enumerate(descs))
-            for inst, descs in zip(log, log.projected(ps, accuracy))
-        }
+        # per case: surviving (event index, descriptor code) pairs; codes
+        # sort in canonical descriptor order, so they break every tie
+        traces, _ = log.coded(ps, accuracy)
+        state = {inst.case_id: list(enumerate(codes)) for inst, codes in zip(log, traces)}
         structural = False
 
         while True:
@@ -503,11 +500,9 @@ class Baseline2(_KBaseline):
                 gfreq: Counter = Counter(
                     d for pairs in live.values() for _, d in pairs
                 )
-                eligible = sorted(
-                    {d for rep in violating for d in rep}, key=lambda d: d.sort_key()
-                )
+                eligible = sorted({d for rep in violating for d in rep})
                 if len({gfreq[d] for d in eligible}) > 1:
-                    target = min(eligible, key=lambda d: (gfreq[d], d.sort_key()))
+                    target = min(eligible, key=lambda d: (gfreq[d], d))
                     for cid in state:
                         state[cid] = [
                             (i, d) for i, d in state[cid] if d != target
@@ -518,7 +513,7 @@ class Baseline2(_KBaseline):
             if not self._merge_step(state, live, classes, violating):
                 # no structural move left: drop the canonically first
                 # violating class, mirroring full removal of hopeless variants
-                rep = min(violating, key=_canon)
+                rep = min(violating)
                 for cid in violating[rep]:
                     state[cid] = []
 
@@ -529,7 +524,7 @@ class Baseline2(_KBaseline):
 
     def _merge_step(self, state, live, classes, violating) -> bool:
         # absorb: violating class onto an existing proper-subtrace class
-        for rep in sorted(violating, key=_canon):
+        for rep in sorted(violating):
             options = [
                 u
                 for u in classes
@@ -541,15 +536,15 @@ class Baseline2(_KBaseline):
             if options:
                 best_len = max(len(u) for u in options)
                 options = [u for u in options if len(u) == best_len]
-                target = min(options, key=lambda u: (_earliest_embedding(u, rep), _canon(u)))
+                target = min(options, key=lambda u: (_earliest_embedding(u, rep), u))
                 self._map_class(state, live, classes[rep], target)
                 return True
         # coalesce: two violating classes onto their longest common subtrace
         best = None
-        for u, v in itertools.combinations(sorted(violating, key=_canon), 2):
+        for u, v in itertools.combinations(sorted(violating), 2):
             common = _longest_common_subsequence(u, v)
             if common and len(classes[u]) + len(classes[v]) >= self.k:
-                key = (-len(common), _canon(common), _canon(u), _canon(v))
+                key = (-len(common), common, u, v)
                 if best is None or key < best[0]:
                     best = (key, u, v, common)
         if best is not None:

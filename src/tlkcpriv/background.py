@@ -119,22 +119,6 @@ class Candidate:
     def size(self) -> int:
         return len(self.elements)
 
-    def proper_sub_candidates(self) -> Iterator["Candidate"]:
-        """Every non-empty proper sub-candidate, any size.
-
-        The confidence condition is not monotone, so minimality cannot be
-        established from the one-smaller level alone.
-        """
-        import itertools
-
-        seen = set()
-        for size in range(1, self.size):
-            for positions in itertools.combinations(range(self.size), size):
-                sub = Candidate(self.bk_type, tuple(self.elements[i] for i in positions))
-                if sub not in seen:
-                    seen.add(sub)
-                    yield sub
-
     def __str__(self) -> str:
         return format_candidate(self)
 
@@ -145,14 +129,20 @@ def _covers(counter: Counter, need: Counter) -> bool:
 
 
 class ProjectedLog:
-    """A log projected on the perspective induced by a background-knowledge spec.
+    """A log projected on the perspective induced by a background-knowledge
+    spec, in descriptor codes.
 
-    Beside the projected traces and their element counters it keeps one
-    inverted index: ``postings[e]`` is the frozenset of trace indices whose
-    projection contains descriptor ``e``.  A candidate can only match traces
-    in the intersection of its elements' postings, so containment is tested
-    on those traces alone, and not at all where the intersection already
-    decides it (sets, multisets without repeats, single elements).
+    ``traces`` holds each case's projection as a tuple of codes and
+    ``alphabet[c]`` is the descriptor of code ``c`` (see
+    :meth:`EventLog.coded`); codes follow the canonical descriptor order, so
+    enumeration and tie-breaks sort plain ints.  Beside the traces it keeps
+    their code counters and one inverted index: ``postings[c]`` is the
+    frozenset of trace indices whose projection holds code ``c``.  A
+    candidate can only match traces in the intersection of its elements'
+    postings, so containment is tested on those traces alone, and not at all
+    where the intersection already decides it (sets, multisets without
+    repeats, single elements).  Candidates in descriptors enter through
+    :meth:`match_candidate` and leave through :meth:`decode`.
     ``accuracy`` bounds the timestamp precision available to the adversary
     (only relevant for timed perspectives).
     """
@@ -161,31 +151,42 @@ class ProjectedLog:
         self.log = log
         self.spec = spec
         self.accuracy = accuracy
-        self.traces = log.projected(spec.perspective, accuracy)
-        self.elem_counters = tuple(Counter(t) for t in self.traces)
-        postings = {}
+        self.traces, self.alphabet = log.coded(spec.perspective, accuracy)
+        self.elem_counters = tuple(map(Counter, self.traces))
+        postings = [[] for _ in self.alphabet]
         for i, counter in enumerate(self.elem_counters):
-            for e in counter:
-                postings.setdefault(e, []).append(i)
-        self.postings = {e: frozenset(ids) for e, ids in postings.items()}
+            for c in counter:
+                postings[c].append(i)
+        self.postings = tuple(map(frozenset, postings))
 
-    def match_indices(self, cand: Candidate) -> frozenset:
-        elems = cand.elements
-        distinct = set(elems)
-        if not distinct <= self.postings.keys():
-            return frozenset()
-        first, *rest = sorted((self.postings[e] for e in distinct), key=len)
+    def match_indices(self, codes: tuple) -> frozenset:
+        """Indices of the traces that contain the candidate with these codes."""
+        distinct = set(codes)
+        first, *rest = sorted((self.postings[c] for c in distinct), key=len)
         found = first.intersection(*rest)
-        if cand.bk_type is BkType.SET or len(elems) == 1:
+        bk_type = self.spec.bk_type
+        if bk_type is BkType.SET or len(codes) == 1:
             return found
-        if cand.bk_type is BkType.MULT:
-            if len(distinct) == len(elems):
+        if bk_type is BkType.MULT:
+            if len(distinct) == len(codes):
                 return found
-            need = Counter(elems)
+            need = Counter(codes)
             counters = self.elem_counters
             return frozenset(i for i in found if _covers(counters[i], need))
         traces = self.traces
-        return frozenset(i for i in found if is_subsequence(elems, traces[i]))
+        return frozenset(i for i in found if is_subsequence(codes, traces[i]))
+
+    def match_candidate(self, cand: Candidate) -> frozenset:
+        """:meth:`match_indices` of a candidate given in descriptors; one that
+        no trace holds matches nothing."""
+        code = {e: c for c, e in enumerate(self.alphabet)}
+        if not all(e in code for e in cand.elements):
+            return frozenset()
+        return self.match_indices(tuple(code[e] for e in cand.elements))
+
+    def decode(self, codes: tuple) -> Candidate:
+        """The candidate, in descriptors, that these codes stand for."""
+        return Candidate(self.spec.bk_type, tuple(map(self.alphabet.__getitem__, codes)))
 
     def instances(self, indices: Iterable[int]) -> tuple:
         return tuple(self.log.instances[i] for i in sorted(indices))
@@ -203,7 +204,7 @@ def match(
             f"candidate kind {cand.bk_type.value} does not match spec {spec}"
         )
     plog = ProjectedLog(log, spec, accuracy)
-    return plog.instances(plog.match_indices(cand))
+    return plog.instances(plog.match_candidate(cand))
 
 
 def confidence(matched: Iterable, attr: str):
@@ -234,10 +235,15 @@ def enumerate_candidates(
     (by default all are); pruned branches are never generated.
     """
     plog = ProjectedLog(log, spec, accuracy)
-    yield from _enumerate(plog, max_size, extend)
+    decode = plog.decode
+    grow = extend and (lambda codes, indices: extend(decode(codes), indices))
+    for codes, indices in _enumerate(plog, max_size, grow):
+        yield decode(codes), indices
 
 
 def _enumerate(plog: ProjectedLog, max_size, extend):
+    """Yield (codes, match indices) as :func:`enumerate_candidates` yields
+    candidates; ``extend`` takes codes too."""
     spec = plog.spec
     if spec.ordered:
         yield from _enumerate_sequences(plog, max_size, extend)
@@ -246,12 +252,12 @@ def _enumerate(plog: ProjectedLog, max_size, extend):
 
 
 def prefix_span(traces, max_size, extend):
-    """Depth-first PrefixSpan (Pei et al. 2001) over element sequences.
+    """Depth-first PrefixSpan (Pei et al. 2001) over code sequences.
 
-    Yields each pattern of 1..max_size elements that is a subsequence of some
+    Yields each pattern of 1..max_size codes that is a subsequence of some
     trace, with a map from every supporting trace index to the position right
-    after the pattern's earliest embedding there.  Siblings come in canonical
-    element order; a pattern is yielded before ``extend(pattern, positions)``
+    after the pattern's earliest embedding there.  Siblings come in code
+    order; a pattern is yielded before ``extend(pattern, positions)``
     decides whether it grows.
     """
 
@@ -266,7 +272,7 @@ def prefix_span(traces, max_size, extend):
                     continue
                 seen.add(e)
                 extensions.setdefault(e, {})[idx] = j + 1
-        for e in sorted(extensions, key=ProjectedEvent.sort_key):
+        for e in sorted(extensions):
             pattern, nxt = prefix + (e,), extensions[e]
             yield pattern, nxt
             if len(pattern) < max_size and extend(pattern, nxt):
@@ -283,23 +289,21 @@ def _enumerate_sequences(plog, max_size, extend):
         return extend is None or extend(*last)
 
     for pattern, positions in prefix_span(plog.traces, max_size, extend_last):
-        last = (Candidate(plog.spec.bk_type, pattern), frozenset(positions))
+        last = (pattern, frozenset(positions))
         yield last
 
 
 def _enumerate_bags(plog, max_size, extend):
-    # a child adds an element no smaller than its parent's last one (sets:
-    # strictly larger), so it walks the sorted descriptors from there; its
-    # match is the parent's support narrowed by the new element's postings,
-    # or, for one more copy of the last element, by that element's count
+    # a child adds a code no smaller than its parent's last one (sets:
+    # strictly larger), so it walks the codes from there; its match is the
+    # parent's support narrowed by the new code's postings, or, for one more
+    # copy of the last code, by that code's count
     is_set = plog.spec.bk_type is BkType.SET
     counters = plog.elem_counters
     postings = plog.postings
-    order = sorted(postings, key=ProjectedEvent.sort_key)
 
     def grow(elems, support, start, repeats):
-        for j in range(start, len(order)):
-            e = order[j]
+        for e in range(start, len(postings)):
             if elems and e == elems[-1]:
                 count = repeats + 1
                 matched = frozenset(i for i in support if counters[i][e] >= count)
@@ -309,10 +313,9 @@ def _enumerate_bags(plog, max_size, extend):
             if not matched:
                 continue
             new = elems + (e,)
-            cand = Candidate(plog.spec.bk_type, new)
-            yield cand, matched
-            if len(new) < max_size and (extend is None or extend(cand, matched)):
-                yield from grow(new, matched, j + 1 if is_set else j, count)
+            yield new, matched
+            if len(new) < max_size and (extend is None or extend(new, matched)):
+                yield from grow(new, matched, e + 1 if is_set else e, count)
 
     yield from grow((), frozenset(range(len(plog.traces))), 0, 0)
 

@@ -2,7 +2,9 @@
 
 Timestamps are parsed to whole epoch seconds (UTC; naive stamps are taken as
 UTC).  Both formats round-trip every modeled field: case id, activity,
-resource, timestamp and the declared case-level sensitive attributes.
+resource, timestamp and the declared case-level sensitive attributes.  XES
+values keep the type their tag names; CSV cells are text, so CSV sensitive
+values are read as numbers where they parse.
 """
 
 from __future__ import annotations
@@ -217,9 +219,22 @@ _XES_NS = "http://www.xes-standard.org/"
 _XES_HEADER = "<?xml version='1.0' encoding='utf-8'?>\n"
 _XES_LOG_TAG = f'<log xes.version="2.0" xmlns="{_XES_NS}"'
 
-# XES attribute tags whose value is kept as the text it is, and the numeric ones
-_XES_TEXT_TAGS = frozenset({"string", "date", "boolean", "id"})
-_XES_NUMBER_TAGS = {"int": int, "float": float}
+
+def _xes_float(text):
+    """A float, or its text when not finite (as :func:`_coerce_value`)."""
+    value = float(text)
+    return value if math.isfinite(value) else str(value)
+
+
+def _xes_boolean(text):
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# XES attribute tags whose value is kept as the text it is, and the typed ones
+_XES_TEXT_TAGS = frozenset({"string", "date", "id"})
+_XES_CASTS = {"int": int, "float": _xes_float, "boolean": _xes_boolean}
 
 # the escaping ElementTree applies to attribute values, in one pass
 _ATTR_ESCAPES = str.maketrans(
@@ -235,8 +250,8 @@ _ATTR_ESCAPES = str.maketrans(
 )
 
 
-def _bad_number(path, case_id, tag, key, value) -> LogError:
-    """The error for a kept numeric XES attribute whose value does not cast;
+def _bad_value(path, case_id, tag, key, value) -> LogError:
+    """The error for a kept typed XES attribute whose value does not cast;
     ``case_id`` is None when the trace has no readable case id."""
     where = f"{path}: " if case_id is None else f"{path}: case {case_id!r}: "
     what = "no value" if value is None else f"bad value {value!r}"
@@ -258,7 +273,11 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
     org:resource, time:timestamp.  Declared sensitive attributes are read
     from trace-level attributes (missing ones become explicit nulls); other
     trace/event attributes are dropped with a counted warning.  Only direct
-    children of ``<trace>`` and ``<event>`` are attributes.
+    children of ``<trace>`` and ``<event>`` are attributes.  A value is read
+    by its tag: ``<string>``, ``<id>`` and ``<date>`` verbatim, ``<int>`` and
+    ``<float>`` as numbers (a non-finite float as its text), ``<boolean>``
+    ``true``/``false`` as ``True``/``False``; any other value of a typed tag
+    is an error naming the file, case and key.
 
     The file is parsed as a stream: only the open trace is held, and each
     case is built when its ``</trace>`` closes.  A parse error anywhere in
@@ -308,7 +327,7 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
         if tag in _XES_TEXT_TAGS:
             out[key] = value
             return
-        cast = _XES_NUMBER_TAGS.get(tag)
+        cast = _XES_CASTS.get(tag)
         if cast is None:
             dropped_attrs += 1
             return
@@ -339,13 +358,13 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
         # checks in the order of a tree walk: trace attributes, then events
         case_id = trace_attrs.get("concept:name")
         if trace_error is not None:
-            raise _bad_number(path, case_id, *trace_error)
+            raise _bad_value(path, case_id, *trace_error)
         if case_id is None:
             raise LogError(f"{path}: trace without concept:name case id")
         stamped = []
         for ev_attrs in events:
             if isinstance(ev_attrs, tuple):  # a failed cast in this event
-                raise _bad_number(path, case_id, *ev_attrs)
+                raise _bad_value(path, case_id, *ev_attrs)
             activity = ev_attrs.get("concept:name")
             if activity is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without concept:name")
@@ -353,12 +372,11 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
             if stamp is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
             ts = parse_stamp(str(stamp))
-            stamped.append((ts, Event(str(activity), ev_attrs.get("org:resource"), ts)))
+            resource = ev_attrs.get("org:resource")
+            resource = None if resource is None else str(resource)
+            stamped.append((ts, Event(str(activity), resource, ts)))
         stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
-        sensitive = {
-            attr: _coerce_value(str(trace_attrs[attr])) if attr in trace_attrs else None
-            for attr in sensitive_attrs
-        }
+        sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
         return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
 
     parser = expat.ParserCreate(namespace_separator="}")

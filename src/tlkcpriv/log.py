@@ -7,8 +7,14 @@ since the Unix epoch (UTC); after relativization they encode offsets from a
 shared origin, which keeps timed matching a plain equality check.
 
 Logs are immutable after construction and all operations here are pure
-functions, safe for concurrent readers.  :meth:`EventLog.projected` caches a
-pure function in one assignment, so concurrent readers at worst project twice.
+functions, safe for concurrent readers.  :meth:`EventLog.coded` caches a pure
+function in one assignment, so concurrent readers at worst project twice.
+
+A projection is kept in integer codes: :meth:`EventLog.coded` numbers the
+log's distinct descriptors in their canonical order, so the analysis hashes,
+compares and sorts small ints and meets :class:`ProjectedEvent` objects only
+where its results leave.  :meth:`EventLog.projected` decodes the same
+projection for the callers that want descriptors.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -38,6 +45,10 @@ __all__ = [
     "directly_follows",
     "discretize_sensitive",
 ]
+
+
+# the event field behind each letter of a perspective's value, in that order
+_FIELDS = {"A": "activity", "R": "resource", "T": "timestamp"}
 
 
 class LogError(ValueError):
@@ -149,9 +160,9 @@ class EventLog:
     instances: tuple
     sensitive_attrs: tuple = ()
 
-    # ((ps, accuracy), traces) of the last projection; not a field, so it
-    # stays out of the constructor, ``==`` and ``repr``
-    _projection = (None, ())
+    # ((ps, accuracy), (traces, alphabet)) of the last projection; not a
+    # field, so it stays out of the constructor, ``==`` and ``repr``
+    _projection = (None, ((), ()))
 
     def __post_init__(self):
         instances = tuple(self.instances)
@@ -198,21 +209,31 @@ class EventLog:
             ev.resource is not None for inst in self.instances for ev in inst.trace
         )
 
+    def coded(
+        self, ps: Perspective, accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS
+    ) -> tuple:
+        """``(traces, alphabet)``: every case's trace projected on ``ps`` (see
+        :func:`project`) as a tuple of descriptor codes, in case order, and
+        ``alphabet[c]``, the descriptor of code ``c``.
+
+        Codes number the distinct descriptors in canonical order
+        (:meth:`ProjectedEvent.sort_key`), so codes compare as their
+        descriptors do.  The last ``(ps, accuracy)`` asked for is kept, so
+        each greedy round projects once."""
+        key, coded = self._projection
+        if key != (ps, accuracy):
+            coded = _encode(self.instances, ps, accuracy)
+            object.__setattr__(self, "_projection", ((ps, accuracy), coded))
+        return coded
+
     def projected(
         self, ps: Perspective, accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS
     ) -> tuple:
-        """Every case's trace projected on ``ps`` (see :func:`project`), in case order.
-
-        The last ``(ps, accuracy)`` asked for is kept, so each greedy round
-        projects once."""
-        key, traces = self._projection
-        if key != (ps, accuracy):
-            traces = tuple(
-                project(inst.trace, ps, accuracy, case_id=inst.case_id)
-                for inst in self.instances
-            )
-            object.__setattr__(self, "_projection", ((ps, accuracy), traces))
-        return traces
+        """Every case's trace projected on ``ps``, in case order: :meth:`coded`,
+        decoded, with one shared object per distinct descriptor."""
+        traces, alphabet = self.coded(ps, accuracy)
+        decode = alphabet.__getitem__
+        return tuple(tuple(map(decode, trace)) for trace in traces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -280,6 +301,34 @@ def project(
             )
         )
     return tuple(out)
+
+
+def _encode(instances, ps: Perspective, accuracy: TimestampAccuracy) -> tuple:
+    """The ``(traces, alphabet)`` of :meth:`EventLog.coded`: one pass collects
+    the distinct tuples of kept fields, a second maps each event to the code
+    of the descriptor its tuple floors to."""
+    kept = [_FIELDS[letter] for letter in ps.value]
+    fields = attrgetter(*kept)
+    seen = set()
+    for inst in instances:
+        seen.update(map(fields, inst.trace))
+    unit = accuracy.unit_seconds
+    descs = {}
+    for values in seen:
+        got = dict(zip(kept, values if len(kept) > 1 else (values,)))
+        stamp = got.get("timestamp")
+        descs[values] = (
+            got.get("activity"), got.get("resource"), None if stamp is None else stamp // unit
+        )
+    if ps.has_resource and any(d[1] is None for d in descs.values()):
+        for inst in instances:  # raises at the first event without a resource
+            project(inst.trace, ps, accuracy, case_id=inst.case_id)
+    events = {d: ProjectedEvent(*d) for d in descs.values()}
+    order = sorted(events, key=lambda d: events[d].sort_key())
+    rank = {d: c for c, d in enumerate(order)}
+    code = {values: rank[d] for values, d in descs.items()}.__getitem__
+    traces = tuple(tuple(map(code, map(fields, inst.trace))) for inst in instances)
+    return traces, tuple(events[d] for d in order)
 
 
 def is_subsequence(small: Sequence, big: Sequence) -> bool:

@@ -5,6 +5,7 @@ are filled cell by cell, and XES goes through a whole ElementTree.
 """
 
 import itertools
+import math
 import random
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -24,8 +25,7 @@ from tlkcpriv import (
 )
 from tlkcpriv.io import (
     ISO_FORMAT,
-    _bad_number,
-    _coerce_value,
+    _bad_value,
     _format_timestamp,
     _parse_timestamp,
 )
@@ -137,6 +137,57 @@ def brute_mvt(log: EventLog, bk_type, bk_attr, ps, unit, L, K, C, sensitive, foc
         if all(verdict_ok(sub) for sub in proper_subs(elements)):
             result.add(Candidate(bk_type, elements))
     return result
+
+
+def proper_sub_candidates(cand: Candidate):
+    """Every non-empty proper sub-candidate of ``cand``, any size, each once."""
+    seen = set()
+    for size in range(1, cand.size):
+        for positions in itertools.combinations(range(cand.size), size):
+            sub = Candidate(cand.bk_type, tuple(cand.elements[i] for i in positions))
+            if sub not in seen:
+                seen.add(sub)
+                yield sub
+
+
+def brute_mft(log: EventLog, ps: Perspective, unit: int, theta: float):
+    """Maximal frequent subtraces by exhaustive search: {pattern: support}."""
+    traces = [project_raw(inst, ps, unit) for inst in log]
+    threshold = max(1, math.ceil(theta * len(traces)))
+    patterns = {
+        tuple(t[i] for i in positions)
+        for t in traces
+        for size in range(1, len(t) + 1)
+        for positions in itertools.combinations(range(len(t)), size)
+    }
+    support = {p: sum(contains(BkType.SEQ, p, t) for t in traces) for p in patterns}
+    frequent = [p for p, n in support.items() if n >= threshold]
+    return {
+        p: support[p]
+        for p in frequent
+        if not any(len(q) > len(p) and contains(BkType.SEQ, p, q) for q in frequent)
+    }
+
+
+def brute_coverage(log: EventLog, ps: Perspective, unit: int):
+    """Per descriptor, the fraction of cases whose projection holds it."""
+    traces = [set(project_raw(inst, ps, unit)) for inst in log]
+    present = set().union(*traces)
+    return {e: sum(e in t for t in traces) / len(traces) for e in present}
+
+
+def brute_suppress(log: EventLog, descriptors, ps: Perspective, unit: int):
+    """Every case without the events projecting onto ``descriptors``, emptied
+    cases dropped: (kept instances, dropped ids)."""
+    kept, dropped = [], []
+    for inst in log:
+        descs = project_raw(inst, ps, unit)
+        trace = tuple(ev for ev, d in zip(inst.trace, descs) if d not in descriptors)
+        if trace:
+            kept.append(ProcessInstance(inst.case_id, trace, inst.sensitive))
+        else:
+            dropped.append(inst.case_id)
+    return tuple(kept), tuple(dropped)
 
 
 def brute_focal(log: EventLog, attrs):
@@ -320,16 +371,19 @@ def tree_read_xes(path, sensitive_attrs=()):
                 if tag == "int":
                     out[key] = int(value)
                 elif tag == "float":
-                    out[key] = float(value)
-                elif tag in ("string", "date", "boolean", "id"):
+                    number = float(value)
+                    out[key] = number if math.isfinite(number) else str(number)
+                elif tag == "boolean":
+                    out[key] = {"true": True, "false": False}[value]
+                elif tag in ("string", "date", "id"):
                     out[key] = value
                 else:
                     dropped_attrs += 1
-            except (TypeError, ValueError):
+            except (KeyError, TypeError, ValueError):
                 error = error or (tag, key, value)
         if error is not None:
             owner = out.get("concept:name") if case_id is None else case_id
-            raise _bad_number(path, owner, *error)
+            raise _bad_value(path, owner, *error)
         return out
 
     for trace_el in root:
@@ -349,12 +403,11 @@ def tree_read_xes(path, sensitive_attrs=()):
             if stamp is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
             ts = _parse_timestamp(str(stamp), ISO_FORMAT)
-            events.append((ts, pos, Event(str(activity), ev_attrs.get("org:resource"), ts)))
+            resource = ev_attrs.get("org:resource")
+            resource = None if resource is None else str(resource)
+            events.append((ts, pos, Event(str(activity), resource, ts)))
         events.sort(key=lambda t: (t[0], t[1]))
-        sensitive = {
-            attr: _coerce_value(str(trace_attrs[attr])) if attr in trace_attrs else None
-            for attr in sensitive_attrs
-        }
+        sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
         instances.append(
             ProcessInstance(str(case_id), tuple(ev for _, _, ev in events), sensitive)
         )

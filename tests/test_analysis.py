@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,15 @@ from tlkcpriv import (
 )
 
 from .conftest import build_log
-from .oracles import brute_focal, brute_mvt, random_log
+from .oracles import (
+    brute_coverage,
+    brute_focal,
+    brute_mft,
+    brute_mvt,
+    proper_sub_candidates,
+    random_log,
+)
+from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
 
@@ -164,8 +173,8 @@ class TestMvt:
         checker = _Checker(treatment_log, reference_params)
         for cand, verdict in treatment_mvt:
             assert not verdict.ok
-            for sub in cand.proper_sub_candidates():
-                indices = checker.plog.match_indices(sub)
+            for sub in proper_sub_candidates(cand):
+                indices = checker.plog.match_candidate(sub)
                 assert indices, "sub-candidates of realized candidates are realized"
                 assert checker.verdict_for_indices(indices).ok
 
@@ -196,6 +205,31 @@ class TestMvt:
                         brute_focal(log, ("Disease",)),
                     )
                     assert got == oracle
+
+
+    @pytest.mark.parametrize("bk", ["seq/ar", "set/ar", "mult/ac", "rel/ar"])
+    def test_descriptor_hashes_do_not_grow_with_the_events(self, bk, monkeypatch):
+        # the enumeration works on descriptor codes: descriptors are hashed
+        # or compared only to code the alphabet and to hand out the result
+        log = _synthetic_big_log(200, 4025)
+        params = PrivacyParams(
+            accuracy="hours", L=2, K=5, C=0.8, bk=bk, sensitive=("Disease",)
+        )
+        calls = Counter()
+        for name in ("__hash__", "__eq__"):
+            inner = getattr(ProjectedEvent, name)
+
+            def counted(*args, inner=inner, name=name):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(ProjectedEvent, name, counted)
+        mvt = enumerate_mvt(log, params)
+        monkeypatch.undo()
+        alphabet = {e for t in log.projected(params.perspective, HOURS) for e in t}
+        bound = len(alphabet) + sum(c.size for c in mvt.candidates)
+        assert len(mvt) > 0
+        assert calls["__hash__"] + calls["__eq__"] <= bound, calls
 
 
 class TestMft:
@@ -254,6 +288,24 @@ class TestMft:
 
     def test_theta_above_one_is_empty(self, treatment_log):
         assert len(enumerate_mft(treatment_log, Perspective.ART, 1.1, HOURS)) == 0
+
+
+class TestCodedPathsAgainstOracles:
+    def test_mft_and_coverage_on_random_logs(self):
+        rng = random.Random(1717)
+        for _ in range(12):
+            log = random_log(rng, max_cases=6, max_events=5)
+            for bk_type in BkType:
+                for bk_attr in BkAttr:
+                    ps = BkSpec(bk_type, bk_attr).perspective
+                    theta = rng.choice([0.0, 0.3, 0.5, 1.0])
+                    got = enumerate_mft(log, ps, theta, HOURS)
+                    assert dict(got) == brute_mft(log, ps, 3600, theta)
+                    patterns = [p for p, _ in got]
+                    assert patterns == sorted(
+                        patterns, key=lambda p: (len(p), [e.sort_key() for e in p])
+                    )
+                    assert coverage(log, ps, HOURS) == brute_coverage(log, ps, 3600)
 
 
 class TestScores:

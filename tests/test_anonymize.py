@@ -39,7 +39,7 @@ from .conftest import (
     build_log,
     hours_view,
 )
-from .oracles import random_log
+from .oracles import brute_suppress, random_log
 from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
@@ -86,6 +86,24 @@ class TestSuppressGlobal:
     def test_duplicate_descriptor_rejected(self):
         with pytest.raises(LogError):
             SuppressionSet((pe("a"), pe("a")))
+
+
+    def test_matches_oracle_on_random_logs(self):
+        rng = random.Random(5150)
+        for _ in range(12):
+            log = random_log(rng, max_cases=6, max_events=5)
+            for bk_type in BkType:
+                for bk_attr in BkAttr:
+                    ps = BkSpec(bk_type, bk_attr).perspective
+                    present = sorted(
+                        {e for t in log.projected(ps, HOURS) for e in t},
+                        key=ProjectedEvent.sort_key,
+                    )
+                    chosen = rng.sample(present, rng.randint(0, len(present)))
+                    chosen.append(ProjectedEvent("zz", "zz", 999))  # in no trace
+                    out, dropped = suppress_global(log, chosen, ps, HOURS)
+                    kept, want_dropped = brute_suppress(log, set(chosen), ps, 3600)
+                    assert (out.instances, dropped) == (kept, want_dropped)
 
 
 class TestGreedy:
@@ -374,17 +392,18 @@ class TestOneProjectionPerRound:
         return truncate_to_accuracy(_synthetic_big_log(200, 4025), HOURS)
 
     @pytest.fixture
-    def project_calls(self, monkeypatch):
+    def builds(self, monkeypatch):
+        """The perspectives of the projections ``EventLog`` builds."""
         import tlkcpriv.log
 
         calls = []
-        original = tlkcpriv.log.project
+        original = tlkcpriv.log._encode
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return original(*args, **kwargs)
+        def counting(instances, ps, accuracy):
+            calls.append(ps)
+            return original(instances, ps, accuracy)
 
-        monkeypatch.setattr(tlkcpriv.log, "project", counting)
+        monkeypatch.setattr(tlkcpriv.log, "_encode", counting)
         return calls
 
     @pytest.mark.parametrize(
@@ -392,7 +411,7 @@ class TestOneProjectionPerRound:
         [TlkcAnonymizer(theta=0.2, **COMMON), TlkcExtAnonymizer(**COMMON)],
         ids=["tlkc", "tlkc-ext"],
     )
-    def test_greedy_rounds(self, anonymizer, project_calls, monkeypatch):
+    def test_greedy_rounds(self, anonymizer, builds, monkeypatch):
         import tlkcpriv.anonymize
 
         round_sizes = []
@@ -405,9 +424,8 @@ class TestOneProjectionPerRound:
         monkeypatch.setattr(tlkcpriv.anonymize, "enumerate_mvt", recording)
         result = anonymizer.anonymize(self._log())
         assert len(round_sizes) >= 2 and result.dropped_cases
-        assert len(project_calls) == sum(round_sizes)
+        assert builds == [Perspective.AR] * len(round_sizes)
 
-    def test_audit(self, project_calls):
-        log = self._log()
-        audit_tlkc(log, PrivacyParams(**self.COMMON))
-        assert len(project_calls) == len(log)
+    def test_audit(self, builds):
+        audit_tlkc(self._log(), PrivacyParams(**self.COMMON))
+        assert builds == [Perspective.AR]

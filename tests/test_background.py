@@ -23,7 +23,7 @@ from tlkcpriv import (
 from tlkcpriv.background import ProjectedLog
 
 from .conftest import build_log
-from .oracles import all_candidates, brute_match, random_log
+from .oracles import all_candidates, brute_match, proper_sub_candidates, random_log
 
 HOURS = TimestampAccuracy.HOURS
 SECONDS = TimestampAccuracy.SECONDS
@@ -111,7 +111,7 @@ class TestMatch:
                             spec.perspective, HOURS.unit_seconds,
                         )
                         assert indices == oracle
-                        assert plog.match_indices(cand) == oracle
+                        assert plog.match_candidate(cand) == oracle
                         triple_repeats += (
                             bk_type is BkType.MULT and cand.size == 3 and len(set(cand.elements)) == 1
                         )
@@ -127,7 +127,7 @@ class TestMatch:
             "zz" if ps.has_resource else None,
             999 if ps.has_time else None,
         )
-        present = sorted(plog.postings, key=ProjectedEvent.sort_key)
+        present = plog.alphabet
         e = present[0]
         probes = [(absent,), (e, absent), (absent, e), (e, e), (e, e, e)]
         probes += [tuple(rng.choices(present, k=rng.randint(1, 3))) for _ in range(30)]
@@ -149,7 +149,7 @@ class TestMatch:
                             log, bk_type, bk_attr, cand.elements,
                             spec.perspective, HOURS.unit_seconds,
                         )
-                        assert plog.match_indices(cand) == oracle, cand
+                        assert plog.match_candidate(cand) == oracle, cand
                         empty += not oracle
         assert empty > 0
 
@@ -184,7 +184,7 @@ class TestMatch:
                             for e in set(cand.elements)
                         ]
                         calls.clear()
-                        plog.match_indices(cand)
+                        plog.match_candidate(cand)
                         assert len(calls) <= len(frozenset.intersection(*holders)), cand
                         decided = (
                             bk_type is BkType.SET
@@ -210,7 +210,7 @@ class TestMatch:
                 spec = BkSpec(bk_type, BkAttr.AC)
                 matches = dict(enumerate_candidates(log, spec, 3, HOURS))
                 for cand, indices in matches.items():
-                    for sub in cand.proper_sub_candidates():
+                    for sub in proper_sub_candidates(cand):
                         if sub in matches:
                             assert indices <= matches[sub]
 

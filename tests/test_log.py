@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlkcpriv import (
@@ -91,6 +91,24 @@ class TestProject:
             project(case(log, "42").trace, Perspective.R, case_id="42")
 
 
+@st.composite
+def coded_logs(draw):
+    """Small logs with shared and missing resources, optionally relativized
+    to an origin that may be negative."""
+    resources = ["r1", "r2", ""] + [None] * draw(st.booleans())
+    instances = []
+    for i in range(draw(st.integers(0, 5))):
+        stamps = sorted(draw(st.lists(st.integers(0, 3 * 86400), min_size=1, max_size=5)))
+        trace = tuple(
+            Event(draw(st.sampled_from("abc")), draw(st.sampled_from(resources)), ts)
+            for ts in stamps
+        )
+        instances.append(ProcessInstance(str(i), trace))
+    log = EventLog(tuple(instances))
+    t0 = draw(st.none() | st.integers(-3 * 86400, 86400))
+    return log if t0 is None else relativize_log(log, t0)
+
+
 class TestProjectedLog:
     KEYS = [(ps, acc) for ps in Perspective for acc in TimestampAccuracy]
 
@@ -102,9 +120,35 @@ class TestProjectedLog:
             for ps, acc in self.KEYS:
                 want = tuple(project(inst.trace, ps, acc, inst.case_id) for inst in log)
                 assert log.projected(ps, acc) == want
-                assert log.projected(ps, acc) is log.projected(ps, acc)
+                assert log.coded(ps, acc) is log.coded(ps, acc)
             # the first key was evicted long ago and comes back equal
             assert log.projected(*self.KEYS[0]) == first
+
+    @settings(max_examples=120, deadline=None)
+    @given(log=coded_logs())
+    def test_coded_is_the_projection_in_canonical_codes(self, log):
+        first = None
+        for ps, acc in self.KEYS:
+            try:
+                want = tuple(project(inst.trace, ps, acc, inst.case_id) for inst in log)
+            except MissingResourceError as exc:
+                with pytest.raises(MissingResourceError) as got:
+                    log.coded(ps, acc)
+                assert str(got.value) == str(exc)
+                continue
+            coded = log.coded(ps, acc)
+            first = first or ((ps, acc), coded)
+            traces, alphabet = coded
+            keys = [e.sort_key() for e in alphabet]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert tuple(tuple(alphabet[c] for c in t) for t in traces) == want
+            assert set(alphabet) == {e for t in want for e in t}
+            assert log.coded(ps, acc) is coded
+            assert log.projected(ps, acc) == want
+        if first is not None:
+            # one slot: the first key was evicted and comes back rebuilt, equal
+            key, coded = first
+            assert log.coded(*key) == coded and log.coded(*key) is not coded
 
     def test_default_accuracy_is_seconds(self, treatment_log):
         log = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)

@@ -17,7 +17,7 @@ FLAGS = [
     "-T", "hours", "-L", "2", "-K", "2", "-C", "0.5", "--theta", "0.25",
     "--bk", "rel/ar", "--sensitive", "Disease",
 ]
-GREEDY = {"analysis.mvt", "anonymize.suppress"}
+GREEDY = {"analysis.mvt", "anonymize.suppress", "background.project", "background.match"}
 
 
 @pytest.mark.parametrize(
@@ -37,7 +37,7 @@ def test_anonymize_job_hits_its_trace_points(tmp_path, algorithm, layers):
         assert tracer.job(0, main, argv) == 0
     names = {span["name"] for span in tracer.spans}
     assert {"cli", "io.read", "io.write", "anonymize.total"} | layers <= names
-    unexpected = {"analysis.mvt", "analysis.mft"} - layers
+    unexpected = {"analysis.mvt", "analysis.mft", "background.project"} - layers
     assert not unexpected & names
     trace = JobTrace(tracer.spans)
     if layers:
@@ -45,3 +45,6 @@ def test_anonymize_job_hits_its_trace_points(tmp_path, algorithm, layers):
         assert trace.count("mvts") == 5
         assert trace.count("candidates") > 0  # background._enumerate was drawn from
         assert trace.count("iterations") > 0
+        # one projection per round; minimality checks match sub-candidates
+        assert trace.calls("background.project") == 1
+        assert trace.calls("background.match") == 2
