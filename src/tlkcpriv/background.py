@@ -136,8 +136,9 @@ class ProjectedLog:
     ``alphabet[c]`` is the descriptor of code ``c`` (see
     :meth:`EventLog.coded`); codes follow the canonical descriptor order, so
     enumeration and tie-breaks sort plain ints.  Beside the traces it keeps
-    their code counters and one inverted index: ``postings[c]`` is the
-    frozenset of trace indices whose projection holds code ``c``.  A
+    one inverted index: ``postings[c]`` is the frozenset of trace indices
+    whose projection holds code ``c``.  Multiset specs also keep each trace's
+    code counter in ``elem_counters`` (empty for every other spec).  A
     candidate can only match traces in the intersection of its elements'
     postings, so containment is tested on those traces alone, and not at all
     where the intersection already decides it (sets, multisets without
@@ -152,10 +153,11 @@ class ProjectedLog:
         self.spec = spec
         self.accuracy = accuracy
         self.traces, self.alphabet = log.coded(spec.perspective, accuracy)
-        self.elem_counters = tuple(map(Counter, self.traces))
+        is_mult = spec.bk_type is BkType.MULT
+        self.elem_counters = tuple(map(Counter, self.traces)) if is_mult else ()
         postings = [[] for _ in self.alphabet]
-        for i, counter in enumerate(self.elem_counters):
-            for c in counter:
+        for i, trace in enumerate(self.traces):
+            for c in set(trace):
                 postings[c].append(i)
         self.postings = tuple(map(frozenset, postings))
 

@@ -100,7 +100,8 @@ def _memoized(convert, arg):
 
 
 def _coerce_value(text):
-    """Sensitive attribute values: numbers where they parse, else strings.
+    """Sensitive attribute values: ``true``/``false`` (any case) as booleans,
+    numbers where they parse, else strings.
 
     Non-finite float spellings (``nan``, ``inf``, ``-inf``) stay text: a NaN
     is not equal to itself, so it could never match or group as a value.
@@ -110,6 +111,9 @@ def _coerce_value(text):
     text = text.strip()
     if text == "":
         return None
+    lowered = text.lower()
+    if lowered in ("true", "false"):  # as XES spells a boolean
+        return lowered == "true"
     try:
         return int(text)
     except ValueError:
@@ -173,13 +177,14 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
         events.sort(key=lambda t: (t[0], t[1]))  # stable: file order breaks ties
         sensitive = {}
         for attr in colmap.sensitive_cols:
-            values = {_coerce_value(row[attr]) for _, row in rows}
+            # keyed on the type too, as True == 1 == 1.0 would hide a conflict
+            values = {(type(v), v) for v in (_coerce_value(row[attr]) for _, row in rows)}
             if len(values) > 1:
                 raise LogError(
-                    f"{path}: case {cid!r} has conflicting values {sorted(map(str, values))} "
-                    f"for sensitive attribute {attr!r}"
+                    f"{path}: case {cid!r} has conflicting values "
+                    f"{sorted(str(v) for _, v in values)} for sensitive attribute {attr!r}"
                 )
-            sensitive[attr] = next(iter(values))
+            sensitive[attr] = next(iter(values))[1]
         instances.append(ProcessInstance(cid, tuple(ev for _, _, ev in events), sensitive))
     return EventLog(tuple(instances), tuple(colmap.sensitive_cols))
 
@@ -209,6 +214,8 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
                     row.append(ev.resource if ev.resource is not None else "")
                 for attr in colmap.sensitive_cols:
                     value = inst.sensitive.get(attr)
+                    if isinstance(value, bool):
+                        value = str(value).lower()  # the XES spelling
                     row.append("" if value is None else value)
                 writer.writerow(row)
 

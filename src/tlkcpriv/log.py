@@ -7,8 +7,11 @@ since the Unix epoch (UTC); after relativization they encode offsets from a
 shared origin, which keeps timed matching a plain equality check.
 
 Logs are immutable after construction and all operations here are pure
-functions, safe for concurrent readers.  :meth:`EventLog.coded` caches a pure
-function in one assignment, so concurrent readers at worst project twice.
+functions, safe for concurrent readers.  Events are values: equal events may
+be one shared object (:func:`truncate_to_accuracy` makes one per distinct
+floored event), and identity is not part of the model.
+:meth:`EventLog.coded` caches a pure function in one assignment, so
+concurrent readers at worst project twice.
 
 A projection is kept in integer codes: :meth:`EventLog.coded` numbers the
 log's distinct descriptors in their canonical order, so the analysis hashes,
@@ -114,7 +117,7 @@ class Perspective(Enum):
             raise LogError(f"unknown perspective {text!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A single event: activity label, optional resource, epoch-seconds timestamp."""
 
@@ -364,16 +367,22 @@ def relativize_log(log: EventLog, t0: int = 0) -> EventLog:
 
 
 def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog:
-    """Floor every timestamp to its accuracy-unit boundary (stable, idempotent)."""
+    """Floor every timestamp to its accuracy-unit boundary (stable, idempotent).
+
+    Equal floored events come out as one shared :class:`Event`, so a log
+    floored to hours holds one object per distinct event rather than one per
+    occurrence; identity is not part of the model.
+    """
     unit = accuracy.unit_seconds
     if unit == 1:
         return log
+    shared = _SharedEvents()
     return EventLog(
         tuple(
             ProcessInstance(
                 inst.case_id,
                 tuple(
-                    Event(ev.activity, ev.resource, ev.timestamp - ev.timestamp % unit)
+                    shared[ev.activity, ev.resource, ev.timestamp - ev.timestamp % unit]
                     for ev in inst.trace
                 ),
                 inst.sensitive,
@@ -382,6 +391,14 @@ def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog
         ),
         log.sensitive_attrs,
     )
+
+
+class _SharedEvents(dict):
+    """``(activity, resource, timestamp)`` -> the one :class:`Event` of it."""
+
+    def __missing__(self, key):
+        ev = self[key] = Event(*key)
+        return ev
 
 
 def variants(

@@ -50,6 +50,24 @@ def project_raw(inst, ps: Perspective, unit: int):
     return tuple(out)
 
 
+def per_event_truncate(log: EventLog, unit: int) -> EventLog:
+    """Every timestamp floored to ``unit`` seconds, one new event per event."""
+    return EventLog(
+        tuple(
+            ProcessInstance(
+                inst.case_id,
+                tuple(
+                    Event(ev.activity, ev.resource, ev.timestamp - ev.timestamp % unit)
+                    for ev in inst.trace
+                ),
+                inst.sensitive,
+            )
+            for inst in log
+        ),
+        log.sensitive_attrs,
+    )
+
+
 def contains(kind: BkType, elements, trace):
     if kind is BkType.SET:
         pool = set(trace)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -195,6 +196,21 @@ class TestMatch:
                             assert not calls, cand
                         checked += len(calls) > 0
         assert checked > 0
+
+    def test_postings_and_counters_follow_the_traces(self):
+        # counters are kept for multiset specs alone, which match repeats
+        rng = random.Random(1618)
+        for _ in range(10):
+            log = random_log(rng, max_cases=6, max_events=5)
+            for bk_type in BkType:
+                for bk_attr in BkAttr:
+                    plog = ProjectedLog(log, BkSpec(bk_type, bk_attr), HOURS)
+                    assert plog.postings == tuple(
+                        frozenset(i for i, trace in enumerate(plog.traces) if c in trace)
+                        for c in range(len(plog.alphabet))
+                    )
+                    counters = tuple(map(Counter, plog.traces))
+                    assert plog.elem_counters == (counters if bk_type is BkType.MULT else ())
 
     def test_anti_monotone(self, hospital_log):
         spec = BkSpec.parse("seq/ac")

@@ -65,12 +65,14 @@ class TestCsv:
         with pytest.raises(LogError, match="Timestamp"):
             read_csv(target, CsvColumnMap())
 
-    def test_conflicting_sensitive_values_rejected(self, tmp_path):
+    # True == 1 == 1.0 in Python, yet the cells name different values
+    @pytest.mark.parametrize("first, second", [("x", "y"), ("1", "true"), ("1", "1.0")])
+    def test_conflicting_sensitive_values_rejected(self, first, second, tmp_path):
         target = tmp_path / "log.csv"
         target.write_text(
             "CaseId,Activity,Timestamp,Resource,D\n"
-            "1,a,1970-01-01T00:00:00,r,x\n"
-            "1,b,1970-01-01T01:00:00,r,y\n"
+            f"1,a,1970-01-01T00:00:00,r,{first}\n"
+            f"1,b,1970-01-01T01:00:00,r,{second}\n"
         )
         with pytest.raises(LogError, match="conflicting"):
             read_csv(target, CsvColumnMap(sensitive_cols=("D",)))
@@ -116,6 +118,18 @@ class TestCsv:
         log = read_csv(target, CsvColumnMap(resource_col=None, sensitive_cols=("D",)))
         assert [i.sensitive["D"] for i in log] == ["nan", "inf", "-inf", 2.5]
 
+    def test_booleans_read_in_any_case(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp,B\n"
+            "1,a,1970-01-01T00:00:00, TRUE\n2,a,1970-01-01T00:00:00,False \n"
+            "3,a,1970-01-01T00:00:00,truth\n4,a,1970-01-01T00:00:00,1\n"
+        )
+        log = read_csv(target, CsvColumnMap(resource_col=None, sensitive_cols=("B",)))
+        got = [i.sensitive["B"] for i in log]
+        assert got == [True, False, "truth", 1]
+        assert [type(v) for v in got] == [bool, bool, str, int]
+
     def test_cells_are_taken_verbatim(self, tmp_path):
         target = tmp_path / "log.csv"
         target.write_text(
@@ -137,9 +151,10 @@ CSV_STANDARD = ("CaseId", "Activity", "Timestamp", "Resource")
 
 
 def _reads_as_text(value):
-    """Sensitive strings that read back as themselves: trimmed, non-empty and
-    not a finite number (numerals read back as numbers)."""
-    if value != value.strip() or not value:
+    """Sensitive strings that read back as themselves: trimmed, non-empty, not
+    a boolean and not a finite number (``true`` and numerals read back as
+    booleans and numbers)."""
+    if value != value.strip() or not value or value.lower() in ("true", "false"):
         return False
     for cast in (int, float):
         try:
@@ -155,6 +170,7 @@ NAN_LIKE = ["nan", "NaN", "inf", "-inf", "Infinity", "-nan", "1e999"]
 CSV_SENSITIVE_VALUES = {
     "int": st.integers(-(10**20), 10**20),
     "float": st.floats(),
+    "bool": st.booleans(),
     "str": st.one_of(st.sampled_from(NAN_LIKE), CSV_TEXT).map(str.strip).filter(_reads_as_text),
 }
 
@@ -209,6 +225,18 @@ class TestCsvRoundTrip:
         colmap = CsvColumnMap(sensitive_cols=log.sensitive_attrs)
         write_csv(log, target, colmap)
         assert read_csv(target, colmap) == _as_read_back(log)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_booleans_agree_with_xes(self, flag, tmp_path):
+        log = EventLog((ProcessInstance("1", (Event("a", "r", 0),), {"B": flag}),), ("B",))
+        colmap = CsvColumnMap(sensitive_cols=("B",))
+        write_csv(log, tmp_path / "log.csv", colmap)
+        write_xes(log, tmp_path / "log.xes")
+        via_csv = read_csv(tmp_path / "log.csv", colmap)
+        via_xes = read_xes(tmp_path / "log.xes", ("B",))
+        assert via_csv == via_xes == log
+        assert via_csv.instances[0].sensitive["B"] is flag
+        assert via_xes.instances[0].sensitive["B"] is flag
 
 
 class TestXes:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -24,7 +27,8 @@ from tlkcpriv import (
 )
 
 from .conftest import HOUR, build_log
-from .oracles import brute_directly_follows, random_log
+from .oracles import brute_directly_follows, per_event_truncate, random_log
+from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
 
@@ -55,6 +59,17 @@ class TestModel:
     def test_empty_activity_rejected(self):
         with pytest.raises(LogError):
             Event("", None, 0)
+
+    @pytest.mark.parametrize("ev", [Event("a", None, 7), Event("b", "r", -3600)])
+    def test_event_survives_pickle_copy_and_replace(self, ev):
+        assert not hasattr(ev, "__dict__")
+        assert pickle.loads(pickle.dumps(ev)) == ev
+        assert copy.copy(ev) == ev and copy.deepcopy(ev) == ev
+        assert dataclasses.replace(ev) == ev
+        moved = dataclasses.replace(ev, timestamp=9.0)
+        assert moved == Event(ev.activity, ev.resource, 9) and type(moved.timestamp) is int
+        with pytest.raises(LogError):
+            dataclasses.replace(ev, activity="")
 
 
 class TestProject:
@@ -217,6 +232,19 @@ class TestTruncate:
         assert once == twice
         for before, after in zip(hospital_log, once):
             assert [e.activity for e in before.trace] == [e.activity for e in after.trace]
+
+    @settings(max_examples=120, deadline=None)
+    @given(log=coded_logs())
+    def test_equals_the_per_event_floor(self, log):
+        for acc in TimestampAccuracy:
+            once = truncate_to_accuracy(log, acc)
+            assert once == per_event_truncate(log, acc.unit_seconds)
+            assert truncate_to_accuracy(once, acc) == once
+
+    def test_equal_floored_events_are_one_object(self):
+        log = truncate_to_accuracy(_synthetic_big_log(2000, 4025), HOURS)
+        events = [ev for inst in log for ev in inst.trace]
+        assert len({id(ev) for ev in events}) == len(set(events)) < len(events)
 
     def test_treatment_log_hours_are_integral(self, treatment_log):
         got = truncate_to_accuracy(treatment_log, HOURS)
