@@ -112,17 +112,20 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 def _load_prepared(config: RunConfig) -> EventLog:
     if not config.input:
         raise LogError("no input log given (use --input)")
+    accuracy = TimestampAccuracy.parse(config.accuracy)
+    # rebasing shifts each case by its own offset, so it must see exact seconds
     log = load_log(
         config.input,
         fmt=config.format,
         colmap=config.colmap(),
         sensitive_attrs=config.sensitive,
+        accuracy=TimestampAccuracy.SECONDS if config.relativize else accuracy,
     )
     for attr in config.discretize:
         log = discretize_sensitive(log, attr)
     if config.relativize:
-        log = relativize_log(log, t0=0)
-    return truncate_to_accuracy(log, TimestampAccuracy.parse(config.accuracy))
+        log = truncate_to_accuracy(relativize_log(log, t0=0), accuracy)
+    return log
 
 
 def _privacy_params(config: RunConfig) -> PrivacyParams:

@@ -1,7 +1,10 @@
 """Reading and writing event logs (XES, CSV) and run configuration.
 
 Timestamps are parsed to whole epoch seconds (UTC; naive stamps are taken as
-UTC).  Both formats round-trip every modeled field: case id, activity,
+UTC).  Each reader floors them to its ``accuracy`` as it reads, sharing equal
+events as :func:`~tlkcpriv.log.truncate_to_accuracy` does, but orders each
+case on the exact seconds: a read at ``T`` equals a read at seconds truncated
+to ``T``.  Both formats round-trip every modeled field: case id, activity,
 resource, timestamp and the declared case-level sensitive attributes.  XES
 values keep the type their tag names; CSV cells are text, so CSV sensitive
 values are read as numbers where they parse.
@@ -20,7 +23,7 @@ from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
 
 from .analysis import check_requirements
-from .log import Event, EventLog, LogError, ProcessInstance
+from .log import EventLog, LogError, ProcessInstance, TimestampAccuracy, _SharedEvents
 
 __all__ = [
     "LogFileError",
@@ -128,14 +131,20 @@ def _coerce_value(text):
 # --- CSV --------------------------------------------------------------------
 
 
-def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
-    """Load a flat CSV log: rows grouped by case, ordered by timestamp (stable).
+def read_csv(
+    path, colmap: CsvColumnMap = CsvColumnMap(), accuracy=TimestampAccuracy.SECONDS
+) -> EventLog:
+    """Load a flat CSV log: rows grouped by case, ordered by timestamp (stable),
+    each timestamp then floored to ``accuracy``.
 
     Case ids, activities and resources are taken verbatim, so that whatever
     :func:`write_csv` writes reads back the same; an empty resource cell
-    means no resource.
+    means no resource.  Errors name the file and the row.
     """
     path = Path(path)
+    unit = TimestampAccuracy.parse(accuracy).unit_seconds
+    parse_stamp = _memoized(_parse_timestamp, colmap.timestamp_format)
+    shared = _SharedEvents()
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
@@ -150,42 +159,36 @@ def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
         missing = [c for c in needed if c not in header]
         if missing:
             raise LogError(f"{path}: missing columns {missing}; header is {header}")
-        rows_by_case: dict = {}
-        order: list = []
-        for lineno, row in enumerate(reader):
-            cid = row[colmap.case_col]
+        cases: dict = {}  # case id -> its (exact timestamp, event) pairs and its rows
+        for lineno, row in enumerate(reader, start=2):
+            cid, activity = row[colmap.case_col], row[colmap.activity_col]
             if not cid:
-                raise LogError(f"{path}: row {lineno + 2} has an empty case id")
-            if not row[colmap.activity_col]:
-                raise LogError(f"{path}: row {lineno + 2} has an empty activity")
-            if cid not in rows_by_case:
-                rows_by_case[cid] = []
-                order.append(cid)
-            rows_by_case[cid].append((lineno, row))
+                raise LogError(f"{path}: row {lineno} has an empty case id")
+            if not activity:
+                raise LogError(f"{path}: row {lineno} has an empty activity")
+            try:
+                ts = parse_stamp(row[colmap.timestamp_col])
+            except LogError as exc:
+                raise LogError(f"{path}: row {lineno}: {exc}") from None
+            resource = (row[colmap.resource_col] or None) if colmap.resource_col else None
+            events, rows = cases.setdefault(cid, ([], []))
+            events.append((ts, shared[activity, resource, ts - ts % unit]))
+            rows.append(row)
 
-    parse_stamp = _memoized(_parse_timestamp, colmap.timestamp_format)
     instances = []
-    for cid in order:
-        rows = rows_by_case[cid]
-        events = []
-        for lineno, row in rows:
-            ts = parse_stamp(row[colmap.timestamp_col])
-            resource = None
-            if colmap.resource_col:
-                resource = row[colmap.resource_col] or None
-            events.append((ts, lineno, Event(row[colmap.activity_col], resource, ts)))
-        events.sort(key=lambda t: (t[0], t[1]))  # stable: file order breaks ties
+    for cid, (events, rows) in cases.items():
+        events.sort(key=itemgetter(0))  # stable: file order breaks ties
         sensitive = {}
         for attr in colmap.sensitive_cols:
             # keyed on the type too, as True == 1 == 1.0 would hide a conflict
-            values = {(type(v), v) for v in (_coerce_value(row[attr]) for _, row in rows)}
+            values = {(type(v), v) for v in (_coerce_value(row[attr]) for row in rows)}
             if len(values) > 1:
                 raise LogError(
                     f"{path}: case {cid!r} has conflicting values "
                     f"{sorted(str(v) for _, v in values)} for sensitive attribute {attr!r}"
                 )
             sensitive[attr] = next(iter(values))[1]
-        instances.append(ProcessInstance(cid, tuple(ev for _, _, ev in events), sensitive))
+        instances.append(ProcessInstance(cid, tuple(ev for _, ev in events), sensitive))
     return EventLog(tuple(instances), tuple(colmap.sensitive_cols))
 
 
@@ -273,8 +276,9 @@ class _LocalNames(dict):
         return tag
 
 
-def read_xes(path, sensitive_attrs=()) -> EventLog:
-    """Load an XES log.
+def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> EventLog:
+    """Load an XES log; each case is ordered by timestamp (stable), and each
+    timestamp then floored to ``accuracy``.
 
     Standard keys: concept:name (case id on traces, activity on events),
     org:resource, time:timestamp.  Declared sensitive attributes are read
@@ -284,7 +288,7 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
     by its tag: ``<string>``, ``<id>`` and ``<date>`` verbatim, ``<int>`` and
     ``<float>`` as numbers (a non-finite float as its text), ``<boolean>``
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
-    is an error naming the file, case and key.
+    is an error naming the file, case and key, as is an unparsable timestamp.
 
     The file is parsed as a stream: only the open trace is held, and each
     case is built when its ``</trace>`` closes.  A parse error anywhere in
@@ -294,7 +298,9 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
     path = Path(path)
     sensitive_attrs = tuple(sensitive_attrs)
     kept_keys = {"concept:name", "org:resource", "time:timestamp", *sensitive_attrs}
+    unit = TimestampAccuracy.parse(accuracy).unit_seconds
     parse_stamp = _memoized(_parse_timestamp, ISO_FORMAT)
+    shared = _SharedEvents()
     local_names = _LocalNames()
     instances = []
     dropped_attrs = 0
@@ -378,10 +384,13 @@ def read_xes(path, sensitive_attrs=()) -> EventLog:
             stamp = ev_attrs.get("time:timestamp")
             if stamp is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
-            ts = parse_stamp(str(stamp))
+            try:
+                ts = parse_stamp(str(stamp))
+            except LogError as exc:
+                raise LogError(f"{path}: case {case_id!r}: {exc}") from None
             resource = ev_attrs.get("org:resource")
             resource = None if resource is None else str(resource)
-            stamped.append((ts, Event(str(activity), resource, ts)))
+            stamped.append((ts, shared[str(activity), resource, ts - ts % unit]))
         stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
         sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
         return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
@@ -453,13 +462,16 @@ def write_xes(log: EventLog, path) -> None:
 # --- format dispatch ----------------------------------------------------------
 
 
-def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None, sensitive_attrs=()) -> EventLog:
+def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None, sensitive_attrs=(),
+             accuracy=TimestampAccuracy.SECONDS) -> EventLog:
+    """Read an XES or CSV log (by ``fmt`` or the file suffix), its timestamps
+    floored to ``accuracy`` as read."""
     fmt = fmt or _infer_format(path)
     if fmt == "xes":
-        return read_xes(path, sensitive_attrs)
+        return read_xes(path, sensitive_attrs, accuracy)
     if fmt == "csv":
         colmap = colmap or CsvColumnMap(sensitive_cols=tuple(sensitive_attrs))
-        return read_csv(path, colmap)
+        return read_csv(path, colmap, accuracy)
     raise LogError(f"unknown log format {fmt!r} (expected xes or csv)")
 
 

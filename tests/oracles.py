@@ -420,7 +420,10 @@ def tree_read_xes(path, sensitive_attrs=()):
             stamp = ev_attrs.get("time:timestamp")
             if stamp is None:
                 raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
-            ts = _parse_timestamp(str(stamp), ISO_FORMAT)
+            try:
+                ts = _parse_timestamp(str(stamp), ISO_FORMAT)
+            except LogError as exc:
+                raise LogError(f"{path}: case {case_id!r}: {exc}") from None
             resource = ev_attrs.get("org:resource")
             resource = None if resource is None else str(resource)
             events.append((ts, pos, Event(str(activity), resource, ts)))

@@ -2,13 +2,23 @@ import json
 
 import pytest
 
-from tlkcpriv import read_csv, CsvColumnMap
+from tlkcpriv import (
+    CsvColumnMap,
+    RunConfig,
+    TimestampAccuracy,
+    load_log,
+    read_csv,
+    relativize_log,
+    truncate_to_accuracy,
+)
+from tlkcpriv import cli
 from tlkcpriv.cli import main
 
 from .conftest import DATA, TREATMENT_GREEDY, hours_view
 
 TREATMENT = str(DATA / "treatment_relative.csv")
 HOSPITAL = str(DATA / "hospital_log.csv")
+HOSPITAL_XES = str(DATA / "hospital_log.xes")
 
 HOSPITAL_FLAGS = [
     "--csv-timestamp-format",
@@ -303,3 +313,34 @@ class TestStats:
         out = capsys.readouterr().out
         assert "cases: 8" in out
         assert "variants[ART]: 8" in out
+
+
+class TestSinglePass:
+    """The CLI floors timestamps while reading, except where it rebases cases."""
+
+    @pytest.fixture
+    def truncations(self, monkeypatch):
+        calls = []
+        real = cli.truncate_to_accuracy
+        monkeypatch.setattr(
+            cli, "truncate_to_accuracy", lambda *args: calls.append(args) or real(*args)
+        )
+        return calls
+
+    def test_no_truncation_pass_without_relativize(self, truncations, tmp_path):
+        flags = ["-i", HOSPITAL_XES, "-T", "hours", "--sensitive", "Disease", "--bk", "seq/ac"]
+        assert run(["stats", *flags]) == 0
+        out = str(tmp_path / "anon.xes")
+        assert run(["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-o", out,
+                    *flags]) == 0
+        assert run(["audit", *flags[2:], "-i", out]) == 0
+        assert truncations == []
+        assert run(["stats", *flags, "--relativize"]) == 0
+        assert len(truncations) == 1
+
+    def test_relativize_floors_after_rebasing(self):
+        config = RunConfig(input=HOSPITAL_XES, accuracy="hours", relativize=True,
+                           sensitive=("Age", "Disease"))
+        exact = load_log(HOSPITAL_XES, sensitive_attrs=config.sensitive)
+        expected = truncate_to_accuracy(relativize_log(exact, 0), TimestampAccuracy.HOURS)
+        assert cli._load_prepared(config) == expected

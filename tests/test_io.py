@@ -1,3 +1,4 @@
+import csv
 import logging
 import math
 import re
@@ -17,12 +18,14 @@ from tlkcpriv import (
     ProcessInstance,
     ProjectedEvent,
     RunConfig,
+    TimestampAccuracy,
     is_violating,
     load_log,
     read_config,
     read_csv,
     read_xes,
     save_log,
+    truncate_to_accuracy,
     write_config,
     write_csv,
     write_xes,
@@ -87,8 +90,9 @@ class TestCsv:
 
     def test_bad_timestamp_reported(self, tmp_path):
         target = tmp_path / "log.csv"
-        target.write_text("CaseId,Activity,Timestamp\n1,a,not-a-date\n")
-        with pytest.raises(LogError, match="timestamp"):
+        target.write_text("CaseId,Activity,Timestamp\n1,a,1970-01-01T00:00:00\n1,b,not-a-date\n")
+        expected = f"{target}: row 3: cannot parse timestamp 'not-a-date'"
+        with pytest.raises(LogError, match=re.escape(expected)):
             read_csv(target, CsvColumnMap(resource_col=None))
 
     @pytest.mark.parametrize(
@@ -175,8 +179,16 @@ CSV_SENSITIVE_VALUES = {
 }
 
 
+# seconds anywhere in a wide range, for round trips
+WIDE_STAMPS = st.integers(-(10**9), 4 * 10**9)
+# seconds within a few days of the epoch, often equal or in one hour or day
+NEAR_STAMPS = st.one_of(
+    st.sampled_from([-3600, -1, 0, 600, 3599, 3600, 86400]), st.integers(-2 * 86400, 2 * 86400)
+)
+
+
 @st.composite
-def csv_logs(draw):
+def csv_logs(draw, stamps=WIDE_STAMPS):
     names = draw(
         st.lists(CSV_TEXT.filter(lambda k: k not in CSV_STANDARD), max_size=3, unique=True)
     )
@@ -184,9 +196,9 @@ def csv_logs(draw):
     case_ids = draw(st.lists(CSV_TEXT, max_size=5, unique=True))
     instances = []
     for case_id in case_ids:
-        stamps = sorted(draw(st.lists(st.integers(-(10**9), 4 * 10**9), min_size=1, max_size=4)))
         trace = tuple(
-            Event(draw(CSV_TEXT), draw(st.none() | CSV_TEXT), ts) for ts in stamps
+            Event(draw(CSV_TEXT), draw(st.none() | CSV_TEXT), ts)
+            for ts in sorted(draw(st.lists(stamps, min_size=1, max_size=4)))
         )
         sensitive = {
             name: draw(st.none() | CSV_SENSITIVE_VALUES[kind]) for name, kind in zip(names, kinds)
@@ -266,6 +278,17 @@ class TestXes:
             "</trace></log>"
         )
         with pytest.raises(LogError, match="concept:name"):
+            read_xes(target)
+
+    def test_bad_timestamp_names_path_and_case(self, tmp_path):
+        target = tmp_path / "bad.xes"
+        target.write_text(
+            '<log><trace><string key="concept:name" value="7"/><event>'
+            '<string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="yesterday"/></event></trace></log>'
+        )
+        expected = f"{target}: case '7': cannot parse timestamp 'yesterday'"
+        with pytest.raises(LogError, match=re.escape(expected)):
             read_xes(target)
 
     def test_duplicate_case_ids_rejected(self, tmp_path):
@@ -432,7 +455,7 @@ SENSITIVE_VALUES = {
 
 
 @st.composite
-def xes_logs(draw):
+def xes_logs(draw, stamps=WIDE_STAMPS):
     names = draw(
         st.lists(
             LABELS.filter(lambda k: k not in STANDARD_KEYS), max_size=3, unique=True
@@ -442,10 +465,9 @@ def xes_logs(draw):
     case_ids = draw(st.lists(st.text(XML_CHARS, max_size=6), max_size=5, unique=True))
     instances = []
     for case_id in case_ids:
-        stamps = sorted(draw(st.lists(st.integers(-(10**9), 4 * 10**9), min_size=1, max_size=4)))
         trace = tuple(
             Event(draw(LABELS), draw(st.none() | st.text(XML_CHARS, max_size=4)), ts)
-            for ts in stamps
+            for ts in sorted(draw(st.lists(stamps, min_size=1, max_size=4)))
         )
         sensitive = {
             name: draw(st.none() | SENSITIVE_VALUES[kind]) for name, kind in zip(names, kinds)
@@ -589,6 +611,12 @@ class TestXesAgainstTreeReference:
             '<trace><string key="concept:name" value="1"/><event>'
             '<string key="concept:name" value="a"/>'
             '<int key="time:timestamp" value="5"/></event></trace>',
+            # a bad date after a good one, in a case whose id needs quoting
+            '<trace><string key="concept:name" value="it&apos;s"/><event>'
+            '<string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event><event>'
+            '<string key="concept:name" value="b"/>'
+            '<date key="time:timestamp" value="1970-13-01T00:00:00Z"/></event></trace>',
             # the bad event comes first in the file, the bad trace attribute wins
             '<trace><string key="concept:name" value="1"/>'
             '<event><int key="concept:name" value="a"/></event>'
@@ -616,6 +644,75 @@ class TestXesAgainstTreeReference:
         )
         target.write_text(f"<log>{good}{trace}{good.replace('0', '2', 1)}</log>")
         _assert_same_failure(target, ("Age",))
+
+
+def _shuffle_events(xes_text, rng):
+    """``xes_text`` as :func:`write_xes` writes it, with each trace's events
+    in a random order (labels are escaped, so no value holds ``</event>``)."""
+
+    def shuffle(trace):
+        head, *events = re.split(r"(?=\n    <event>)", trace.group(0))
+        events[-1] = events[-1].removesuffix("\n  </trace>")
+        rng.shuffle(events)
+        return "".join([head, *events, "\n  </trace>"])
+
+    return re.sub(r"<trace>.*?</trace>", shuffle, xes_text, flags=re.S)
+
+
+class TestFlooredRead:
+    """A read at an accuracy equals a read at seconds, then truncated."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=xes_logs(NEAR_STAMPS), rng=st.randoms(use_true_random=False))
+    def test_xes_equals_truncated_exact_read(self, log, rng, tmp_path_factory):
+        target = tmp_path_factory.mktemp("xes") / "log.xes"
+        write_xes(log, target)
+        target.write_text(_shuffle_events(target.read_text(encoding="utf-8"), rng), "utf-8")
+        exact = read_xes(target, log.sensitive_attrs)
+        for accuracy in TimestampAccuracy:
+            floored = read_xes(target, log.sensitive_attrs, accuracy)
+            assert floored == truncate_to_accuracy(exact, accuracy)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=csv_logs(NEAR_STAMPS), rng=st.randoms(use_true_random=False))
+    def test_csv_equals_truncated_exact_read(self, log, rng, tmp_path_factory):
+        target = tmp_path_factory.mktemp("csv") / "log.csv"
+        colmap = CsvColumnMap(sensitive_cols=log.sensitive_attrs)
+        write_csv(log, target, colmap)
+        with target.open(newline="", encoding="utf-8") as handle:
+            header, *rows = csv.reader(handle)
+        rng.shuffle(rows)
+        with target.open("w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle).writerows([header, *rows])
+        exact = read_csv(target, colmap)
+        for accuracy in TimestampAccuracy:
+            assert read_csv(target, colmap, accuracy) == truncate_to_accuracy(exact, accuracy)
+
+    @pytest.mark.parametrize("fmt", ["xes", "csv"])
+    def test_sorts_on_exact_seconds_before_flooring(self, fmt, tmp_path):
+        # 10:30 comes first in the file; flooring first would tie it with 10:10
+        stamps = {"b": "2019-01-01T10:30:00Z", "a": "2019-01-01T10:10:00Z"}
+        target = tmp_path / f"log.{fmt}"
+        if fmt == "csv":
+            rows = "".join(f"1,{act},{ts}\n" for act, ts in stamps.items())
+            target.write_text(f"CaseId,Activity,Timestamp\n{rows}")
+        else:
+            events = "".join(
+                f'<event><string key="concept:name" value="{act}"/>'
+                f'<date key="time:timestamp" value="{ts}"/></event>'
+                for act, ts in stamps.items()
+            )
+            target.write_text(f'<log><trace><string key="concept:name" value="1"/>{events}</trace></log>')
+        colmap = CsvColumnMap(resource_col=None)
+        floored = load_log(target, colmap=colmap, accuracy="hours")
+        assert [e.activity for e in floored.instances[0].trace] == ["a", "b"]
+        assert floored == truncate_to_accuracy(load_log(target, colmap=colmap), TimestampAccuracy.HOURS)
+
+    def test_one_event_object_per_distinct_event(self):
+        log = read_xes(DATA / "hospital_log.xes", ("Age", "Disease"), "hours")
+        events = [ev for inst in log for ev in inst.trace]
+        distinct = {(ev.activity, ev.resource, ev.timestamp) for ev in events}
+        assert len({id(ev) for ev in events}) == len(distinct) < len(events)
 
 
 class TestXesErrors:
