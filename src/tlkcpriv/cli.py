@@ -113,7 +113,6 @@ def _load_prepared(config: RunConfig) -> EventLog:
     if not config.input:
         raise LogError("no input log given (use --input)")
     accuracy = TimestampAccuracy.parse(config.accuracy)
-    # rebasing shifts each case by its own offset, so it must see exact seconds
     log = load_log(
         config.input,
         fmt=config.format,
@@ -123,8 +122,9 @@ def _load_prepared(config: RunConfig) -> EventLog:
     )
     for attr in config.discretize:
         log = discretize_sensitive(log, attr)
-    if config.relativize:
-        log = truncate_to_accuracy(relativize_log(log, t0=0), accuracy)
+    if config.relativize:  # rebasing shifts each case by its own offset: floor after it
+        log = relativize_log(log, t0=0)  # the exact read is freed before flooring
+        log = truncate_to_accuracy(log, accuracy)
     return log
 
 

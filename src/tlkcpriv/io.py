@@ -23,7 +23,7 @@ from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
 
 from .analysis import check_requirements
-from .log import EventLog, LogError, ProcessInstance, TimestampAccuracy, _SharedEvents
+from .log import EventLog, LogError, ProcessInstance, TimestampAccuracy, event_maker
 
 __all__ = [
     "LogFileError",
@@ -142,9 +142,8 @@ def read_csv(
     means no resource.  Errors name the file and the row.
     """
     path = Path(path)
-    unit = TimestampAccuracy.parse(accuracy).unit_seconds
+    make_event = event_maker(TimestampAccuracy.parse(accuracy))
     parse_stamp = _memoized(_parse_timestamp, colmap.timestamp_format)
-    shared = _SharedEvents()
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
@@ -172,7 +171,7 @@ def read_csv(
                 raise LogError(f"{path}: row {lineno}: {exc}") from None
             resource = (row[colmap.resource_col] or None) if colmap.resource_col else None
             events, rows = cases.setdefault(cid, ([], []))
-            events.append((ts, shared[activity, resource, ts - ts % unit]))
+            events.append((ts, make_event(activity, resource, ts)))
             rows.append(row)
 
     instances = []
@@ -298,9 +297,8 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     path = Path(path)
     sensitive_attrs = tuple(sensitive_attrs)
     kept_keys = {"concept:name", "org:resource", "time:timestamp", *sensitive_attrs}
-    unit = TimestampAccuracy.parse(accuracy).unit_seconds
+    make_event = event_maker(TimestampAccuracy.parse(accuracy))
     parse_stamp = _memoized(_parse_timestamp, ISO_FORMAT)
-    shared = _SharedEvents()
     local_names = _LocalNames()
     instances = []
     dropped_attrs = 0
@@ -390,7 +388,7 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
                 raise LogError(f"{path}: case {case_id!r}: {exc}") from None
             resource = ev_attrs.get("org:resource")
             resource = None if resource is None else str(resource)
-            stamped.append((ts, shared[str(activity), resource, ts - ts % unit]))
+            stamped.append((ts, make_event(str(activity), resource, ts)))
         stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
         sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
         return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)

@@ -373,18 +373,14 @@ def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog
     floored to hours holds one object per distinct event rather than one per
     occurrence; identity is not part of the model.
     """
-    unit = accuracy.unit_seconds
-    if unit == 1:
+    if accuracy.unit_seconds == 1:
         return log
-    shared = _SharedEvents()
+    make = event_maker(accuracy)
     return EventLog(
         tuple(
             ProcessInstance(
                 inst.case_id,
-                tuple(
-                    shared[ev.activity, ev.resource, ev.timestamp - ev.timestamp % unit]
-                    for ev in inst.trace
-                ),
+                tuple(make(ev.activity, ev.resource, ev.timestamp) for ev in inst.trace),
                 inst.sensitive,
             )
             for inst in log
@@ -393,12 +389,23 @@ def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog
     )
 
 
-class _SharedEvents(dict):
-    """``(activity, resource, timestamp)`` -> the one :class:`Event` of it."""
+def event_maker(accuracy: TimestampAccuracy):
+    """``(activity, resource, timestamp)`` -> its :class:`Event` at ``accuracy``.
 
-    def __missing__(self, key):
-        ev = self[key] = Event(*key)
-        return ev
+    The timestamp is floored to its unit boundary and equal results share one
+    object per maker.  At seconds there is nothing to floor or share, so the
+    maker is :class:`Event` itself.
+    """
+    unit = accuracy.unit_seconds
+    if unit == 1:
+        return Event
+    shared: dict = {}
+
+    def make(activity, resource, timestamp):
+        key = (activity, resource, timestamp - timestamp % unit)
+        return shared.get(key) or shared.setdefault(key, Event(*key))
+
+    return make
 
 
 def variants(

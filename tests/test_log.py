@@ -25,6 +25,7 @@ from tlkcpriv import (
     variant_frequency,
     variants,
 )
+from tlkcpriv.log import event_maker
 
 from .conftest import HOUR, build_log
 from .oracles import brute_directly_follows, per_event_truncate, random_log
@@ -245,6 +246,15 @@ class TestTruncate:
         log = truncate_to_accuracy(_synthetic_big_log(2000, 4025), HOURS)
         events = [ev for inst in log for ev in inst.trace]
         assert len({id(ev) for ev in events}) == len(set(events)) < len(events)
+
+    def test_event_maker_floors_and_shares_above_seconds_only(self):
+        # at seconds the readers build each event as read, with no table
+        assert event_maker(TimestampAccuracy.SECONDS) is Event
+        make = event_maker(HOURS)
+        first = make("a", "r", 32 * HOUR + 45 * 60)
+        assert first == Event("a", "r", 32 * HOUR)
+        assert make("a", "r", 32 * HOUR + 1) is first
+        assert make("a", None, 32 * HOUR) == Event("a", None, 32 * HOUR)
 
     def test_treatment_log_hours_are_integral(self, treatment_log):
         got = truncate_to_accuracy(treatment_log, HOURS)
