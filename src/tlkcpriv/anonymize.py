@@ -21,11 +21,10 @@ returned by ``anonymize(log)``.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
 from .analysis import (
@@ -145,18 +144,14 @@ def suppress_global(
 
 
 class BaseAnonymizer:
-    """Parameter handling shared by the anonymizers (scikit-learn protocol)."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
+    """Parameter handling shared by the anonymizers (scikit-learn protocol);
+    the parameters are a subclass's dataclass fields."""
 
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        valid = self.get_params()
         for name, value in params.items():
             if name not in valid:
                 raise LogError(f"unknown parameter {name!r} for {type(self).__name__}")
@@ -176,10 +171,6 @@ class BaseAnonymizer:
 
     def fit_transform(self, log: EventLog, y=None) -> EventLog:
         return self.fit(log).transform(log)
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"
 
 
 class _Tally:
@@ -227,8 +218,7 @@ class _GreedyIndex:
         return self.mfts.count[e]
 
     def events(self):
-        gains = self.mvts.count
-        return sorted((e for e, n in gains.items() if n > 0), key=ProjectedEvent.sort_key)
+        return [e for e, n in self.mvts.count.items() if n > 0]
 
     def delete_containing(self, winner: ProjectedEvent) -> None:
         self.mvts.delete_containing(winner)
@@ -303,6 +293,7 @@ def _anonymize_greedily(
     return _result(log, current, all_dropped, started, all_winners, all_iterations)
 
 
+@dataclass(eq=False)
 class TlkcAnonymizer(BaseAnonymizer):
     """Greedy suppression until no minimal violating candidate remains.
 
@@ -315,25 +306,14 @@ class TlkcAnonymizer(BaseAnonymizer):
     audit.
     """
 
-    def __init__(
-        self,
-        accuracy="hours",
-        L=2,
-        K=2,
-        C=0.5,
-        theta=0.5,
-        bk="rel/ar",
-        sensitive=(),
-        tie_break=None,
-    ):
-        self.accuracy = accuracy
-        self.L = L
-        self.K = K
-        self.C = C
-        self.theta = theta
-        self.bk = bk
-        self.sensitive = sensitive
-        self.tie_break = tie_break
+    accuracy: str = "hours"
+    L: int = 2
+    K: int = 2
+    C: float = 0.5
+    theta: Optional[float] = 0.5
+    bk: str = "rel/ar"
+    sensitive: tuple = ()
+    tie_break: Optional[int] = None
 
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         if self.theta is None:
@@ -349,6 +329,7 @@ class TlkcAnonymizer(BaseAnonymizer):
         return _anonymize_greedily(log, params, self.tie_break, start_round)
 
 
+@dataclass(eq=False)
 class TlkcExtAnonymizer(BaseAnonymizer):
     """Greedy suppression with the normalized score (:func:`n_score`).
 
@@ -359,27 +340,15 @@ class TlkcExtAnonymizer(BaseAnonymizer):
     round's input log.
     """
 
-    def __init__(
-        self,
-        accuracy="hours",
-        L=2,
-        K=2,
-        C=0.5,
-        alpha=0.5,
-        beta=0.5,
-        bk="rel/ar",
-        sensitive=(),
-        tie_break=None,
-    ):
-        self.accuracy = accuracy
-        self.L = L
-        self.K = K
-        self.C = C
-        self.alpha = alpha
-        self.beta = beta
-        self.bk = bk
-        self.sensitive = sensitive
-        self.tie_break = tie_break
+    accuracy: str = "hours"
+    L: int = 2
+    K: int = 2
+    C: float = 0.5
+    alpha: float = 0.5
+    beta: float = 0.5
+    bk: str = "rel/ar"
+    sensitive: tuple = ()
+    tie_break: Optional[int] = None
 
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         params = PrivacyParams(
@@ -394,13 +363,13 @@ class TlkcExtAnonymizer(BaseAnonymizer):
         return _anonymize_greedily(log, params, self.tie_break, start_round)
 
 
+@dataclass(eq=False)
 class _KBaseline(BaseAnonymizer):
     """Parameters shared by the two k-anonymity baselines."""
 
-    def __init__(self, k=2, ps="ART", accuracy="hours"):
-        self.k = k
-        self.ps = ps
-        self.accuracy = accuracy
+    k: int = 2
+    ps: str = "ART"
+    accuracy: str = "hours"
 
     def _view(self):
         """Check k; return the perspective and timestamp accuracy to project on."""

@@ -173,8 +173,7 @@ def cmd_anonymize(args) -> int:
         raise LogError("no output path given (use --output)")
     log = _load_prepared(config)
     result = _make_anonymizer(config).anonymize(log)
-    out_fmt = config.format or Path(config.output).suffix.lstrip(".").lower() or None
-    save_log(result.log, config.output, fmt=out_fmt, colmap=config.colmap())
+    save_log(result.log, config.output, fmt=config.format, colmap=config.colmap())
 
     lines = ["# effective configuration"]
     lines += config_lines(config)

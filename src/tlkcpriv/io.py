@@ -151,14 +151,14 @@ def read_csv(
     with handle:
         reader = csvlib.DictReader(handle)
         header = reader.fieldnames or []
-        needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col]
-        needed += list(colmap.sensitive_cols)
+        attrs = colmap.sensitive_cols
+        needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *attrs]
         if colmap.resource_col:
             needed.append(colmap.resource_col)
         missing = [c for c in needed if c not in header]
         if missing:
             raise LogError(f"{path}: missing columns {missing}; header is {header}")
-        cases: dict = {}  # case id -> its (exact timestamp, event) pairs and its rows
+        cases: dict = {}  # case id -> its (exact timestamp, event) pairs and sensitive values
         for lineno, row in enumerate(reader, start=2):
             cid, activity = row[colmap.case_col], row[colmap.activity_col]
             if not cid:
@@ -170,25 +170,23 @@ def read_csv(
             except LogError as exc:
                 raise LogError(f"{path}: row {lineno}: {exc}") from None
             resource = (row[colmap.resource_col] or None) if colmap.resource_col else None
-            events, rows = cases.setdefault(cid, ([], []))
+            # typed, as True == 1 == 1.0 would hide a conflict
+            values = tuple((type(v), v) for v in (_coerce_value(row[a]) for a in attrs))
+            events, first = cases.setdefault(cid, ([], values))
+            if values != first:
+                attr, old, new = next(d for d in zip(attrs, first, values) if d[1] != d[2])
+                raise LogError(
+                    f"{path}: row {lineno}: case {cid!r} has conflicting values "
+                    f"{sorted([str(old[1]), str(new[1])])} for sensitive attribute {attr!r}"
+                )
             events.append((ts, make_event(activity, resource, ts)))
-            rows.append(row)
 
     instances = []
-    for cid, (events, rows) in cases.items():
+    for cid, (events, values) in cases.items():
         events.sort(key=itemgetter(0))  # stable: file order breaks ties
-        sensitive = {}
-        for attr in colmap.sensitive_cols:
-            # keyed on the type too, as True == 1 == 1.0 would hide a conflict
-            values = {(type(v), v) for v in (_coerce_value(row[attr]) for row in rows)}
-            if len(values) > 1:
-                raise LogError(
-                    f"{path}: case {cid!r} has conflicting values "
-                    f"{sorted(str(v) for _, v in values)} for sensitive attribute {attr!r}"
-                )
-            sensitive[attr] = next(iter(values))[1]
+        sensitive = {attr: v for attr, (_, v) in zip(attrs, values)}
         instances.append(ProcessInstance(cid, tuple(ev for _, ev in events), sensitive))
-    return EventLog(tuple(instances), tuple(colmap.sensitive_cols))
+    return EventLog(tuple(instances), attrs)
 
 
 def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> None:

@@ -13,11 +13,12 @@ floored event), and identity is not part of the model.
 :meth:`EventLog.coded` caches a pure function in one assignment, so
 concurrent readers at worst project twice.
 
-A projection is kept in integer codes: :meth:`EventLog.coded` numbers the
-log's distinct descriptors in their canonical order, so the analysis hashes,
-compares and sorts small ints and meets :class:`ProjectedEvent` objects only
-where its results leave.  :meth:`EventLog.projected` decodes the same
-projection for the callers that want descriptors.
+A projection is kept in integer codes, and :meth:`EventLog.coded` is the one
+place events become descriptors: it numbers the log's distinct descriptors in
+their canonical order, so the analysis, the anonymizers and the variant and
+directly-follows helpers hash, compare and sort small ints and decode only
+what they return.  Untimed perspectives do not depend on the timestamp
+accuracy, so one projection serves them at every accuracy.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "ProjectedEvent",
     "LogError",
     "MissingResourceError",
-    "project",
     "relative_timestamps",
     "relativize_log",
     "truncate_to_accuracy",
@@ -163,8 +163,9 @@ class EventLog:
     instances: tuple
     sensitive_attrs: tuple = ()
 
-    # ((ps, accuracy), (traces, alphabet)) of the last projection; not a
-    # field, so it stays out of the constructor, ``==`` and ``repr``
+    # ((ps, accuracy or None if untimed), (traces, alphabet)) of the last
+    # projection; not a field, so it stays out of the constructor, ``==``
+    # and ``repr``
     _projection = (None, ((), ()))
 
     def __post_init__(self):
@@ -215,28 +216,24 @@ class EventLog:
     def coded(
         self, ps: Perspective, accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS
     ) -> tuple:
-        """``(traces, alphabet)``: every case's trace projected on ``ps`` (see
-        :func:`project`) as a tuple of descriptor codes, in case order, and
-        ``alphabet[c]``, the descriptor of code ``c``.
+        """``(traces, alphabet)``: every case's trace projected on ``ps`` as a
+        tuple of descriptor codes, in case order, and ``alphabet[c]``, the
+        :class:`ProjectedEvent` of code ``c``.
 
-        Codes number the distinct descriptors in canonical order
-        (:meth:`ProjectedEvent.sort_key`), so codes compare as their
-        descriptors do.  The last ``(ps, accuracy)`` asked for is kept, so
-        each greedy round projects once."""
-        key, coded = self._projection
-        if key != (ps, accuracy):
+        A descriptor keeps exactly the perspective's fields; a timed one holds
+        the timestamp in whole ``accuracy`` units (floor), and an untimed one
+        is the same at every accuracy.  Codes number the distinct descriptors
+        in canonical order (:meth:`ProjectedEvent.sort_key`), so codes
+        compare as their descriptors do.  The last projection asked for is
+        kept, so each greedy round projects once.  Raises
+        :class:`MissingResourceError` when ``ps`` needs a resource that an
+        event lacks."""
+        key = (ps, accuracy if ps.has_time else None)
+        held, coded = self._projection
+        if held != key:
             coded = _encode(self.instances, ps, accuracy)
-            object.__setattr__(self, "_projection", ((ps, accuracy), coded))
+            object.__setattr__(self, "_projection", (key, coded))
         return coded
-
-    def projected(
-        self, ps: Perspective, accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS
-    ) -> tuple:
-        """Every case's trace projected on ``ps``, in case order: :meth:`coded`,
-        decoded, with one shared object per distinct descriptor."""
-        traces, alphabet = self.coded(ps, accuracy)
-        decode = alphabet.__getitem__
-        return tuple(tuple(map(decode, trace)) for trace in traces)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,38 +271,6 @@ class ProjectedEvent:
         return parts or "?"
 
 
-def project(
-    trace: Sequence[Event],
-    ps: Perspective,
-    accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
-    case_id: Optional[str] = None,
-) -> tuple:
-    """Project a trace on a perspective, keeping exactly the perspective's fields.
-
-    Timed perspectives express timestamps as whole accuracy units (floor).
-    Raises :class:`MissingResourceError` when the perspective needs resources
-    and an event has none.
-    """
-    unit = accuracy.unit_seconds
-    has_activity, has_resource, has_time = ps.has_activity, ps.has_resource, ps.has_time
-    out = []
-    for ev in trace:
-        if has_resource and ev.resource is None:
-            where = f" in case {case_id!r}" if case_id is not None else ""
-            raise MissingResourceError(
-                f"perspective {ps.value} requires a resource but event "
-                f"{ev.activity!r}{where} has none"
-            )
-        out.append(
-            ProjectedEvent(
-                activity=ev.activity if has_activity else None,
-                resource=ev.resource if has_resource else None,
-                time=ev.timestamp // unit if has_time else None,
-            )
-        )
-    return tuple(out)
-
-
 def _encode(instances, ps: Perspective, accuracy: TimestampAccuracy) -> tuple:
     """The ``(traces, alphabet)`` of :meth:`EventLog.coded`: one pass collects
     the distinct tuples of kept fields, a second maps each event to the code
@@ -324,8 +289,13 @@ def _encode(instances, ps: Perspective, accuracy: TimestampAccuracy) -> tuple:
             got.get("activity"), got.get("resource"), None if stamp is None else stamp // unit
         )
     if ps.has_resource and any(d[1] is None for d in descs.values()):
-        for inst in instances:  # raises at the first event without a resource
-            project(inst.trace, ps, accuracy, case_id=inst.case_id)
+        inst, ev = next(
+            (inst, ev) for inst in instances for ev in inst.trace if ev.resource is None
+        )
+        raise MissingResourceError(
+            f"perspective {ps.value} requires a resource but event "
+            f"{ev.activity!r} in case {inst.case_id!r} has none"
+        )
     events = {d: ProjectedEvent(*d) for d in descs.values()}
     order = sorted(events, key=lambda d: events[d].sort_key())
     rank = {d: c for c, d in enumerate(order)}
@@ -414,7 +384,9 @@ def variants(
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
 ):
     """Multiset of projected traces and the set of distinct ones (the variants)."""
-    multiset = Counter(log.projected(ps, accuracy))
+    traces, alphabet = log.coded(ps, accuracy)
+    decode = alphabet.__getitem__
+    multiset = Counter({tuple(map(decode, t)): n for t, n in Counter(traces).items()})
     return multiset, set(multiset)
 
 
@@ -439,12 +411,12 @@ def directly_follows(log: EventLog, ps: Perspective) -> dict:
     """
     if ps not in (Perspective.A, Perspective.R):
         raise LogError(f"directly-follows is defined for perspectives A and R, not {ps.value}")
-    attr = "activity" if ps is Perspective.A else "resource"
+    label = attrgetter("activity" if ps is Perspective.A else "resource")
+    traces, alphabet = log.coded(ps)
     counts: Counter = Counter()
-    for trace in log.projected(ps):
-        labels = [getattr(e, attr) for e in trace]
-        counts.update(zip(labels, labels[1:]))
-    return dict(counts)
+    for trace in traces:
+        counts.update(zip(trace, trace[1:]))
+    return {(label(alphabet[x]), label(alphabet[y])): n for (x, y), n in counts.items()}
 
 
 def discretize_sensitive(log: EventLog, attr: str) -> EventLog:

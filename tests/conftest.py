@@ -92,6 +92,22 @@ def hours_view(log):
     }
 
 
+@pytest.fixture
+def encode_builds(monkeypatch):
+    """The ``(perspective, accuracy)`` of every projection ``EventLog`` builds."""
+    import tlkcpriv.log
+
+    calls = []
+    original = tlkcpriv.log._encode
+
+    def counting(instances, ps, accuracy):
+        calls.append((ps, accuracy))
+        return original(instances, ps, accuracy)
+
+    monkeypatch.setattr(tlkcpriv.log, "_encode", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def hospital_log():
     return read_csv(DATA / "hospital_log.csv", HOSPITAL_COLMAP)

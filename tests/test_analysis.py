@@ -226,7 +226,7 @@ class TestMvt:
             monkeypatch.setattr(ProjectedEvent, name, counted)
         mvt = enumerate_mvt(log, params)
         monkeypatch.undo()
-        alphabet = {e for t in log.projected(params.perspective, HOURS) for e in t}
+        _, alphabet = log.coded(params.perspective, HOURS)
         bound = len(alphabet) + sum(c.size for c in mvt.candidates)
         assert len(mvt) > 0
         assert calls["__hash__"] + calls["__eq__"] <= bound, calls

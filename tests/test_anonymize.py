@@ -25,7 +25,6 @@ from tlkcpriv import (
     enumerate_mft,
     enumerate_mvt,
     n_score,
-    project,
     score,
     suppress_global,
     truncate_to_accuracy,
@@ -39,7 +38,7 @@ from .conftest import (
     build_log,
     hours_view,
 )
-from .oracles import brute_suppress, random_log
+from .oracles import brute_suppress, project_raw, random_log
 from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
@@ -95,10 +94,7 @@ class TestSuppressGlobal:
             for bk_type in BkType:
                 for bk_attr in BkAttr:
                     ps = BkSpec(bk_type, bk_attr).perspective
-                    present = sorted(
-                        {e for t in log.projected(ps, HOURS) for e in t},
-                        key=ProjectedEvent.sort_key,
-                    )
+                    present = list(log.coded(ps, HOURS)[1])
                     chosen = rng.sample(present, rng.randint(0, len(present)))
                     chosen.append(ProjectedEvent("zz", "zz", 999))  # in no trace
                     out, dropped = suppress_global(log, chosen, ps, HOURS)
@@ -127,9 +123,10 @@ class TestGreedy:
 
     def test_output_projection_is_subsequence_of_input(self, treatment_log):
         result = TlkcAnonymizer(**REFERENCE).anonymize(treatment_log)
-        originals = {i.case_id: project(i.trace, Perspective.ART, HOURS) for i in treatment_log}
+        unit = HOURS.unit_seconds
+        originals = {i.case_id: project_raw(i, Perspective.ART, unit) for i in treatment_log}
         for inst in result.log:
-            kept = project(inst.trace, Perspective.ART, HOURS)
+            kept = project_raw(inst, Perspective.ART, unit)
             it = iter(originals[inst.case_id])
             assert all(e in it for e in kept)
 
@@ -277,9 +274,9 @@ class TestBaseline2:
             if result.log.instances:
                 multiset, _ = variants(result.log, Perspective.A)
                 assert all(n >= k for n in multiset.values())
-            originals = {i.case_id: project(i.trace, Perspective.A) for i in log}
+            originals = {i.case_id: project_raw(i, Perspective.A, 1) for i in log}
             for inst in result.log:
-                kept = project(inst.trace, Perspective.A)
+                kept = project_raw(inst, Perspective.A, 1)
                 it = iter(originals[inst.case_id])
                 assert all(e in it for e in kept)
 
@@ -324,6 +321,11 @@ class TestEstimatorProtocol:
     def test_repr_mentions_params(self):
         text = repr(Baseline2(k=3, ps="A"))
         assert "Baseline2" in text and "k=3" in text
+
+    def test_positional_construction_and_repr(self):
+        anonymizer = TlkcAnonymizer("hours", 2, 5, 0.8, 0.2)
+        assert anonymizer.K == 5 and anonymizer.theta == 0.2
+        assert repr(Baseline1(3, "A")) == "Baseline1(k=3, ps='A', accuracy='hours')"
 
 
 class TestGreedyCoreAgainstScores:

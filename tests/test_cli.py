@@ -238,6 +238,19 @@ class TestEvaluate:
         assert 0 <= payload["metrics"]["emd"]["du"] <= 1
         assert "missing_edges" in payload["metrics"]["dfg"]
 
+    def test_each_log_projected_once_per_perspective(self, tmp_path, encode_builds):
+        # EMD at hours and the DFG share the untimed activity projection
+        flags = ["-T", "hours", "-L", "2", "-K", "2", "-C", "0.5",
+                 "--sensitive", "Disease", "--bk", "seq/ac"]
+        out = tmp_path / "hospital.xes"
+        assert run(["anonymize", "--algorithm", "tlkc", "--theta", "0.25",
+                    "-i", HOSPITAL_XES, "-o", str(out), *flags]) == 0
+        encode_builds.clear()
+        code = run(["evaluate", "--metrics", "emd,dfg,handover", "-i", HOSPITAL_XES,
+                    "--anonymized", str(out), *flags])
+        assert code == 0
+        assert [ps.value for ps, _ in encode_builds] == ["A", "A", "R", "R"]
+
     def test_unknown_metric_rejected(self, capsys):
         code = run(
             ["evaluate", "-i", TREATMENT, "--anonymized", TREATMENT,

@@ -80,6 +80,20 @@ class TestCsv:
         with pytest.raises(LogError, match="conflicting"):
             read_csv(target, CsvColumnMap(sensitive_cols=("D",)))
 
+    def test_conflict_reported_in_row_order(self, tmp_path):
+        # the conflict at row 3 comes before the bad timestamp at row 4
+        target = tmp_path / "log.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp,D\n"
+            "1,a,1970-01-01T00:00:00,x\n1,b,1970-01-01T01:00:00,y\n1,c,not-a-date,x\n"
+        )
+        expected = (
+            f"{target}: row 3: case '1' has conflicting values ['x', 'y'] "
+            "for sensitive attribute 'D'"
+        )
+        with pytest.raises(LogError, match=re.escape(expected)):
+            read_csv(target, CsvColumnMap(resource_col=None, sensitive_cols=("D",)))
+
     def test_blank_resource_becomes_none(self, tmp_path):
         target = tmp_path / "log.csv"
         target.write_text(

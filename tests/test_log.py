@@ -18,7 +18,6 @@ from tlkcpriv import (
     TimestampAccuracy,
     directly_follows,
     discretize_sensitive,
-    project,
     relative_timestamps,
     relativize_log,
     truncate_to_accuracy,
@@ -28,7 +27,7 @@ from tlkcpriv import (
 from tlkcpriv.log import event_maker
 
 from .conftest import HOUR, build_log
-from .oracles import brute_directly_follows, per_event_truncate, random_log
+from .oracles import brute_directly_follows, per_event_truncate, project_raw, random_log
 from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
@@ -36,6 +35,12 @@ HOURS = TimestampAccuracy.HOURS
 
 def case(log, cid):
     return next(inst for inst in log if inst.case_id == cid)
+
+
+def decoded(log, ps, accuracy=TimestampAccuracy.SECONDS):
+    """``log.coded(ps, accuracy)`` decoded: per case, its tuple of descriptors."""
+    traces, alphabet = log.coded(ps, accuracy)
+    return {inst.case_id: tuple(alphabet[c] for c in t) for inst, t in zip(log, traces)}
 
 
 class TestModel:
@@ -75,7 +80,7 @@ class TestModel:
 
 class TestProject:
     def test_hospital_case1_activity_resource(self, hospital_log):
-        got = project(case(hospital_log, "1").trace, Perspective.AR)
+        got = decoded(hospital_log, Perspective.AR)["1"]
         assert [(e.activity, e.resource) for e in got] == [
             ("RE", "E4"),
             ("VI", "D3"),
@@ -84,7 +89,7 @@ class TestProject:
 
     def test_full_perspective_keeps_everything(self, hospital_log):
         trace = case(hospital_log, "2").trace
-        got = project(trace, Perspective.ART, TimestampAccuracy.SECONDS)
+        got = decoded(hospital_log, Perspective.ART, TimestampAccuracy.SECONDS)["2"]
         assert len(got) == len(trace)
         assert all(
             (p.activity, p.resource, p.time) == (e.activity, e.resource, e.timestamp)
@@ -92,19 +97,14 @@ class TestProject:
         )
 
     def test_hospital_case1_activity_only(self, hospital_log):
-        got = project(case(hospital_log, "1").trace, Perspective.A)
+        got = decoded(hospital_log, Perspective.A)["1"]
         assert [e.activity for e in got] == ["RE", "VI", "RL"]
         assert all(e.resource is None and e.time is None for e in got)
 
     def test_length_preserved_everywhere(self, hospital_log):
-        for inst in hospital_log:
-            for ps in Perspective:
-                assert len(project(inst.trace, ps, HOURS)) == len(inst.trace)
-
-    def test_missing_resource_names_case(self):
-        log = build_log({"42": [("a", None, 0)]})
-        with pytest.raises(MissingResourceError, match="42"):
-            project(case(log, "42").trace, Perspective.R, case_id="42")
+        for ps in Perspective:
+            got = decoded(hospital_log, ps, HOURS)
+            assert all(len(got[inst.case_id]) == len(inst.trace) for inst in hospital_log)
 
 
 @st.composite
@@ -132,26 +132,30 @@ class TestProjectedLog:
         rng = random.Random(2406)
         for _ in range(30):
             log = random_log(rng)
-            first = log.projected(*self.KEYS[0])
+            first = decoded(log, *self.KEYS[0])
             for ps, acc in self.KEYS:
-                want = tuple(project(inst.trace, ps, acc, inst.case_id) for inst in log)
-                assert log.projected(ps, acc) == want
+                want = {inst.case_id: project_raw(inst, ps, acc.unit_seconds) for inst in log}
+                assert decoded(log, ps, acc) == want
                 assert log.coded(ps, acc) is log.coded(ps, acc)
             # the first key was evicted long ago and comes back equal
-            assert log.projected(*self.KEYS[0]) == first
+            assert decoded(log, *self.KEYS[0]) == first
 
     @settings(max_examples=120, deadline=None)
     @given(log=coded_logs())
     def test_coded_is_the_projection_in_canonical_codes(self, log):
         first = None
+        bare = [(i, e) for i in log for e in i.trace if e.resource is None]
         for ps, acc in self.KEYS:
-            try:
-                want = tuple(project(inst.trace, ps, acc, inst.case_id) for inst in log)
-            except MissingResourceError as exc:
+            if ps.has_resource and bare:
+                inst, ev = bare[0]
                 with pytest.raises(MissingResourceError) as got:
                     log.coded(ps, acc)
-                assert str(got.value) == str(exc)
+                assert str(got.value) == (
+                    f"perspective {ps.value} requires a resource but event "
+                    f"{ev.activity!r} in case {inst.case_id!r} has none"
+                )
                 continue
+            want = tuple(project_raw(inst, ps, acc.unit_seconds) for inst in log)
             coded = log.coded(ps, acc)
             first = first or ((ps, acc), coded)
             traces, alphabet = coded
@@ -160,7 +164,6 @@ class TestProjectedLog:
             assert tuple(tuple(alphabet[c] for c in t) for t in traces) == want
             assert set(alphabet) == {e for t in want for e in t}
             assert log.coded(ps, acc) is coded
-            assert log.projected(ps, acc) == want
         if first is not None:
             # one slot: the first key was evicted and comes back rebuilt, equal
             key, coded = first
@@ -168,22 +171,34 @@ class TestProjectedLog:
 
     def test_default_accuracy_is_seconds(self, treatment_log):
         log = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
-        assert log.projected(Perspective.ART) == log.projected(
-            Perspective.ART, TimestampAccuracy.SECONDS
-        )
+        want = {inst.case_id: project_raw(inst, Perspective.ART, 1) for inst in log}
+        assert decoded(log, Perspective.ART) == want
 
     def test_projected_log_equals_unprojected_twin(self, treatment_log):
         log = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
         twin = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
-        log.projected(Perspective.AR, HOURS)
+        log.coded(Perspective.AR, HOURS)
         assert log == twin and twin == log
         assert repr(log) == repr(twin)
 
     def test_missing_resource_names_case(self):
         log = build_log({"1": [("a", "r", 0)], "42": [("b", None, 0)]})
-        with pytest.raises(MissingResourceError, match="'42'"):
-            log.projected(Perspective.R)
-        assert len(log.projected(Perspective.A)) == 2
+        with pytest.raises(MissingResourceError) as got:
+            log.coded(Perspective.R)
+        assert str(got.value) == (
+            "perspective R requires a resource but event 'b' in case '42' has none"
+        )
+        assert len(log.coded(Perspective.A)[0]) == 2
+
+    def test_untimed_projections_are_shared_across_accuracies(self, encode_builds):
+        log = build_log({"1": [("a", "r", 0), ("b", "r", 5400)], "2": [("a", "r", 60)]})
+        seconds = TimestampAccuracy.SECONDS
+        hours = log.coded(Perspective.A, HOURS)
+        assert log.coded(Perspective.A, seconds) is hours
+        assert encode_builds == [(Perspective.A, HOURS)]
+        timed = log.coded(Perspective.AT, HOURS)
+        assert log.coded(Perspective.AT, seconds) != timed
+        assert encode_builds[1:] == [(Perspective.AT, HOURS), (Perspective.AT, seconds)]
 
 
 class TestRelativeTimestamps:
