@@ -9,11 +9,16 @@ resolved by first appearance in case order.  Bounding the best-supported
 guess keeps the check consistent across candidate sizes (see README for the
 full rationale and for the audit semantics this pins down).
 
-Minimal violating candidates are found level-wise: a violating candidate is
-never extended, because its supersets cannot be minimal.  The anonymity
-condition K is anti-monotone, so this pruning loses nothing; the confidence
-condition is not monotone, which is exactly why minimality is re-checked
-explicitly against every proper sub-candidate.
+Both borders of the candidate lattice are read from what one depth-first
+walk records, by one rule over a pattern's one-smaller subs (the Apriori
+closure).  Minimal violating candidates: the walk never extends a violating
+candidate, since its supersets cannot be minimal; a candidate is good when it
+is ok and its one-smaller subs are good, and a violating candidate is minimal
+exactly when those subs are all good.  The anonymity condition K is
+anti-monotone but the confidence condition is not, which is why the subs are
+checked at all.  Maximal frequent subtraces: frequency is closed under
+subsequences, so a frequent pattern is maximal exactly when it is no
+one-smaller sub of another frequent pattern.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ from .log import (
     Perspective,
     ProjectedEvent,
     TimestampAccuracy,
-    is_subsequence,
 )
 
 __all__ = [
@@ -156,7 +160,6 @@ class _Checker:
             )
             for attr in params.sensitive
         }
-        self._memo: Dict[tuple, Verdict] = {}
 
     def verdict_for_indices(self, indices: frozenset) -> Verdict:
         n = len(indices)
@@ -172,13 +175,6 @@ class _Checker:
             if conf > self.params.C:
                 c_viol.append(attr)
         return Verdict(n, k_viol, tuple(c_viol), max_conf)
-
-    def verdict(self, codes: tuple) -> Verdict:
-        v = self._memo.get(codes)
-        if v is None:
-            v = self.verdict_for_indices(self.plog.match_indices(codes))
-            self._memo[codes] = v
-        return v
 
 
 def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdict:
@@ -234,39 +230,37 @@ class MftSet(_Items):
         return sum(1 for pattern, _ in self.items if e in pattern)
 
 
-def _proper_subs(codes: tuple) -> dict:
-    """Every non-empty proper sub-tuple of ``codes``, smaller ones first, each
-    once (as keys).  Bag candidates are sorted code tuples, and so are their
-    subs."""
-    return dict.fromkeys(
-        sub for size in range(1, len(codes)) for sub in combinations(codes, size)
-    )
-
-
 def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
     """All minimal violating candidates of size up to L.
 
-    Level-wise generation that never extends a violating candidate (its
-    strict supersets cannot be minimal); a candidate is emitted only when it
-    violates and no proper sub-candidate of any size does.
+    The walk records each candidate's verdict and extends only ok ones; one
+    pass over the record, smaller candidates first, keeps each violating
+    candidate whose one-smaller subs are all good.  A sub missing from the
+    record lies under a violating prefix, a proper sub of the candidate, so
+    it is not good.
     """
     checker = _Checker(log, params)
-    memo = checker._memo
-    items = []
+    record: Dict[tuple, Verdict] = {}
 
     # the generator yields a candidate before asking whether to extend it,
-    # so the verdict memo below is always populated in time
-    def extend(codes: tuple, indices: frozenset) -> bool:
-        return memo[codes].ok
+    # so its verdict is always recorded in time
+    def extend(codes: tuple, indices) -> bool:
+        return record[codes].ok
 
     from .background import _enumerate
 
     for codes, indices in _enumerate(checker.plog, params.L, extend):
-        verdict = memo[codes] = checker.verdict_for_indices(indices)
-        if not verdict.ok and all(checker.verdict(sub).ok for sub in _proper_subs(codes)):
-            items.append((codes, verdict))
-    items.sort(key=lambda cv: (len(cv[0]), cv[0]))
-    return MvtSet(tuple((checker.plog.decode(codes), v) for codes, v in items))
+        record[codes] = checker.verdict_for_indices(indices)
+    good, items = {()}, []
+    # (len, codes) is the MvtSet order; the subs of a sorted bag stay sorted
+    for codes in sorted(record, key=lambda c: (len(c), c)):
+        if all(sub in good for sub in combinations(codes, len(codes) - 1)):
+            verdict = record[codes]
+            if verdict.ok:
+                good.add(codes)
+            else:
+                items.append((checker.plog.decode(codes), verdict))
+    return MvtSet(tuple(items))
 
 
 def enumerate_mft(
@@ -278,7 +272,9 @@ def enumerate_mft(
     """Maximal frequent subtraces (subsequence semantics) of the projected log.
 
     A pattern is frequent when at least ceil(theta * #cases) cases contain
-    it; maximal when no frequent pattern properly contains it.
+    it; maximal when no frequent pattern properly contains it, which, as
+    every sub of a frequent pattern is frequent, holds exactly when it is no
+    one-smaller sub of a frequent pattern.
     """
     if theta > 1:
         return MftSet((), threshold=len(log) + 1)
@@ -294,12 +290,8 @@ def enumerate_mft(
         for pattern, positions in prefix_span(traces, longest, frequent_enough)
         if frequent_enough(pattern, positions)
     }
-    by_len = sorted(frequent, key=len, reverse=True)
-    maximal = []
-    for p in by_len:
-        if not any(len(q) > len(p) and is_subsequence(p, q) for q in maximal):
-            maximal.append(p)
-    maximal.sort(key=lambda p: (len(p), p))
+    covered = {sub for p in frequent for sub in combinations(p, len(p) - 1)}
+    maximal = sorted((p for p in frequent if p not in covered), key=lambda p: (len(p), p))
     decode = alphabet.__getitem__
     return MftSet(
         tuple((tuple(map(decode, p)), frequent[p]) for p in maximal), threshold=threshold

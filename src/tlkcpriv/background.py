@@ -21,7 +21,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .log import (
     EventLog,
@@ -228,27 +228,22 @@ def enumerate_candidates(
     spec: BkSpec,
     max_size: int,
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
-    extend: Optional[Callable[[Candidate, frozenset], bool]] = None,
 ) -> Iterator[tuple]:
-    """Yield (candidate, match indices) level-wise for sizes 1..max_size.
-
-    Only candidates realized in at least one trace are produced, each exactly
-    once.  ``extend`` decides whether a candidate's supersets are explored
-    (by default all are); pruned branches are never generated.
-    """
+    """Yield (candidate, match indices) for sizes 1..max_size: every candidate
+    realized in at least one trace, each once, depth-first."""
     plog = ProjectedLog(log, spec, accuracy)
-    decode = plog.decode
-    grow = extend and (lambda codes, indices: extend(decode(codes), indices))
-    for codes, indices in _enumerate(plog, max_size, grow):
-        yield decode(codes), indices
+    for codes, indices in _enumerate(plog, max_size, lambda codes, indices: True):
+        yield plog.decode(codes), indices
 
 
 def _enumerate(plog: ProjectedLog, max_size, extend):
-    """Yield (codes, match indices) as :func:`enumerate_candidates` yields
-    candidates; ``extend`` takes codes too."""
-    spec = plog.spec
-    if spec.ordered:
-        yield from _enumerate_sequences(plog, max_size, extend)
+    """Yield (codes, match indices) depth-first as :func:`enumerate_candidates`
+    yields candidates, siblings in code order; each is yielded before
+    ``extend(codes, match)`` decides whether its supersets are explored
+    (pruned branches are never generated)."""
+    if plog.spec.ordered:
+        for pattern, positions in prefix_span(plog.traces, max_size, extend):
+            yield pattern, frozenset(positions)
     else:
         yield from _enumerate_bags(plog, max_size, extend)
 
@@ -283,18 +278,6 @@ def prefix_span(traces, max_size, extend):
     yield from grow((), dict.fromkeys(range(len(traces)), 0))
 
 
-def _enumerate_sequences(plog, max_size, extend):
-    # extend must see the very candidate and match set the consumer was given
-    last = None
-
-    def extend_last(pattern, positions):
-        return extend is None or extend(*last)
-
-    for pattern, positions in prefix_span(plog.traces, max_size, extend_last):
-        last = (pattern, frozenset(positions))
-        yield last
-
-
 def _enumerate_bags(plog, max_size, extend):
     # a child adds a code no smaller than its parent's last one (sets:
     # strictly larger), so it walks the codes from there; its match is the
@@ -316,7 +299,7 @@ def _enumerate_bags(plog, max_size, extend):
                 continue
             new = elems + (e,)
             yield new, matched
-            if len(new) < max_size and (extend is None or extend(new, matched)):
+            if len(new) < max_size and extend(new, matched):
                 yield from grow(new, matched, e + 1 if is_set else e, count)
 
     yield from grow((), frozenset(range(len(plog.traces))), 0, 0)

@@ -207,11 +207,10 @@ def cmd_audit(args) -> int:
     config = _build_config(args)
     log = _load_prepared(config)
     report = audit_tlkc(log, _privacy_params(config))
-    lines = ["# effective configuration"] + config_lines(config) + report.lines()
-    for line in report.lines():
-        print(line)
+    text = report.lines()
+    print("\n".join(text))
     if args.report:
-        _write_report(args.report, lines)
+        _write_report(args.report, ["# effective configuration"] + config_lines(config) + text)
     if args.report_json:
         payload = {
             "satisfied": report.satisfied,

@@ -566,8 +566,9 @@ _CONFIG_CASTS = {
 
 
 def read_config(path) -> dict:
-    """Parse a flat ``key = value`` file of :class:`RunConfig` fields; '#'
-    starts a comment."""
+    """Parse a flat ``key = value`` file of :class:`RunConfig` fields; a line
+    whose first non-blank character is '#' is a comment, and a '#' anywhere
+    else is part of the value."""
     path = Path(path)
     known = {f.name for f in fields(RunConfig)}
     out = {}
@@ -576,8 +577,8 @@ def read_config(path) -> dict:
     except OSError as exc:
         raise LogError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise LogError(f"{path}:{lineno}: expected key = value, got {raw!r}")

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -178,13 +179,39 @@ class TestMvt:
                 assert indices, "sub-candidates of realized candidates are realized"
                 assert checker.verdict_for_indices(indices).ok
 
+    @pytest.mark.parametrize("bk", ["set/ac", "mult/ac", "seq/ac"])
+    def test_goodness_needs_every_sub_size_ok(self, bk):
+        # confidence is not monotone: {a,x}, {b,x} and {a,b} are ok although
+        # {x} violates, so the violating {a,b,x} is not minimal; only the
+        # transitive closure over one-smaller subs sees {x} from there
+        log = build_log(
+            {"1": [("a", "r", 0), ("b", "r", 1), ("x", "r", 2)],
+             "2": [("a", "r", 0), ("x", "r", 2)],
+             "3": [("b", "r", 1), ("x", "r", 2)],
+             "4": [("x", "r", 2)],
+             "5": [("a", "r", 0), ("b", "r", 1)],
+             "6": [("a", "r", 0)],
+             "7": [("b", "r", 1)]},
+            {c: {"D": "N" if c in "167" else "F"} for c in "1234567"},
+            attrs=("D",),
+        )
+        params = PrivacyParams(accuracy="hours", L=3, K=2, C=0.5, bk=bk, sensitive=("D",))
+        spec = params.bk
+        assert all(
+            is_violating(Candidate(spec.bk_type, tuple(map(pe, sub))), log, params).ok
+            for sub in ("ax", "bx", "ab", "a", "b")
+        )
+        whole = Candidate(spec.bk_type, (pe("a"), pe("b"), pe("x")))
+        assert not is_violating(whole, log, params).ok
+        assert enumerate_mvt(log, params).candidates == (Candidate(spec.bk_type, (pe("x"),)),)
+
     def test_equals_bruteforce_on_small_logs(self):
         rng = random.Random(4242)
         for _ in range(12):
             log = random_log(rng, max_cases=6, max_events=5)
             K = rng.choice([1, 2, 3])
             C = rng.choice([0.25, 0.5, 1.0])
-            L = rng.choice([2, 3])
+            L = rng.choice([2, 3, 4])  # at 4 the sub closure nests twice
             for bk_type in BkType:
                 for bk_attr in BkAttr:
                     spec = BkSpec(bk_type, bk_attr)
@@ -206,6 +233,45 @@ class TestMvt:
                     )
                     assert got == oracle
 
+    def test_minimality_reads_only_the_walks_record(self, treatment_log, monkeypatch):
+        # mining makes no full-log match scan, and the minimality pass builds
+        # only one-smaller subs: at most L per candidate
+        import tlkcpriv.analysis as analysis
+        from tlkcpriv.background import ProjectedLog
+
+        scans = []
+        match_indices = ProjectedLog.match_indices
+
+        def counted_match(plog, codes):
+            scans.append(codes)
+            return match_indices(plog, codes)
+
+        built = []
+
+        def counted_combinations(codes, size):
+            subs = list(combinations(codes, size))
+            built.append((len(codes), subs))
+            return iter(subs)
+
+        monkeypatch.setattr(ProjectedLog, "match_indices", counted_match)
+        monkeypatch.setattr(analysis, "combinations", counted_combinations)
+        rng = random.Random(5150)
+        logs = [treatment_log] + [random_log(rng, max_cases=6, max_events=6) for _ in range(6)]
+        for log in logs:
+            for bk_type in BkType:
+                for bk_attr in BkAttr:
+                    L = rng.choice([2, 3, 4])
+                    params = PrivacyParams(
+                        accuracy="hours", L=L, K=rng.choice([2, 3]), C=0.5,
+                        bk=BkSpec(bk_type, bk_attr), sensitive=("Disease",),
+                    )
+                    built.clear()
+                    enumerate_mvt(log, params)
+                    assert built
+                    for size, subs in built:
+                        assert len(subs) == size <= L
+                        assert all(len(sub) == size - 1 for sub in subs)
+        assert scans == []
 
     @pytest.mark.parametrize("bk", ["seq/ar", "set/ar", "mult/ac", "rel/ar"])
     def test_descriptor_hashes_do_not_grow_with_the_events(self, bk, monkeypatch):
@@ -298,7 +364,7 @@ class TestCodedPathsAgainstOracles:
             for bk_type in BkType:
                 for bk_attr in BkAttr:
                     ps = BkSpec(bk_type, bk_attr).perspective
-                    theta = rng.choice([0.0, 0.3, 0.5, 1.0])
+                    theta = rng.choice([0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
                     got = enumerate_mft(log, ps, theta, HOURS)
                     assert dict(got) == brute_mft(log, ps, 3600, theta)
                     patterns = [p for p, _ in got]

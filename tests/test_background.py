@@ -21,7 +21,7 @@ from tlkcpriv import (
     relativize_log,
     truncate_to_accuracy,
 )
-from tlkcpriv.background import ProjectedLog
+from tlkcpriv.background import ProjectedLog, _enumerate
 
 from .conftest import build_log
 from .oracles import all_candidates, brute_match, proper_sub_candidates, random_log
@@ -316,15 +316,18 @@ class TestEnumerate:
 
 class TestExtensionFilter:
     def test_pruned_branches_are_not_generated(self, hospital_log):
-        spec = BkSpec.parse("seq/ac")
-        seen = []
+        asked = []
 
-        def never_extend(cand, indices):
+        def never_extend(codes, indices):
+            asked.append(codes)
             return False
 
-        for cand, _ in enumerate_candidates(hospital_log, spec, 3, extend=never_extend):
-            seen.append(cand)
-        assert seen and all(c.size == 1 for c in seen)
+        for bk in ("seq/ac", "mult/ac"):
+            plog = ProjectedLog(hospital_log, BkSpec.parse(bk), HOURS)
+            seen = [codes for codes, _ in _enumerate(plog, 3, never_extend)]
+            assert seen and all(len(codes) == 1 for codes in seen)
+            assert asked == seen
+            asked.clear()
 
 
 class TestSpecMapping:

@@ -63,6 +63,18 @@ class TestAnonymize:
         assert "run.conf:3: unknown config key 'k'" in err
         assert not out.exists()
 
+    def test_inline_hash_is_part_of_the_value(self, tmp_path, capsys):
+        # only a line that starts with '#' is a comment, so a trailing note
+        # makes the value unreadable instead of being stripped
+        conf = tmp_path / "run.conf"
+        conf.write_text("# a comment line\nalgorithm = tlkc\nK = 2 # note\n")
+        out = tmp_path / "anon.csv"
+        code = run(["anonymize", "--config", str(conf), "-i", TREATMENT, "-o", str(out),
+                    "--sensitive", "Disease"])
+        assert code == 2
+        assert "run.conf:3: bad value '2 # note' for K" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_baseline1_warns_on_empty_output(self, tmp_path, capsys):
         out = tmp_path / "anon.csv"
         code = run(
@@ -159,6 +171,26 @@ class TestAudit:
         assert {"candidate", "verdict", "match_size", "max_confidence"} == set(
             payload["violations"][0]
         )
+
+    def test_report_text_is_built_once(self, tmp_path, capsys, monkeypatch):
+        from tlkcpriv.analysis import AuditReport
+
+        calls = []
+        lines = AuditReport.lines
+
+        def counted(report):
+            calls.append(1)
+            return lines(report)
+
+        monkeypatch.setattr(AuditReport, "lines", counted)
+        report = tmp_path / "audit.txt"
+        code = run(["audit", "-i", TREATMENT, "--report", str(report), *TREATMENT_FLAGS])
+        assert code == 1
+        assert len(calls) == 1
+        out = capsys.readouterr().out
+        written = report.read_text()
+        assert written.startswith("# effective configuration\n")
+        assert written.endswith(out) and out.startswith("privacy audit: NOT satisfied")
 
     def test_vacuous_requirements_pass(self):
         code = run(

@@ -803,6 +803,9 @@ class TestRunConfig:
             RunConfig(csv_resource=None),  # blank on disk, a CSV without resources
             RunConfig(input="log.csv", theta=0.3, tie_break=7, discretize=("Age",)),
             RunConfig(algorithm="tlkc-ext", alpha=0.25, beta=0.75, relativize=True),
+            # a '#' inside a value is no comment
+            RunConfig(input="logs/run#2.csv", csv_timestamp_format="%Y-%m-%d#%H"),
+            RunConfig(output="out/#1.xes", csv_case="case #", sensitive=("Disease#",)),
         ):
             write_config(config, target)
             assert RunConfig(**read_config(target)) == config

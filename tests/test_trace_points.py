@@ -17,7 +17,7 @@ FLAGS = [
     "-T", "hours", "-L", "2", "-K", "2", "-C", "0.5", "--theta", "0.25",
     "--bk", "rel/ar", "--sensitive", "Disease",
 ]
-GREEDY = {"analysis.mvt", "anonymize.suppress", "background.project", "background.match"}
+GREEDY = {"analysis.mvt", "anonymize.suppress", "background.project"}
 
 
 @pytest.mark.parametrize(
@@ -45,6 +45,18 @@ def test_anonymize_job_hits_its_trace_points(tmp_path, algorithm, layers):
         assert trace.count("mvts") == 5
         assert trace.count("candidates") > 0  # background._enumerate was drawn from
         assert trace.count("iterations") > 0
-        # one projection per round; minimality checks match sub-candidates
+        # one projection per round; minimality reads the walk's own record,
+        # so mining runs no full-log match scan
         assert trace.calls("background.project") == 1
-        assert trace.calls("background.match") == 2
+        assert trace.calls("background.match") == 0
+
+
+def test_attack_job_hits_the_match_scan():
+    # single-candidate queries are what still scans the log
+    argv = ["attack", *FLAGS, "-i", TREATMENT, "<RE/E4@1,BT/N1@7>"]
+    tracer = Tracer()
+    with tracer.installed():
+        assert tracer.job(0, main, argv) == 0
+    trace = JobTrace(tracer.spans)
+    assert trace.calls("background.project") == 1
+    assert trace.calls("background.match") == 1
