@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv as csvlib
 import logging
 import math
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from operator import itemgetter
@@ -88,15 +89,15 @@ def _format_timestamp(seconds: int, fmt: str) -> str:
     return dt.strftime(fmt)
 
 
-def _memoized(convert, arg):
-    """``convert(value, arg)``, computed once per distinct value; made for one
-    read or write, since logs repeat few distinct timestamps and labels."""
+def _memoized(convert, *args):
+    """``convert(value, *args)``, computed once per distinct value; made for
+    one read or write, since logs repeat few distinct timestamps and labels."""
     cache = {}
 
     def cached(value):
-        out = cache.get(value)
-        if out is None:
-            out = cache[value] = convert(value, arg)
+        out = cache.get(value, cache)  # the cache itself marks a miss, as None is a result
+        if out is cache:
+            out = cache[value] = convert(value, *args)
         return out
 
     return cached
@@ -104,13 +105,11 @@ def _memoized(convert, arg):
 
 def _coerce_value(text):
     """Sensitive attribute values: ``true``/``false`` (any case) as booleans,
-    numbers where they parse, else strings.
+    numbers where they parse, else strings; a blank cell is None.
 
     Non-finite float spellings (``nan``, ``inf``, ``-inf``) stay text: a NaN
     is not equal to itself, so it could never match or group as a value.
     """
-    if text is None:
-        return None
     text = text.strip()
     if text == "":
         return None
@@ -144,13 +143,14 @@ def read_csv(
     path = Path(path)
     make_event = event_maker(TimestampAccuracy.parse(accuracy))
     parse_stamp = _memoized(_parse_timestamp, colmap.timestamp_format)
+    coerce = _memoized(_coerce_value)
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
     with handle:
-        reader = csvlib.DictReader(handle)
-        header = reader.fieldnames or []
+        reader = csvlib.reader(handle)
+        header = next(reader, [])
         attrs = colmap.sensitive_cols
         needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *attrs]
         if colmap.resource_col:
@@ -158,20 +158,32 @@ def read_csv(
         missing = [c for c in needed if c not in header]
         if missing:
             raise LogError(f"{path}: missing columns {missing}; header is {header}")
+        column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+        case_at, activity_at, stamp_at = (column[c] for c in needed[:3])
+        attrs_at = [column[a] for a in attrs]
+        resource_at = column[colmap.resource_col] if colmap.resource_col else None
         cases: dict = {}  # case id -> its (exact timestamp, event) pairs and sensitive values
-        for lineno, row in enumerate(reader, start=2):
-            cid, activity = row[colmap.case_col], row[colmap.activity_col]
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1  # the line the record starts on
+            if not row:  # a blank line
+                continue
+            if len(row) != len(header):
+                raise LogError(
+                    f"{path}: row {lineno} has {len(row)} cells; the header has {len(header)}"
+                )
+            cid, activity = row[case_at], row[activity_at]
             if not cid:
                 raise LogError(f"{path}: row {lineno} has an empty case id")
             if not activity:
                 raise LogError(f"{path}: row {lineno} has an empty activity")
             try:
-                ts = parse_stamp(row[colmap.timestamp_col])
+                ts = parse_stamp(row[stamp_at])
             except LogError as exc:
                 raise LogError(f"{path}: row {lineno}: {exc}") from None
-            resource = (row[colmap.resource_col] or None) if colmap.resource_col else None
+            resource = (row[resource_at] or None) if resource_at is not None else None
             # typed, as True == 1 == 1.0 would hide a conflict
-            values = tuple((type(v), v) for v in (_coerce_value(row[a]) for a in attrs))
+            values = tuple((type(v), v) for v in (coerce(row[i]) for i in attrs_at))
             events, first = cases.setdefault(cid, ([], values))
             if values != first:
                 attr, old, new = next(d for d in zip(attrs, first, values) if d[1] != d[2])
@@ -257,20 +269,155 @@ _ATTR_ESCAPES = str.maketrans(
 )
 
 
-def _bad_value(path, case_id, tag, key, value) -> LogError:
+def _bad_value(case_id, tag, key, value) -> LogError:
     """The error for a kept typed XES attribute whose value does not cast;
     ``case_id`` is None when the trace has no readable case id."""
-    where = f"{path}: " if case_id is None else f"{path}: case {case_id!r}: "
+    where = "" if case_id is None else f"case {case_id!r}: "
     what = "no value" if value is None else f"bad value {value!r}"
     return LogError(f"{where}<{tag}> attribute {key!r} has {what}")
 
 
-class _LocalNames(dict):
-    """Raw expat element name ("uri}tag" or "tag") -> local tag name."""
+class _XesCases:
+    """The cases of one XES read, each built from its trace's tokens: an
+    attribute ``(tag, key, value, "")``, an event's start ``("", "", "", "")``
+    and its end ``("", "", "", "/")``.  The first content error is kept, to be
+    raised once the whole file has parsed: a parse error anywhere wins."""
 
-    def __missing__(self, name):
-        tag = self[name] = name.rsplit("}", 1)[-1]
-        return tag
+    def __init__(self, path, sensitive_attrs, accuracy):
+        self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
+        self.kept = {"concept:name", "org:resource", "time:timestamp", *self.sensitive_attrs}
+        self.make_event = event_maker(TimestampAccuracy.parse(accuracy))
+        self.parse_stamp = _memoized(_parse_timestamp, ISO_FORMAT)
+        self.instances, self.dropped, self.error = [], 0, None
+
+    def add(self, tokens):
+        if self.error is None:
+            try:
+                self.instances.append(self._instance(tokens))
+            except LogError as exc:
+                self.error = LogError(f"{self.path}: {exc}")
+
+    def _instance(self, tokens):
+        trace, events, kept = {}, [], self.kept
+        owner = trace  # the attributes of the trace or of the open event
+        for tag, key, value, end in tokens:
+            if not tag:
+                owner = trace if end else {}
+                if not end:
+                    events.append(owner)
+            elif key not in kept:
+                self.dropped += 1  # outside the modeled fields
+            elif tag in _XES_TEXT_TAGS:
+                owner[key] = value
+            elif tag not in _XES_CASTS:
+                self.dropped += 1
+            else:
+                try:
+                    owner[key] = _XES_CASTS[tag](value)
+                except (TypeError, ValueError):  # the first failed cast, under key None
+                    owner.setdefault(None, (tag, key, value))
+        # checks in the order of a tree walk: trace attributes, then events
+        case_id = trace.get("concept:name")
+        if None in trace:
+            raise _bad_value(case_id, *trace[None])
+        if case_id is None:
+            raise LogError("trace without concept:name case id")
+        stamped = []
+        for attrs in events:
+            if None in attrs:
+                raise _bad_value(case_id, *attrs[None])
+            activity = attrs.get("concept:name")
+            if activity is None:
+                raise LogError(f"case {case_id!r} has an event without concept:name")
+            stamp = attrs.get("time:timestamp")
+            if stamp is None:
+                raise LogError(f"case {case_id!r} has an event without time:timestamp")
+            try:
+                ts = self.parse_stamp(str(stamp))
+            except LogError as exc:
+                raise LogError(f"case {case_id!r}: {exc}") from None
+            resource = attrs.get("org:resource")
+            resource = None if resource is None else str(resource)
+            stamped.append((ts, self.make_event(str(activity), resource, ts)))
+        stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
+        sensitive = {attr: trace.get(attr) for attr in self.sensitive_attrs}
+        return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
+
+
+_BLOCK_BYTES = 1 << 16  # read and checked at a time
+# a trace's tokens in the canonical form: an attribute whose value the parser does
+# not normalize (no reference, tab or line break), and an event's start or end
+_TOKEN = re.compile(r'<(?:(\w+) key="([^"&<\t\n\r]*)" value="([^"&<\t\n\r]*)" ?/>|(/?)event>)')
+_ROOT_END = re.compile(rb"\s*</\w+>\s*")
+# a file start the tokenizer does not read: another declared encoding, or a document
+# type declaration, which could default or normalize attribute values
+_OTHER_HEAD = re.compile(rb"<!DOCTYPE|<\?xml[^>]*encoding\s*=\s*[\"'](?!utf-8[\"'])", re.I)
+
+
+def _read_traces(handle, cases, tokenize) -> bool:
+    """Hand each trace of an XES file to ``cases`` as its tokens: from expat callbacks
+    or, with ``tokenize`` and from a plain first trace on, from a regex over each
+    block that expat checks alone.  False if a later trace leaves the canonical form."""
+    local_names = {}  # raw expat element name ("uri}tag" or "tag") -> local name
+    depth, tokens, in_event = 0, None, False  # the root at depth 1; the open trace and event
+    parser = expat.ParserCreate(namespace_separator="}")
+    # the bytes not yet tokenized, from the file start until the first trace; None for callbacks
+    data = bytearray() if tokenize else None
+
+    def start(name, attrs):
+        nonlocal depth, tokens, in_event, data
+        depth += 1
+        tag = local_names.get(name) or local_names.setdefault(name, name.rsplit("}", 1)[-1])
+        if depth == 2 and tag == "trace":
+            at = parser.CurrentByteIndex  # the tokenizer reads on from a plain first trace
+            plain = data is not None and data.startswith(b"<trace>", at)
+            if plain and not _OTHER_HEAD.search(data, 0, at):
+                data = data[at:]
+                parser.StartElementHandler = parser.EndElementHandler = None
+                return
+            tokens, data = [], None
+        elif depth == 3 and tokens is not None and tag == "event":
+            tokens.append(("", "", "", ""))
+            in_event = True
+        elif (depth == 3 and tokens is not None) or (depth == 4 and in_event):
+            key = attrs.get("key")
+            if key is not None:
+                tokens.append((tag, key, attrs.get("value"), ""))
+
+    def end(name):
+        nonlocal depth, tokens, in_event
+        if depth == 3 and in_event:
+            tokens.append(("", "", "", "/"))
+            in_event = False
+        elif depth == 2 and tokens is not None:
+            cases.add(tokens)
+            tokens = None
+        depth -= 1
+
+    parser.StartElementHandler, parser.EndElementHandler = start, end
+    while True:
+        block = handle.read(_BLOCK_BYTES)
+        if data is not None:
+            data += block
+        parser.Parse(block, not block)
+        last = -1  # tokenizing: the traces closed in this block (a closing tag may straddle it)
+        if parser.StartElementHandler is None:
+            last = data.rfind(b"</trace>", max(0, len(data) - len(block) - 7))
+        if last >= 0:
+            text = data[: last + 8].decode()
+            del data[: last + 8]
+            for segment in text.split("</trace>")[:-1]:
+                space, opening, segment = segment.partition("<trace>")
+                if space.strip() or not opening:
+                    return False
+                found = _TOKEN.findall(segment)
+                ends = [end for tag, _, _, end in found if not tag]
+                # every markup character starts a token, and events open and close in turn
+                if segment.count("<") != len(found) or ends != ["", "/"] * (len(ends) // 2):
+                    return False
+                cases.add(found)
+        if not block:
+            return parser.StartElementHandler is not None or _ROOT_END.fullmatch(data) is not None
 
 
 def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> EventLog:
@@ -287,123 +434,30 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
     is an error naming the file, case and key, as is an unparsable timestamp.
 
-    The file is parsed as a stream: only the open trace is held, and each
-    case is built when its ``</trace>`` closes.  A parse error anywhere in
-    the file is reported before any error in its content, and content errors
-    come in document order of the traces.
+    Expat checks the file block by block.  UTF-8 traces of ``<tag key=".."
+    value=".." />`` attributes and plain events are tokenized by regex, others
+    read through expat callbacks.  A parse error anywhere in the file is
+    reported before any error in its content, and content errors come in
+    document order of the traces.
     """
     path = Path(path)
-    sensitive_attrs = tuple(sensitive_attrs)
-    kept_keys = {"concept:name", "org:resource", "time:timestamp", *sensitive_attrs}
-    make_event = event_maker(TimestampAccuracy.parse(accuracy))
-    parse_stamp = _memoized(_parse_timestamp, ISO_FORMAT)
-    local_names = _LocalNames()
-    instances = []
-    dropped_attrs = 0
-    error = None  # the first content error, raised once the whole file has parsed
-    depth = 0  # of the element being opened or closed; the root is at 1
-    trace_attrs = trace_error = events = None  # the open trace, if any
-    event_attrs = event_error = None  # the open event, if any
-
-    def start(name, attrs):
-        nonlocal depth, dropped_attrs
-        nonlocal trace_attrs, trace_error, events, event_attrs, event_error
-        depth += 1
-        if depth == 4:
-            if event_attrs is None:
-                return
-            out, tag = event_attrs, local_names[name]
-        elif depth == 3:
-            if events is None:
-                return
-            tag = local_names[name]
-            if tag == "event":
-                event_attrs, event_error = {}, None
-                return
-            out = trace_attrs
-        else:
-            if depth == 2 and local_names[name] == "trace":
-                trace_attrs, trace_error, events = {}, None, []
-            return
-        # an attribute child of the open trace or event
-        key = attrs.get("key")
-        if key is None:
-            return
-        if key not in kept_keys:
-            dropped_attrs += 1  # outside the modeled fields
-            return
-        value = attrs.get("value")
-        if tag in _XES_TEXT_TAGS:
-            out[key] = value
-            return
-        cast = _XES_CASTS.get(tag)
-        if cast is None:
-            dropped_attrs += 1
-            return
-        try:
-            out[key] = cast(value)
-        except (TypeError, ValueError):  # reported when the trace is checked
-            if out is event_attrs:
-                event_error = event_error or (tag, key, value)
-            else:
-                trace_error = trace_error or (tag, key, value)
-
-    def end(name):
-        nonlocal depth, events, event_attrs, error
-        if depth == 3:
-            if event_attrs is not None:
-                events.append(event_error or event_attrs)
-                event_attrs = None
-        elif depth == 2 and events is not None:
-            if error is None:
-                try:
-                    instances.append(instance(trace_attrs, trace_error, events))
-                except LogError as exc:
-                    error = exc
-            events = None
-        depth -= 1
-
-    def instance(trace_attrs, trace_error, events):
-        # checks in the order of a tree walk: trace attributes, then events
-        case_id = trace_attrs.get("concept:name")
-        if trace_error is not None:
-            raise _bad_value(path, case_id, *trace_error)
-        if case_id is None:
-            raise LogError(f"{path}: trace without concept:name case id")
-        stamped = []
-        for ev_attrs in events:
-            if isinstance(ev_attrs, tuple):  # a failed cast in this event
-                raise _bad_value(path, case_id, *ev_attrs)
-            activity = ev_attrs.get("concept:name")
-            if activity is None:
-                raise LogError(f"{path}: case {case_id!r} has an event without concept:name")
-            stamp = ev_attrs.get("time:timestamp")
-            if stamp is None:
-                raise LogError(f"{path}: case {case_id!r} has an event without time:timestamp")
-            try:
-                ts = parse_stamp(str(stamp))
-            except LogError as exc:
-                raise LogError(f"{path}: case {case_id!r}: {exc}") from None
-            resource = ev_attrs.get("org:resource")
-            resource = None if resource is None else str(resource)
-            stamped.append((ts, make_event(str(activity), resource, ts)))
-        stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
-        sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
-        return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
-
-    parser = expat.ParserCreate(namespace_separator="}")
-    parser.StartElementHandler = start
-    parser.EndElementHandler = end
     try:
         with path.open("rb") as handle:
-            parser.ParseFile(handle)
+            cases = _XesCases(path, sensitive_attrs, accuracy)
+            if not _read_traces(handle, cases, tokenize=True):
+                handle.seek(0)
+                cases = _XesCases(path, sensitive_attrs, accuracy)
+                _read_traces(handle, cases, tokenize=False)
     except (OSError, expat.ExpatError) as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
-    if error is not None:
-        raise error
-    if dropped_attrs:
-        logger.warning("dropped %d unrecognized XES attributes from %s", dropped_attrs, path)
-    return EventLog(tuple(instances), sensitive_attrs)
+    if cases.error is not None:
+        raise cases.error
+    if cases.dropped:
+        logger.warning("dropped %d unrecognized XES attributes from %s", cases.dropped, path)
+    try:
+        return EventLog(tuple(cases.instances), cases.sensitive_attrs)
+    except LogError as exc:  # a repeated case id
+        raise LogError(f"{path}: {exc}") from None
 
 
 def write_xes(log: EventLog, path) -> None:

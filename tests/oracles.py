@@ -401,7 +401,7 @@ def tree_read_xes(path, sensitive_attrs=()):
                 error = error or (tag, key, value)
         if error is not None:
             owner = out.get("concept:name") if case_id is None else case_id
-            raise _bad_value(path, owner, *error)
+            raise LogError(f"{path}: {_bad_value(owner, *error)}")
         return out
 
     for trace_el in root:
@@ -429,10 +429,16 @@ def tree_read_xes(path, sensitive_attrs=()):
             events.append((ts, pos, Event(str(activity), resource, ts)))
         events.sort(key=lambda t: (t[0], t[1]))
         sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
-        instances.append(
-            ProcessInstance(str(case_id), tuple(ev for _, _, ev in events), sensitive)
-        )
-    return EventLog(tuple(instances), sensitive_attrs), dropped_attrs
+        try:
+            instances.append(
+                ProcessInstance(str(case_id), tuple(ev for _, _, ev in events), sensitive)
+            )
+        except LogError as exc:  # an empty trace
+            raise LogError(f"{path}: {exc}") from None
+    try:
+        return EventLog(tuple(instances), sensitive_attrs), dropped_attrs
+    except LogError as exc:  # a repeated case id
+        raise LogError(f"{path}: {exc}") from None
 
 
 def tree_write_xes(log: EventLog, path) -> None:

@@ -337,6 +337,13 @@ class TestStats:
         assert code == 2
         assert f"error: {source}: row 2 has an empty activity" in capsys.readouterr().err
 
+    def test_short_csv_row_is_usage_error(self, capsys, tmp_path):
+        source = tmp_path / "short.csv"
+        source.write_text("CaseId,Activity,Timestamp,Resource\nc1,a\n")
+        code = run(["stats", "-i", str(source)])
+        assert code == 2
+        assert f"error: {source}: row 2 has 2 cells; the header has 4" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "attribute", ['<int key="Disease" value="old"/>', '<int key="Disease"/>']
     )

@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import logging
 import math
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,8 @@ from tlkcpriv import (
     write_csv,
     write_xes,
 )
+
+import tlkcpriv.io as xes_io
 
 from .conftest import DATA, HOSPITAL_COLMAP
 from .oracles import tree_read_xes, tree_write_xes
@@ -109,20 +113,58 @@ class TestCsv:
         with pytest.raises(LogError, match=re.escape(expected)):
             read_csv(target, CsvColumnMap(resource_col=None))
 
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "CaseId,Activity,Timestamp\n1,a,1970-01-01T00:00:00\n2,,1970-01-01T00:00:00\n",
-            # a short row leaves the activity cell missing rather than blank
-            "CaseId,Timestamp,Activity\n1,1970-01-01T00:00:00,a\n2,1970-01-01T00:00:00\n",
-        ],
-        ids=["blank", "missing"],
-    )
-    def test_empty_activity_names_path_and_row(self, body, tmp_path):
+    def test_empty_activity_names_path_and_row(self, tmp_path):
         target = tmp_path / "log.csv"
-        target.write_text(body)
+        target.write_text(
+            "CaseId,Activity,Timestamp\n1,a,1970-01-01T00:00:00\n2,,1970-01-01T00:00:00\n"
+        )
         with pytest.raises(LogError, match=re.escape(f"{target}: row 3 has an empty activity")):
             read_csv(target, CsvColumnMap(resource_col=None))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # a short row leaves cells missing rather than blank
+            ("1,1970-01-01T00:00:00,a\n2,1970-01-01T00:00:00\n", "row 3 has 2 cells"),
+            ("1,1970-01-01T00:00:00\n", "row 2 has 2 cells"),
+            ("1,1970-01-01T00:00:00,a,extra\n", "row 2 has 4 cells"),
+            (" \n", "row 2 has 1 cells"),
+        ],
+        ids=["short", "short-first", "long", "space-only"],
+    )
+    def test_wrong_cell_count_names_path_and_row(self, rows, message, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text("CaseId,Timestamp,Activity\n" + rows)
+        expected = f"{target}: {message}; the header has 3"
+        with pytest.raises(LogError, match=re.escape(expected)):
+            read_csv(target, CsvColumnMap(resource_col=None))
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            # blank lines are skipped, and still counted
+            ("1,a,1970-01-01T00:00:00\n\n2,,1970-01-01T00:00:00\n", 4),
+            ("\n\n1,,1970-01-01T00:00:00\n", 4),
+            # a quoted cell over two lines: the error names the line the record starts on
+            ('1,"a\nb",1970-01-01T00:00:00\n2,,1970-01-01T00:00:00\n', 4),
+            ('1,a,1970-01-01T00:00:00\n2,,"1970-01-01\nT00:00:00"\n', 3),
+        ],
+        ids=["blank-line", "leading-blank-lines", "multi-line-cell", "multi-line-record"],
+    )
+    def test_rows_numbered_by_the_line_they_start_on(self, rows, line, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text("CaseId,Activity,Timestamp\n" + rows)
+        expected = f"{target}: row {line} has an empty activity"
+        with pytest.raises(LogError, match=re.escape(expected)):
+            read_csv(target, CsvColumnMap(resource_col=None))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp\n\n1,a,1970-01-01T00:00:00\n\n\n1,b,1970-01-01T01:00:00\n\n"
+        )
+        log = read_csv(target, CsvColumnMap(resource_col=None))
+        assert [e.activity for e in log.instances[0].trace] == ["a", "b"]
 
     def test_non_finite_values_stay_text_across_rows(self, tmp_path):
         # a float NaN would differ from itself on the case's second row
@@ -457,34 +499,42 @@ XML_CHARS = st.one_of(
     st.sampled_from("&<>\"'\t\n\r é€中"),
     st.characters(blacklist_categories=("Cs",)).filter(_xml_legal),
 )
-LABELS = st.text(XML_CHARS, min_size=1, max_size=6)
 
 
+# typed sensitive values; strings are drawn from the log's alphabet
 SENSITIVE_VALUES = {
     "int": st.integers(-(10**20), 10**20),
     "float": st.floats(),
     "bool": st.booleans(),
-    "str": st.one_of(st.sampled_from(NAN_LIKE), st.text(XML_CHARS, max_size=6)),
 }
 
 
+# legal characters that need no escaping, so write_xes writes no reference
+PLAIN_XML_CHARS = st.characters(blacklist_categories=("Cs",)).filter(
+    lambda ch: _xml_legal(ch) and ch not in '&<>"\t\n\r'
+)
+
+
 @st.composite
-def xes_logs(draw, stamps=WIDE_STAMPS):
+def xes_logs(draw, stamps=WIDE_STAMPS, chars=XML_CHARS):
+    labels = st.text(chars, min_size=1, max_size=6)
+    texts = st.one_of(st.sampled_from(NAN_LIKE), st.text(chars, max_size=6))
+    values = {**SENSITIVE_VALUES, "str": texts}
     names = draw(
         st.lists(
-            LABELS.filter(lambda k: k not in STANDARD_KEYS), max_size=3, unique=True
+            labels.filter(lambda k: k not in STANDARD_KEYS), max_size=3, unique=True
         )
     )
-    kinds = [draw(st.sampled_from(sorted(SENSITIVE_VALUES))) for _ in names]
-    case_ids = draw(st.lists(st.text(XML_CHARS, max_size=6), max_size=5, unique=True))
+    kinds = [draw(st.sampled_from(sorted(values))) for _ in names]
+    case_ids = draw(st.lists(st.text(chars, max_size=6), max_size=5, unique=True))
     instances = []
     for case_id in case_ids:
         trace = tuple(
-            Event(draw(LABELS), draw(st.none() | st.text(XML_CHARS, max_size=4)), ts)
+            Event(draw(labels), draw(st.none() | st.text(chars, max_size=4)), ts)
             for ts in sorted(draw(st.lists(stamps, min_size=1, max_size=4)))
         )
         sensitive = {
-            name: draw(st.none() | SENSITIVE_VALUES[kind]) for name, kind in zip(names, kinds)
+            name: draw(st.none() | values[kind]) for name, kind in zip(names, kinds)
         }
         instances.append(ProcessInstance(case_id, trace, sensitive))
     return EventLog(tuple(instances), tuple(names))
@@ -660,6 +710,297 @@ class TestXesAgainstTreeReference:
         _assert_same_failure(target, ("Age",))
 
 
+# --- the block tokenizer against the element-tree reference -----------------------
+
+
+@contextlib.contextmanager
+def _spied_passes():
+    """Record each pass :func:`read_xes` makes over a file: whether it was
+    allowed to tokenize, how many traces the regex tokenized, its result and
+    the attributes it dropped."""
+    passes = []
+    read_traces, token = xes_io._read_traces, xes_io._TOKEN
+
+    class CountingToken:
+        def findall(self, segment):
+            passes[-1]["tokenized"] += 1
+            return token.findall(segment)
+
+    def spy(handle, cases, tokenize):
+        passes.append({"tokenize": tokenize, "tokenized": 0})
+        passes[-1]["result"] = result = read_traces(handle, cases, tokenize)
+        passes[-1]["dropped"] = cases.dropped
+        return result
+
+    with mock.patch.object(xes_io, "_read_traces", spy):
+        with mock.patch.object(xes_io, "_TOKEN", CountingToken()):
+            yield passes
+
+
+def _outcome(read):
+    """``read()``'s log and dropped count, or the text of its error."""
+    try:
+        return read()
+    except LogError as exc:
+        return str(exc)
+
+
+def _spied_read(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS):
+    """The outcome of :func:`read_xes` in the form of :func:`tree_read_xes`,
+    and the passes it made."""
+    with _spied_passes() as passes:
+        got = _outcome(lambda: (read_xes(path, sensitive_attrs, accuracy), passes[-1]["dropped"]))
+    return got, passes
+
+
+def _tree_read(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS):
+    def read():
+        log, dropped = tree_read_xes(path, sensitive_attrs)
+        return truncate_to_accuracy(log, accuracy), dropped
+
+    return _outcome(read)
+
+
+# canonical edits of write_xes output that drop attributes or fail the read
+XES_EDITS = {
+    "none": lambda text: text,
+    "dropped": lambda text: text.replace(
+        "<event>", '<event>\n      <string key="lifecycle:transition" value="complete" />'
+    ),
+    "bad-cast": lambda text: text.replace(
+        "<event>", '<event>\n      <int key="concept:name" value="x" />', 1
+    ),
+    "duplicate-case": lambda text: re.sub(r"(\n  <trace>.*?</trace>)", r"\1\1", text, 1, re.S),
+    "empty-trace": lambda text: re.sub(r"\n    <event>.*?</event>", "", text, flags=re.S),
+    "cut": lambda text: text[: len(text) * 2 // 3],
+}
+
+
+class TestXesTokenizer:
+    """The regex tokenizer reads canonical files; anything else is read
+    through expat callbacks, and both agree with the element tree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        log=st.sampled_from([PLAIN_XML_CHARS, XML_CHARS]).flatmap(
+            lambda chars: xes_logs(NEAR_STAMPS, chars)
+        ),
+        accuracy=st.sampled_from(list(TimestampAccuracy)),
+        edit=st.sampled_from(sorted(XES_EDITS)),
+    )
+    def test_matches_tree_reader_on_written_logs(self, log, accuracy, edit, tmp_path_factory):
+        target = tmp_path_factory.mktemp("xes") / "log.xes"
+        write_xes(log, target)
+        text = XES_EDITS[edit](target.read_text(encoding="utf-8"))
+        target.write_text(text, encoding="utf-8")
+        got, passes = _spied_read(target, log.sensitive_attrs, accuracy)
+        assert got == _tree_read(target, log.sensitive_attrs, accuracy)
+        if "&" not in text and edit != "cut":  # canonical: every trace takes the tokenizer
+            assert [(p["tokenize"], p["tokenized"], p["result"]) for p in passes] == [
+                (True, text.count("<trace>"), True)
+            ]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda t: t.replace("<event>", "<event><!-- a comment -->"), id="comment"),
+            pytest.param(lambda t: t.replace("<event>", "<event><![CDATA[x]]>"), id="cdata"),
+            pytest.param(lambda t: t.replace("<event>", "<event><?pi x?>"), id="instruction"),
+            pytest.param(
+                lambda t: t.replace('key="concept:name" value="b"', "key='concept:name' value='b'"),
+                id="single-quotes",
+            ),
+            pytest.param(
+                lambda t: t.replace('key="concept:name" value="b"', 'value="b" key="concept:name"'),
+                id="value-before-key",
+            ),
+            pytest.param(
+                lambda t: t.replace('value="b" />', 'value="b" extra="1" />'),
+                id="extra-attribute",
+            ),
+            pytest.param(
+                lambda t: t.replace('<string key="concept:name" value="b" />',
+                                    '<string  key="concept:name" value="b"/>'),
+                id="spaced-attributes",
+            ),
+            pytest.param(
+                lambda t: t.replace("<log ", '<log xmlns:x="http://www.xes-standard.org/" ')
+                .replace('<string key="concept:name" value="b" />',
+                         '<x:string key="concept:name" value="b" />'),
+                id="prefixed-attribute",
+            ),
+            pytest.param(
+                lambda t: re.sub(r"<(/?)(?!\?)", r"<\1xes:", t).replace(
+                    "xmlns=", "xmlns:xes="
+                ),
+                id="prefixed-namespace",
+            ),
+            pytest.param(
+                lambda t: t.replace(
+                    '<string key="concept:name" value="b" />',
+                    '<string key="concept:name" value="b"><string key="Age" value="9" /></string>',
+                ),
+                id="nested-value",
+            ),
+            pytest.param(lambda t: t.replace("</trace>", "<event/></trace>"), id="empty-event"),
+            pytest.param(
+                lambda t: t.replace("<event>", "<event><event>").replace(
+                    "</event>", "</event></event>"
+                ),
+                id="nested-event",
+            ),
+            pytest.param(lambda t: t.replace("<trace>", '<trace id="t">'), id="attributed-trace"),
+            pytest.param(lambda t: t.replace("<trace>", "<trace >"), id="spaced-trace"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b&amp;c"'), id="reference"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b&#65;"'), id="char-reference"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b\tc"'), id="raw-tab"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b\nc"'), id="raw-newline"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b\rc"'), id="raw-return"),
+            pytest.param(
+                lambda t: t.replace("</trace>\n  <trace>", "</trace><!-- c -->\n  <trace>"),
+                id="between-traces",
+            ),
+            pytest.param(lambda t: t.replace("</log>", "<trace/></log>"), id="closing-trace"),
+            pytest.param(lambda t: t.replace("</log>", "<!-- c --></log>"), id="closing-comment"),
+            pytest.param(
+                lambda t: t.replace(
+                    "<log ", "<!DOCTYPE log [<!ATTLIST string value NMTOKENS #IMPLIED>]>\n<log "
+                ).replace('value="b"', 'value=" b  c "'),
+                id="document-type",
+            ),
+        ],
+    )
+    def test_fallback_triggers(self, edit, tmp_path):
+        target = tmp_path / "log.xes"
+        target.write_text(edit(_two_traces()), encoding="utf-8")
+        got, passes = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert passes[-1]["tokenized"] == 0
+
+    @pytest.mark.parametrize(
+        "first",
+        ['<trace id="t">', "<trace >", "<xes:trace>"],
+        ids=["attributed", "spaced", "prefixed"],
+    )
+    def test_first_trace_out_of_form_reads_by_callbacks_in_one_pass(self, first, tmp_path):
+        # the tokenizer never starts, so the file is neither held nor read twice
+        target = tmp_path / "log.xes"
+        text = _two_traces().replace("<log ", '<log xmlns:xes="http://www.xes-standard.org/" ')
+        text = text.replace("<trace>", first, 1)
+        target.write_text(text.replace("</trace>", f"</{first[1:-1].split()[0]}>", 1))
+        got, passes = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert [(p["tokenize"], p["tokenized"], p["result"]) for p in passes] == [(True, 0, True)]
+
+    @pytest.mark.parametrize(
+        "head, encoding",
+        [
+            ("<?xml version='1.0' encoding='ISO-8859-1'?>\n", "latin-1"),
+            ("<?xml version='1.0' encoding = 'windows-1252'?>\n", "cp1252"),
+            ("<?xml version='1.0' encoding='UTF-16'?>\n", "utf-16"),
+            ("", "utf-16-le"),
+        ],
+        ids=["latin-1", "cp1252", "utf-16", "utf-16-no-declaration"],
+    )
+    def test_other_encodings_fall_back(self, head, encoding, tmp_path):
+        target = tmp_path / "log.xes"
+        body = _two_traces().split("\n", 1)[1].replace('value="b"', 'value="\xe9"')
+        target.write_bytes((head + body).encode(encoding))
+        got, passes = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert not isinstance(got, str) and got[0].instances[1].trace[0].activity == "\xe9"
+        assert passes[-1]["tokenized"] == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda t: t, id="as-written"),
+            pytest.param(lambda t: t.split("\n", 1)[1], id="no-declaration"),
+            pytest.param(lambda t: "\ufeff" + t, id="utf-8-byte-order-mark"),
+            pytest.param(lambda t: t.replace("encoding='utf-8'", 'encoding="UTF-8"'), id="utf-8"),
+            pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
+            pytest.param(lambda t: t.replace(" />", "/>"), id="no-space"),
+            pytest.param(lambda t: t.replace("<event>", "<event>text 'quoted' \"too\""), id="text"),
+            pytest.param(lambda t: t.replace("<event>", "<event>&#65;&lt;&amp;"), id="text-references"),
+            pytest.param(
+                lambda t: t.replace(
+                    "</event>\n  </trace>",
+                    '</event><string key="Age" value="late" /><int key="Age" value="5" /></trace>',
+                ),
+                id="trace-attributes-after-events",
+            ),
+            pytest.param(
+                lambda t: t.replace(
+                    "<trace>",
+                    '<extension name="Concept" prefix="concept" uri="x" /><!-- <trace> -->'
+                    '<global scope="trace"><trace><string key="concept:name" value="g" /></trace>'
+                    '<string key="concept:name" value="g" /></global><trace>',
+                    1,
+                ),
+                id="log-level-elements",
+            ),
+            pytest.param(
+                lambda t: t.replace('value="b"', "value=\"it's > \xe9\u20ac\""),
+                id="value-characters",
+            ),
+            pytest.param(
+                lambda t: t.replace("</trace>", "<event></event></trace>"), id="empty-event"
+            ),
+        ],
+    )
+    def test_canonical_files_take_the_tokenizer(self, edit, tmp_path):
+        target = tmp_path / "log.xes"
+        target.write_text(edit(_two_traces()), encoding="utf-8")
+        got, passes = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert [(p["tokenized"], p["result"]) for p in passes] == [(2, True)]
+
+    @pytest.mark.parametrize("block", [1, 7, 13, 64, 200])
+    def test_traces_straddling_blocks(self, block, hospital_log, tmp_path, monkeypatch):
+        target = tmp_path / "log.xes"
+        write_xes(hospital_log, target)
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", block)
+        got, passes = _spied_read(target, ("Age", "Disease"), TimestampAccuracy.HOURS)
+        assert got == _tree_read(target, ("Age", "Disease"), TimestampAccuracy.HOURS)
+        assert [(p["tokenized"], p["result"]) for p in passes] == [(len(hospital_log), True)]
+
+    def test_empty_log_is_read(self, tmp_path):
+        target = tmp_path / "log.xes"
+        write_xes(EventLog((), ("Age",)), target)
+        got, passes = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",)) == (EventLog((), ("Age",)), 0)
+        assert [(p["tokenize"], p["result"]) for p in passes] == [(True, True)]
+
+    def test_parse_error_after_tokenized_content_error_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 64)  # the traces end blocks before the error
+        target = tmp_path / "log.xes"
+        text = _two_traces().replace('value="1970-01-01T00:00:00Z"', 'value="never"', 1)
+        target.write_text(text.replace("</log>", "<trace></log>"), encoding="utf-8")
+        got, passes = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert got.startswith(f"cannot read {target}: mismatched tag")
+        # the trace with the bad date was tokenized before expat met the error
+        assert len(passes) == 1 and passes[0]["tokenized"] >= 1
+
+
+def _two_traces():
+    """A canonical file of two cases, as :func:`write_xes` writes it; the
+    second one's activity is ``b``."""
+    event = (
+        '\n    <event>\n      <string key="concept:name" value="{}" />'
+        '\n      <date key="time:timestamp" value="1970-01-01T00:00:00Z" />\n    </event>'
+    )
+    traces = "".join(
+        f'\n  <trace>\n    <string key="concept:name" value="{cid}" />'
+        f'\n    <int key="Age" value="4" />{event.format(label)}\n  </trace>'
+        for cid, label in (("1", "a"), ("2", "b"))
+    )
+    return (
+        "<?xml version='1.0' encoding='utf-8'?>\n"
+        f'<log xes.version="2.0" xmlns="http://www.xes-standard.org/">{traces}\n</log>'
+    )
+
+
 def _shuffle_events(xes_text, rng):
     """``xes_text`` as :func:`write_xes` writes it, with each trace's events
     in a random order (labels are escaped, so no value holds ``</event>``)."""
@@ -741,6 +1082,24 @@ class TestXesErrors:
         target.write_text(text)
         error = _assert_same_failure(target)
         assert str(error).startswith(f"cannot read {target}: ")
+
+    @pytest.mark.parametrize(
+        "traces, message",
+        [
+            ('<trace><string key="concept:name" value="c1"/></trace>',
+             "case 'c1': empty traces are not allowed"),
+            ('<trace><string key="concept:name" value="c1"/><event>'
+             '<string key="concept:name" value="a"/>'
+             '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>' * 2,
+             "duplicate case id 'c1'"),
+        ],
+        ids=["empty-trace", "duplicate-case"],
+    )
+    def test_model_errors_name_the_file(self, traces, message, tmp_path):
+        target = tmp_path / "log.xes"
+        target.write_text(f"<log>{traces}</log>")
+        error = _assert_same_failure(target)
+        assert str(error) == f"{target}: {message}"
 
     def test_missing_file(self, tmp_path):
         error = _assert_same_failure(tmp_path / "missing.xes")
