@@ -344,80 +344,103 @@ class _XesCases:
         return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
 
 
-_BLOCK_BYTES = 1 << 16  # read and checked at a time
-# a trace's tokens in the canonical form: an attribute whose value the parser does
-# not normalize (no reference, tab or line break), and an event's start or end
-_TOKEN = re.compile(r'<(?:(\w+) key="([^"&<\t\n\r]*)" value="([^"&<\t\n\r]*)" ?/>|(/?)event>)')
-_ROOT_END = re.compile(rb"\s*</\w+>\s*")
-# a file start the tokenizer does not read: another declared encoding, or a document
-# type declaration, which could default or normalize attribute values
-_OTHER_HEAD = re.compile(rb"<!DOCTYPE|<\?xml[^>]*encoding\s*=\s*[\"'](?!utf-8[\"'])", re.I)
+_BLOCK_BYTES = 1 << 16  # read at a time
+_TRACE_BYTES = 1 << 20  # a longer trace is read through the callbacks
+_END = b"</trace>"
+# a trace's tokens in the canonical form: an attribute, of any tag but event, whose
+# value the parser does not normalize (no reference, tab or line break), and an
+# event's start or end
+_VALUE = r'"([^"&<\t\n\r]*)"'
+_TOKEN = re.compile(rf"<(?:(?!event )(\w+) key={_VALUE} value={_VALUE} ?/>|(/?)event>)")
 
 
-def _read_traces(handle, cases, tokenize) -> bool:
-    """Hand each trace of an XES file to ``cases`` as its tokens: from expat callbacks
-    or, with ``tokenize`` and from a plain first trace on, from a regex over each
-    block that expat checks alone.  False if a later trace leaves the canonical form."""
-    local_names = {}  # raw expat element name ("uri}tag" or "tag") -> local name
+def _tokens(segment):
+    """The tokens of a whitespace-led ``<trace>`` up to its closing tag, or None."""
+    try:
+        space, opening, text = segment.decode().partition("<trace>")
+    except UnicodeDecodeError:  # a parse error, which expat reports
+        return None
+    if space.strip() or not opening:
+        return None
+    found = _TOKEN.findall(text)
+    if text.count("<") != len(found):  # a markup character that starts no token
+        return None
+    ends = [end for tag, _, _, end in found if not tag]
+    return found if ends == ["", "/"] * (len(ends) // 2) else None  # events open and close in turn
+
+
+def _read_traces(handle, cases) -> None:
+    """Hand each trace of an XES file to ``cases`` as its tokens, reading the file
+    once, in blocks, through one expat parser.  After its callbacks close a trace
+    at a plain ``</trace>`` in a UTF-8 file with no document type declaration, the
+    regex tokenizes each whole trace and expat then checks it with no handler.  A
+    trace out of the canonical form sends the rest of its block to the callbacks;
+    a trace longer than ``_TRACE_BYTES`` goes to them as well."""
+    local_names, keys = {}, {}  # raw expat element name -> local name; key -> its one string
     depth, tokens, in_event = 0, None, False  # the root at depth 1; the open trace and event
+    plain, closed = True, -1  # whether to tokenize; the file offset after the last trace closed
     parser = expat.ParserCreate(namespace_separator="}")
-    # the bytes not yet tokenized, from the file start until the first trace; None for callbacks
-    data = bytearray() if tokenize else None
+
+    def declared(*decl):  # an XML declaration (version, encoding, standalone) or a document type
+        nonlocal plain
+        plain = plain and len(decl) == 3 and (decl[1] or "utf-8").lower() == "utf-8"
 
     def start(name, attrs):
-        nonlocal depth, tokens, in_event, data
+        nonlocal depth, tokens, in_event
         depth += 1
         tag = local_names.get(name) or local_names.setdefault(name, name.rsplit("}", 1)[-1])
         if depth == 2 and tag == "trace":
-            at = parser.CurrentByteIndex  # the tokenizer reads on from a plain first trace
-            plain = data is not None and data.startswith(b"<trace>", at)
-            if plain and not _OTHER_HEAD.search(data, 0, at):
-                data = data[at:]
-                parser.StartElementHandler = parser.EndElementHandler = None
-                return
-            tokens, data = [], None
+            tokens = []
         elif depth == 3 and tokens is not None and tag == "event":
             tokens.append(("", "", "", ""))
             in_event = True
         elif (depth == 3 and tokens is not None) or (depth == 4 and in_event):
             key = attrs.get("key")
             if key is not None:
-                tokens.append((tag, key, attrs.get("value"), ""))
+                tokens.append((tag, keys.setdefault(key, key), attrs.get("value"), ""))
 
     def end(name):
-        nonlocal depth, tokens, in_event
+        nonlocal depth, tokens, in_event, closed
         if depth == 3 and in_event:
             tokens.append(("", "", "", "/"))
             in_event = False
         elif depth == 2 and tokens is not None:
             cases.add(tokens)
-            tokens = None
+            tokens, closed = None, parser.CurrentByteIndex + len(_END)
         depth -= 1
 
+    parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = declared
     parser.StartElementHandler, parser.EndElementHandler = start, end
+    pending, offset = bytearray(), 0  # the bytes read but not parsed, and their file offset
     while True:
         block = handle.read(_BLOCK_BYTES)
-        if data is not None:
-            data += block
-        parser.Parse(block, not block)
-        last = -1  # tokenizing: the traces closed in this block (a closing tag may straddle it)
-        if parser.StartElementHandler is None:
-            last = data.rfind(b"</trace>", max(0, len(data) - len(block) - 7))
-        if last >= 0:
-            text = data[: last + 8].decode()
-            del data[: last + 8]
-            for segment in text.split("</trace>")[:-1]:
-                space, opening, segment = segment.partition("<trace>")
-                if space.strip() or not opening:
-                    return False
-                found = _TOKEN.findall(segment)
-                ends = [end for tag, _, _, end in found if not tag]
-                # every markup character starts a token, and events open and close in turn
-                if segment.count("<") != len(found) or ends != ["", "/"] * (len(ends) // 2):
-                    return False
+        pending += block
+        parsed = taken = 0  # pending[parsed:taken] is tokenized but not parsed
+        found = []  # None once a trace out of the form stops the tokenizer in this block
+        while plain and (stop := pending.find(_END, taken)) >= 0:
+            stop += len(_END)
+            if parser.StartElementHandler is None:
+                found = _tokens(pending[taken : stop - len(_END)])
+                if found is None:  # the callbacks read on to the end of the block
+                    break
                 cases.add(found)
+                taken = stop
+            else:
+                parser.Parse(pending[taken:stop])
+                parsed = taken = stop
+                if plain and closed == offset + stop:  # a trace end to tokenize from
+                    parser.StartElementHandler = parser.EndElementHandler = None
+        parser.Parse(pending[parsed:taken])
+        if found is None or not block or len(pending) - taken > _TRACE_BYTES:
+            parser.StartElementHandler, parser.EndElementHandler = start, end
+        if parser.StartElementHandler is not None:  # all but what may start a closing tag
+            cut = max(taken, len(pending) - len(_END) + 1) if block else len(pending)
+            parser.Parse(pending[taken:cut], not block)
+            taken = cut
         if not block:
-            return parser.StartElementHandler is not None or _ROOT_END.fullmatch(data) is not None
+            return
+        del pending[:taken]
+        offset += taken
 
 
 def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> EventLog:
@@ -434,20 +457,16 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
     is an error naming the file, case and key, as is an unparsable timestamp.
 
-    Expat checks the file block by block.  UTF-8 traces of ``<tag key=".."
-    value=".." />`` attributes and plain events are tokenized by regex, others
-    read through expat callbacks.  A parse error anywhere in the file is
-    reported before any error in its content, and content errors come in
-    document order of the traces.
+    The file is read once, in blocks that expat checks.  UTF-8 traces of
+    ``<tag key=".." value=".." />`` attributes and plain events are tokenized by
+    regex, others read through expat callbacks.  A parse error anywhere in the
+    file is reported before any error in its content, and content errors come
+    in document order of the traces.
     """
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            cases = _XesCases(path, sensitive_attrs, accuracy)
-            if not _read_traces(handle, cases, tokenize=True):
-                handle.seek(0)
-                cases = _XesCases(path, sensitive_attrs, accuracy)
-                _read_traces(handle, cases, tokenize=False)
+            _read_traces(handle, cases := _XesCases(path, sensitive_attrs, accuracy))
     except (OSError, expat.ExpatError) as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
     if cases.error is not None:

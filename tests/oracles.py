@@ -426,7 +426,10 @@ def tree_read_xes(path, sensitive_attrs=()):
                 raise LogError(f"{path}: case {case_id!r}: {exc}") from None
             resource = ev_attrs.get("org:resource")
             resource = None if resource is None else str(resource)
-            events.append((ts, pos, Event(str(activity), resource, ts)))
+            try:
+                events.append((ts, pos, Event(str(activity), resource, ts)))
+            except LogError as exc:  # an empty activity label
+                raise LogError(f"{path}: {exc}") from None
         events.sort(key=lambda t: (t[0], t[1]))
         sensitive = {attr: trace_attrs.get(attr) for attr in sensitive_attrs}
         try:

@@ -714,27 +714,45 @@ class TestXesAgainstTreeReference:
 
 
 @contextlib.contextmanager
-def _spied_passes():
-    """Record each pass :func:`read_xes` makes over a file: whether it was
-    allowed to tokenize, how many traces the regex tokenized, its result and
-    the attributes it dropped."""
-    passes = []
-    read_traces, token = xes_io._read_traces, xes_io._TOKEN
+def _spied_reads():
+    """Record how :func:`read_xes` reads a file: the bytes it reads, the traces
+    the regex tried and the longest of them, the traces the regex and the
+    callbacks handed to the builder, the bytes read when each was handed
+    over, and the attributes it dropped."""
+    seen = {"bytes": 0, "tried": 0, "longest": 0, "tokenized": 0, "callbacks": 0, "read_at": []}
+    read_traces, token, add = xes_io._read_traces, xes_io._TOKEN, xes_io._XesCases.add
+
+    class Tokenized(list):
+        pass
 
     class CountingToken:
-        def findall(self, segment):
-            passes[-1]["tokenized"] += 1
-            return token.findall(segment)
+        def findall(self, text):
+            seen["tried"] += 1
+            seen["longest"] = max(seen["longest"], len(text))
+            return Tokenized(token.findall(text))
 
-    def spy(handle, cases, tokenize):
-        passes.append({"tokenize": tokenize, "tokenized": 0})
-        passes[-1]["result"] = result = read_traces(handle, cases, tokenize)
-        passes[-1]["dropped"] = cases.dropped
-        return result
+    class CountingHandle:
+        def __init__(self, handle):
+            self.handle = handle
 
-    with mock.patch.object(xes_io, "_read_traces", spy):
-        with mock.patch.object(xes_io, "_TOKEN", CountingToken()):
-            yield passes
+        def read(self, size):
+            block = self.handle.read(size)
+            seen["bytes"] += len(block)
+            return block
+
+    def spy_read(handle, cases):
+        read_traces(CountingHandle(handle), cases)
+        seen["dropped"] = cases.dropped
+
+    def spy_add(cases, tokens):
+        seen["tokenized" if isinstance(tokens, Tokenized) else "callbacks"] += 1
+        seen["read_at"].append(seen["bytes"])
+        add(cases, tokens)
+
+    with mock.patch.object(xes_io, "_read_traces", spy_read), \
+            mock.patch.object(xes_io, "_TOKEN", CountingToken()), \
+            mock.patch.object(xes_io._XesCases, "add", spy_add):
+        yield seen
 
 
 def _outcome(read):
@@ -747,10 +765,10 @@ def _outcome(read):
 
 def _spied_read(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS):
     """The outcome of :func:`read_xes` in the form of :func:`tree_read_xes`,
-    and the passes it made."""
-    with _spied_passes() as passes:
-        got = _outcome(lambda: (read_xes(path, sensitive_attrs, accuracy), passes[-1]["dropped"]))
-    return got, passes
+    and how it read the file (see :func:`_spied_reads`)."""
+    with _spied_reads() as seen:
+        got = _outcome(lambda: (read_xes(path, sensitive_attrs, accuracy), seen["dropped"]))
+    return got, seen
 
 
 def _tree_read(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS):
@@ -777,8 +795,10 @@ XES_EDITS = {
 
 
 class TestXesTokenizer:
-    """The regex tokenizer reads canonical files; anything else is read
-    through expat callbacks, and both agree with the element tree."""
+    """The regex tokenizer reads each canonical trace after the first; the
+    first trace, and a trace that leaves the form with the rest of its block,
+    are read through expat callbacks, and both agree with the element tree.
+    The file is read once."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -793,46 +813,57 @@ class TestXesTokenizer:
         write_xes(log, target)
         text = XES_EDITS[edit](target.read_text(encoding="utf-8"))
         target.write_text(text, encoding="utf-8")
-        got, passes = _spied_read(target, log.sensitive_attrs, accuracy)
+        got, seen = _spied_read(target, log.sensitive_attrs, accuracy)
         assert got == _tree_read(target, log.sensitive_attrs, accuracy)
-        if "&" not in text and edit != "cut":  # canonical: every trace takes the tokenizer
-            assert [(p["tokenize"], p["tokenized"], p["result"]) for p in passes] == [
-                (True, text.count("<trace>"), True)
-            ]
+        assert seen["bytes"] == target.stat().st_size
+        if edit != "cut":  # the first trace goes to the callbacks, as does a reference's block
+            traces = re.findall(r"<trace>.*?</trace>", text, re.S)
+            assert seen["tokenized"] + seen["callbacks"] == len(traces)
+            if not any("&" in trace for trace in traces[1:]):
+                assert (seen["callbacks"], seen["tried"]) == (min(len(traces), 1), len(traces[1:]))
+            assert seen["tried"] - seen["tokenized"] <= sum("&" in trace for trace in traces[1:])
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, tokenized",
         [
-            pytest.param(lambda t: t.replace("<event>", "<event><!-- a comment -->"), id="comment"),
-            pytest.param(lambda t: t.replace("<event>", "<event><![CDATA[x]]>"), id="cdata"),
-            pytest.param(lambda t: t.replace("<event>", "<event><?pi x?>"), id="instruction"),
+            pytest.param(
+                lambda t: t.replace("<event>", "<event><!-- a comment -->"), 0, id="comment"
+            ),
+            pytest.param(lambda t: t.replace("<event>", "<event><![CDATA[x]]>"), 0, id="cdata"),
+            pytest.param(lambda t: t.replace("<event>", "<event><?pi x?>"), 0, id="instruction"),
             pytest.param(
                 lambda t: t.replace('key="concept:name" value="b"', "key='concept:name' value='b'"),
+                1,
                 id="single-quotes",
             ),
             pytest.param(
                 lambda t: t.replace('key="concept:name" value="b"', 'value="b" key="concept:name"'),
+                1,
                 id="value-before-key",
             ),
             pytest.param(
                 lambda t: t.replace('value="b" />', 'value="b" extra="1" />'),
+                1,
                 id="extra-attribute",
             ),
             pytest.param(
                 lambda t: t.replace('<string key="concept:name" value="b" />',
                                     '<string  key="concept:name" value="b"/>'),
+                1,
                 id="spaced-attributes",
             ),
             pytest.param(
                 lambda t: t.replace("<log ", '<log xmlns:x="http://www.xes-standard.org/" ')
                 .replace('<string key="concept:name" value="b" />',
                          '<x:string key="concept:name" value="b" />'),
+                1,
                 id="prefixed-attribute",
             ),
             pytest.param(
                 lambda t: re.sub(r"<(/?)(?!\?)", r"<\1xes:", t).replace(
                     "xmlns=", "xmlns:xes="
                 ),
+                0,
                 id="prefixed-namespace",
             ),
             pytest.param(
@@ -840,57 +871,132 @@ class TestXesTokenizer:
                     '<string key="concept:name" value="b" />',
                     '<string key="concept:name" value="b"><string key="Age" value="9" /></string>',
                 ),
+                1,
                 id="nested-value",
             ),
-            pytest.param(lambda t: t.replace("</trace>", "<event/></trace>"), id="empty-event"),
+            pytest.param(
+                lambda t: t.replace("</trace>", "<event/></trace>"), 0, id="empty-event"
+            ),
+            pytest.param(
+                lambda t: t.replace(
+                    '<string key="concept:name" value="2" />',
+                    '<string key="concept:name" value="2" /><event key="concept:name" value="x" />',
+                ),
+                1,
+                id="attributed-event",
+            ),
             pytest.param(
                 lambda t: t.replace("<event>", "<event><event>").replace(
                     "</event>", "</event></event>"
                 ),
+                0,
                 id="nested-event",
             ),
-            pytest.param(lambda t: t.replace("<trace>", '<trace id="t">'), id="attributed-trace"),
-            pytest.param(lambda t: t.replace("<trace>", "<trace >"), id="spaced-trace"),
-            pytest.param(lambda t: t.replace('value="b"', 'value="b&amp;c"'), id="reference"),
-            pytest.param(lambda t: t.replace('value="b"', 'value="b&#65;"'), id="char-reference"),
-            pytest.param(lambda t: t.replace('value="b"', 'value="b\tc"'), id="raw-tab"),
-            pytest.param(lambda t: t.replace('value="b"', 'value="b\nc"'), id="raw-newline"),
-            pytest.param(lambda t: t.replace('value="b"', 'value="b\rc"'), id="raw-return"),
+            pytest.param(
+                lambda t: t.replace("<trace>", '<trace id="t">'), 0, id="attributed-trace"
+            ),
+            pytest.param(lambda t: t.replace("<trace>", "<trace >"), 0, id="spaced-trace"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b&amp;c"'), 1, id="reference"),
+            pytest.param(
+                lambda t: t.replace('value="b"', 'value="b&#65;"'), 1, id="char-reference"
+            ),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b\tc"'), 1, id="raw-tab"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b\nc"'), 1, id="raw-newline"),
+            pytest.param(lambda t: t.replace('value="b"', 'value="b\rc"'), 1, id="raw-return"),
             pytest.param(
                 lambda t: t.replace("</trace>\n  <trace>", "</trace><!-- c -->\n  <trace>"),
+                0,
                 id="between-traces",
             ),
-            pytest.param(lambda t: t.replace("</log>", "<trace/></log>"), id="closing-trace"),
-            pytest.param(lambda t: t.replace("</log>", "<!-- c --></log>"), id="closing-comment"),
+            pytest.param(
+                lambda t: t.replace("</log>", "<trace/></log>"), 3, id="closing-trace"
+            ),
+            pytest.param(
+                lambda t: t.replace("</log>", "<!-- c --></log>"), 3, id="closing-comment"
+            ),
             pytest.param(
                 lambda t: t.replace(
                     "<log ", "<!DOCTYPE log [<!ATTLIST string value NMTOKENS #IMPLIED>]>\n<log "
                 ).replace('value="b"', 'value=" b  c "'),
+                0,
                 id="document-type",
             ),
         ],
     )
-    def test_fallback_triggers(self, edit, tmp_path):
+    def test_fallback_triggers(self, edit, tokenized, tmp_path, monkeypatch):
+        # the callbacks read a trace out of the canonical form and the rest of
+        # its block; with short blocks the tokenizer takes the fourth trace again
+        # when the trigger is in the second only
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 64)
         target = tmp_path / "log.xes"
-        target.write_text(edit(_two_traces()), encoding="utf-8")
-        got, passes = _spied_read(target, ("Age",))
+        target.write_text(edit(_traces()), encoding="utf-8")
+        got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
-        assert passes[-1]["tokenized"] == 0
+        assert seen["tokenized"] == tokenized
+        assert seen["bytes"] == target.stat().st_size
+        assert seen["read_at"][1] < seen["bytes"]  # built while the file is read
+
+    @pytest.mark.parametrize("where", [0, 1, 0.5, 1.0], ids=["first", "second", "middle", "last"])
+    def test_tokenizer_resumes_after_a_trace_out_of_form(
+        self, where, hospital_log, tmp_path, monkeypatch
+    ):
+        # with blocks shorter than a trace, the callbacks read the trace out of
+        # form and the next one, up to the first trace end after its block
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 64)
+        target = tmp_path / "log.xes"
+        write_xes(hospital_log, target)
+        cases = len(hospital_log)
+        at = where if isinstance(where, int) else int(where * (cases - 1))
+        traces = target.read_text(encoding="utf-8").split("</trace>")
+        traces[at] = traces[at].replace("<event>", "<event><!-- c -->", 1)
+        target.write_text("</trace>".join(traces), encoding="utf-8")
+        got, seen = _spied_read(target, ("Age", "Disease"))
+        assert got == _tree_read(target, ("Age", "Disease"))
+        # the first trace goes to the callbacks anyway
+        callbacks = {0: 1, cases - 1: 2}.get(at, 3)
+        assert (seen["callbacks"], seen["tokenized"]) == (callbacks, cases - callbacks)
+        assert seen["tried"] == cases - callbacks + (at != 0)
+        assert seen["bytes"] == target.stat().st_size
+
+    def test_fallback_reads_one_block_by_callbacks(self, tmp_path):
+        # a trace out of form in a large file sends the rest of its block to the
+        # callbacks, and the next block is tokenized again
+        trace = _traces().split("<trace>", 2)[1].split("</trace>")[0]
+        count = 4 * xes_io._BLOCK_BYTES // len(trace)
+        traces = [trace.replace('value="a"', f'value="{k}"').replace('"1"', f'"c{k}"')
+                  for k in range(count)]
+        traces[count // 2] = traces[count // 2].replace("<event>", "<event><!-- c -->")
+        head, tail = _traces().split("<trace>", 1)[0], "\n</log>"
+        target = tmp_path / "log.xes"
+        target.write_text(head + "".join(f"<trace>{t}</trace>" for t in traces) + tail)
+        got, seen = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert 1 < seen["callbacks"] <= 2 * xes_io._BLOCK_BYTES // len(trace)
+        assert seen["tried"] == seen["tokenized"] + 1
+        assert seen["bytes"] == target.stat().st_size
 
     @pytest.mark.parametrize(
-        "first",
-        ['<trace id="t">', "<trace >", "<xes:trace>"],
-        ids=["attributed", "spaced", "prefixed"],
+        "first, tokenized",
+        [
+            ('<trace id="t">', 3),
+            ("<trace >", 3),
+            ("<trace><!-- </trace> -->", 3),
+            ("<xes:trace>", 2),
+        ],
+        ids=["attributed", "spaced", "closing-tag-in-comment", "prefixed"],
     )
-    def test_first_trace_out_of_form_reads_by_callbacks_in_one_pass(self, first, tmp_path):
-        # the tokenizer never starts, so the file is neither held nor read twice
+    def test_first_trace_out_of_form_is_read_by_callbacks(self, first, tokenized, tmp_path):
+        # the tokenizer starts after the first trace closed by a plain </trace>
         target = tmp_path / "log.xes"
-        text = _two_traces().replace("<log ", '<log xmlns:xes="http://www.xes-standard.org/" ')
+        text = _traces().replace("<log ", '<log xmlns:xes="http://www.xes-standard.org/" ')
         text = text.replace("<trace>", first, 1)
-        target.write_text(text.replace("</trace>", f"</{first[1:-1].split()[0]}>", 1))
-        got, passes = _spied_read(target, ("Age",))
+        if first == "<xes:trace>":
+            text = text.replace("</trace>", "</xes:trace>", 1)
+        target.write_text(text)
+        got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
-        assert [(p["tokenize"], p["tokenized"], p["result"]) for p in passes] == [(True, 0, True)]
+        assert (seen["callbacks"], seen["tokenized"]) == (4 - tokenized, tokenized)
+        assert seen["bytes"] == target.stat().st_size
 
     @pytest.mark.parametrize(
         "head, encoding",
@@ -904,19 +1010,38 @@ class TestXesTokenizer:
     )
     def test_other_encodings_fall_back(self, head, encoding, tmp_path):
         target = tmp_path / "log.xes"
-        body = _two_traces().split("\n", 1)[1].replace('value="b"', 'value="\xe9"')
+        body = _traces().split("\n", 1)[1].replace('value="b"', 'value="\xe9"')
         target.write_bytes((head + body).encode(encoding))
-        got, passes = _spied_read(target, ("Age",))
+        got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
         assert not isinstance(got, str) and got[0].instances[1].trace[0].activity == "\xe9"
-        assert passes[-1]["tokenized"] == 0
+        assert seen["tokenized"] == 0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda t: t.replace("<log ", "<!DOCTYPE log>\n<log "), id="document-type"),
+            pytest.param(lambda t: t.replace("utf-8", "ISO-8859-1"), id="latin-1"),
+        ],
+    )
+    def test_files_not_to_tokenize_are_read_as_they_stream(self, edit, tmp_path, monkeypatch):
+        # the first block ends with the first trace: the callbacks read the rest
+        # block by block, not all at the end
+        text = edit(_traces())
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", text.index("</trace>") + len("</trace>"))
+        target = tmp_path / "log.xes"
+        target.write_text(text, encoding="utf-8")
+        got, seen = _spied_read(target, ("Age",))
+        assert got == _tree_read(target, ("Age",))
+        assert seen["tokenized"] == 0
+        assert seen["read_at"][1] < seen["bytes"] == target.stat().st_size
 
     @pytest.mark.parametrize(
         "edit",
         [
             pytest.param(lambda t: t, id="as-written"),
             pytest.param(lambda t: t.split("\n", 1)[1], id="no-declaration"),
-            pytest.param(lambda t: "\ufeff" + t, id="utf-8-byte-order-mark"),
+            pytest.param(lambda t: "﻿" + t, id="utf-8-byte-order-mark"),
             pytest.param(lambda t: t.replace("encoding='utf-8'", 'encoding="UTF-8"'), id="utf-8"),
             pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
             pytest.param(lambda t: t.replace(" />", "/>"), id="no-space"),
@@ -940,7 +1065,7 @@ class TestXesTokenizer:
                 id="log-level-elements",
             ),
             pytest.param(
-                lambda t: t.replace('value="b"', "value=\"it's > \xe9\u20ac\""),
+                lambda t: t.replace('value="b"', "value=\"it's > \xe9€\""),
                 id="value-characters",
             ),
             pytest.param(
@@ -950,42 +1075,61 @@ class TestXesTokenizer:
     )
     def test_canonical_files_take_the_tokenizer(self, edit, tmp_path):
         target = tmp_path / "log.xes"
-        target.write_text(edit(_two_traces()), encoding="utf-8")
-        got, passes = _spied_read(target, ("Age",))
+        target.write_text(edit(_traces()), encoding="utf-8")
+        got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
-        assert [(p["tokenized"], p["result"]) for p in passes] == [(2, True)]
+        assert (seen["callbacks"], seen["tokenized"], seen["tried"]) == (1, 3, 3)
 
     @pytest.mark.parametrize("block", [1, 7, 13, 64, 200])
     def test_traces_straddling_blocks(self, block, hospital_log, tmp_path, monkeypatch):
         target = tmp_path / "log.xes"
         write_xes(hospital_log, target)
         monkeypatch.setattr(xes_io, "_BLOCK_BYTES", block)
-        got, passes = _spied_read(target, ("Age", "Disease"), TimestampAccuracy.HOURS)
+        got, seen = _spied_read(target, ("Age", "Disease"), TimestampAccuracy.HOURS)
         assert got == _tree_read(target, ("Age", "Disease"), TimestampAccuracy.HOURS)
-        assert [(p["tokenized"], p["result"]) for p in passes] == [(len(hospital_log), True)]
+        assert (seen["callbacks"], seen["tokenized"]) == (1, len(hospital_log) - 1)
+        assert seen["bytes"] == target.stat().st_size
+
+    @pytest.mark.parametrize("block", [16, 64])
+    def test_long_traces_go_to_the_callbacks(self, block, hospital_log, tmp_path, monkeypatch):
+        # a trace longer than the limit is not held whole, and the next short one
+        # is tokenized again
+        target = tmp_path / "log.xes"
+        write_xes(hospital_log, target)
+        lengths = [len(t) for t in target.read_bytes().split(b"</trace>")[1:-1]]
+        limit = sorted(lengths)[len(lengths) // 2]
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(xes_io, "_TRACE_BYTES", limit)
+        got, seen = _spied_read(target, ("Age", "Disease"))
+        assert got == _tree_read(target, ("Age", "Disease"))
+        assert 1 < seen["callbacks"] < len(hospital_log)
+        assert seen["callbacks"] + seen["tokenized"] == len(hospital_log)
+        # a trace is given up once a block ends with more than the limit of it unclosed
+        assert seen["longest"] <= limit + block
 
     def test_empty_log_is_read(self, tmp_path):
         target = tmp_path / "log.xes"
         write_xes(EventLog((), ("Age",)), target)
-        got, passes = _spied_read(target, ("Age",))
+        got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",)) == (EventLog((), ("Age",)), 0)
-        assert [(p["tokenize"], p["result"]) for p in passes] == [(True, True)]
+        assert seen["bytes"] == target.stat().st_size
 
     def test_parse_error_after_tokenized_content_error_wins(self, tmp_path, monkeypatch):
         monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 64)  # the traces end blocks before the error
         target = tmp_path / "log.xes"
-        text = _two_traces().replace('value="1970-01-01T00:00:00Z"', 'value="never"', 1)
+        head, _, tail = _traces().rpartition('value="1970-01-01T00:00:00Z"')
+        text = f'{head}value="never"{tail}'
         target.write_text(text.replace("</log>", "<trace></log>"), encoding="utf-8")
-        got, passes = _spied_read(target, ("Age",))
+        got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
         assert got.startswith(f"cannot read {target}: mismatched tag")
         # the trace with the bad date was tokenized before expat met the error
-        assert len(passes) == 1 and passes[0]["tokenized"] >= 1
+        assert seen["tokenized"] == 3
 
 
-def _two_traces():
-    """A canonical file of two cases, as :func:`write_xes` writes it; the
-    second one's activity is ``b``."""
+def _traces():
+    """A canonical file of four cases, as :func:`write_xes` writes it; the
+    second one's id is ``2`` and its activity ``b``."""
     event = (
         '\n    <event>\n      <string key="concept:name" value="{}" />'
         '\n      <date key="time:timestamp" value="1970-01-01T00:00:00Z" />\n    </event>'
@@ -993,7 +1137,7 @@ def _two_traces():
     traces = "".join(
         f'\n  <trace>\n    <string key="concept:name" value="{cid}" />'
         f'\n    <int key="Age" value="4" />{event.format(label)}\n  </trace>'
-        for cid, label in (("1", "a"), ("2", "b"))
+        for cid, label in (("1", "a"), ("2", "b"), ("3", "c"), ("4", "d"))
     )
     return (
         "<?xml version='1.0' encoding='utf-8'?>\n"
@@ -1092,8 +1236,12 @@ class TestXesErrors:
              '<string key="concept:name" value="a"/>'
              '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>' * 2,
              "duplicate case id 'c1'"),
+            ('<trace><string key="concept:name" value="c1"/><event>'
+             '<string key="concept:name" value=""/>'
+             '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>',
+             "event activity label must be non-empty"),
         ],
-        ids=["empty-trace", "duplicate-case"],
+        ids=["empty-trace", "duplicate-case", "empty-activity"],
     )
     def test_model_errors_name_the_file(self, traces, message, tmp_path):
         target = tmp_path / "log.xes"
