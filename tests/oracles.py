@@ -302,6 +302,36 @@ def scalar_emd_report(original, anonymized, ps, accuracy):
     return 1.0 - total, total, plan
 
 
+def full_lp_transport_cost(weights_a, weights_b, cost):
+    """Minimal transport cost from one HiGHS solve over every cell, with the
+    row and column constraints written out as dense rows.  HiGHS's default
+    dual tolerance, 1e-7, would accept a plan that much above the optimum on
+    costs that close; 1e-10 is its tightest."""
+    from scipy.optimize import linprog
+
+    cost = np.asarray(cost, dtype=float)
+    n, m = cost.shape
+    a_eq = []
+    for i in range(n):
+        row = np.zeros(n * m)
+        row[i * m : (i + 1) * m] = 1
+        a_eq.append(row)
+    for j in range(m):
+        col = np.zeros(n * m)
+        col[j::m] = 1
+        a_eq.append(col)
+    res = linprog(
+        cost.ravel(),
+        A_eq=np.array(a_eq),
+        b_eq=np.concatenate([weights_a, weights_b]),
+        bounds=(0, None),
+        method="highs",
+        options={"dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return float(np.sum(res.x * cost.ravel()))
+
+
 # --- transport cost by grid search --------------------------------------------
 
 

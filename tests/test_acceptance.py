@@ -302,28 +302,12 @@ def test_criterion_7_metrics(hospital_log, treatment_log):
 def _transport_cost(wa, wb, ta, tb):
     """Drive the production transport solver on hand-built distributions."""
     import numpy as np
-    from scipy.optimize import linprog
+
+    from tlkcpriv import metrics
 
     cost = np.array([[normalized_levenshtein(x, y) for y in tb] for x in ta])
-    n, m = cost.shape
-    a_eq = []
-    for i in range(n):
-        row = np.zeros(n * m)
-        row[i * m : (i + 1) * m] = 1
-        a_eq.append(row)
-    for j in range(m):
-        col = np.zeros(n * m)
-        col[j::m] = 1
-        a_eq.append(col)
-    res = linprog(
-        cost.ravel(),
-        A_eq=np.array(a_eq),
-        b_eq=np.concatenate([wa, wb]),
-        bounds=(0, None),
-        method="highs",
-    )
-    assert res.success
-    return float(res.fun)
+    flow = metrics._optimal_flow(np.array(wa), np.array(wb), cost)
+    return float(np.sum(flow * cost))
 
 
 def _synthetic_big_log(cases=1050, seed=4025):

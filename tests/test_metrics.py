@@ -15,6 +15,7 @@ from tlkcpriv import (
     emd_data_utility,
     handover_compare,
     normalized_levenshtein,
+    variants,
 )
 from tlkcpriv import metrics
 from tlkcpriv.log import ProjectedEvent
@@ -22,6 +23,7 @@ from tlkcpriv.log import ProjectedEvent
 from .conftest import build_log
 from .oracles import (
     brute_transport_cost,
+    full_lp_transport_cost,
     random_log,
     scalar_cost_matrix,
     scalar_emd_report,
@@ -130,10 +132,23 @@ class TestEditDistanceKernel:
             rng = random.Random(31)
             original = random_log(rng, max_cases=12, max_events=8)
             anonymized = random_log(rng, max_cases=12, max_events=8)
-        report = emd_data_utility(original, anonymized, ps, accuracy)
+        with pytest.MonkeyPatch.context() as mp:
+            solves = _record_solves(mp)
+            report = emd_data_utility(original, anonymized, ps, accuracy)
         assert report.transport_cost > 0
-        expected = scalar_emd_report(original, anonymized, ps, accuracy)
-        assert (report.du, report.transport_cost, report.plan) == expected
+        du, transport_cost, _ = scalar_emd_report(original, anonymized, ps, accuracy)
+        assert abs(report.du - du) <= 1e-12
+        assert abs(report.transport_cost - transport_cost) <= 1e-12
+        # the plan is one optimal plan, not necessarily the full solve's vertex
+        cost = np.array(scalar_cost_matrix(report.original_variants, report.anonymized_variants))
+        flow = np.zeros(cost.shape)
+        for (i, j), mass, cell_cost in report.plan:
+            assert cell_cost == cost[i, j]
+            flow[i, j] = mass
+        assert abs(sum(m * c for _, m, c in report.plan) - report.transport_cost) <= 1e-12
+        wa = _weights(original, report.original_variants, ps, accuracy)
+        wb = _weights(anonymized, report.anonymized_variants, ps, accuracy)
+        _assert_certified(flow, wa, wb, cost, solves[-1].eqlin.marginals)
 
     def test_one_kernel_call_per_report(self, treatment_log, monkeypatch):
         # the whole matrix comes from one call, never from a per-cell distance
@@ -152,6 +167,108 @@ class TestEditDistanceKernel:
         report = emd_data_utility(treatment_log, anonymized, Perspective.AR, HOURS)
         assert calls == [(len(report.original_variants), len(report.anonymized_variants))]
         assert calls[0][0] * calls[0][1] > 1
+
+
+COST_LEVELS = [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]
+
+
+@st.composite
+def transport_instances(draw):
+    """Weights from case counts and a cost matrix of 1 to 9 rows and columns,
+    with ties, zero cells and repeated rows.
+
+    Cells are normalized edit distances, ``k / L`` for a longer length ``L``
+    of at most 40, so two distinct costs lie at least 1/1600 apart.  Costs
+    closer than HiGHS's dual tolerance (1e-10) could not be told apart by
+    any HiGHS solve, this one or the oracle's."""
+    n, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    counts = st.integers(1, 9)
+    counts_a = draw(st.lists(counts, min_size=n, max_size=n))
+    counts_b = draw(st.lists(counts, min_size=m, max_size=m))
+    cell = st.sampled_from(COST_LEVELS) | st.integers(1, 40).flatmap(
+        lambda longer: st.integers(0, longer).map(lambda edits: edits / longer)
+    )
+    rows = []
+    for i in range(n):
+        if i and draw(st.booleans()):
+            rows.append(rows[draw(st.integers(0, i - 1))])
+        else:
+            rows.append(draw(st.lists(cell, min_size=m, max_size=m)))
+    return counts_a, counts_b, rows
+
+
+# an instance that the starting support does not solve: its second round
+# prices in cell (3, 4) at a reduced cost of -1e-6, so a pricing tolerance
+# looser than that would stop one round early
+TWO_ROUNDS = (
+    [2, 1, 4, 8, 4, 3],
+    [9, 6, 2, 2, 5],
+    [
+        [0, 2 / 3, 1 / 3, 2 / 9, 1 / 3],
+        [1 / 6, 1 / 3, 1 / 3, 2 / 9, 1 / 3],
+        [0, 1 / 3, 2 / 3, 4 / 9, 4 / 9],
+        [2 / 3, 4 / 9, 1 / 3, 1 / 3, 1 - 1e-6],
+        [1 / 3, 0, 1 / 3, 0, 2 / 3],
+        [0, 1 / 3, 2 / 9, 1 / 6, 0],
+    ],
+)
+
+
+def _record_solves(mp):
+    """Record the result of every ``metrics.linprog`` call in a list."""
+    solves, solve = [], metrics.linprog
+
+    def recording(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    mp.setattr(metrics, "linprog", recording)
+    return solves
+
+
+def _weights(log, variant_order, ps, accuracy):
+    mult, _ = variants(log, ps, accuracy)
+    w = np.array([mult[v] for v in variant_order], dtype=float)
+    return w / w.sum()
+
+
+def _assert_certified(flow, wa, wb, cost, duals):
+    """``flow`` is a feasible plan and ``duals`` price no cell below zero."""
+    assert np.all(flow >= 0)
+    assert np.abs(flow.sum(axis=1) - wa).max() <= 1e-12
+    assert np.abs(flow.sum(axis=0) - wb).max() <= 1e-12
+    n = len(wa)
+    reduced = cost - duals[:n, None] - duals[None, n:]
+    assert reduced.min() >= -1e-9
+
+
+class TestTransport:
+    def test_equals_the_full_lp(self):
+        rounds = []
+
+        @given(instance=transport_instances())
+        @example(instance=TWO_ROUNDS)
+        # a cost below HiGHS's default dual tolerance, 1e-7
+        @example(instance=([1, 1, 1, 1], [1, 1], [[0, 0], [0, 0], [0, 0], [0, 6e-8]]))
+        @example(instance=([3], [1, 2, 1], [[0.5, 0.0, 0.5]]))
+        @example(instance=([1, 1, 2], [5], [[1.0], [0.0], [1.0]]))
+        @settings(max_examples=200, deadline=None)
+        def check(instance):
+            counts_a, counts_b, rows = instance
+            wa = np.array(counts_a, dtype=float) / sum(counts_a)
+            wb = np.array(counts_b, dtype=float) / sum(counts_b)
+            cost = np.array(rows)
+            with pytest.MonkeyPatch.context() as mp:
+                solves = _record_solves(mp)
+                flow = metrics._optimal_flow(wa, wb, cost)
+            rounds.append(len(solves))
+            total = float(np.sum(flow * cost))
+            assert abs(total - full_lp_transport_cost(wa, wb, cost)) <= 1e-12
+            _assert_certified(flow, wa, wb, cost, solves[-1].eqlin.marginals)
+
+        check()
+        # not vacuous: some instance needed the pricing loop
+        assert max(rounds) >= 2
 
 
 class TestEmd:
