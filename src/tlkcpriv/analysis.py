@@ -9,12 +9,13 @@ resolved by first appearance in case order.  Bounding the best-supported
 guess keeps the check consistent across candidate sizes (see README for the
 full rationale and for the audit semantics this pins down).
 
-Both borders of the candidate lattice are read from what one depth-first
-walk records, by one rule over a pattern's one-smaller subs (the Apriori
-closure).  Minimal violating candidates: the walk never extends a violating
-candidate, since its supersets cannot be minimal; a candidate is good when it
-is ok and its one-smaller subs are good, and a violating candidate is minimal
-exactly when those subs are all good.  The anonymity condition K is
+Both borders of the candidate lattice are read off one level-wise walk
+(:func:`background._enumerate`), by one rule over a pattern's one-smaller
+subs (the Apriori closure), in array operations over each level.  Minimal
+violating candidates: a candidate is good when it is ok and its one-smaller
+subs are good, and a violating candidate is minimal exactly when those subs
+are all good; the walk grows good candidates alone, since no superset of
+a candidate that is not good is good or minimal.  The anonymity condition K is
 anti-monotone but the confidence condition is not, which is why the subs are
 checked at all.  Maximal frequent subtraces: frequency is closed under
 subsequences, so a frequent pattern is maximal exactly when it is no
@@ -25,11 +26,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil
 from typing import Dict, Iterable, Optional
 
-from .background import BkSpec, Candidate, ProjectedLog, prefix_span
+import numpy as np
+
+from . import background
+from .background import BkSpec, BkType, Candidate, ProjectedLog
 from .log import (
     EventLog,
     LogError,
@@ -150,31 +153,47 @@ class _Checker:
     def __init__(self, log: EventLog, params: PrivacyParams):
         self.params = params
         self.plog = ProjectedLog(log, params.bk, params.accuracy)
-        self.focal = focal_values(log, params.sensitive)
-        # the cases holding each attribute's focal value, by the same ``==``
+        focal = focal_values(log, params.sensitive)
+        # per attribute, the cases holding its focal value, by the same ``==``
         # test a per-case comparison would make (a NaN focal value holds none)
-        self.focal_cases = {
-            attr: frozenset(
-                i for i, inst in enumerate(log)
-                if inst.sensitive.get(attr) == self.focal.get(attr)
+        self.attrs = tuple(dict.fromkeys(params.sensitive))
+        self.flags = tuple(
+            np.fromiter(
+                (inst.sensitive.get(attr) == focal.get(attr) for inst in log), bool, len(log)
             )
-            for attr in params.sensitive
-        }
+            for attr in self.attrs
+        )
+
+    def verdicts(self, support: np.ndarray, hits: np.ndarray) -> tuple:
+        """``(ok, verdicts)`` over candidates matched by ``support`` cases,
+        ``hits[a]`` of them holding the ``a``-th attribute's focal value:
+        ``ok`` marks the candidates that violate nothing and ``verdicts(rows)``
+        builds the :class:`Verdict` of each candidate in ``rows``."""
+        conf = hits / support
+        k_violation, c_violation = support < self.params.K, conf > self.params.C
+        max_confidence = conf.max(axis=0, initial=0.0)
+
+        def verdicts(rows) -> list:
+            attrs = self.attrs
+            return [
+                Verdict(n, k, tuple(attr for attr, hit in zip(attrs, c) if hit), top)
+                for n, k, c, top in zip(
+                    support[rows].tolist(),
+                    k_violation[rows].tolist(),
+                    c_violation[:, rows].T.tolist(),
+                    max_confidence[rows].tolist(),
+                )
+            ]
+
+        return ~(k_violation | c_violation.any(axis=0)), verdicts
 
     def verdict_for_indices(self, indices: frozenset) -> Verdict:
-        n = len(indices)
-        if n == 0:
+        if not indices:
             raise LogError("verdicts apply only to candidates with a non-empty match")
-        k_viol = n < self.params.K
-        c_viol = []
-        max_conf = 0.0
-        for attr, cases in self.focal_cases.items():
-            hits = len(indices & cases)
-            conf = hits / n
-            max_conf = max(max_conf, conf)
-            if conf > self.params.C:
-                c_viol.append(attr)
-        return Verdict(n, k_viol, tuple(c_viol), max_conf)
+        matched = list(indices)
+        hits = np.array([flag[matched].sum() for flag in self.flags], np.int64)
+        _, verdicts = self.verdicts(np.array([len(matched)]), hits.reshape(-1, 1))
+        return verdicts([0])[0]
 
 
 def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdict:
@@ -233,33 +252,24 @@ class MftSet(_Items):
 def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
     """All minimal violating candidates of size up to L.
 
-    The walk records each candidate's verdict and extends only ok ones; one
-    pass over the record, smaller candidates first, keeps each violating
-    candidate whose one-smaller subs are all good.  A sub missing from the
-    record lies under a violating prefix, a proper sub of the candidate, so
-    it is not good.
+    The walk goes one size at a time and carries only good candidates, those
+    that are ok and whose one-smaller subs are all carried; a violating
+    candidate whose one-smaller subs are all carried is minimal.  A sub that
+    was not carried is not good, and a candidate above it is neither good
+    nor minimal, so nothing above it is walked.
     """
     checker = _Checker(log, params)
-    record: Dict[tuple, Verdict] = {}
-
-    # the generator yields a candidate before asking whether to extend it,
-    # so its verdict is always recorded in time
-    def extend(codes: tuple, indices) -> bool:
-        return record[codes].ok
-
-    from .background import _enumerate
-
-    for codes, indices in _enumerate(checker.plog, params.L, extend):
-        record[codes] = checker.verdict_for_indices(indices)
-    good, items = {()}, []
-    # (len, codes) is the MvtSet order; the subs of a sorted bag stay sorted
-    for codes in sorted(record, key=lambda c: (len(c), c)):
-        if all(sub in good for sub in combinations(codes, len(codes) - 1)):
-            verdict = record[codes]
-            if verdict.ok:
-                good.add(codes)
-            else:
-                items.append((checker.plog.decode(codes), verdict))
+    plog = checker.plog
+    items = []
+    walk = background._enumerate(
+        plog.traces, len(plog.alphabet), params.bk.bk_type, params.L, checker.flags
+    )
+    for level in walk:
+        ok, verdicts = checker.verdicts(level.support, level.hits)
+        subs_good = (level.subs >= 0).all(axis=1)
+        level.carry &= ok & subs_good
+        minimal = np.flatnonzero(subs_good & ~ok)
+        items.extend(zip(map(plog.decode, level.codes[minimal].tolist()), verdicts(minimal)))
     return MvtSet(tuple(items))
 
 
@@ -281,20 +291,23 @@ def enumerate_mft(
     traces, alphabet = log.coded(ps, accuracy)
     threshold = max(1, ceil(theta * len(traces)))
     longest = max((len(t) for t in traces), default=0)
-
-    def frequent_enough(pattern, positions) -> bool:
-        return len(positions) >= threshold
-
-    frequent: Dict[tuple, int] = {
-        pattern: len(positions)
-        for pattern, positions in prefix_span(traces, longest, frequent_enough)
-        if frequent_enough(pattern, positions)
-    }
-    covered = {sub for p in frequent for sub in combinations(p, len(p) - 1)}
-    maximal = sorted((p for p in frequent if p not in covered), key=lambda p: (len(p), p))
+    levels = []  # per size: the frequent patterns, their supports, which are covered
+    for level in background._enumerate(traces, len(alphabet), BkType.SEQ, longest):
+        frequent = level.support >= threshold
+        level.carry &= frequent
+        if levels:
+            # the subs of a frequent pattern are frequent, hence all carried
+            levels[-1][2][level.subs[frequent]] = True
+        covered = np.zeros(frequent.sum(), bool)
+        levels.append((level.codes[frequent], level.support[frequent], covered))
     decode = alphabet.__getitem__
     return MftSet(
-        tuple((tuple(map(decode, p)), frequent[p]) for p in maximal), threshold=threshold
+        tuple(
+            (tuple(map(decode, pattern)), n)
+            for codes, support, covered in levels
+            for pattern, n in zip(codes[~covered].tolist(), support[~covered].tolist())
+        ),
+        threshold=threshold,
     )
 
 

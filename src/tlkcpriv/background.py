@@ -13,6 +13,14 @@ Timed candidates carry relative timestamps truncated to the chosen accuracy;
 two timed events match when their kept fields and truncated times are equal,
 so matching time differences reduces to plain equality once all traces share
 one origin.
+
+Every kind matches by one rule, subsequence containment in a per-kind trace
+view: the trace in time order for (timed) sequences, its sorted codes for
+multisets and its sorted distinct codes for sets, since a bag lies in a trace
+exactly when its sorted codes are a subsequence of the sorted trace.  So one
+walk enumerates all four kinds: :func:`_enumerate` grows the candidate
+lattice one level at a time, counting every child's support and focal hits
+for a whole level in array kernels over bounded chunks of positions.
 """
 
 from __future__ import annotations
@@ -21,7 +29,11 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from functools import cached_property
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .log import (
     EventLog,
@@ -115,17 +127,22 @@ class Candidate:
                 raise LogError("set candidates must not repeat elements")
         object.__setattr__(self, "elements", elements)
 
+    @classmethod
+    def _canonical(cls, bk_type: BkType, elements: tuple) -> "Candidate":
+        """The candidate of a non-empty tuple already in canonical order (a
+        bag's sorted by :meth:`ProjectedEvent.sort_key`, a set's distinct),
+        built without the check and re-sort of the constructor."""
+        cand = object.__new__(cls)
+        object.__setattr__(cand, "bk_type", bk_type)
+        object.__setattr__(cand, "elements", elements)
+        return cand
+
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def __str__(self) -> str:
         return format_candidate(self)
-
-
-def _covers(counter: Counter, need: Counter) -> bool:
-    """Multiset containment: ``counter`` holds every element ``need`` asks for."""
-    return all(counter[e] >= n for e, n in need.items())
 
 
 class ProjectedLog:
@@ -135,17 +152,18 @@ class ProjectedLog:
     ``traces`` holds each case's projection as a tuple of codes and
     ``alphabet[c]`` is the descriptor of code ``c`` (see
     :meth:`EventLog.coded`); codes follow the canonical descriptor order, so
-    enumeration and tie-breaks sort plain ints.  Beside the traces it keeps
-    one inverted index: ``postings[c]`` is the frozenset of trace indices
-    whose projection holds code ``c``.  Multiset specs also keep each trace's
-    code counter in ``elem_counters`` (empty for every other spec).  A
-    candidate can only match traces in the intersection of its elements'
-    postings, so containment is tested on those traces alone, and not at all
-    where the intersection already decides it (sets, multisets without
-    repeats, single elements).  Candidates in descriptors enter through
-    :meth:`match_candidate` and leave through :meth:`decode`.
-    ``accuracy`` bounds the timestamp precision available to the adversary
-    (only relevant for timed perspectives).
+    enumeration and tie-breaks sort plain ints.  Containment is one rule for
+    every kind: a candidate's codes form a subsequence of the trace's view,
+    which is the trace itself for (timed) sequences, its sorted codes for
+    multisets and its sorted distinct codes for sets, since a bag lies in a
+    trace exactly when its sorted codes are a subsequence of the sorted
+    trace.  Mining walks these views (:func:`_enumerate`); single candidates
+    go through :meth:`match_indices`, which builds one inverted index on
+    first use: ``postings[c]`` is the frozenset of trace indices whose
+    projection holds code ``c``.  Candidates in descriptors enter through
+    :meth:`match_candidate` and leave through :meth:`decode`.  ``accuracy``
+    bounds the timestamp precision available to the adversary (only
+    relevant for timed perspectives).
     """
 
     def __init__(self, log: EventLog, spec: BkSpec, accuracy: TimestampAccuracy):
@@ -153,29 +171,30 @@ class ProjectedLog:
         self.spec = spec
         self.accuracy = accuracy
         self.traces, self.alphabet = log.coded(spec.perspective, accuracy)
-        is_mult = spec.bk_type is BkType.MULT
-        self.elem_counters = tuple(map(Counter, self.traces)) if is_mult else ()
+
+    @cached_property
+    def postings(self) -> tuple:
         postings = [[] for _ in self.alphabet]
         for i, trace in enumerate(self.traces):
             for c in set(trace):
                 postings[c].append(i)
-        self.postings = tuple(map(frozenset, postings))
+        return tuple(map(frozenset, postings))
 
     def match_indices(self, codes: tuple) -> frozenset:
-        """Indices of the traces that contain the candidate with these codes."""
+        """Indices of the traces that contain the candidate with these codes
+        (a bag's in code order).  Only traces holding every code are tested,
+        and none where the postings decide the match by themselves."""
         distinct = set(codes)
         first, *rest = sorted((self.postings[c] for c in distinct), key=len)
         found = first.intersection(*rest)
         bk_type = self.spec.bk_type
         if bk_type is BkType.SET or len(codes) == 1:
             return found
+        traces = self.traces
         if bk_type is BkType.MULT:
             if len(distinct) == len(codes):
                 return found
-            need = Counter(codes)
-            counters = self.elem_counters
-            return frozenset(i for i in found if _covers(counters[i], need))
-        traces = self.traces
+            return frozenset(i for i in found if is_subsequence(codes, sorted(traces[i])))
         return frozenset(i for i in found if is_subsequence(codes, traces[i]))
 
     def match_candidate(self, cand: Candidate) -> frozenset:
@@ -186,9 +205,12 @@ class ProjectedLog:
             return frozenset()
         return self.match_indices(tuple(code[e] for e in cand.elements))
 
-    def decode(self, codes: tuple) -> Candidate:
-        """The candidate, in descriptors, that these codes stand for."""
-        return Candidate(self.spec.bk_type, tuple(map(self.alphabet.__getitem__, codes)))
+    def decode(self, codes) -> Candidate:
+        """The candidate, in descriptors, that these codes stand for.  A bag's
+        codes must come in code order, as mining yields them: the candidate
+        is built as given, without :class:`Candidate`'s re-sort."""
+        alphabet = self.alphabet
+        return Candidate._canonical(self.spec.bk_type, tuple(alphabet[c] for c in codes))
 
     def instances(self, indices: Iterable[int]) -> tuple:
         return tuple(self.log.instances[i] for i in sorted(indices))
@@ -230,79 +252,197 @@ def enumerate_candidates(
     accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
 ) -> Iterator[tuple]:
     """Yield (candidate, match indices) for sizes 1..max_size: every candidate
-    realized in at least one trace, each once, depth-first."""
+    realized in at least one trace, each once, smaller ones first and each
+    size in canonical order."""
     plog = ProjectedLog(log, spec, accuracy)
-    for codes, indices in _enumerate(plog, max_size, lambda codes, indices: True):
-        yield plog.decode(codes), indices
+    for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, max_size):
+        yield from zip(map(plog.decode, level.codes.tolist()), level.matches())
 
 
-def _enumerate(plog: ProjectedLog, max_size, extend):
-    """Yield (codes, match indices) depth-first as :func:`enumerate_candidates`
-    yields candidates, siblings in code order; each is yielded before
-    ``extend(codes, match)`` decides whether its supersets are explored
-    (pruned branches are never generated)."""
-    if plog.spec.ordered:
-        for pattern, positions in prefix_span(plog.traces, max_size, extend):
-            yield pattern, frozenset(positions)
-    else:
-        yield from _enumerate_bags(plog, max_size, extend)
+# the most trace positions one chunk of a level's expansion visits; it bounds
+# the expansion's temporary arrays, not the embeddings a level keeps
+CHUNK_POSITIONS = 1 << 12
 
 
-def prefix_span(traces, max_size, extend):
-    """Depth-first PrefixSpan (Pei et al. 2001) over code sequences.
+@dataclass(eq=False)
+class Level:
+    """Every pattern of one size that the walk reached, in code order.
 
-    Yields each pattern of 1..max_size codes that is a subsequence of some
-    trace, with a map from every supporting trace index to the position right
-    after the pattern's earliest embedding there.  Siblings come in code
-    order; a pattern is yielded before ``extend(pattern, positions)``
-    decides whether it grows.
+    Row ``i`` of ``codes`` is a pattern, ``support[i]`` the number of traces
+    holding it and ``hits[f, i]`` how many of those the ``f``-th flag array
+    marks.  ``subs[i, j]`` is the index, among the previous level's carried
+    patterns, of the pattern with position ``j`` dropped, or -1 when that
+    sub was not carried; the last column is the pattern's parent.  Every
+    embedding, a trace holding a pattern, is kept as the view position of
+    its match's last code, which ``trace_of`` maps to the trace;
+    ``positions`` holds the first pattern's ``support[0]`` embeddings first,
+    and so on, until the walk resumes and drops them.  Only patterns whose
+    ``carry`` entry stays set grow.
     """
 
-    def grow(prefix, positions):
-        extensions = {}
-        for idx, start in positions.items():
-            trace = traces[idx]
-            seen = set()
-            for j in range(start, len(trace)):
-                e = trace[j]
-                if e in seen:
-                    continue
-                seen.add(e)
-                extensions.setdefault(e, {})[idx] = j + 1
-        for e in sorted(extensions):
-            pattern, nxt = prefix + (e,), extensions[e]
-            yield pattern, nxt
-            if len(pattern) < max_size and extend(pattern, nxt):
-                yield from grow(pattern, nxt)
+    codes: np.ndarray
+    support: np.ndarray
+    hits: np.ndarray
+    subs: np.ndarray
+    carry: np.ndarray
+    positions: np.ndarray
+    trace_of: np.ndarray
 
-    yield from grow((), dict.fromkeys(range(len(traces)), 0))
+    def matches(self) -> list:
+        """Each pattern's supporting trace indices, as a frozenset."""
+        traces = np.split(self.trace_of[self.positions], np.cumsum(self.support)[:-1])
+        return [frozenset(t.tolist()) for t in traces]
 
 
-def _enumerate_bags(plog, max_size, extend):
-    # a child adds a code no smaller than its parent's last one (sets:
-    # strictly larger), so it walks the codes from there; its match is the
-    # parent's support narrowed by the new code's postings, or, for one more
-    # copy of the last code, by that code's count
-    is_set = plog.spec.bk_type is BkType.SET
-    counters = plog.elem_counters
-    postings = plog.postings
+class _View(NamedTuple):
+    """The per-kind views of every trace, one position per entry, traces in
+    order: the code there, its trace, the end of that trace's positions and
+    the previous position of the same code in the same trace, or -1."""
 
-    def grow(elems, support, start, repeats):
-        for e in range(start, len(postings)):
-            if elems and e == elems[-1]:
-                count = repeats + 1
-                matched = frozenset(i for i in support if counters[i][e] >= count)
-            else:
-                count = 1
-                matched = support & postings[e]
-            if not matched:
-                continue
-            new = elems + (e,)
-            yield new, matched
-            if len(new) < max_size and extend(new, matched):
-                yield from grow(new, matched, e + 1 if is_set else e, count)
+    codes: np.ndarray
+    trace_of: np.ndarray
+    end_of: np.ndarray
+    prev: np.ndarray
 
-    yield from grow((), frozenset(range(len(plog.traces))), 0, 0)
+
+def _view(traces, bk_type: BkType, n_codes: int) -> _View:
+    """The :class:`_View` of ``traces`` under ``bk_type`` (see :class:`ProjectedLog`)."""
+    lengths = np.fromiter(map(len, traces), np.int64, len(traces))
+    codes = np.fromiter(chain.from_iterable(traces), np.int32, int(lengths.sum()))
+    trace_of = np.repeat(np.arange(len(traces), dtype=np.int32), lengths)
+    if bk_type in (BkType.SET, BkType.MULT):
+        codes = codes[np.lexsort((codes, trace_of))]
+    if bk_type is BkType.SET:
+        new = np.ones(len(codes), bool)
+        new[1:] = (codes[1:] != codes[:-1]) | (trace_of[1:] != trace_of[:-1])
+        codes, trace_of = codes[new], trace_of[new]
+    ends = np.cumsum(np.bincount(trace_of, minlength=len(traces)), dtype=np.int32)
+    order = np.argsort(trace_of.astype(np.int64) * n_codes + codes, kind="stable")
+    same = (codes[order[1:]] == codes[order[:-1]]) & (trace_of[order[1:]] == trace_of[order[:-1]])
+    prev = np.full(len(codes), -1, np.int32)
+    prev[order[1:][same]] = order[:-1][same]
+    return _View(codes, trace_of, ends[trace_of], prev)
+
+
+def _children(view: _View, start, ends, n_codes: int, flags) -> tuple:
+    """Count the children of the frontier's embeddings: ``(keys, support,
+    hits, positions)``.
+
+    The embeddings of carried pattern ``p`` are ``start[ends[p - 1]:ends[p]]``.
+    One grows by every code from its start to its trace's end, at the
+    code's first position there; the sorted ``keys``, ``p * n_codes +
+    code``, name the children.  ``positions`` holds the grown embeddings,
+    ``support[0]`` of the first child's first, and so on.  The embeddings go
+    in chunks of about :data:`CHUNK_POSITIONS` positions, each counted on its
+    own and merged by key.
+    """
+    done = np.concatenate(([0], np.cumsum(view.end_of[start] - start)))
+    chunks, a = [], 0
+    while a < len(start):
+        b = max(int(np.searchsorted(done, done[a] + CHUNK_POSITIONS, "right")) - 1, a + 1)
+        parent = np.searchsorted(ends, np.arange(a, b), "right").astype(np.int32)
+        chunks.append(_count_chunk(view, parent, start[a:b], n_codes, flags))
+        a = b
+    keys, merged = np.unique(np.concatenate([c[0] for c in chunks]), return_inverse=True)
+    merged = merged.reshape(-1)
+    counts = np.zeros((1 + len(flags), len(keys)), np.int64)
+    np.add.at(counts, (slice(None), merged), np.concatenate([c[1] for c in chunks], axis=1))
+    support = counts[0]
+    # each chunk fills its children's next free slots, so every child's
+    # embeddings end up together, in chunk order
+    positions = np.empty(int(support.sum()), np.int32)
+    free = np.cumsum(support) - support
+    offset = 0
+    while chunks:
+        children, (grown, *_), at = chunks.pop(0)
+        ids = merged[offset : offset + len(children)]
+        firsts = np.cumsum(grown) - grown
+        positions[np.arange(len(at)) + np.repeat(free[ids] - firsts, grown)] = at
+        free[ids] += grown
+        offset += len(children)
+    return keys, support, counts[1:], positions
+
+
+def _count_chunk(view: _View, parent, start, n_codes: int, flags) -> tuple:
+    """One chunk of :func:`_children` before the merge: its children's
+    keys, a matrix of their support and hits, and the grown embeddings."""
+    lengths = view.end_of[start] - start
+    first = np.repeat(start, lengths)
+    at = np.arange(len(first), dtype=np.int32) + np.repeat(
+        (start - (np.cumsum(lengths) - lengths)).astype(np.int32), lengths
+    )
+    new = view.prev[at] < first
+    at = at[new]
+    keys = np.repeat(parent, lengths)[new].astype(np.int64) * n_codes + view.codes[at]
+    order = np.argsort(keys)
+    keys, at = keys[order], at[order]
+    starts = np.ones(len(keys), bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    owner = np.cumsum(starts, dtype=np.int32) - 1
+    children = keys[starts]
+    trace = view.trace_of[at]
+    support = np.diff(np.append(np.flatnonzero(starts), len(keys)))
+    hits = [np.bincount(owner[flag[trace]], minlength=len(children)) for flag in flags]
+    return children, np.array([support, *hits], np.int64), at
+
+
+def _enumerate(traces, n_codes: int, bk_type: BkType, max_size: int, flags=()):
+    """Walk the lattice of patterns realized in ``traces`` (code tuples over
+    ``n_codes`` codes) level by level: PrefixSpan (Pei et al. 2001), one
+    whole level counted at a time over per-trace positions as in SPADE
+    (Zaki 2001).
+
+    Yields one :class:`Level` per size 1..max_size over the per-kind views
+    (see :class:`ProjectedLog`), so a bag comes with its codes sorted.  An
+    embedding is a trace and the position of a pattern's earliest match
+    there; a child extends it by a code at that code's first position after
+    the match.  The consumer clears ``carry`` entries to prune: only carried
+    patterns grow, and ``subs`` points into them.  ``flags`` are boolean
+    arrays over the traces whose hits every level counts.
+    """
+    view = _view(traces, bk_type, n_codes)
+    # the frontier: where each embedding's rest starts, grouped by the
+    # carried pattern it extends, here the empty one in every trace
+    start = np.flatnonzero(np.diff(view.trace_of, prepend=-1)).astype(np.int32)
+    ends = np.array([len(start)])
+    carried_codes = np.zeros((1, 0), np.int32)
+    carried_subs = np.zeros((1, 0), np.int32)
+    carried_keys = np.zeros(0, np.int64)
+    for size in range(1, max_size + 1):
+        if not len(start):
+            return
+        keys, support, hits, at = _children(view, start, ends, n_codes, flags)
+        parents, last = np.divmod(keys, n_codes)
+        subs = np.empty((len(keys), size), np.int32)
+        subs[:, -1] = parents
+        # dropping position j < size - 1 leaves the parent's sub without j,
+        # extended by the same last code: a child of a carried pattern
+        for j in range(size - 1):
+            base = carried_subs[parents, j].astype(np.int64)
+            want = base * n_codes + last
+            found = np.searchsorted(carried_keys, want)
+            hit = np.minimum(found, len(carried_keys) - 1)
+            subs[:, j] = np.where((base >= 0) & (carried_keys[hit] == want), found, -1)
+        level = Level(
+            codes=np.column_stack((carried_codes[parents], last.astype(np.int32))),
+            support=support,
+            hits=hits,
+            subs=subs,
+            carry=np.ones(len(keys), bool),
+            positions=at,
+            trace_of=view.trace_of,
+        )
+        yield level
+        if size == max_size:
+            return
+        carry = level.carry
+        grows = np.repeat(carry, support) & (at + 1 < view.end_of[at])
+        start = at[grows] + 1
+        ends = np.cumsum(np.add.reduceat(grows, np.cumsum(support) - support)[carry])
+        carried_keys, carried_subs = keys[carry], subs[carry]
+        carried_codes = level.codes[carry]
+        # the grown embeddings live on in the frontier alone
+        level.positions = at = grows = None
 
 
 # --- candidate literal syntax ---------------------------------------------

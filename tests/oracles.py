@@ -157,6 +157,20 @@ def brute_mvt(log: EventLog, bk_type, bk_attr, ps, unit, L, K, C, sensitive, foc
     return result
 
 
+def brute_verdict(log: EventLog, bk_type, bk_attr, elements, ps, unit, K, C, sensitive, focal):
+    """``(match_size, k_violation, c_violations, max_confidence)`` of one
+    realized candidate, counted case by case."""
+    matched = brute_match(log, bk_type, bk_attr, elements, ps, unit)
+    n = len(matched)
+    violated, top = [], 0.0
+    for attr in dict.fromkeys(sensitive):
+        hits = sum(1 for i in matched if log.instances[i].sensitive.get(attr) == focal.get(attr))
+        top = max(top, hits / n)
+        if hits / n > C:
+            violated.append(attr)
+    return n, n < K, tuple(violated), top
+
+
 def proper_sub_candidates(cand: Candidate):
     """Every non-empty proper sub-candidate of ``cand``, any size, each once."""
     seen = set()
@@ -265,9 +279,6 @@ def scalar_emd_report(original, anonymized, ps, accuracy):
     """``emd_data_utility`` built cell by cell: the scalar cost matrix, the
     transport constraints appended in loops and the plan read in a double
     loop; returns ``(du, transport_cost, plan)``."""
-    from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
-
     mult_a, _ = variants(original, ps, accuracy)
     mult_b, _ = variants(anonymized, ps, accuracy)
     va = sorted(mult_a, key=lambda v: tuple(e.sort_key() for e in v))
@@ -278,6 +289,27 @@ def scalar_emd_report(original, anonymized, ps, accuracy):
     wb /= wb.sum()
     n, m = len(va), len(vb)
     cost = np.array(scalar_cost_matrix(va, vb))
+    flow = scalar_transport_flow(wa, wb, cost)
+    total = float(np.sum(flow * cost))
+    plan = tuple(
+        ((i, j), float(flow[i, j]), float(cost[i, j]))
+        for i in range(n)
+        for j in range(m)
+        if flow[i, j] > 1e-12
+    )
+    return 1.0 - total, total, plan
+
+
+def scalar_transport_flow(wa, wb, cost):
+    """An optimal plan from one HiGHS solve over every cell, the constraints
+    appended in loops.  The dual tolerance is the package's: HiGHS's
+    default, 1e-7, accepts a plan that much above the optimum."""
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    from tlkcpriv.metrics import HIGHS_OPTIONS
+
+    n, m = cost.shape
     rows, cols = [], []
     for i in range(n):
         for j in range(m):
@@ -289,17 +321,14 @@ def scalar_emd_report(original, anonymized, ps, accuracy):
             cols.append(i * m + j)
     a_eq = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n + m, n * m))
     res = linprog(
-        cost.ravel(), A_eq=a_eq, b_eq=np.concatenate([wa, wb]), bounds=(0, None), method="highs"
+        cost.ravel(),
+        A_eq=a_eq,
+        b_eq=np.concatenate([wa, wb]),
+        bounds=(0, None),
+        method="highs",
+        options={"dual_feasibility_tolerance": HIGHS_OPTIONS["dual_feasibility_tolerance"]},
     )
-    flow = res.x.reshape(n, m)
-    total = float(np.sum(flow * cost))
-    plan = tuple(
-        ((i, j), float(flow[i, j]), float(cost[i, j]))
-        for i in range(n)
-        for j in range(m)
-        if flow[i, j] > 1e-12
-    )
-    return 1.0 - total, total, plan
+    return res.x.reshape(n, m)
 
 
 def full_lp_transport_cost(weights_a, weights_b, cost):
@@ -518,7 +547,9 @@ RESOURCES = ["r1", "r2", "r3", "r4"]
 DISEASES = ["x", "y", "z"]
 
 
-def random_log(rng: random.Random, max_cases=8, max_events=6, with_resources=True):
+def random_log(
+    rng: random.Random, max_cases=8, max_events=6, with_resources=True, sensitive=("Disease",)
+):
     n_cases = rng.randint(2, max_cases)
     instances = []
     for cid in range(n_cases):
@@ -536,7 +567,7 @@ def random_log(rng: random.Random, max_cases=8, max_events=6, with_resources=Tru
             t += rng.randint(0, 4)
         instances.append(
             ProcessInstance(
-                f"c{cid}", tuple(events), {"Disease": rng.choice(DISEASES)}
+                f"c{cid}", tuple(events), {attr: rng.choice(DISEASES) for attr in sensitive}
             )
         )
-    return EventLog(tuple(instances), ("Disease",))
+    return EventLog(tuple(instances), tuple(sensitive))

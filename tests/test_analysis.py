@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -234,8 +233,8 @@ class TestMvt:
                     assert got == oracle
 
     def test_minimality_reads_only_the_walks_record(self, treatment_log, monkeypatch):
-        # mining makes no full-log match scan, and the minimality pass builds
-        # only one-smaller subs: at most L per candidate
+        # mining makes no full-log match scan, and builds a verdict and a
+        # candidate for the minimal violations alone
         import tlkcpriv.analysis as analysis
         from tlkcpriv.background import ProjectedLog
 
@@ -246,31 +245,33 @@ class TestMvt:
             scans.append(codes)
             return match_indices(plog, codes)
 
-        built = []
+        built = Counter()
+        for owner, name, key in (
+            (analysis, "Verdict", "verdicts"), (ProjectedLog, "decode", "candidates")
+        ):
+            inner = getattr(owner, name)
 
-        def counted_combinations(codes, size):
-            subs = list(combinations(codes, size))
-            built.append((len(codes), subs))
-            return iter(subs)
+            def counted(*args, inner=inner, key=key):
+                built[key] += 1
+                return inner(*args)
 
+            monkeypatch.setattr(owner, name, counted)
         monkeypatch.setattr(ProjectedLog, "match_indices", counted_match)
-        monkeypatch.setattr(analysis, "combinations", counted_combinations)
         rng = random.Random(5150)
         logs = [treatment_log] + [random_log(rng, max_cases=6, max_events=6) for _ in range(6)]
+        found = 0
         for log in logs:
             for bk_type in BkType:
                 for bk_attr in BkAttr:
-                    L = rng.choice([2, 3, 4])
                     params = PrivacyParams(
-                        accuracy="hours", L=L, K=rng.choice([2, 3]), C=0.5,
+                        accuracy="hours", L=rng.choice([2, 3, 4]), K=rng.choice([2, 3]), C=0.5,
                         bk=BkSpec(bk_type, bk_attr), sensitive=("Disease",),
                     )
                     built.clear()
-                    enumerate_mvt(log, params)
-                    assert built
-                    for size, subs in built:
-                        assert len(subs) == size <= L
-                        assert all(len(sub) == size - 1 for sub in subs)
+                    mvt = enumerate_mvt(log, params)
+                    assert built["verdicts"] == built["candidates"] == len(mvt)
+                    found += len(mvt)
+        assert found > 0
         assert scans == []
 
     @pytest.mark.parametrize("bk", ["seq/ar", "set/ar", "mult/ac", "rel/ar"])

@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 
@@ -161,14 +160,13 @@ class TestMatch:
         import tlkcpriv.background as background
 
         calls = []
-        for name in ("is_subsequence", "_covers"):
-            inner = getattr(background, name)
+        inner = background.is_subsequence
 
-            def counted(*args, inner=inner):
-                calls.append(1)
-                return inner(*args)
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
 
-            monkeypatch.setattr(background, name, counted)
+        monkeypatch.setattr(background, "is_subsequence", counted)
         rng = random.Random(2718)
         checked = 0
         for _ in range(10):
@@ -197,20 +195,22 @@ class TestMatch:
                         checked += len(calls) > 0
         assert checked > 0
 
-    def test_postings_and_counters_follow_the_traces(self):
-        # counters are kept for multiset specs alone, which match repeats
+    def test_postings_follow_the_traces_and_wait_for_a_match(self):
+        # mining never reads the postings, so only a single-candidate match
+        # builds them
         rng = random.Random(1618)
         for _ in range(10):
             log = random_log(rng, max_cases=6, max_events=5)
             for bk_type in BkType:
                 for bk_attr in BkAttr:
                     plog = ProjectedLog(log, BkSpec(bk_type, bk_attr), HOURS)
+                    list(_enumerate(plog.traces, len(plog.alphabet), bk_type, 3))
+                    assert "postings" not in vars(plog)
+                    plog.match_indices((0,))
                     assert plog.postings == tuple(
                         frozenset(i for i, trace in enumerate(plog.traces) if c in trace)
                         for c in range(len(plog.alphabet))
                     )
-                    counters = tuple(map(Counter, plog.traces))
-                    assert plog.elem_counters == (counters if bk_type is BkType.MULT else ())
 
     def test_anti_monotone(self, hospital_log):
         spec = BkSpec.parse("seq/ac")
@@ -316,18 +316,30 @@ class TestEnumerate:
 
 class TestExtensionFilter:
     def test_pruned_branches_are_not_generated(self, hospital_log):
-        asked = []
-
-        def never_extend(codes, indices):
-            asked.append(codes)
-            return False
-
         for bk in ("seq/ac", "mult/ac"):
-            plog = ProjectedLog(hospital_log, BkSpec.parse(bk), HOURS)
-            seen = [codes for codes, _ in _enumerate(plog, 3, never_extend)]
-            assert seen and all(len(codes) == 1 for codes in seen)
-            assert asked == seen
-            asked.clear()
+            spec = BkSpec.parse(bk)
+            plog = ProjectedLog(hospital_log, spec, HOURS)
+            sizes = []
+            for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, 3):
+                sizes.append(level.codes.shape[1])
+                level.carry[:] = False
+            assert sizes == [1]
+
+    def test_only_carried_patterns_grow(self, hospital_log):
+        # carrying one pattern per level walks exactly its children
+        for bk in ("seq/ac", "mult/ac", "set/ac"):
+            spec = BkSpec.parse(bk)
+            plog = ProjectedLog(hospital_log, spec, HOURS)
+            carried = None
+            for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, 3):
+                rows = [tuple(r) for r in level.codes.tolist()]
+                if carried is not None:
+                    assert rows and all(r[:-1] == carried for r in rows)
+                    assert (level.subs[:, -1] == 0).all()
+                keep = int(level.support.argmax())
+                carried = rows[keep]
+                level.carry[:] = False
+                level.carry[keep] = True
 
 
 class TestSpecMapping:

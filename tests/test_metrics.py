@@ -28,6 +28,7 @@ from .oracles import (
     scalar_cost_matrix,
     scalar_emd_report,
     scalar_levenshtein,
+    scalar_transport_flow,
 )
 
 HOURS = TimestampAccuracy.HOURS
@@ -269,6 +270,15 @@ class TestTransport:
         check()
         # not vacuous: some instance needed the pricing loop
         assert max(rounds) >= 2
+
+
+    def test_scalar_oracle_solves_at_the_package_tolerance(self):
+        # at HiGHS's default dual tolerance, 1e-7, the oracle's full solve
+        # stopped at a plan costing 1.5e-8 on this instance; the optimum is 0
+        wa, wb = np.full(4, 0.25), np.full(2, 0.5)
+        cost = np.array([[0, 0], [0, 0], [0, 0], [0, 6e-8]])
+        flow = scalar_transport_flow(wa, wb, cost)
+        assert float(np.sum(flow * cost)) <= 1e-12
 
 
 class TestEmd:
