@@ -255,12 +255,16 @@ def enumerate_candidates(
     realized in at least one trace, each once, smaller ones first and each
     size in canonical order."""
     plog = ProjectedLog(log, spec, accuracy)
-    for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, max_size):
+    # one size more, never reached, so that the last wanted level keeps its matches
+    for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, max_size + 1):
         yield from zip(map(plog.decode, level.codes.tolist()), level.matches())
+        if level.codes.shape[1] == max_size:
+            level.carry[:] = False
 
 
-# the most trace positions one chunk of a level's expansion visits; it bounds
-# the expansion's temporary arrays, not the embeddings a level keeps
+# the most trace positions one chunk of a level's expansion visits (a run of
+# one code counts once); it bounds the expansion's temporary arrays, not the
+# embeddings a level keeps
 CHUNK_POSITIONS = 1 << 12
 
 
@@ -276,8 +280,9 @@ class Level:
     embedding, a trace holding a pattern, is kept as the view position of
     its match's last code, which ``trace_of`` maps to the trace;
     ``positions`` holds the first pattern's ``support[0]`` embeddings first,
-    and so on, until the walk resumes and drops them.  Only patterns whose
-    ``carry`` entry stays set grow.
+    and so on, until the walk resumes and drops them; the last level keeps
+    none, since nothing grows from it.  Only patterns whose ``carry`` entry
+    stays set grow.
     """
 
     codes: np.ndarray
@@ -296,13 +301,19 @@ class Level:
 
 class _View(NamedTuple):
     """The per-kind views of every trace, one position per entry, traces in
-    order: the code there, its trace, the end of that trace's positions and
-    the previous position of the same code in the same trace, or -1."""
+    order: the code there, its trace and the previous position of the same
+    code in the same trace, or -1.  A run is a stretch of one code within a
+    trace: ``runs`` holds where each starts and ``run_of`` the run of every
+    position.  Per trace, ``trace_end`` and ``run_end`` bound its positions
+    and its runs."""
 
     codes: np.ndarray
     trace_of: np.ndarray
-    end_of: np.ndarray
     prev: np.ndarray
+    runs: np.ndarray
+    run_of: np.ndarray
+    trace_end: np.ndarray
+    run_end: np.ndarray
 
 
 def _view(traces, bk_type: BkType, n_codes: int) -> _View:
@@ -312,21 +323,29 @@ def _view(traces, bk_type: BkType, n_codes: int) -> _View:
     trace_of = np.repeat(np.arange(len(traces), dtype=np.int32), lengths)
     if bk_type in (BkType.SET, BkType.MULT):
         codes = codes[np.lexsort((codes, trace_of))]
+    new_run = np.ones(len(codes), bool)
+    new_run[1:] = (codes[1:] != codes[:-1]) | (trace_of[1:] != trace_of[:-1])
     if bk_type is BkType.SET:
-        new = np.ones(len(codes), bool)
-        new[1:] = (codes[1:] != codes[:-1]) | (trace_of[1:] != trace_of[:-1])
-        codes, trace_of = codes[new], trace_of[new]
-    ends = np.cumsum(np.bincount(trace_of, minlength=len(traces)), dtype=np.int32)
+        codes, trace_of, new_run = codes[new_run], trace_of[new_run], new_run[new_run]
     order = np.argsort(trace_of.astype(np.int64) * n_codes + codes, kind="stable")
     same = (codes[order[1:]] == codes[order[:-1]]) & (trace_of[order[1:]] == trace_of[order[:-1]])
     prev = np.full(len(codes), -1, np.int32)
     prev[order[1:][same]] = order[:-1][same]
-    return _View(codes, trace_of, ends[trace_of], prev)
+    runs = np.flatnonzero(new_run).astype(np.int32)
+    return _View(
+        codes,
+        trace_of,
+        prev,
+        runs,
+        np.cumsum(new_run, dtype=np.int32) - 1,
+        np.cumsum(np.bincount(trace_of, minlength=len(traces)), dtype=np.int32),
+        np.cumsum(np.bincount(trace_of[runs], minlength=len(traces)), dtype=np.int32),
+    )
 
 
-def _children(view: _View, start, ends, n_codes: int, flags) -> tuple:
+def _children(view: _View, start, ends, n_codes: int, flags, grown: bool) -> tuple:
     """Count the children of the frontier's embeddings: ``(keys, support,
-    hits, positions)``.
+    hits, positions)``, the last ``None`` unless ``grown`` asks for them.
 
     The embeddings of carried pattern ``p`` are ``start[ends[p - 1]:ends[p]]``.
     One grows by every code from its start to its trace's end, at the
@@ -336,41 +355,53 @@ def _children(view: _View, start, ends, n_codes: int, flags) -> tuple:
     in chunks of about :data:`CHUNK_POSITIONS` positions, each counted on its
     own and merged by key.
     """
-    done = np.concatenate(([0], np.cumsum(view.end_of[start] - start)))
+    done = np.concatenate(([0], np.cumsum(_run_counts(view, start))))
     chunks, a = [], 0
     while a < len(start):
         b = max(int(np.searchsorted(done, done[a] + CHUNK_POSITIONS, "right")) - 1, a + 1)
         parent = np.searchsorted(ends, np.arange(a, b), "right").astype(np.int32)
-        chunks.append(_count_chunk(view, parent, start[a:b], n_codes, flags))
+        children, counts, at = _count_chunk(view, parent, start[a:b], n_codes, flags)
+        chunks.append((children, counts, at if grown else None))
         a = b
     keys, merged = np.unique(np.concatenate([c[0] for c in chunks]), return_inverse=True)
     merged = merged.reshape(-1)
     counts = np.zeros((1 + len(flags), len(keys)), np.int64)
     np.add.at(counts, (slice(None), merged), np.concatenate([c[1] for c in chunks], axis=1))
     support = counts[0]
+    if not grown:
+        return keys, support, counts[1:], None
     # each chunk fills its children's next free slots, so every child's
     # embeddings end up together, in chunk order
     positions = np.empty(int(support.sum()), np.int32)
     free = np.cumsum(support) - support
     offset = 0
     while chunks:
-        children, (grown, *_), at = chunks.pop(0)
+        children, (sizes, *_), at = chunks.pop(0)
         ids = merged[offset : offset + len(children)]
-        firsts = np.cumsum(grown) - grown
-        positions[np.arange(len(at)) + np.repeat(free[ids] - firsts, grown)] = at
-        free[ids] += grown
+        firsts = np.cumsum(sizes) - sizes
+        positions[np.arange(len(at)) + np.repeat(free[ids] - firsts, sizes)] = at
+        free[ids] += sizes
         offset += len(children)
     return keys, support, counts[1:], positions
 
 
+def _run_counts(view: _View, start) -> np.ndarray:
+    """How many runs each embedding's rest, from ``start`` on, meets."""
+    return view.run_end[view.trace_of[start]] - view.run_of[start]
+
+
 def _count_chunk(view: _View, parent, start, n_codes: int, flags) -> tuple:
     """One chunk of :func:`_children` before the merge: its children's
-    keys, a matrix of their support and hits, and the grown embeddings."""
-    lengths = view.end_of[start] - start
+    keys, a matrix of their support and hits, and the grown embeddings.
+
+    Only ``start`` and the later run starts can hold a code's first
+    position in the rest; of those, ``prev`` drops the codes seen before."""
+    lengths = _run_counts(view, start)
     first = np.repeat(start, lengths)
-    at = np.arange(len(first), dtype=np.int32) + np.repeat(
-        (start - (np.cumsum(lengths) - lengths)).astype(np.int32), lengths
+    run = np.arange(len(first), dtype=np.int32) + np.repeat(
+        (view.run_of[start] - (np.cumsum(lengths) - lengths)).astype(np.int32), lengths
     )
+    at = np.maximum(view.runs[run], first)
     new = view.prev[at] < first
     at = at[new]
     keys = np.repeat(parent, lengths)[new].astype(np.int64) * n_codes + view.codes[at]
@@ -411,7 +442,9 @@ def _enumerate(traces, n_codes: int, bk_type: BkType, max_size: int, flags=()):
     for size in range(1, max_size + 1):
         if not len(start):
             return
-        keys, support, hits, at = _children(view, start, ends, n_codes, flags)
+        keys, support, hits, at = _children(
+            view, start, ends, n_codes, flags, grown=size < max_size
+        )
         parents, last = np.divmod(keys, n_codes)
         subs = np.empty((len(keys), size), np.int32)
         subs[:, -1] = parents
@@ -436,7 +469,7 @@ def _enumerate(traces, n_codes: int, bk_type: BkType, max_size: int, flags=()):
         if size == max_size:
             return
         carry = level.carry
-        grows = np.repeat(carry, support) & (at + 1 < view.end_of[at])
+        grows = np.repeat(carry, support) & (at + 1 < view.trace_end[view.trace_of[at]])
         start = at[grows] + 1
         ends = np.cumsum(np.add.reduceat(grows, np.cumsum(support) - support)[carry])
         carried_keys, carried_subs = keys[carry], subs[carry]
