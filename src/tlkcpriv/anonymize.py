@@ -113,12 +113,12 @@ def _result(log, out, dropped, started, winners=(), iterations=()):
 
 
 def _cut(log: EventLog, traces: Iterable[tuple]):
-    """``log`` with each case's trace replaced, in case order; emptied cases
-    are dropped.  Returns (new log, dropped ids)."""
+    """``log`` with each case's trace replaced by a tuple of its events, in
+    case order; emptied cases are dropped.  Returns (new log, dropped ids)."""
     kept, dropped = [], []
     for inst, trace in zip(log, traces):
-        if trace:
-            kept.append(ProcessInstance(inst.case_id, trace, inst.sensitive))
+        if trace:  # a subsequence of an ordered trace is ordered
+            kept.append(ProcessInstance._ordered(inst.case_id, trace, dict(inst.sensitive)))
         else:
             dropped.append(inst.case_id)
     return EventLog(tuple(kept), log.sensitive_attrs), tuple(dropped)

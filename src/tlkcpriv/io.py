@@ -18,13 +18,13 @@ import math
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
 
 from .analysis import check_requirements
-from .log import EventLog, LogError, ProcessInstance, TimestampAccuracy, event_maker
+from .log import Event, EventLog, LogError, ProcessInstance, TimestampAccuracy, event_maker
 
 __all__ = [
     "LogFileError",
@@ -89,18 +89,19 @@ def _format_timestamp(seconds: int, fmt: str) -> str:
     return dt.strftime(fmt)
 
 
-def _memoized(convert, *args):
-    """``convert(value, *args)``, computed once per distinct value; made for
+class _Memo(dict):
+    """``convert(key)`` of each key, computed on its first lookup; made for
     one read or write, since logs repeat few distinct timestamps and labels."""
-    cache = {}
 
-    def cached(value):
-        out = cache.get(value, cache)  # the cache itself marks a miss, as None is a result
-        if out is cache:
-            out = cache[value] = convert(value, *args)
-        return out
+    __slots__ = ("convert",)
 
-    return cached
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
 
 
 def _coerce_value(text):
@@ -142,8 +143,8 @@ def read_csv(
     """
     path = Path(path)
     make_event = event_maker(TimestampAccuracy.parse(accuracy))
-    parse_stamp = _memoized(_parse_timestamp, colmap.timestamp_format)
-    coerce = _memoized(_coerce_value)
+    parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
+    coerce = _Memo(_coerce_value).__getitem__
     try:
         handle = path.open(newline="", encoding="utf-8")
     except OSError as exc:
@@ -197,7 +198,7 @@ def read_csv(
     for cid, (events, values) in cases.items():
         events.sort(key=itemgetter(0))  # stable: file order breaks ties
         sensitive = {attr: v for attr, (_, v) in zip(attrs, values)}
-        instances.append(ProcessInstance(cid, tuple(ev for _, ev in events), sensitive))
+        instances.append(ProcessInstance._ordered(cid, tuple(ev for _, ev in events), sensitive))
     return EventLog(tuple(instances), attrs)
 
 
@@ -207,7 +208,7 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
     if colmap.resource_col:
         header.append(colmap.resource_col)
     header += list(colmap.sensitive_cols)
-    stamp = _memoized(_format_timestamp, colmap.timestamp_format)
+    stamp = _Memo(lambda seconds: _format_timestamp(seconds, colmap.timestamp_format)).__getitem__
     try:
         handle = path.open("w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -277,71 +278,322 @@ def _bad_value(case_id, tag, key, value) -> LogError:
     return LogError(f"{where}<{tag}> attribute {key!r} has {what}")
 
 
+# a trace's layout is its markup without values, read in parts: the trace's
+# attributes before its first event, then for each event its attributes, its
+# end and the trace's attributes up to the next event.  A part's entries are
+# an attribute's ``(tag, key)`` and an event's end.
+_OPEN, _CLOSE = ("", ""), ("", "/")
+# an event's fields, by their index in a part's ``fields``
+_FIELDS = {"concept:name": 0, "time:timestamp": 1, "org:resource": 2}
+_HELD_BYTES = 1 << 20  # plans and parts kept at a time, by what they and their keys hold
+_PART_BYTES = 160  # about what a plan holds per part, or a part per entry, beside a text key
+_SIZE, _CLOSES = attrgetter("size"), attrgetter("closes")
+
+
+def _picker(at):
+    """``values`` -> the tuple of its items at the indices ``at``."""
+    if len(at) == 1:
+        first = at[0]
+        return lambda values: (values[first],)
+    return itemgetter(*at) if at else lambda values: ()
+
+
+def _settle(owner, values):
+    """An owner's attributes from its kept ``(key, tag, slot)``, the last of a
+    repeated key winning, and its first failed cast as ``(tag, key, value)``
+    (or None)."""
+    attrs, bad = {}, None
+    for key, tag, slot in owner:
+        value = values[slot]
+        if tag in _XES_TEXT_TAGS:
+            attrs[key] = value
+            continue
+        try:
+            attrs[key] = _XES_CASTS[tag](value)
+        except (TypeError, ValueError):
+            bad = bad or (tag, key, value)
+    return attrs, bad
+
+
+class _Part:
+    """What one part of a layout makes of its values, found by one walk of
+    its entries; ``slot`` indexes its values from the part's first.
+
+    ``keys`` lists each value's ``(key, tag)``; ``trace`` the kept trace
+    attributes as ``(key, tag, slot)``; ``closes`` counts event ends (one
+    in an event's part, none in the first); ``fields`` holds the slot of the
+    event's last activity, timestamp and resource (-1 for none), ``typed``
+    the slots of its typed kept attributes.
+    """
+
+    __slots__ = ("size", "dropped", "keys", "trace", "closes", "fields", "typed")
+
+    def __init__(self, entries, kept):
+        self.keys, self.trace, self.typed, self.dropped = [], [], [], 0
+        self.fields, self.closes = [-1, -1, -1], entries.count(_CLOSE)
+        in_event = self.closes > 0
+        for tag, key in entries:
+            if not tag:  # the event's end
+                in_event = False
+                continue
+            slot = len(self.keys)
+            self.keys.append((key, tag))
+            if key not in kept or not (tag in _XES_TEXT_TAGS or tag in _XES_CASTS):
+                self.dropped += 1  # outside the modeled fields
+            elif not in_event:
+                self.trace.append((key, tag, slot))
+            else:
+                if tag in _XES_CASTS:
+                    self.typed.append(slot)
+                field = _FIELDS.get(key)
+                if field is not None:
+                    self.fields[field] = slot
+        self.size = len(self.keys)
+
+
+class _Plan:
+    """What the traces of one layout make of their values, composed from its
+    parts; a trace's values are its attributes' in document order, and
+    ``slot`` indexes them.
+
+    ``trace`` lists the trace's kept attributes as ``(key, tag, slot)``;
+    ``acts``, ``stamps`` and ``resources`` the slot of each event's last
+    activity, timestamp and resource (-1 for none); ``typed`` maps an event
+    to the slots of its typed kept attributes.  A plan is fast when the case
+    id and every event's activity and timestamp are text and every typed
+    attribute is the value of a sensitive one: its cases are picked by index.
+    """
+
+    __slots__ = ("parts", "size", "dropped", "trace", "acts", "stamps", "resources", "typed",
+                 "fast", "case_at", "pick_acts", "pick_stamps", "pick_resources",
+                 "pick_sensitive", "casts")
+
+    def __init__(self, parts, sensitive_attrs):
+        self.parts, self.trace, self.typed = parts, [], {}
+        self.acts, self.stamps, self.resources = [], [], []
+        start = self.dropped = 0  # the slot of each part's first value
+        for event, part in enumerate(parts, -1):  # the first part holds no event
+            if part.trace:
+                self.trace += [(key, tag, start + slot) for key, tag, slot in part.trace]
+            if event >= 0:
+                act, stamp, resource = part.fields
+                self.acts.append(start + act if act >= 0 else -1)
+                self.stamps.append(start + stamp if stamp >= 0 else -1)
+                self.resources.append(start + resource if resource >= 0 else -1)
+                if part.typed:
+                    self.typed[event] = [start + slot for slot in part.typed]
+            start += part.size
+            self.dropped += part.dropped
+        self.size = start  # the number of values
+        final = {key: (tag, slot) for key, tag, slot in self.trace}  # the last of each key
+        case = final.get("concept:name")
+        self.fast = (
+            case is not None and case[0] in _XES_TEXT_TAGS
+            and bool(self.acts) and not self.typed
+            and -1 not in self.acts and -1 not in self.stamps
+            and all(key in sensitive_attrs and final[key] == (tag, slot)
+                    for key, tag, slot in self.trace if tag in _XES_CASTS)
+        )
+        if self.fast:  # slot -1 is the None after the values
+            self.case_at = case[1]
+            self.pick_acts, self.pick_stamps = _picker(self.acts), _picker(self.stamps)
+            self.pick_resources = _picker(self.resources)
+            sensitive = [final.get(attr, (None, -1)) for attr in sensitive_attrs]
+            self.pick_sensitive = _picker([slot for _, slot in sensitive])
+            self.casts = {attr: _XES_CASTS[tag] for attr, (tag, _)
+                          in zip(sensitive_attrs, sensitive) if tag in _XES_CASTS}
+
+
 class _XesCases:
-    """The cases of one XES read, each built from its trace's tokens: an
-    attribute ``(tag, key, value, "")``, an event's start ``("", "", "", "")``
-    and its end ``("", "", "", "/")``.  The first content error is kept, to be
-    raised once the whole file has parsed: a parse error anywhere wins."""
+    """The cases of one XES read.  A trace comes as its text (:meth:`text`)
+    or as its parts and values (:meth:`add`); one plan per distinct layout,
+    composed of one part per distinct event layout, builds its case.  The
+    first content error is kept, to be raised once the whole file has
+    parsed: a parse error anywhere wins."""
 
     def __init__(self, path, sensitive_attrs, accuracy):
         self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
         self.kept = {"concept:name", "org:resource", "time:timestamp", *self.sensitive_attrs}
-        self.make_event = event_maker(TimestampAccuracy.parse(accuracy))
-        self.parse_stamp = _memoized(_parse_timestamp, ISO_FORMAT)
+        accuracy = TimestampAccuracy.parse(accuracy)
+        self.seconds = _Memo(lambda text: _parse_timestamp(text, ISO_FORMAT))
+        # above seconds, floored timestamps and one shared Event per distinct event
+        self.floors = None if accuracy.unit_seconds == 1 else _Memo(accuracy.flooring())
+        self.events = _Memo(lambda key: Event(*key))
+        # text with values emptied, or a tuple of parts -> its plan; text, or a
+        # tuple of entries -> its part (False for text out of the form)
+        self.plans, self.parts, self.held = {}, {}, 0
         self.instances, self.dropped, self.error = [], 0, None
 
-    def add(self, tokens):
-        if self.error is None:
-            try:
-                self.instances.append(self._instance(tokens))
-            except LogError as exc:
-                self.error = LogError(f"{self.path}: {exc}")
+    def text(self, text) -> bool:
+        """Add the case of a trace's text, between ``<trace>`` and ``</trace>``,
+        if the regex grammar ``_TOKEN`` reads it whole: ``<tag key=".."
+        value=".." />`` attributes and plain events.  Else add nothing and
+        return False.
 
-    def _instance(self, tokens):
-        trace, events, kept = {}, [], self.kept
-        owner = trace  # the attributes of the trace or of the open event
-        for tag, key, value, end in tokens:
-            if not tag:
-                owner = trace if end else {}
-                if not end:
-                    events.append(owner)
-            elif key not in kept:
-                self.dropped += 1  # outside the modeled fields
-            elif tag in _XES_TEXT_TAGS:
-                owner[key] = value
-            elif tag not in _XES_CASTS:
-                self.dropped += 1
+        Split at ``"``, every fourth piece is a value when no other ``"`` is in
+        the trace.  The text with those pieces emptied finds the plan, its
+        stretches between ``<event>`` the parts; a trace of the same emptied
+        text holds the same tokens once no value holds ``&``, ``<``, a tab or
+        a line break."""
+        pieces = text.split('"')
+        values = pieces[3::4]
+        pieces[3::4] = [""] * len(values)
+        shape = '"'.join(pieces)
+        plan = self.plans.get(shape)
+        if plan is None:
+            texts = shape.split("<event>")
+            parts = list(map(self.parts.get, texts))
+            if None in parts:  # a stretch not read before
+                parts = list(map(self._text_part, texts, parts))
+            if False in parts or len(pieces) != 4 * sum(map(_SIZE, parts)) + 1:
+                tokens = _tokens(text)  # out of the form, or '"' outside the attributes
+                return tokens is not None and self._add_tokens(tokens)
+            plan = self._plan(parts)
+            if plan is None:
+                return False
+            self._keep(self.plans, shape, plan, len(shape))
+        joined = "".join(values)
+        if "&" in joined or "<" in joined or "\t" in joined or "\n" in joined or "\r" in joined:
+            return False  # a reference, or a character the parser normalizes
+        self._build(plan, values)
+        return True
+
+    def add(self, parts, values) -> None:
+        """Add the case of a trace read by the callbacks: its parts and its
+        attributes' values (None where an attribute has none)."""
+        self._build(self._plan(parts), values)
+
+    def part(self, entries):
+        """The part of a tuple of layout entries."""
+        part = self.parts.get(entries)
+        if part is None:
+            part = _Part(entries, self.kept)
+            self._keep(self.parts, entries, part, (1 + len(entries)) * _PART_BYTES)
+        return part
+
+    def _text_part(self, text, part=None):
+        """The part of a stretch of emptied trace text (``part`` if not None),
+        or False when the regex grammar does not read it whole."""
+        part = self.parts.get(text) if part is None else part  # met earlier in its trace
+        if part is None:
+            tokens = _tokens(text)
+            part = False if tokens is None else self.part(tuple(map(_entry, tokens)))
+            self._keep(self.parts, text, part, len(text))
+        return part
+
+    def _add_tokens(self, tokens) -> bool:
+        """Add the case of a trace's tokens, if its events open and close in turn."""
+        parts, entries, values = [], [], []
+        for token in tokens:
+            entry = _entry(token)
+            if entry == _OPEN:
+                parts.append(self.part(tuple(entries)))
+                entries = []
             else:
-                try:
-                    owner[key] = _XES_CASTS[tag](value)
-                except (TypeError, ValueError):  # the first failed cast, under key None
-                    owner.setdefault(None, (tag, key, value))
-        # checks in the order of a tree walk: trace attributes, then events
-        case_id = trace.get("concept:name")
-        if None in trace:
-            raise _bad_value(case_id, *trace[None])
+                entries.append(entry)
+                if entry[0]:
+                    values.append(token[2])
+        parts.append(self.part(tuple(entries)))
+        plan = self._plan(parts)
+        if plan is not None:
+            self._build(plan, values)
+        return plan is not None
+
+    def _plan(self, parts):
+        """The plan of a trace's parts, or None unless the first part closes
+        no event and every other one closes its own."""
+        key = tuple(parts)
+        plan = self.plans.get(key)
+        if plan is None:
+            closes = list(map(_CLOSES, parts))
+            if closes[0] or closes.count(1) != len(closes) - 1:
+                return None
+            plan = _Plan(parts, self.sensitive_attrs)
+            self._keep(self.plans, key, plan, len(key) * _PART_BYTES)
+        return plan
+
+    def _keep(self, kept, key, value, cost):
+        if self.held + cost <= _HELD_BYTES:  # else made again on each use
+            self.held += cost
+            kept[key] = value
+
+    def _build(self, plan, values):
+        if self.error is not None:
+            return
+        self.dropped += plan.dropped
+        try:
+            instance = self._fast(plan, values) if plan.fast else None
+            self.instances.append(self._slow(plan, values) if instance is None else instance)
+        except LogError as exc:
+            self.error = LogError(f"{self.path}: {exc}")
+
+    def _fast(self, plan, values):
+        """The case of a fast plan's trace, or None if a value fails: a missing
+        one, a typed sensitive one or a timestamp that does not parse, or an
+        empty activity.  The slow build then raises the first error."""
+        values.append(None)  # the value of an absent resource or sensitive attribute
+        case_id, activities = values[plan.case_at], plan.pick_acts(values)
+        stamps = plan.pick_stamps(values)
+        if case_id is None or None in activities or None in stamps:  # no value attribute
+            return None
+        sensitive = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
+        try:
+            for attr, cast in plan.casts.items():
+                sensitive[attr] = cast(sensitive[attr])
+            seconds = list(map(self.seconds.__getitem__, stamps))
+            return self._case(case_id, activities, plan.pick_resources(values), seconds, sensitive)
+        except (TypeError, ValueError):  # LogError included
+            return None
+
+    def _slow(self, plan, values):
+        """The case of any trace, checked in the order of a tree walk: trace
+        attributes, then each event's."""
+        attrs, bad = _settle(plan.trace, values)
+        case_id = attrs.get("concept:name")
+        if bad is not None:
+            raise _bad_value(case_id, *bad)
         if case_id is None:
             raise LogError("trace without concept:name case id")
-        stamped = []
-        for attrs in events:
-            if None in attrs:
-                raise _bad_value(case_id, *attrs[None])
-            activity = attrs.get("concept:name")
+        keys = [key for part in plan.parts for key in part.keys]  # those of each slot
+        activities, resources, seconds = [], [], []
+        for event, slots in enumerate(zip(plan.acts, plan.stamps, plan.resources)):
+            # its typed attributes in order, then the last of each field
+            owner = [(*keys[slot], slot)
+                     for slot in (*plan.typed.get(event, ()), *slots) if slot >= 0]
+            fields, bad = _settle(owner, values)
+            if bad is not None:
+                raise _bad_value(case_id, *bad)
+            activity = fields.get("concept:name")
             if activity is None:
                 raise LogError(f"case {case_id!r} has an event without concept:name")
-            stamp = attrs.get("time:timestamp")
+            stamp = fields.get("time:timestamp")
             if stamp is None:
                 raise LogError(f"case {case_id!r} has an event without time:timestamp")
             try:
-                ts = self.parse_stamp(str(stamp))
+                seconds.append(self.seconds[str(stamp)])
             except LogError as exc:
                 raise LogError(f"case {case_id!r}: {exc}") from None
-            resource = attrs.get("org:resource")
-            resource = None if resource is None else str(resource)
-            stamped.append((ts, self.make_event(str(activity), resource, ts)))
-        stamped.sort(key=itemgetter(0))  # stable: file order breaks ties
-        sensitive = {attr: trace.get(attr) for attr in self.sensitive_attrs}
-        return ProcessInstance(str(case_id), tuple(ev for _, ev in stamped), sensitive)
+            resource = fields.get("org:resource")
+            # its label checked here, in walk order
+            event = Event(str(activity), None if resource is None else str(resource), 0)
+            activities.append(event.activity)
+            resources.append(event.resource)
+        sensitive = {attr: attrs.get(attr) for attr in self.sensitive_attrs}
+        return self._case(str(case_id), activities, resources, seconds, sensitive)
+
+    def _case(self, case_id, activities, resources, seconds, sensitive):
+        """The case of its events' fields in file order, ordered by seconds
+        (stable: file order breaks ties) and then floored."""
+        if sorted(seconds) != seconds:
+            pick = itemgetter(*sorted(range(len(seconds)), key=seconds.__getitem__))
+            activities, resources, seconds = pick(activities), pick(resources), pick(seconds)
+        if self.floors is None:
+            trace = tuple(map(Event, activities, resources, seconds))
+        else:
+            floored = map(self.floors.__getitem__, seconds)
+            trace = tuple(map(self.events.__getitem__, zip(activities, resources, floored)))
+        make = ProcessInstance._ordered if trace else ProcessInstance  # which rejects no events
+        return make(case_id, trace, sensitive)
 
 
 _BLOCK_BYTES = 1 << 16  # read at a time
@@ -354,31 +606,40 @@ _VALUE = r'"([^"&<\t\n\r]*)"'
 _TOKEN = re.compile(rf"<(?:(?!event )(\w+) key={_VALUE} value={_VALUE} ?/>|(/?)event>)")
 
 
-def _tokens(segment):
-    """The tokens of a whitespace-led ``<trace>`` up to its closing tag, or None."""
+def _tokens(text):
+    """The tokens of text in the canonical form, or None: an attribute
+    ``(tag, key, value, "")``, an event's start ``("", "", "", "")`` and its
+    end ``("", "", "", "/")``."""
+    found = _TOKEN.findall(text)
+    return found if text.count("<") == len(found) else None  # each markup character starts one
+
+
+def _entry(token):
+    """A token's layout entry: ``(tag, key)``, _OPEN or _CLOSE."""
+    return token[0], token[1] or token[3]
+
+
+def _trace_text(segment):
+    """The text of a whitespace-led ``<trace>`` up to its closing tag, or None."""
     try:
         space, opening, text = segment.decode().partition("<trace>")
     except UnicodeDecodeError:  # a parse error, which expat reports
         return None
-    if space.strip() or not opening:
-        return None
-    found = _TOKEN.findall(text)
-    if text.count("<") != len(found):  # a markup character that starts no token
-        return None
-    ends = [end for tag, _, _, end in found if not tag]
-    return found if ends == ["", "/"] * (len(ends) // 2) else None  # events open and close in turn
+    return text if opening and not space.strip() else None
 
 
 def _read_traces(handle, cases) -> None:
-    """Hand each trace of an XES file to ``cases`` as its tokens, reading the file
-    once, in blocks, through one expat parser.  After its callbacks close a trace
-    at a plain ``</trace>`` in a UTF-8 file with no document type declaration, the
-    regex tokenizes each whole trace and expat then checks it with no handler.  A
-    trace out of the canonical form sends the rest of its block to the callbacks;
-    a trace longer than ``_TRACE_BYTES`` goes to them as well."""
-    local_names, keys = {}, {}  # raw expat element name -> local name; key -> its one string
-    depth, tokens, in_event = 0, None, False  # the root at depth 1; the open trace and event
-    plain, closed = True, -1  # whether to tokenize; the file offset after the last trace closed
+    """Hand each trace of an XES file to ``cases``, reading the file once, in
+    blocks, through one expat parser.  After its callbacks close a trace at a
+    plain ``</trace>`` in a UTF-8 file with no document type declaration,
+    each whole trace goes to ``cases`` as text and expat then checks it with
+    no handler.  A trace out of the canonical form sends the rest of its
+    block to the callbacks, which hand over each trace as its parts and
+    values; a trace longer than ``_TRACE_BYTES`` goes to them as well."""
+    local_names = {}  # raw expat element name -> local name
+    depth, in_event = 0, False  # the root at depth 1
+    parts, entries, values = None, None, None  # the open trace's; entries of its open part
+    plain, closed = True, -1  # whether to take traces as text; the file offset after the last
     parser = expat.ParserCreate(namespace_separator="}")
 
     def declared(*decl):  # an XML declaration (version, encoding, standalone) or a document type
@@ -386,27 +647,29 @@ def _read_traces(handle, cases) -> None:
         plain = plain and len(decl) == 3 and (decl[1] or "utf-8").lower() == "utf-8"
 
     def start(name, attrs):
-        nonlocal depth, tokens, in_event
+        nonlocal depth, parts, entries, values, in_event
         depth += 1
         tag = local_names.get(name) or local_names.setdefault(name, name.rsplit("}", 1)[-1])
         if depth == 2 and tag == "trace":
-            tokens = []
-        elif depth == 3 and tokens is not None and tag == "event":
-            tokens.append(("", "", "", ""))
-            in_event = True
-        elif (depth == 3 and tokens is not None) or (depth == 4 and in_event):
+            parts, entries, values = [], [], []
+        elif depth == 3 and parts is not None and tag == "event":
+            parts.append(cases.part(tuple(entries)))
+            entries, in_event = [], True
+        elif (depth == 3 and parts is not None) or (depth == 4 and in_event):
             key = attrs.get("key")
             if key is not None:
-                tokens.append((tag, keys.setdefault(key, key), attrs.get("value"), ""))
+                entries.append((tag, key))
+                values.append(attrs.get("value"))
 
     def end(name):
-        nonlocal depth, tokens, in_event, closed
+        nonlocal depth, parts, in_event, closed
         if depth == 3 and in_event:
-            tokens.append(("", "", "", "/"))
+            entries.append(_CLOSE)
             in_event = False
-        elif depth == 2 and tokens is not None:
-            cases.add(tokens)
-            tokens, closed = None, parser.CurrentByteIndex + len(_END)
+        elif depth == 2 and parts is not None:
+            parts.append(cases.part(tuple(entries)))
+            cases.add(parts, values)
+            parts, closed = None, parser.CurrentByteIndex + len(_END)
         depth -= 1
 
     parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = declared
@@ -415,23 +678,23 @@ def _read_traces(handle, cases) -> None:
     while True:
         block = handle.read(_BLOCK_BYTES)
         pending += block
-        parsed = taken = 0  # pending[parsed:taken] is tokenized but not parsed
-        found = []  # None once a trace out of the form stops the tokenizer in this block
+        parsed = taken = 0  # pending[parsed:taken] is read as text but not parsed
+        canonical = True  # False once a trace out of the form stops the text reads in this block
         while plain and (stop := pending.find(_END, taken)) >= 0:
             stop += len(_END)
             if parser.StartElementHandler is None:
-                found = _tokens(pending[taken : stop - len(_END)])
-                if found is None:  # the callbacks read on to the end of the block
+                text = _trace_text(pending[taken : stop - len(_END)])
+                canonical = text is not None and cases.text(text)
+                if not canonical:  # the callbacks read on to the end of the block
                     break
-                cases.add(found)
                 taken = stop
             else:
                 parser.Parse(pending[taken:stop])
                 parsed = taken = stop
-                if plain and closed == offset + stop:  # a trace end to tokenize from
+                if plain and closed == offset + stop:  # a trace end to read text from
                     parser.StartElementHandler = parser.EndElementHandler = None
         parser.Parse(pending[parsed:taken])
-        if found is None or not block or len(pending) - taken > _TRACE_BYTES:
+        if not canonical or not block or len(pending) - taken > _TRACE_BYTES:
             parser.StartElementHandler, parser.EndElementHandler = start, end
         if parser.StartElementHandler is not None:  # all but what may start a closing tag
             cut = max(taken, len(pending) - len(_END) + 1) if block else len(pending)
@@ -458,10 +721,12 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     is an error naming the file, case and key, as is an unparsable timestamp.
 
     The file is read once, in blocks that expat checks.  UTF-8 traces of
-    ``<tag key=".." value=".." />`` attributes and plain events are tokenized by
-    regex, others read through expat callbacks.  A parse error anywhere in the
-    file is reported before any error in its content, and content errors come
-    in document order of the traces.
+    ``<tag key=".." value=".." />`` attributes and plain events are split
+    at their quotes, others read through expat callbacks; either way, one
+    plan per distinct trace layout, joined from parts compiled once per
+    distinct event layout, builds the cases.  A parse error
+    anywhere in the file is reported before any error in its content, and
+    content errors come in document order of the traces.
     """
     path = Path(path)
     try:
@@ -482,9 +747,9 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
 def write_xes(log: EventLog, path) -> None:
     """Write an XES log, one element per line, indented by two spaces."""
     esc = _ATTR_ESCAPES
-    label = _memoized(str.translate, esc)
+    label = _Memo(lambda text: text.translate(esc)).__getitem__
     keys = {attr: attr.translate(esc) for attr in log.sensitive_attrs}
-    stamp = _memoized(_format_timestamp, ISO_FORMAT)
+    stamp = _Memo(lambda seconds: _format_timestamp(seconds, ISO_FORMAT)).__getitem__
     try:
         with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as out:
             if not log.instances:

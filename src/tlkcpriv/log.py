@@ -72,6 +72,12 @@ class TimestampAccuracy(Enum):
     def unit_seconds(self) -> int:
         return {"seconds": 1, "minutes": 60, "hours": 3600, "days": 86400}[self.value]
 
+    def flooring(self):
+        """``timestamp`` -> the start of its unit: the one flooring rule of
+        :func:`event_maker` and the readers."""
+        unit = self.unit_seconds
+        return lambda timestamp: timestamp - timestamp % unit
+
     @classmethod
     def parse(cls, text) -> "TimestampAccuracy":
         if isinstance(text, TimestampAccuracy):
@@ -151,6 +157,17 @@ class ProcessInstance:
                     f"case {self.case_id!r}: events are not ordered by timestamp"
                 )
         object.__setattr__(self, "sensitive", dict(self.sensitive))
+
+    @classmethod
+    def _ordered(cls, case_id: str, trace: tuple, sensitive: dict) -> "ProcessInstance":
+        """The case of a non-empty trace tuple already in time order and a
+        sensitive dict of its own, built without the constructor's copies and
+        order check."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "case_id", case_id)
+        object.__setattr__(inst, "trace", trace)
+        object.__setattr__(inst, "sensitive", sensitive)
+        return inst
 
     def __len__(self) -> int:
         return len(self.trace)
@@ -366,13 +383,12 @@ def event_maker(accuracy: TimestampAccuracy):
     object per maker.  At seconds there is nothing to floor or share, so the
     maker is :class:`Event` itself.
     """
-    unit = accuracy.unit_seconds
-    if unit == 1:
+    if accuracy.unit_seconds == 1:
         return Event
-    shared: dict = {}
+    floor, shared = accuracy.flooring(), {}
 
     def make(activity, resource, timestamp):
-        key = (activity, resource, timestamp - timestamp % unit)
+        key = (activity, resource, floor(timestamp))
         return shared.get(key) or shared.setdefault(key, Event(*key))
 
     return make

@@ -695,6 +695,18 @@ class TestXesAgainstTreeReference:
             '<event><boolean key="concept:name" value="yes"/></event>'
             '<boolean key="Age" value="1"/></trace>',
             '<trace><string key="concept:name" value="1"/></trace>',
+            # an empty activity, then a bad timestamp in a later event: the first wins
+            '<trace><string key="concept:name" value="1"/><event><string key="concept:name" value=""/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event><event>'
+            '<string key="concept:name" value="a"/><date key="time:timestamp" value="x"/></event>'
+            '</trace>',
+            # attributes with no value, read by the callbacks
+            '<trace><string key="concept:name"/><event><string key="concept:name" value="a"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/><event><string key="concept:name"/>'
+            '<date key="time:timestamp" value="1970-01-01T00:00:00Z"/></event></trace>',
+            '<trace><string key="concept:name" value="1"/><event>'
+            '<string key="concept:name" value="a"/><date key="time:timestamp"/></event></trace>',
             # a content error in a trace, then a parse error later in the file
             "<trace><event/></trace><trace>",
         ],
@@ -710,26 +722,17 @@ class TestXesAgainstTreeReference:
         _assert_same_failure(target, ("Age",))
 
 
-# --- the block tokenizer against the element-tree reference -----------------------
+# --- traces read as text against the element-tree reference ---------------------
 
 
 @contextlib.contextmanager
 def _spied_reads():
     """Record how :func:`read_xes` reads a file: the bytes it reads, the traces
-    the regex tried and the longest of them, the traces the regex and the
-    callbacks handed to the builder, the bytes read when each was handed
-    over, and the attributes it dropped."""
+    tried as text and the longest of them, the traces built from their text
+    and from the callbacks, the bytes read when each was built, and the
+    attributes it dropped."""
     seen = {"bytes": 0, "tried": 0, "longest": 0, "tokenized": 0, "callbacks": 0, "read_at": []}
-    read_traces, token, add = xes_io._read_traces, xes_io._TOKEN, xes_io._XesCases.add
-
-    class Tokenized(list):
-        pass
-
-    class CountingToken:
-        def findall(self, text):
-            seen["tried"] += 1
-            seen["longest"] = max(seen["longest"], len(text))
-            return Tokenized(token.findall(text))
+    read_traces, text, add = xes_io._read_traces, xes_io._XesCases.text, xes_io._XesCases.add
 
     class CountingHandle:
         def __init__(self, handle):
@@ -744,13 +747,22 @@ def _spied_reads():
         read_traces(CountingHandle(handle), cases)
         seen["dropped"] = cases.dropped
 
-    def spy_add(cases, tokens):
-        seen["tokenized" if isinstance(tokens, Tokenized) else "callbacks"] += 1
+    def spy_text(cases, trace):
+        seen["tried"] += 1
+        seen["longest"] = max(seen["longest"], len(trace))
+        built = text(cases, trace)
+        if built:
+            seen["tokenized"] += 1
+            seen["read_at"].append(seen["bytes"])
+        return built
+
+    def spy_add(cases, layout, values):
+        seen["callbacks"] += 1
         seen["read_at"].append(seen["bytes"])
-        add(cases, tokens)
+        add(cases, layout, values)
 
     with mock.patch.object(xes_io, "_read_traces", spy_read), \
-            mock.patch.object(xes_io, "_TOKEN", CountingToken()), \
+            mock.patch.object(xes_io._XesCases, "text", spy_text), \
             mock.patch.object(xes_io._XesCases, "add", spy_add):
         yield seen
 
@@ -795,10 +807,10 @@ XES_EDITS = {
 
 
 class TestXesTokenizer:
-    """The regex tokenizer reads each canonical trace after the first; the
-    first trace, and a trace that leaves the form with the rest of its block,
-    are read through expat callbacks, and both agree with the element tree.
-    The file is read once."""
+    """Each canonical trace after the first is read from its text (counted as
+    tokenized); the first trace, and a trace that leaves the form with the
+    rest of its block, are read through expat callbacks, and both agree with
+    the element tree.  The file is read once."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1125,6 +1137,260 @@ class TestXesTokenizer:
         assert got.startswith(f"cannot read {target}: mismatched tag")
         # the trace with the bad date was tokenized before expat met the error
         assert seen["tokenized"] == 3
+
+
+# --- trace layouts against the element-tree reference -------------------------
+
+# good and bad attribute values by (tag, key); None writes the attribute without one
+LAYOUT_VALUES = {
+    ("string", "concept:name"): (["a", "b", "it's", " é€ ", "a&amp;b"], [None]),
+    ("id", "concept:name"): (["a", "7"], []),
+    ("int", "concept:name"): (["5", "05"], ["x"]),
+    ("float", "concept:name"): (["1.50", "nan"], ["x"]),
+    ("boolean", "concept:name"): (["true"], ["yes"]),
+    ("date", "time:timestamp"): (
+        ["1970-01-01T00:00:00Z", "1970-01-01T05:30:00Z", "2020-02-29T23:59:59+02:00"],
+        ["yesterday", None],
+    ),
+    ("string", "time:timestamp"): (["1970-01-01T01:00:00Z"], []),
+    ("string", "org:resource"): (["r", "s", "r&#9;t"], []),
+    ("int", "Age"): (["4", "-2"], ["old", None]),
+    ("float", "Age"): (["3.5", "inf"], ["x"]),
+    ("boolean", "Age"): (["true", "false"], ["1"]),
+    ("string", "Age"): (["9", "young"], []),
+    ("string", "Disease"): (["flu", "cold"], []),
+    ("string", "lifecycle:transition"): (["complete"], []),
+    ("list", "Disease"): (["x"], []),
+}
+TRACE_KEYS = [("string", "Disease"), ("string", "Age"), ("int", "Age"), ("float", "Age"),
+              ("boolean", "Age"), ("int", "concept:name"), ("string", "lifecycle:transition"),
+              ("list", "Disease")]
+EVENT_KEYS = [("string", "org:resource"), ("string", "lifecycle:transition"), ("int", "Age"),
+              ("int", "concept:name"), ("float", "concept:name"), ("boolean", "concept:name"),
+              ("id", "concept:name"), ("string", "time:timestamp")]
+# text between elements: quotes shift which pieces of a split at '"' are values
+LAYOUT_TEXTS = ["text", 'say "hi"', 'one " quote', "&#65;&amp;&lt;", "&quot;"]
+
+
+@st.composite
+def layout_templates(draw):
+    """A trace layout: ``("text", content)``, ``("attr", tag, key)``,
+    ``("open",)`` and ``("close",)`` items, the case id first or late."""
+    def text():
+        if draw(st.integers(0, 5)) != 3:
+            return []
+        return [("text", draw(st.sampled_from(LAYOUT_TEXTS)))]
+
+    def attrs(choices):
+        return [
+            item
+            for key in draw(st.lists(st.sampled_from(choices), max_size=2))
+            for item in (("attr", *key), *text())
+        ]
+
+    items = [*text(), *attrs(TRACE_KEYS)]
+    case_id = ("attr", "string", "concept:name")
+    items.insert(draw(st.integers(0, len(items))), case_id)
+    for _ in range(draw(st.integers(1, 3))):  # one-event traces among them
+        fields = [("attr", "string", "concept:name"), ("attr", "date", "time:timestamp")]
+        fields = [f for f in fields if draw(st.integers(0, 40)) != 17]  # rarely without one
+        fields += attrs(EVENT_KEYS)
+        order = draw(st.permutations(fields))
+        items += [("open",), *text(), *order, ("close",), *text()]
+    items += attrs(TRACE_KEYS)  # trace attributes after the events
+    return items
+
+
+@st.composite
+def layout_files(draw):
+    """An XES file of a few traces, each a drawn layout filled with drawn
+    values, and its line break."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    templates = draw(st.lists(layout_templates(), min_size=1, max_size=3))
+    traces = []
+    for number in range(draw(st.integers(2, 7))):
+        parts = []
+        for item in draw(st.sampled_from(templates)):
+            if item[0] == "text":
+                parts.append(item[1])
+            elif item[0] in ("open", "close"):
+                parts.append("<event>" if item[0] == "open" else "</event>")
+            else:
+                _, tag, key = item
+                good, bad = LAYOUT_VALUES[tag, key]
+                if (tag, key) == ("string", "concept:name") and parts.count("<event>") == \
+                        parts.count("</event>") and draw(st.integers(0, 19)) != 7:
+                    value = f"c{number}"  # a case id, mostly distinct
+                elif bad and draw(st.integers(0, 60)) == 17:  # drawn values are rarely bad
+                    value = draw(st.sampled_from(bad))
+                else:
+                    value = draw(st.sampled_from(good))
+                written = "" if value is None else f' value="{value}"'
+                parts.append(f'<{tag} key="{key}"{written} />')
+        traces.append(f"{newline}    ".join(["<trace>", *parts]) + f"{newline}  </trace>")
+    body = f"{newline}  ".join(["", *traces])
+    return (
+        f"<?xml version='1.0' encoding='utf-8'?>{newline}"
+        f'<log xes.version="2.0" xmlns="http://www.xes-standard.org/">{body}{newline}</log>'
+    )
+
+
+@contextlib.contextmanager
+def _counted_plans():
+    """Count the plans and the parts :func:`read_xes` compiles, and its regex reads."""
+    seen = {"plans": 0, "parts": 0, "regex": 0}
+    tokens = xes_io._tokens
+
+    class CountingPlan(xes_io._Plan):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            seen["plans"] += 1
+            super().__init__(*args)
+
+    class CountingPart(xes_io._Part):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            seen["parts"] += 1
+            super().__init__(*args)
+
+    def counting_tokens(text):
+        seen["regex"] += 1
+        return tokens(text)
+
+    with mock.patch.object(xes_io, "_Plan", CountingPlan), \
+            mock.patch.object(xes_io, "_Part", CountingPart), \
+            mock.patch.object(xes_io, "_tokens", counting_tokens):
+        yield seen
+
+
+def _layouts(xes_text):
+    """The distinct trace layouts of a file: each trace with its values taken out."""
+    return {
+        re.sub(r'value="[^"]*"', "", trace)
+        for trace in re.findall(r"<trace>.*?</trace>", xes_text, re.S)
+    }
+
+
+def _parts(xes_text):
+    """The distinct parts of the trace layouts of a file: each layout's
+    stretches between ``<event>``."""
+    return {part for layout in _layouts(xes_text) for part in layout.split("<event>")}
+
+
+class TestXesPlans:
+    """One plan per trace layout, joined from one part per event layout,
+    builds each case, whether the trace comes as text or through the
+    callbacks, and reads as the element tree does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        text=layout_files(),
+        accuracy=st.sampled_from([TimestampAccuracy.SECONDS, TimestampAccuracy.HOURS]),
+    )
+    def test_layouts_match_tree_reader(self, text, accuracy, tmp_path_factory):
+        target = tmp_path_factory.mktemp("xes") / "log.xes"
+        target.write_bytes(text.encode("utf-8"))
+        got, seen = _spied_read(target, ("Age", "Disease"), accuracy)
+        assert got == _tree_read(target, ("Age", "Disease"), accuracy)
+        assert seen["tokenized"] + seen["callbacks"] == text.count("<trace>")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda t: t, id="as-written"),
+            pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
+            pytest.param(lambda t: t.replace("<event>", '<event>say "hi"'), id="quoted-text"),
+        ],
+    )
+    def test_plans_typed_values_on_one_layout(self, edit, tmp_path):
+        # one layout of typed sensitive values, good in some traces and bad in one;
+        # the events are equal, so with quoted text the split would find one shape
+        log = EventLog(
+            tuple(
+                ProcessInstance(f"c{k}", (Event("a", "r", 60),), {"Age": k, "Disease": True})
+                for k in range(5)
+            ),
+            ("Age", "Disease"),
+        )
+        target = tmp_path / "log.xes"
+        write_xes(log, target)
+        text = edit(target.read_text(encoding="utf-8"))
+        target.write_text(text, encoding="utf-8")
+        with _counted_plans() as plans:
+            got, seen = _spied_read(target, ("Age", "Disease"))
+        assert got == _tree_read(target, ("Age", "Disease")) == (_as_read_back(log), 0)
+        assert plans["plans"] == 1 and seen["tokenized"] == 4
+        bad = text.replace('<int key="Age" value="3" />', '<int key="Age" value="x" />')
+        target.write_text(bad, encoding="utf-8")
+        got, _ = _spied_read(target, ("Age", "Disease"))
+        assert got == _tree_read(target, ("Age", "Disease"))
+        assert got == f"{target}: case 'c3': <int> attribute 'Age' has bad value 'x'"
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=xes_logs(NEAR_STAMPS, PLAIN_XML_CHARS))
+    def test_one_plan_per_layout_and_one_regex_read_per_part(self, log, tmp_path_factory):
+        target = tmp_path_factory.mktemp("xes") / "log.xes"
+        write_xes(log, target)
+        with _counted_plans() as seen:
+            assert read_xes(target, log.sensitive_attrs) == _as_read_back(log)
+        text = target.read_text(encoding="utf-8")
+        assert seen["plans"] <= len(_layouts(text))
+        # later traces of a layout are split, not matched, and parts are shared
+        assert seen["parts"] <= len(_parts(text)) and seen["regex"] <= len(_parts(text))
+
+    def test_one_plan_per_layout_of_a_large_log(self, treatment_log, tmp_path):
+        target = tmp_path / "log.xes"
+        write_xes(treatment_log, target)
+        with _counted_plans() as seen:
+            read_xes(target, treatment_log.sensitive_attrs)
+        text = target.read_text(encoding="utf-8")
+        assert seen["plans"] == len(_layouts(text)) < len(treatment_log)
+        assert seen["parts"] <= len(_parts(text)) and seen["regex"] <= len(_parts(text))
+
+    def test_plans_past_the_bound_serve_one_trace(self, treatment_log, tmp_path, monkeypatch):
+        monkeypatch.setattr(xes_io, "_HELD_BYTES", 0)  # no plan or part is kept
+        target = tmp_path / "log.xes"
+        write_xes(treatment_log, target)
+        with _counted_plans() as seen:
+            assert read_xes(target, treatment_log.sensitive_attrs) == _as_read_back(treatment_log)
+        assert seen["plans"] == len(treatment_log)
+        # each part of a trace after the first, which the callbacks read, is matched
+        assert seen["regex"] == sum(len(inst) + 1 for inst in treatment_log.instances[1:])
+
+    def test_kept_plans_and_parts_are_bounded_by_their_keys(self, treatment_log, tmp_path,
+                                                             monkeypatch):
+        # long text between elements, distinct in each trace, makes every layout
+        # and part distinct and larger than a layout's tokens
+        bound = 1 << 15
+        monkeypatch.setattr(xes_io, "_HELD_BYTES", bound)
+        made = []
+
+        class Recorded(xes_io._XesCases):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(xes_io, "_XesCases", Recorded)
+        log = EventLog(treatment_log.instances[:60], treatment_log.sensitive_attrs)
+        target = tmp_path / "log.xes"
+        write_xes(log, target)
+        traces = iter(range(len(log)))
+        text = re.sub(
+            r"<trace>.*?</trace>",
+            lambda m: m.group().replace("\n", "\n" + " " * (2000 + next(traces))),
+            target.read_text(encoding="utf-8"),
+            flags=re.S,
+        )
+        target.write_text(text, encoding="utf-8")
+        assert len("".join(_layouts(text))) > 10 * bound
+        assert read_xes(target, log.sensitive_attrs) == _as_read_back(log)
+        (cases,) = made
+        kept = [*cases.plans, *cases.parts]
+        assert cases.held <= bound
+        assert sum(len(key) for key in kept) <= bound
+        assert len(cases.plans) > 0 and len(cases.parts) > 0
 
 
 def _traces():

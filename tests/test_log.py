@@ -24,6 +24,7 @@ from tlkcpriv import (
     variant_frequency,
     variants,
 )
+from tlkcpriv.anonymize import suppress_global
 from tlkcpriv.log import event_maker
 
 from .conftest import HOUR, build_log
@@ -123,6 +124,39 @@ def coded_logs(draw):
     log = EventLog(tuple(instances))
     t0 = draw(st.none() | st.integers(-3 * 86400, 86400))
     return log if t0 is None else relativize_log(log, t0)
+
+
+SENSITIVE_VALUES = st.none() | st.integers() | st.floats() | st.booleans() | st.text(max_size=3)
+
+
+class TestOrderedConstructor:
+    """``ProcessInstance._ordered``, which the readers and the suppressors
+    use on traces they know to be ordered, builds what the constructor does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log=coded_logs(),
+        sensitive=st.dictionaries(st.text(max_size=3), SENSITIVE_VALUES, max_size=3),
+    )
+    def test_equals_the_public_constructor(self, log, sensitive):
+        for inst in log:
+            public = ProcessInstance(inst.case_id, list(inst.trace), sensitive)
+            trusted = ProcessInstance._ordered(inst.case_id, tuple(inst.trace), dict(sensitive))
+            assert trusted == public and repr(trusted) == repr(public)
+            assert type(trusted.trace) is tuple and type(trusted.sensitive) is dict
+            assert trusted.sensitive is not sensitive
+        rebuilt = EventLog(
+            tuple(ProcessInstance._ordered(i.case_id, i.trace, dict(i.sensitive)) for i in log)
+        )
+        assert rebuilt == log
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=coded_logs(), drop=st.sets(st.sampled_from("abc")))
+    def test_suppressed_cases_equal_the_public_build(self, log, drop):
+        out, _ = suppress_global(log, [ProjectedEvent(a) for a in drop], Perspective.A)
+        assert out == EventLog(
+            tuple(ProcessInstance(i.case_id, list(i.trace), i.sensitive) for i in out)
+        )
 
 
 class TestProjectedLog:
