@@ -71,7 +71,8 @@ def check_requirements(req) -> None:
     if (req.alpha is None) != (req.beta is None):
         raise LogError("alpha and beta must be given together")
     if req.alpha is not None:
-        if req.alpha < 0 or req.beta < 0 or abs(req.alpha + req.beta - 1) > 1e-9:
+        # written so that a NaN weight fails it
+        if not (req.alpha >= 0 and req.beta >= 0 and abs(req.alpha + req.beta - 1) <= 1e-9):
             raise LogError("alpha and beta must be non-negative and sum to 1")
 
 
@@ -203,7 +204,7 @@ def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdi
     realized background knowledge.
     """
     checker = _Checker(log, params)
-    indices = checker.plog.match_candidate(cand)
+    indices = checker.plog.match_indices(cand)
     if not indices:
         raise LogError(f"candidate {cand} matches no case; nothing to check")
     return checker.verdict_for_indices(indices)

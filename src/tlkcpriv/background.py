@@ -29,7 +29,6 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
@@ -157,53 +156,29 @@ class ProjectedLog:
     which is the trace itself for (timed) sequences, its sorted codes for
     multisets and its sorted distinct codes for sets, since a bag lies in a
     trace exactly when its sorted codes are a subsequence of the sorted
-    trace.  Mining walks these views (:func:`_enumerate`); single candidates
-    go through :meth:`match_indices`, which builds one inverted index on
-    first use: ``postings[c]`` is the frozenset of trace indices whose
-    projection holds code ``c``.  Candidates in descriptors enter through
-    :meth:`match_candidate` and leave through :meth:`decode`.  ``accuracy``
-    bounds the timestamp precision available to the adversary (only
-    relevant for timed perspectives).
+    trace.  Mining walks these views level by level (:func:`_enumerate`);
+    a single candidate, in descriptors, is tested on each view in turn by
+    :meth:`match_indices`.  Mined codes leave through :meth:`decode`.
     """
 
     def __init__(self, log: EventLog, spec: BkSpec, accuracy: TimestampAccuracy):
-        self.log = log
         self.spec = spec
-        self.accuracy = accuracy
         self.traces, self.alphabet = log.coded(spec.perspective, accuracy)
 
-    @cached_property
-    def postings(self) -> tuple:
-        postings = [[] for _ in self.alphabet]
-        for i, trace in enumerate(self.traces):
-            for c in set(trace):
-                postings[c].append(i)
-        return tuple(map(frozenset, postings))
-
-    def match_indices(self, codes: tuple) -> frozenset:
-        """Indices of the traces that contain the candidate with these codes
-        (a bag's in code order).  Only traces holding every code are tested,
-        and none where the postings decide the match by themselves."""
-        distinct = set(codes)
-        first, *rest = sorted((self.postings[c] for c in distinct), key=len)
-        found = first.intersection(*rest)
-        bk_type = self.spec.bk_type
-        if bk_type is BkType.SET or len(codes) == 1:
-            return found
-        traces = self.traces
-        if bk_type is BkType.MULT:
-            if len(distinct) == len(codes):
-                return found
-            return frozenset(i for i in found if is_subsequence(codes, sorted(traces[i])))
-        return frozenset(i for i in found if is_subsequence(codes, traces[i]))
-
-    def match_candidate(self, cand: Candidate) -> frozenset:
-        """:meth:`match_indices` of a candidate given in descriptors; one that
-        no trace holds matches nothing."""
+    def match_indices(self, cand: Candidate) -> frozenset:
+        """Indices of the traces whose view holds the candidate's codes as a
+        subsequence; a candidate with a descriptor no trace holds matches
+        nothing."""
         code = {e: c for c, e in enumerate(self.alphabet)}
         if not all(e in code for e in cand.elements):
             return frozenset()
-        return self.match_indices(tuple(code[e] for e in cand.elements))
+        codes = [code[e] for e in cand.elements]
+        views = self.traces
+        if self.spec.bk_type is BkType.SET:
+            views = (sorted(set(trace)) for trace in views)
+        elif self.spec.bk_type is BkType.MULT:
+            views = map(sorted, views)
+        return frozenset(i for i, view in enumerate(views) if is_subsequence(codes, view))
 
     def decode(self, codes) -> Candidate:
         """The candidate, in descriptors, that these codes stand for.  A bag's
@@ -211,9 +186,6 @@ class ProjectedLog:
         is built as given, without :class:`Candidate`'s re-sort."""
         alphabet = self.alphabet
         return Candidate._canonical(self.spec.bk_type, tuple(alphabet[c] for c in codes))
-
-    def instances(self, indices: Iterable[int]) -> tuple:
-        return tuple(self.log.instances[i] for i in sorted(indices))
 
 
 def match(
@@ -227,8 +199,8 @@ def match(
         raise LogError(
             f"candidate kind {cand.bk_type.value} does not match spec {spec}"
         )
-    plog = ProjectedLog(log, spec, accuracy)
-    return plog.instances(plog.match_candidate(cand))
+    indices = ProjectedLog(log, spec, accuracy).match_indices(cand)
+    return tuple(log.instances[i] for i in sorted(indices))
 
 
 def confidence(matched: Iterable, attr: str):

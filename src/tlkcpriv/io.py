@@ -282,7 +282,7 @@ def _bad_value(case_id, tag, key, value) -> LogError:
 # attributes before its first event, then for each event its attributes, its
 # end and the trace's attributes up to the next event.  A part's entries are
 # an attribute's ``(tag, key)`` and an event's end.
-_OPEN, _CLOSE = ("", ""), ("", "/")
+_CLOSE = ("", "/")
 # an event's fields, by their index in a part's ``fields``
 _FIELDS = {"concept:name": 0, "time:timestamp": 1, "org:resource": 2}
 _HELD_BYTES = 1 << 20  # plans and parts kept at a time, by what they and their keys hold
@@ -426,15 +426,16 @@ class _XesCases:
 
     def text(self, text) -> bool:
         """Add the case of a trace's text, between ``<trace>`` and ``</trace>``,
-        if the regex grammar ``_TOKEN`` reads it whole: ``<tag key=".."
-        value=".." />`` attributes and plain events.  Else add nothing and
-        return False.
+        if it is in the form: the regex grammar ``_TOKEN`` reads each of its
+        parts whole (``<tag key=".." value=".." />`` attributes and plain
+        events) and no ``"`` stands outside them.  Else add nothing and
+        return False, and the callbacks read the trace.
 
-        Split at ``"``, every fourth piece is a value when no other ``"`` is in
-        the trace.  The text with those pieces emptied finds the plan, its
-        stretches between ``<event>`` the parts; a trace of the same emptied
-        text holds the same tokens once no value holds ``&``, ``<``, a tab or
-        a line break."""
+        Split at ``"``, every fourth piece is a value when the quotes number
+        four per attribute.  The text with those pieces emptied finds the
+        plan, its stretches between ``<event>`` the parts; a trace of the same
+        emptied text holds the same tokens once no value holds ``&``, ``<``,
+        a tab or a line break."""
         pieces = text.split('"')
         values = pieces[3::4]
         pieces[3::4] = [""] * len(values)
@@ -446,8 +447,7 @@ class _XesCases:
             if None in parts:  # a stretch not read before
                 parts = list(map(self._text_part, texts, parts))
             if False in parts or len(pieces) != 4 * sum(map(_SIZE, parts)) + 1:
-                tokens = _tokens(text)  # out of the form, or '"' outside the attributes
-                return tokens is not None and self._add_tokens(tokens)
+                return False  # out of the form, or '"' outside the attributes
             plan = self._plan(parts)
             if plan is None:
                 return False
@@ -480,24 +480,6 @@ class _XesCases:
             part = False if tokens is None else self.part(tuple(map(_entry, tokens)))
             self._keep(self.parts, text, part, len(text))
         return part
-
-    def _add_tokens(self, tokens) -> bool:
-        """Add the case of a trace's tokens, if its events open and close in turn."""
-        parts, entries, values = [], [], []
-        for token in tokens:
-            entry = _entry(token)
-            if entry == _OPEN:
-                parts.append(self.part(tuple(entries)))
-                entries = []
-            else:
-                entries.append(entry)
-                if entry[0]:
-                    values.append(token[2])
-        parts.append(self.part(tuple(entries)))
-        plan = self._plan(parts)
-        if plan is not None:
-            self._build(plan, values)
-        return plan is not None
 
     def _plan(self, parts):
         """The plan of a trace's parts, or None unless the first part closes
@@ -615,7 +597,7 @@ def _tokens(text):
 
 
 def _entry(token):
-    """A token's layout entry: ``(tag, key)``, _OPEN or _CLOSE."""
+    """A token's layout entry: an attribute's ``(tag, key)`` or _CLOSE."""
     return token[0], token[1] or token[3]
 
 
@@ -633,9 +615,10 @@ def _read_traces(handle, cases) -> None:
     blocks, through one expat parser.  After its callbacks close a trace at a
     plain ``</trace>`` in a UTF-8 file with no document type declaration,
     each whole trace goes to ``cases`` as text and expat then checks it with
-    no handler.  A trace out of the canonical form sends the rest of its
-    block to the callbacks, which hand over each trace as its parts and
-    values; a trace longer than ``_TRACE_BYTES`` goes to them as well."""
+    no handler.  A trace out of the canonical form, quoted text between its
+    elements included, sends the rest of its block to the callbacks, which
+    hand over each trace as its parts and values; a trace longer than
+    ``_TRACE_BYTES`` goes to them as well."""
     local_names = {}  # raw expat element name -> local name
     depth, in_event = 0, False  # the root at depth 1
     parts, entries, values = None, None, None  # the open trace's; entries of its open part
@@ -722,7 +705,8 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
 
     The file is read once, in blocks that expat checks.  UTF-8 traces of
     ``<tag key=".." value=".." />`` attributes and plain events are split
-    at their quotes, others read through expat callbacks; either way, one
+    at their quotes, others (comments, references, other quoting, a ``"``
+    in text between elements) read through expat callbacks; either way, one
     plan per distinct trace layout, joined from parts compiled once per
     distinct event layout, builds the cases.  A parse error
     anywhere in the file is reported before any error in its content, and
@@ -889,6 +873,9 @@ _NULLABLE = frozenset(
     name for name, hint in get_type_hints(RunConfig).items() if type(None) in get_args(hint)
 )
 
+_FLAGS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
 _CONFIG_CASTS = {
     "L": int,
     "K": int,
@@ -897,7 +884,7 @@ _CONFIG_CASTS = {
     "theta": float,
     "alpha": float,
     "beta": float,
-    "relativize": lambda v: v.lower() in ("1", "true", "yes", "on"),
+    "relativize": lambda v: _FLAGS[v.lower()],
     "sensitive": split_list,
     "discretize": split_list,
 }
@@ -930,7 +917,7 @@ def read_config(path) -> dict:
         cast = _CONFIG_CASTS.get(key, str)
         try:
             out[key] = cast(value)
-        except ValueError:
+        except (KeyError, ValueError):  # KeyError: not a flag value
             raise LogError(f"{path}:{lineno}: bad value {value!r} for {key}") from None
     return out
 

@@ -80,6 +80,8 @@ class TestParams:
             dict(theta=-0.1),
             dict(alpha=0.7, beta=0.7),
             dict(alpha=0.5, beta=None),
+            dict(alpha=float("nan"), beta=float("nan")),
+            dict(alpha=0.5, beta=float("nan")),
         ],
     )
     def test_invalid_rejected(self, bad):
@@ -174,7 +176,7 @@ class TestMvt:
         for cand, verdict in treatment_mvt:
             assert not verdict.ok
             for sub in proper_sub_candidates(cand):
-                indices = checker.plog.match_candidate(sub)
+                indices = checker.plog.match_indices(sub)
                 assert indices, "sub-candidates of realized candidates are realized"
                 assert checker.verdict_for_indices(indices).ok
 
@@ -241,9 +243,9 @@ class TestMvt:
         scans = []
         match_indices = ProjectedLog.match_indices
 
-        def counted_match(plog, codes):
-            scans.append(codes)
-            return match_indices(plog, codes)
+        def counted_match(plog, cand):
+            scans.append(cand)
+            return match_indices(plog, cand)
 
         built = Counter()
         for owner, name, key in (

@@ -111,7 +111,7 @@ class TestMatch:
                             spec.perspective, HOURS.unit_seconds,
                         )
                         assert indices == oracle
-                        assert plog.match_candidate(cand) == oracle
+                        assert plog.match_indices(cand) == oracle
                         triple_repeats += (
                             bk_type is BkType.MULT and cand.size == 3 and len(set(cand.elements)) == 1
                         )
@@ -149,68 +149,9 @@ class TestMatch:
                             log, bk_type, bk_attr, cand.elements,
                             spec.perspective, HOURS.unit_seconds,
                         )
-                        assert plog.match_candidate(cand) == oracle, cand
+                        assert plog.match_indices(cand) == oracle, cand
                         empty += not oracle
         assert empty > 0
-
-    def test_containment_is_tested_only_on_the_posting_intersection(self, monkeypatch):
-        # a full-log scan calls the containment test on every trace; the
-        # index may call it only on traces holding every element, and not
-        # at all where the postings decide the match by themselves
-        import tlkcpriv.background as background
-
-        calls = []
-        inner = background.is_subsequence
-
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
-
-        monkeypatch.setattr(background, "is_subsequence", counted)
-        rng = random.Random(2718)
-        checked = 0
-        for _ in range(10):
-            log = random_log(rng, max_cases=8, max_events=5)
-            for bk_type in BkType:
-                for bk_attr in BkAttr:
-                    spec = BkSpec(bk_type, bk_attr)
-                    plog = ProjectedLog(log, spec, HOURS)
-                    realized = [c for c, _ in enumerate_candidates(log, spec, 3, HOURS)]
-                    for cand in realized + self._probes(plog, rng):
-                        holders = [
-                            brute_match(log, bk_type, bk_attr, (e,),
-                                        spec.perspective, HOURS.unit_seconds)
-                            for e in set(cand.elements)
-                        ]
-                        calls.clear()
-                        plog.match_candidate(cand)
-                        assert len(calls) <= len(frozenset.intersection(*holders)), cand
-                        decided = (
-                            bk_type is BkType.SET
-                            or cand.size == 1
-                            or bk_type is BkType.MULT and len(holders) == cand.size
-                        )
-                        if decided:
-                            assert not calls, cand
-                        checked += len(calls) > 0
-        assert checked > 0
-
-    def test_postings_follow_the_traces_and_wait_for_a_match(self):
-        # mining never reads the postings, so only a single-candidate match
-        # builds them
-        rng = random.Random(1618)
-        for _ in range(10):
-            log = random_log(rng, max_cases=6, max_events=5)
-            for bk_type in BkType:
-                for bk_attr in BkAttr:
-                    plog = ProjectedLog(log, BkSpec(bk_type, bk_attr), HOURS)
-                    list(_enumerate(plog.traces, len(plog.alphabet), bk_type, 3))
-                    assert "postings" not in vars(plog)
-                    plog.match_indices((0,))
-                    assert plog.postings == tuple(
-                        frozenset(i for i, trace in enumerate(plog.traces) if c in trace)
-                        for c in range(len(plog.alphabet))
-                    )
 
     def test_anti_monotone(self, hospital_log):
         spec = BkSpec.parse("seq/ac")

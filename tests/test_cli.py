@@ -95,6 +95,27 @@ class TestAnonymize:
         assert code == 2
         assert "C must lie" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("alpha,beta", [("nan", "nan"), ("0.5", "nan")])
+    def test_nan_weights_are_usage_errors(self, tmp_path, capsys, alpha, beta):
+        out = tmp_path / "x.csv"
+        code = run(
+            ["anonymize", "--algorithm", "tlkc-ext", "--alpha", alpha, "--beta", beta,
+             "-i", TREATMENT, "-o", str(out), *TREATMENT_FLAGS]
+        )
+        assert code == 2
+        assert "alpha and beta must be non-negative and sum to 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_relativize_typo_in_config_is_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("algorithm = tlkc\nrelativize = ture\n")
+        out = tmp_path / "anon.csv"
+        code = run(["anonymize", "--config", str(conf), "-i", TREATMENT, "-o", str(out),
+                    "--sensitive", "Disease"])
+        assert code == 2
+        assert "run.conf:2: bad value 'ture' for relativize" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreadable_input(self, tmp_path, capsys):
         code = run(
             ["anonymize", "--algorithm", "tlkc", "--theta", "0.25",

@@ -806,6 +806,11 @@ XES_EDITS = {
 }
 
 
+# (callbacks, tokenized, tried) of a read of _traces() that takes every trace
+# after the first from its text
+TOKENIZED = (1, 3, 3)
+
+
 class TestXesTokenizer:
     """Each canonical trace after the first is read from its text (counted as
     tokenized); the first trace, and a trace that leaves the form with the
@@ -1049,21 +1054,31 @@ class TestXesTokenizer:
         assert seen["read_at"][1] < seen["bytes"] == target.stat().st_size
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,counts",
         [
-            pytest.param(lambda t: t, id="as-written"),
-            pytest.param(lambda t: t.split("\n", 1)[1], id="no-declaration"),
-            pytest.param(lambda t: "﻿" + t, id="utf-8-byte-order-mark"),
-            pytest.param(lambda t: t.replace("encoding='utf-8'", 'encoding="UTF-8"'), id="utf-8"),
-            pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
-            pytest.param(lambda t: t.replace(" />", "/>"), id="no-space"),
-            pytest.param(lambda t: t.replace("<event>", "<event>text 'quoted' \"too\""), id="text"),
-            pytest.param(lambda t: t.replace("<event>", "<event>&#65;&lt;&amp;"), id="text-references"),
+            pytest.param(lambda t: t, TOKENIZED, id="as-written"),
+            pytest.param(lambda t: t.split("\n", 1)[1], TOKENIZED, id="no-declaration"),
+            pytest.param(lambda t: "\ufeff" + t, TOKENIZED, id="utf-8-byte-order-mark"),
+            pytest.param(
+                lambda t: t.replace("encoding='utf-8'", 'encoding="UTF-8"'), TOKENIZED, id="utf-8"
+            ),
+            pytest.param(lambda t: t.replace("\n", "\r\n"), TOKENIZED, id="crlf"),
+            pytest.param(lambda t: t.replace(" />", "/>"), TOKENIZED, id="no-space"),
+            # a '"' outside the attributes leaves the form: the second trace is
+            # tried as text, and the callbacks read it and the rest of its block
+            pytest.param(
+                lambda t: t.replace("<event>", "<event>text 'quoted' \"too\""), (4, 0, 1), id="text"
+            ),
+            pytest.param(
+                lambda t: t.replace("<event>", "<event>&#65;&lt;&amp;"), TOKENIZED,
+                id="text-references",
+            ),
             pytest.param(
                 lambda t: t.replace(
                     "</event>\n  </trace>",
                     '</event><string key="Age" value="late" /><int key="Age" value="5" /></trace>',
                 ),
+                TOKENIZED,
                 id="trace-attributes-after-events",
             ),
             pytest.param(
@@ -1074,23 +1089,26 @@ class TestXesTokenizer:
                     '<string key="concept:name" value="g" /></global><trace>',
                     1,
                 ),
+                TOKENIZED,
                 id="log-level-elements",
             ),
             pytest.param(
                 lambda t: t.replace('value="b"', "value=\"it's > \xe9€\""),
+                TOKENIZED,
                 id="value-characters",
             ),
             pytest.param(
-                lambda t: t.replace("</trace>", "<event></event></trace>"), id="empty-event"
+                lambda t: t.replace("</trace>", "<event></event></trace>"), TOKENIZED,
+                id="empty-event",
             ),
         ],
     )
-    def test_canonical_files_take_the_tokenizer(self, edit, tmp_path):
+    def test_canonical_files_take_the_tokenizer(self, edit, counts, tmp_path):
         target = tmp_path / "log.xes"
         target.write_text(edit(_traces()), encoding="utf-8")
         got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
-        assert (seen["callbacks"], seen["tokenized"], seen["tried"]) == (1, 3, 3)
+        assert (seen["callbacks"], seen["tokenized"], seen["tried"]) == counts
 
     @pytest.mark.parametrize("block", [1, 7, 13, 64, 200])
     def test_traces_straddling_blocks(self, block, hospital_log, tmp_path, monkeypatch):
@@ -1297,16 +1315,17 @@ class TestXesPlans:
         assert seen["tokenized"] + seen["callbacks"] == text.count("<trace>")
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,tokenized",
         [
-            pytest.param(lambda t: t, id="as-written"),
-            pytest.param(lambda t: t.replace("\n", "\r\n"), id="crlf"),
-            pytest.param(lambda t: t.replace("<event>", '<event>say "hi"'), id="quoted-text"),
+            pytest.param(lambda t: t, 4, id="as-written"),
+            pytest.param(lambda t: t.replace("\n", "\r\n"), 4, id="crlf"),
+            # the events are equal, so a split at quotes would misplace the values
+            # the same way in every trace: the callbacks read them all
+            pytest.param(lambda t: t.replace("<event>", '<event>say "hi"'), 0, id="quoted-text"),
         ],
     )
-    def test_plans_typed_values_on_one_layout(self, edit, tmp_path):
-        # one layout of typed sensitive values, good in some traces and bad in one;
-        # the events are equal, so with quoted text the split would find one shape
+    def test_plans_typed_values_on_one_layout(self, edit, tokenized, tmp_path):
+        # one layout of typed sensitive values, good in some traces and bad in one
         log = EventLog(
             tuple(
                 ProcessInstance(f"c{k}", (Event("a", "r", 60),), {"Age": k, "Disease": True})
@@ -1321,7 +1340,7 @@ class TestXesPlans:
         with _counted_plans() as plans:
             got, seen = _spied_read(target, ("Age", "Disease"))
         assert got == _tree_read(target, ("Age", "Disease")) == (_as_read_back(log), 0)
-        assert plans["plans"] == 1 and seen["tokenized"] == 4
+        assert plans["plans"] == 1 and seen["tokenized"] == tokenized
         bad = text.replace('<int key="Age" value="3" />', '<int key="Age" value="x" />')
         target.write_text(bad, encoding="utf-8")
         got, _ = _spied_read(target, ("Age", "Disease"))
@@ -1592,11 +1611,30 @@ class TestRunConfig:
             dict(L=0),
             dict(theta=2.0),
             dict(alpha=0.2, beta=0.9),
+            dict(alpha=float("nan"), beta=float("nan")),
+            dict(alpha=0.5, beta=float("nan")),
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(LogError):
             RunConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "value,expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+         ("0", False), ("False", False), ("NO", False), ("off", False)],
+    )
+    def test_relativize_reads_flag_words_in_any_case(self, tmp_path, value, expected):
+        target = tmp_path / "run.conf"
+        target.write_text(f"relativize = {value}\n")
+        assert read_config(target) == {"relativize": expected}
+
+    @pytest.mark.parametrize("value", ["ture", "2", "y", "enabled"])
+    def test_relativize_typo_is_rejected_with_its_line(self, tmp_path, value):
+        target = tmp_path / "run.conf"
+        target.write_text(f"K = 2\nrelativize = {value}\n")
+        with pytest.raises(LogError, match=rf"run\.conf:2: bad value '{value}' for relativize"):
+            read_config(target)
 
     @pytest.mark.parametrize("line", ["k = 8", "threads = 1", "report ="])
     def test_unknown_key_rejected_with_its_line(self, tmp_path, line):
