@@ -242,9 +242,13 @@ def cmd_attack(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = _build_config(args)
+    # checked and de-duplicated (in order) before either log is read
+    metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
+    for metric in metrics:
+        if metric not in ("emd", "dfg", "handover"):
+            raise LogError(f"unknown metric {metric!r}; expected emd, dfg or handover")
     original = _load_prepared(config)
     anonymized = _load_prepared(replace(config, input=args.anonymized))
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     ps = BkSpec.parse(config.bk).perspective
     accuracy = TimestampAccuracy.parse(config.accuracy)
     payload = {"config": dict(config.items()), "anonymized": args.anonymized, "metrics": {}}
@@ -257,13 +261,11 @@ def cmd_evaluate(args) -> int:
                 "perspective": ps.value,
             }
             print(f"emd ({ps.value}): {report.summary()}")
-        elif metric in ("dfg", "handover"):
+        else:
             compare = dfg_compare if metric == "dfg" else handover_compare
             cmp = compare(original, anonymized)
             payload["metrics"][metric] = _graph_payload(cmp, args.edge_diff)
             print(f"{metric}: {cmp.summary()}")
-        else:
-            raise LogError(f"unknown metric {metric!r}; expected emd, dfg or handover")
     if args.report:
         Path(args.report).write_text(json.dumps(payload, indent=2), encoding="utf-8")
     return EXIT_OK

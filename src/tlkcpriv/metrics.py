@@ -2,10 +2,12 @@
 
 Data utility is one minus the earth mover's distance between the two variant
 distributions, with normalized edit distance between variants as the ground
-cost.  The transportation problem is solved exactly on a priced support of
-cells: HiGHS solves it on a few cells per row and column, the LP duals price
-every other cell, and cells that would lower the cost join until the duals
-certify the plan on every cell.  The reported plan is one optimal plan.
+cost.  One bit-parallel kernel computes the exact edit distance of every
+variant pair at once, 64 DP cells per machine-word operation.  The
+transportation problem is solved exactly on a priced support of cells: HiGHS
+solves it on a few cells per row and column, the LP duals price every other
+cell, and cells that would lower the cost join until the duals certify the
+plan on every cell.  The reported plan is one optimal plan.
 
 Result utility compares directly-follows graphs (activities) and handover
 networks (resources) via fitness, precision and their harmonic mean.
@@ -40,6 +42,9 @@ __all__ = [
 # largest cost-matrix (variants x variants) solved exactly; larger inputs
 # should be sampled down by the caller
 TRANSPORT_SIZE_CAP = 250_000
+# cells (sequences x words x patterns) of one block of the edit-distance
+# kernel: each of its temporary arrays stays near 256 KiB
+CHUNK_CELLS = 1 << 15
 
 
 def normalized_levenshtein(s1: Sequence, s2: Sequence) -> float:
@@ -51,33 +56,72 @@ def _edit_distance_matrix(va: Sequence[Sequence], vb: Sequence[Sequence]) -> np.
     """Normalized edit distance between every sequence of ``va`` (rows) and of
     ``vb`` (columns), as a float64 matrix.
 
-    Symbols are coded as small ints, ``vb`` is padded with -1 into one array,
-    and the Wagner-Fischer DP runs one row of ``va`` at a time over every
-    column at once: after the insert/delete/substitute step, the dependency
-    ``cur[j] = min(cur[j], cur[j-1] + 1)`` is the running minimum of
-    ``cur[j] - j``, plus ``j``.  Integer distances divided by the longer
-    length give the same floats as Python's ``int / int``.
+    The bit-vector DP of Myers (JACM 1999) in Hyyro's edit-distance form
+    (2003) runs for every pair at once.  One side becomes patterns: bit ``k``
+    of word ``w`` of ``peq[c, w, j]`` is set where pattern ``j`` holds symbol
+    ``c`` at position ``64 w + k``, in as many 64-bit words as the longest
+    pattern needs.  The other side's sequences, sorted longest first, step
+    through their symbols; a step updates the vertical deltas ``vp``/``vn``
+    of the running sequences against every pattern, carrying the addition
+    and the two shifts from word to word, and the top row adds one per step
+    (a global distance).  A distance is the sequence's length plus the
+    deltas below the pattern's length.  Sequences go in blocks of about
+    :data:`CHUNK_CELLS` cells, and of the two ways round the one with fewer
+    word operations (symbols stepped x words x patterns) runs.  Integer
+    distances divided by the longer length give the same floats as Python's
+    ``int / int``.
     """
     codes: dict = {}
     a = [[codes.setdefault(e, len(codes)) for e in x] for x in va]
     b = [[codes.setdefault(e, len(codes)) for e in y] for y in vb]
     len_a = np.array([len(x) for x in a], dtype=np.int64)
     len_b = np.array([len(y) for y in b], dtype=np.int64)
-    m, width = len(b), int(len_b.max(initial=0))
-    padded = np.full((m, width), -1, dtype=np.int64)
-    for j, y in enumerate(b):
-        padded[j, : len(y)] = y
-    ar = np.arange(width + 1, dtype=np.int64)
-    b_rows = np.arange(m)
-    dist = np.empty((len(a), m), dtype=np.int64)
-    t = np.empty((m, width + 1), dtype=np.int64)
-    for i, x in enumerate(a):
-        prev = np.broadcast_to(ar, t.shape)  # distances from the empty prefix
-        for k, c in enumerate(x, 1):
-            t[:, 0] = k
-            np.minimum(prev[:, 1:] + 1, prev[:, :-1] + (padded != c), out=t[:, 1:])
-            prev = np.minimum.accumulate(t - ar, axis=1) + ar
-        dist[i] = prev[b_rows, len_b]
+    words_a, words_b = (max(1, -(-int(x.max(initial=0)) // 64)) for x in (len_a, len_b))
+    swap = len_b.sum() * words_a * len(a) < len_a.sum() * words_b * len(b)
+    if swap:
+        a, b, len_a, len_b, words_b = b, a, len_b, len_a, words_a
+    n, m, words = len(a), len(b), words_b
+    pos = np.arange(int(len_b.sum())) - np.repeat(np.cumsum(len_b) - len_b, len_b)
+    peq = np.zeros((len(codes), words, m), dtype=np.uint64)
+    symbols = np.fromiter((c for y in b for c in y), np.int64, len(pos))
+    np.bitwise_or.at(
+        peq, (symbols, pos >> 6, np.repeat(np.arange(m), len_b)),
+        np.uint64(1) << (pos & 63).astype(np.uint64),
+    )
+    inside = np.bitwise_or.reduce(peq, axis=0)  # the bits below each pattern's length
+    order = np.argsort(-len_a, kind="stable")
+    steps = np.zeros((n, int(len_a.max(initial=0))), dtype=np.int64)
+    for r, i in enumerate(order):
+        steps[r, : len_a[i]] = a[i]
+    dist = np.empty((n, m), dtype=np.int64)
+    size = max(1, CHUNK_CELLS // (words * max(m, 1)))
+    for s in range(0, n, size):
+        lens = len_a[order[s : s + size]]
+        vp = np.full((len(lens), words, m), ~np.uint64(0))
+        vn = np.zeros_like(vp)
+        for k in range(int(lens[0])):
+            r = int(np.count_nonzero(lens > k))  # the sequences still running
+            pv, nv = vp[:r], vn[:r]
+            eq = peq[steps[s : s + r, k]]
+            xv = eq | nv
+            xh = (eq & pv) + pv
+            carry = xh < pv
+            for w in range(1, words):
+                xh[:, w] += carry[:, w - 1]
+                carry[:, w] |= carry[:, w - 1] & (xh[:, w] == 0)
+            xh = (xh ^ pv) | eq
+            ph, mh = nv | ~(xh | pv), pv & xh
+            ph_up, mh_up = ph << 1, mh << 1
+            ph_up[:, 1:] |= ph[:, :-1] >> 63
+            mh_up[:, 1:] |= mh[:, :-1] >> 63
+            ph_up[:, 0] |= 1
+            np.bitwise_or(mh_up, ~(xv | ph_up), out=pv)
+            np.bitwise_and(ph_up, xv, out=nv)
+        up = np.bitwise_count(vp & inside).sum(axis=1, dtype=np.int64)
+        down = np.bitwise_count(vn & inside).sum(axis=1, dtype=np.int64)
+        dist[order[s : s + size]] = lens[:, None] + up - down
+    if swap:
+        dist, len_a, len_b = dist.T, len_b, len_a
     longer = np.maximum.outer(len_a, len_b)
     out = np.zeros(dist.shape)
     np.divide(dist, longer, out=out, where=longer > 0)  # two empty sequences: 0
@@ -220,7 +264,7 @@ def emd_data_utility(
     wa /= wa.sum()
     wb /= wb.sum()
 
-    if va == vb and np.allclose(wa, wb):
+    if va == vb and np.array_equal(wa, wb):
         # moving nothing is optimal: the ground cost vanishes on the diagonal
         plan = tuple(((i, i), float(wa[i]), 0.0) for i in range(len(va)))
         return UtilityReport(1.0, 0.0, plan, tuple(va), tuple(vb))

@@ -311,6 +311,39 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_unknown_metric_rejected_before_any_log_is_read(self, capsys, monkeypatch):
+        def no_read(config):
+            raise AssertionError(f"{config.input} was read")
+
+        monkeypatch.setattr(cli, "_load_prepared", no_read)
+        code = run(
+            ["evaluate", "-i", TREATMENT, "--anonymized", TREATMENT,
+             "--metrics", "emd,foo", *TREATMENT_FLAGS]
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unknown metric 'foo'; expected emd, dfg or handover\n"
+
+    def test_repeated_metric_runs_once(self, capsys, monkeypatch, tmp_path):
+        calls, emd = [], cli.emd_data_utility
+
+        def counting(*args):
+            calls.append(args)
+            return emd(*args)
+
+        monkeypatch.setattr(cli, "emd_data_utility", counting)
+        report = tmp_path / "metrics.json"
+        code = run(
+            ["evaluate", "-i", TREATMENT, "--anonymized", TREATMENT,
+             "--metrics", "emd, dfg,emd", "--report", str(report), *TREATMENT_FLAGS]
+        )
+        assert code == 0
+        assert len(calls) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[0] for line in lines] == ["emd", "dfg:"]
+        assert list(json.loads(report.read_text())["metrics"]) == ["emd", "dfg"]
+
 
 class TestDiscretizeFlag:
     def test_audit_with_discretized_age(self, capsys):

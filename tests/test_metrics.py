@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,8 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tlkcpriv import (
+    Event,
+    EventLog,
     LogError,
     Perspective,
+    ProcessInstance,
     TimestampAccuracy,
     TlkcAnonymizer,
     dfg_compare,
@@ -74,13 +80,13 @@ class TestLevenshtein:
 # symbols: a two-letter alphabet (many repeats), a ten-letter one, and
 # descriptors with resource and time fields
 SYMBOL_SETS = [
-    st.sampled_from("ab"),
-    st.sampled_from("abcdefghij"),
-    st.builds(
-        ProjectedEvent,
-        st.sampled_from("ab"),
-        st.none() | st.sampled_from(["r1", "r2"]),
-        st.none() | st.integers(0, 3),
+    tuple("ab"),
+    tuple("abcdefghij"),
+    tuple(
+        ProjectedEvent(a, r, t)
+        for a in "ab"
+        for r in (None, "r1", "r2")
+        for t in (None, 0, 1, 2, 3)
     ),
 ]
 
@@ -88,18 +94,40 @@ SYMBOL_SETS = [
 @st.composite
 def variant_lists(draw):
     """Two lists of variants, empty ones included, either of even lengths or
-    with one side of at most one symbol and the other of 30 to 40."""
+    with one side of at most one symbol and the other of 30 to 40 or 190 to
+    200; lengths above 64 take more than one 64-bit word in the kernel.  A
+    variant is drawn as bytes, one per symbol, which keeps long ones cheap."""
     symbols = draw(st.sampled_from(SYMBOL_SETS))
     sides = []
-    for length in draw(st.sampled_from([(8, 8), (1, 40), (40, 1)])):
-        variant = st.lists(symbols, min_size=max(0, length - 10), max_size=length).map(tuple)
+    pairs = [(8, 8), (1, 40), (40, 1), (70, 70), (1, 200), (200, 1), (130, 130)]
+    for length in draw(st.sampled_from(pairs)):
+        variant = st.binary(min_size=max(0, length - 10), max_size=length).map(
+            lambda raw: tuple(symbols[byte % len(symbols)] for byte in raw)
+        )
         sides.append(draw(st.lists(variant, max_size=6)))
     return sides
+
+
+def _word_edge(length):
+    """Two sides with variants of ``length`` symbols and of one less and one
+    more, and an empty variant on each side."""
+    rng = random.Random(length)
+
+    def variant(size):
+        return tuple(rng.choice("abcd") for _ in range(size))
+
+    return [[(), variant(length), variant(length + 1)], [variant(length - 1), variant(length), ()]]
 
 
 class TestEditDistanceKernel:
     @given(sides=variant_lists())
     @example(sides=[[(), ("a",)], [(), ("a", "b"), ("b",) * 40]])
+    # the 64-bit word edges of the kernel's patterns
+    @example(sides=_word_edge(63))
+    @example(sides=_word_edge(64))
+    @example(sides=_word_edge(65))
+    @example(sides=_word_edge(128))
+    @example(sides=_word_edge(129))
     @settings(max_examples=200, deadline=None)
     def test_matrix_equals_the_scalar_dp_exactly(self, sides):
         va, vb = sides
@@ -168,6 +196,28 @@ class TestEditDistanceKernel:
         report = emd_data_utility(treatment_log, anonymized, Perspective.AR, HOURS)
         assert calls == [(len(report.original_variants), len(report.anonymized_variants))]
         assert calls[0][0] * calls[0][1] > 1
+
+    def test_cap_size_call_holds_its_memory_bound(self):
+        # 500 x 500 variants of up to 100 symbols (two words per pattern): the
+        # blocks of CHUNK_CELLS keep the growth near the 6 MiB of the integer,
+        # length and float matrices (about 9 MiB in all); all 500 sequences in
+        # one block grew it by 48 MiB
+        script = """
+import random, resource
+from tlkcpriv.metrics import _edit_distance_matrix
+rng = random.Random(5)
+va, vb = ([tuple(rng.choice("abcdefghijklmnop") for _ in range(rng.randint(1, 100)))
+           for _ in range(500)] for _ in range(2))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+_edit_distance_matrix(va, vb)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        src = os.path.dirname(os.path.dirname(metrics.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        )
+        assert int(run.stdout) <= 16 * 1024  # KiB
 
 
 COST_LEVELS = [0.0, 0.25, 1 / 3, 0.5, 2 / 3, 1.0]
@@ -324,9 +374,33 @@ class TestEmd:
             oracle = brute_transport_cost(wa, wb, cost, steps=steps)
             assert report.transport_cost == pytest.approx(oracle, abs=1e-6)
 
-    def test_empty_log_rejected(self, hospital_log):
-        from tlkcpriv import EventLog
+    def test_weights_one_case_apart_move_mass(self):
+        # the same variants at 100,000 : 100,001 and 100,001 : 100,000 cases:
+        # the weights differ by 1/200,001, which np.allclose would call equal
+        def log(n_ab, n_c):
+            ab, c = (Event("a", None, 0), Event("b", None, 3600)), (Event("c", None, 0),)
+            cases = (
+                ProcessInstance(f"{i:06d}", ab if i < n_ab else c, {})
+                for i in range(n_ab + n_c)
+            )
+            return EventLog(tuple(cases))
 
+        original, anonymized = log(100_000, 100_001), log(100_001, 100_000)
+        seconds = TimestampAccuracy.SECONDS
+        report = emd_data_utility(original, anonymized, Perspective.A, seconds)
+        du, transport_cost, _ = scalar_emd_report(original, anonymized, Perspective.A, seconds)
+        assert report.transport_cost == pytest.approx(1 / 200_001, rel=1e-9)
+        assert abs(report.du - du) <= 1e-12
+        assert abs(report.transport_cost - transport_cost) <= 1e-12
+        flow = np.zeros((2, 2))
+        for (i, j), mass, _ in report.plan:
+            flow[i, j] = mass
+        wa = _weights(original, report.original_variants, Perspective.A, seconds)
+        wb = _weights(anonymized, report.anonymized_variants, Perspective.A, seconds)
+        assert np.abs(flow.sum(axis=1) - wa).max() <= 1e-12
+        assert np.abs(flow.sum(axis=0) - wb).max() <= 1e-12
+
+    def test_empty_log_rejected(self, hospital_log):
         with pytest.raises(LogError):
             emd_data_utility(hospital_log, EventLog(()), Perspective.A)
 
