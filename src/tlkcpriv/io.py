@@ -18,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
@@ -146,7 +146,7 @@ def read_csv(
     parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
     coerce = _Memo(_coerce_value).__getitem__
     try:
-        handle = path.open(newline="", encoding="utf-8")
+        handle = path.open(newline="", encoding="utf-8-sig")  # a byte-order mark is skipped
     except OSError as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
     with handle:
@@ -278,16 +278,14 @@ def _bad_value(case_id, tag, key, value) -> LogError:
     return LogError(f"{where}<{tag}> attribute {key!r} has {what}")
 
 
-# a trace's layout is its markup without values, read in parts: the trace's
-# attributes before its first event, then for each event its attributes, its
-# end and the trace's attributes up to the next event.  A part's entries are
-# an attribute's ``(tag, key)`` and an event's end.
-_CLOSE = ("", "/")
+# a trace's layout is its text with the values emptied, read in stretches: the
+# trace's attributes before its first event, then for each event its
+# attributes, its end and the trace's attributes up to the next event
+_CLOSE = ("", "", "", "/")  # the token of an event's end
 # an event's fields, by their index in a part's ``fields``
 _FIELDS = {"concept:name": 0, "time:timestamp": 1, "org:resource": 2}
 _HELD_BYTES = 1 << 20  # plans and parts kept at a time, by what they and their keys hold
-_PART_BYTES = 160  # about what a plan holds per part, or a part per entry, beside a text key
-_SIZE, _CLOSES = attrgetter("size"), attrgetter("closes")
+_PART_BYTES = 160  # about what a plan or a part holds beside its text key
 
 
 def _picker(at):
@@ -298,118 +296,70 @@ def _picker(at):
     return itemgetter(*at) if at else lambda values: ()
 
 
-def _settle(owner, values):
-    """An owner's attributes from its kept ``(key, tag, slot)``, the last of a
-    repeated key winning, and its first failed cast as ``(tag, key, value)``
-    (or None)."""
-    attrs, bad = {}, None
-    for key, tag, slot in owner:
-        value = values[slot]
-        if tag in _XES_TEXT_TAGS:
-            attrs[key] = value
-            continue
-        try:
-            attrs[key] = _XES_CASTS[tag](value)
-        except (TypeError, ValueError):
-            bad = bad or (tag, key, value)
-    return attrs, bad
+def _kept(tag, key, keys) -> bool:
+    """Whether an attribute is kept: its key one of ``keys`` and its tag
+    known; any other is dropped and counted."""
+    return key in keys and (tag in _XES_TEXT_TAGS or tag in _XES_CASTS)
 
 
 class _Part:
-    """What one part of a layout makes of its values, found by one walk of
-    its entries; ``slot`` indexes its values from the part's first.
+    """What one stretch of a layout makes of its values, found by one walk
+    of its tokens; ``slot`` indexes its values from the stretch's first.
 
-    ``keys`` lists each value's ``(key, tag)``; ``trace`` the kept trace
-    attributes as ``(key, tag, slot)``; ``closes`` counts event ends (one
-    in an event's part, none in the first); ``fields`` holds the slot of the
-    event's last activity, timestamp and resource (-1 for none), ``typed``
-    the slots of its typed kept attributes.
+    ``trace`` lists the kept trace attributes as ``(key, tag, slot)``;
+    ``closes`` counts event ends (one in an event's stretch, none in the
+    first); ``fields`` holds the slot of the event's last activity,
+    timestamp and resource (-1 for none), and ``typed`` whether the event
+    has a typed kept attribute.
     """
 
-    __slots__ = ("size", "dropped", "keys", "trace", "closes", "fields", "typed")
+    __slots__ = ("size", "dropped", "trace", "closes", "fields", "typed")
 
-    def __init__(self, entries, kept):
-        self.keys, self.trace, self.typed, self.dropped = [], [], [], 0
-        self.fields, self.closes = [-1, -1, -1], entries.count(_CLOSE)
-        in_event = self.closes > 0
-        for tag, key in entries:
-            if not tag:  # the event's end
+    def __init__(self, tokens, kept):
+        self.trace, self.fields, self.typed, self.dropped = [], [-1, -1, -1], False, 0
+        self.closes = tokens.count(_CLOSE)
+        self.size = len(tokens) - self.closes
+        in_event, slot = self.closes > 0, 0
+        for tag, key, _, end in tokens:
+            if end:
                 in_event = False
                 continue
-            slot = len(self.keys)
-            self.keys.append((key, tag))
-            if key not in kept or not (tag in _XES_TEXT_TAGS or tag in _XES_CASTS):
-                self.dropped += 1  # outside the modeled fields
+            if not _kept(tag, key, kept):
+                self.dropped += 1
             elif not in_event:
                 self.trace.append((key, tag, slot))
-            else:
-                if tag in _XES_CASTS:
-                    self.typed.append(slot)
-                field = _FIELDS.get(key)
-                if field is not None:
-                    self.fields[field] = slot
-        self.size = len(self.keys)
+            elif tag in _XES_CASTS:
+                self.typed = True
+            elif key in _FIELDS:
+                self.fields[_FIELDS[key]] = slot
+            slot += 1
 
 
 class _Plan:
-    """What the traces of one layout make of their values, composed from its
-    parts; a trace's values are its attributes' in document order, and
-    ``slot`` indexes them.
+    """How the traces of one layout make their cases: a trace's values are
+    its attributes' in document order, and each field of its case is picked
+    from them by index (-1 picks the None after them).  ``fields`` holds
+    each event's activity, timestamp and resource index, ``sensitive`` each
+    sensitive attribute's, and ``casts`` the cast of each typed one."""
 
-    ``trace`` lists the trace's kept attributes as ``(key, tag, slot)``;
-    ``acts``, ``stamps`` and ``resources`` the slot of each event's last
-    activity, timestamp and resource (-1 for none); ``typed`` maps an event
-    to the slots of its typed kept attributes.  A plan is fast when the case
-    id and every event's activity and timestamp are text and every typed
-    attribute is the value of a sensitive one: its cases are picked by index.
-    """
-
-    __slots__ = ("parts", "size", "dropped", "trace", "acts", "stamps", "resources", "typed",
-                 "fast", "case_at", "pick_acts", "pick_stamps", "pick_resources",
+    __slots__ = ("dropped", "case_at", "pick_acts", "pick_stamps", "pick_resources",
                  "pick_sensitive", "casts")
 
-    def __init__(self, parts, sensitive_attrs):
-        self.parts, self.trace, self.typed = parts, [], {}
-        self.acts, self.stamps, self.resources = [], [], []
-        start = self.dropped = 0  # the slot of each part's first value
-        for event, part in enumerate(parts, -1):  # the first part holds no event
-            if part.trace:
-                self.trace += [(key, tag, start + slot) for key, tag, slot in part.trace]
-            if event >= 0:
-                act, stamp, resource = part.fields
-                self.acts.append(start + act if act >= 0 else -1)
-                self.stamps.append(start + stamp if stamp >= 0 else -1)
-                self.resources.append(start + resource if resource >= 0 else -1)
-                if part.typed:
-                    self.typed[event] = [start + slot for slot in part.typed]
-            start += part.size
-            self.dropped += part.dropped
-        self.size = start  # the number of values
-        final = {key: (tag, slot) for key, tag, slot in self.trace}  # the last of each key
-        case = final.get("concept:name")
-        self.fast = (
-            case is not None and case[0] in _XES_TEXT_TAGS
-            and bool(self.acts) and not self.typed
-            and -1 not in self.acts and -1 not in self.stamps
-            and all(key in sensitive_attrs and final[key] == (tag, slot)
-                    for key, tag, slot in self.trace if tag in _XES_CASTS)
-        )
-        if self.fast:  # slot -1 is the None after the values
-            self.case_at = case[1]
-            self.pick_acts, self.pick_stamps = _picker(self.acts), _picker(self.stamps)
-            self.pick_resources = _picker(self.resources)
-            sensitive = [final.get(attr, (None, -1)) for attr in sensitive_attrs]
-            self.pick_sensitive = _picker([slot for _, slot in sensitive])
-            self.casts = {attr: _XES_CASTS[tag] for attr, (tag, _)
-                          in zip(sensitive_attrs, sensitive) if tag in _XES_CASTS}
+    def __init__(self, dropped, case_at, fields, sensitive, casts):
+        self.dropped, self.case_at, self.casts = dropped, case_at, casts
+        acts, stamps, resources = zip(*fields)
+        self.pick_acts, self.pick_stamps = _picker(acts), _picker(stamps)
+        self.pick_resources, self.pick_sensitive = _picker(resources), _picker(sensitive)
 
 
 class _XesCases:
-    """The cases of one XES read.  A trace comes as its text (:meth:`text`)
-    or as its parts and values (:meth:`add`); one plan per distinct layout,
-    composed of one part per distinct event layout, builds its case.  The
-    first content error is kept, to be raised once the whole file has
-    parsed: a parse error anywhere wins."""
+    """The cases of one XES read.  A trace in the canonical form comes as
+    its text (:meth:`text`), and the plan of its layout, compiled once,
+    builds its case if every value holds; any other trace comes from the
+    callbacks' walk (:meth:`add`), which settles its attributes and raises
+    the reader's content errors in document order.  The first content error
+    is kept, to be raised once the whole file has parsed: a parse error
+    anywhere wins."""
 
     def __init__(self, path, sensitive_attrs, accuracy):
         self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
@@ -419,130 +369,138 @@ class _XesCases:
         # above seconds, floored timestamps and one shared Event per distinct event
         self.floors = None if accuracy.unit_seconds == 1 else _Memo(accuracy.flooring())
         self.events = _Memo(lambda key: Event(*key))
-        # text with values emptied, or a tuple of parts -> its plan; text, or a
-        # tuple of entries -> its part (False for text out of the form)
+        # text with values emptied -> its plan (None for a layout no plan
+        # builds); a stretch of it -> its part (False for text out of the form)
         self.plans, self.parts, self.held = {}, {}, 0
         self.instances, self.dropped, self.error = [], 0, None
 
     def text(self, text) -> bool:
         """Add the case of a trace's text, between ``<trace>`` and ``</trace>``,
-        if it is in the form: the regex grammar ``_TOKEN`` reads each of its
-        parts whole (``<tag key=".." value=".." />`` attributes and plain
-        events) and no ``"`` stands outside them.  Else add nothing and
-        return False, and the callbacks read the trace.
+        and return True if its layout has a plan and each value it picks
+        holds.  Else add nothing and return False, and the callbacks read the
+        trace: one out of the form, of a layout no plan builds, or with a
+        typed sensitive value that does not cast, a timestamp that does not
+        parse or an empty activity.
 
         Split at ``"``, every fourth piece is a value when the quotes number
         four per attribute.  The text with those pieces emptied finds the
-        plan, its stretches between ``<event>`` the parts; a trace of the same
-        emptied text holds the same tokens once no value holds ``&``, ``<``,
-        a tab or a line break."""
+        plan; a trace of the same emptied text holds the same tokens once no
+        value holds ``&``, ``<``, a tab or a line break."""
         pieces = text.split('"')
         values = pieces[3::4]
         pieces[3::4] = [""] * len(values)
         shape = '"'.join(pieces)
-        plan = self.plans.get(shape)
+        plan = self.plans.get(shape, False)
+        if plan is False:  # a layout not met, or not kept
+            plan = self._plan(shape)
+            self._keep(self.plans, shape, plan, len(shape) + _PART_BYTES)
         if plan is None:
-            texts = shape.split("<event>")
-            parts = list(map(self.parts.get, texts))
-            if None in parts:  # a stretch not read before
-                parts = list(map(self._text_part, texts, parts))
-            if False in parts or len(pieces) != 4 * sum(map(_SIZE, parts)) + 1:
-                return False  # out of the form, or '"' outside the attributes
-            plan = self._plan(parts)
-            if plan is None:
-                return False
-            self._keep(self.plans, shape, plan, len(shape))
+            return False
         joined = "".join(values)
         if "&" in joined or "<" in joined or "\t" in joined or "\n" in joined or "\r" in joined:
             return False  # a reference, or a character the parser normalizes
-        self._build(plan, values)
+        values.append(None)  # the value of an absent resource or sensitive attribute
+        sensitive = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
+        try:
+            for attr, cast in plan.casts.items():
+                sensitive[attr] = cast(sensitive[attr])
+            seconds = list(map(self.seconds.__getitem__, plan.pick_stamps(values)))
+            case = self._case(values[plan.case_at], plan.pick_acts(values),
+                              plan.pick_resources(values), seconds, sensitive)
+        except ValueError:  # LogError included
+            return False
+        self.instances.append(case)
+        self.dropped += plan.dropped
         return True
 
-    def add(self, parts, values) -> None:
-        """Add the case of a trace read by the callbacks: its parts and its
-        attributes' values (None where an attribute has none)."""
-        self._build(self._plan(parts), values)
+    def add(self, trace, events) -> None:
+        """Add the case of a trace read by the callbacks, from its attributes
+        and each event's as ``(tag, key, value)`` in document order (value
+        None where an attribute has none)."""
+        if self.error is not None:
+            return
+        try:
+            self.instances.append(self._walk(trace, events))
+        except LogError as exc:
+            self.error = LogError(f"{self.path}: {exc}")
 
-    def part(self, entries):
-        """The part of a tuple of layout entries."""
-        part = self.parts.get(entries)
-        if part is None:
-            part = _Part(entries, self.kept)
-            self._keep(self.parts, entries, part, (1 + len(entries)) * _PART_BYTES)
-        return part
+    def _plan(self, shape):
+        """The plan of a layout, or None unless the regex grammar reads each
+        stretch whole and each ``"`` is an attribute's, the first stretch
+        closes no event and every other closes its own, each event has a text
+        activity and timestamp and no typed kept attribute, the case id is
+        text and each typed trace attribute is the last value of a sensitive
+        one."""
+        parts = list(map(self._part, shape.split("<event>")))
+        if False in parts or shape.count('"') != 4 * sum(part.size for part in parts):
+            return None
+        first, *events = parts
+        if first.closes or not events or any(
+            part.closes != 1 or part.typed or -1 in part.fields[:2] for part in events
+        ):
+            return None
+        trace, fields, start = [], [], 0  # slots from the trace's first value
+        for part in parts:
+            trace += [(key, tag, start + slot) for key, tag, slot in part.trace]
+            fields.append([start + slot if slot >= 0 else -1 for slot in part.fields])
+            start += part.size
+        final = {key: (tag, slot) for key, tag, slot in trace}  # the last of each key
+        case_tag, case_at = final.get("concept:name", (None, -1))
+        if case_tag not in _XES_TEXT_TAGS or not all(
+            key in self.sensitive_attrs and final[key] == (tag, slot)
+            for key, tag, slot in trace if tag in _XES_CASTS
+        ):
+            return None
+        sensitive = [final.get(attr, (None, -1)) for attr in self.sensitive_attrs]
+        casts = {attr: _XES_CASTS[tag] for attr, (tag, _) in zip(self.sensitive_attrs, sensitive)
+                 if tag in _XES_CASTS}
+        return _Plan(sum(part.dropped for part in parts), case_at, fields[1:],
+                     [slot for _, slot in sensitive], casts)
 
-    def _text_part(self, text, part=None):
-        """The part of a stretch of emptied trace text (``part`` if not None),
-        or False when the regex grammar does not read it whole."""
-        part = self.parts.get(text) if part is None else part  # met earlier in its trace
+    def _part(self, text):
+        """The part of a stretch of emptied trace text, or False when the
+        regex grammar does not read it whole."""
+        part = self.parts.get(text)
         if part is None:
             tokens = _tokens(text)
-            part = False if tokens is None else self.part(tuple(map(_entry, tokens)))
-            self._keep(self.parts, text, part, len(text))
+            part = False if tokens is None else _Part(tokens, self.kept)
+            self._keep(self.parts, text, part, len(text) + _PART_BYTES)
         return part
-
-    def _plan(self, parts):
-        """The plan of a trace's parts, or None unless the first part closes
-        no event and every other one closes its own."""
-        key = tuple(parts)
-        plan = self.plans.get(key)
-        if plan is None:
-            closes = list(map(_CLOSES, parts))
-            if closes[0] or closes.count(1) != len(closes) - 1:
-                return None
-            plan = _Plan(parts, self.sensitive_attrs)
-            self._keep(self.plans, key, plan, len(key) * _PART_BYTES)
-        return plan
 
     def _keep(self, kept, key, value, cost):
         if self.held + cost <= _HELD_BYTES:  # else made again on each use
             self.held += cost
             kept[key] = value
 
-    def _build(self, plan, values):
-        if self.error is not None:
-            return
-        self.dropped += plan.dropped
-        try:
-            instance = self._fast(plan, values) if plan.fast else None
-            self.instances.append(self._slow(plan, values) if instance is None else instance)
-        except LogError as exc:
-            self.error = LogError(f"{self.path}: {exc}")
+    def _settle(self, owner):
+        """An owner's read attributes from its ``(tag, key, value)``, the last
+        of a repeated key winning, and its first failed cast as ``(tag, key,
+        value)`` (or None); the attributes it drops are counted."""
+        attrs, bad, kept = {}, None, self.kept
+        for tag, key, value in owner:
+            if not _kept(tag, key, kept):
+                self.dropped += 1
+            elif tag in _XES_TEXT_TAGS:
+                attrs[key] = value
+            else:
+                try:
+                    attrs[key] = _XES_CASTS[tag](value)
+                except (TypeError, ValueError):
+                    bad = bad or (tag, key, value)
+        return attrs, bad
 
-    def _fast(self, plan, values):
-        """The case of a fast plan's trace, or None if a value fails: a missing
-        one, a typed sensitive one or a timestamp that does not parse, or an
-        empty activity.  The slow build then raises the first error."""
-        values.append(None)  # the value of an absent resource or sensitive attribute
-        case_id, activities = values[plan.case_at], plan.pick_acts(values)
-        stamps = plan.pick_stamps(values)
-        if case_id is None or None in activities or None in stamps:  # no value attribute
-            return None
-        sensitive = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
-        try:
-            for attr, cast in plan.casts.items():
-                sensitive[attr] = cast(sensitive[attr])
-            seconds = list(map(self.seconds.__getitem__, stamps))
-            return self._case(case_id, activities, plan.pick_resources(values), seconds, sensitive)
-        except (TypeError, ValueError):  # LogError included
-            return None
-
-    def _slow(self, plan, values):
-        """The case of any trace, checked in the order of a tree walk: trace
-        attributes, then each event's."""
-        attrs, bad = _settle(plan.trace, values)
+    def _walk(self, trace, events):
+        """The case of a trace's attributes and its events', checked in the
+        order of a tree walk: the trace's attributes, then each event's."""
+        attrs, bad = self._settle(trace)
         case_id = attrs.get("concept:name")
         if bad is not None:
             raise _bad_value(case_id, *bad)
         if case_id is None:
             raise LogError("trace without concept:name case id")
-        keys = [key for part in plan.parts for key in part.keys]  # those of each slot
         activities, resources, seconds = [], [], []
-        for event, slots in enumerate(zip(plan.acts, plan.stamps, plan.resources)):
-            # its typed attributes in order, then the last of each field
-            owner = [(*keys[slot], slot)
-                     for slot in (*plan.typed.get(event, ()), *slots) if slot >= 0]
-            fields, bad = _settle(owner, values)
+        for event in events:
+            fields, bad = self._settle(event)
             if bad is not None:
                 raise _bad_value(case_id, *bad)
             activity = fields.get("concept:name")
@@ -555,11 +513,12 @@ class _XesCases:
                 seconds.append(self.seconds[str(stamp)])
             except LogError as exc:
                 raise LogError(f"case {case_id!r}: {exc}") from None
+            label = str(activity)
+            if not label:
+                Event(label, None, 0)  # raises the empty label's error here, in walk order
+            activities.append(label)
             resource = fields.get("org:resource")
-            # its label checked here, in walk order
-            event = Event(str(activity), None if resource is None else str(resource), 0)
-            activities.append(event.activity)
-            resources.append(event.resource)
+            resources.append(None if resource is None else str(resource))
         sensitive = {attr: attrs.get(attr) for attr in self.sensitive_attrs}
         return self._case(str(case_id), activities, resources, seconds, sensitive)
 
@@ -596,11 +555,6 @@ def _tokens(text):
     return found if text.count("<") == len(found) else None  # each markup character starts one
 
 
-def _entry(token):
-    """A token's layout entry: an attribute's ``(tag, key)`` or _CLOSE."""
-    return token[0], token[1] or token[3]
-
-
 def _trace_text(segment):
     """The text of a whitespace-led ``<trace>`` up to its closing tag, or None."""
     try:
@@ -615,13 +569,14 @@ def _read_traces(handle, cases) -> None:
     blocks, through one expat parser.  After its callbacks close a trace at a
     plain ``</trace>`` in a UTF-8 file with no document type declaration,
     each whole trace goes to ``cases`` as text and expat then checks it with
-    no handler.  A trace out of the canonical form, quoted text between its
-    elements included, sends the rest of its block to the callbacks, which
-    hand over each trace as its parts and values; a trace longer than
-    ``_TRACE_BYTES`` goes to them as well."""
+    no handler.  A trace that ``cases`` does not build from its text (one out
+    of the canonical form, quoted text between its elements included, or one
+    no plan builds) sends itself and the rest of its block to the callbacks,
+    which hand over each trace's attributes and its events'; a trace longer
+    than ``_TRACE_BYTES`` goes to them as well."""
     local_names = {}  # raw expat element name -> local name
     depth, in_event = 0, False  # the root at depth 1
-    parts, entries, values = None, None, None  # the open trace's; entries of its open part
+    trace, events = None, None  # the open trace's attributes, and each of its events'
     plain, closed = True, -1  # whether to take traces as text; the file offset after the last
     parser = expat.ParserCreate(namespace_separator="}")
 
@@ -630,29 +585,26 @@ def _read_traces(handle, cases) -> None:
         plain = plain and len(decl) == 3 and (decl[1] or "utf-8").lower() == "utf-8"
 
     def start(name, attrs):
-        nonlocal depth, parts, entries, values, in_event
+        nonlocal depth, trace, events, in_event
         depth += 1
         tag = local_names.get(name) or local_names.setdefault(name, name.rsplit("}", 1)[-1])
         if depth == 2 and tag == "trace":
-            parts, entries, values = [], [], []
-        elif depth == 3 and parts is not None and tag == "event":
-            parts.append(cases.part(tuple(entries)))
-            entries, in_event = [], True
-        elif (depth == 3 and parts is not None) or (depth == 4 and in_event):
+            trace, events = [], []
+        elif depth == 3 and trace is not None and tag == "event":
+            events.append([])
+            in_event = True
+        elif (depth == 3 and trace is not None) or (depth == 4 and in_event):
             key = attrs.get("key")
             if key is not None:
-                entries.append((tag, key))
-                values.append(attrs.get("value"))
+                (events[-1] if in_event else trace).append((tag, key, attrs.get("value")))
 
     def end(name):
-        nonlocal depth, parts, in_event, closed
-        if depth == 3 and in_event:
-            entries.append(_CLOSE)
+        nonlocal depth, trace, in_event, closed
+        if depth == 3:
             in_event = False
-        elif depth == 2 and parts is not None:
-            parts.append(cases.part(tuple(entries)))
-            cases.add(parts, values)
-            parts, closed = None, parser.CurrentByteIndex + len(_END)
+        elif depth == 2 and trace is not None:
+            cases.add(trace, events)
+            trace, closed = None, parser.CurrentByteIndex + len(_END)
         depth -= 1
 
     parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = declared
@@ -662,7 +614,7 @@ def _read_traces(handle, cases) -> None:
         block = handle.read(_BLOCK_BYTES)
         pending += block
         parsed = taken = 0  # pending[parsed:taken] is read as text but not parsed
-        canonical = True  # False once a trace out of the form stops the text reads in this block
+        canonical = True  # False once a trace not built from its text stops the text reads
         while plain and (stop := pending.find(_END, taken)) >= 0:
             stop += len(_END)
             if parser.StartElementHandler is None:
@@ -703,14 +655,16 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
     is an error naming the file, case and key, as is an unparsable timestamp.
 
-    The file is read once, in blocks that expat checks.  UTF-8 traces of
-    ``<tag key=".." value=".." />`` attributes and plain events are split
-    at their quotes, others (comments, references, other quoting, a ``"``
-    in text between elements) read through expat callbacks; either way, one
-    plan per distinct trace layout, joined from parts compiled once per
-    distinct event layout, builds the cases.  A parse error
-    anywhere in the file is reported before any error in its content, and
-    content errors come in document order of the traces.
+    The file is read once, in blocks that expat checks.  A UTF-8 trace of
+    ``<tag key=".." value=".." />`` attributes and plain events is split at
+    its quotes, and the plan of its layout, compiled once per distinct
+    layout from parts compiled once per distinct stretch, picks its case's
+    values by position.  Every other trace (comments, references, other
+    quoting, a ``"`` in text between elements, a typed case id, a value
+    that fails) is read through expat callbacks, whose walk settles each
+    attribute in document order.  A parse error anywhere in the file is
+    reported before any error in its content, and content errors come in
+    document order of the traces.
     """
     path = Path(path)
     try:

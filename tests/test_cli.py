@@ -86,6 +86,14 @@ class TestAnonymize:
         assert "0 cases written" in captured.out
         assert "empty" in captured.err
 
+    def test_tlkc_without_theta_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "anon.csv"
+        code = run(["anonymize", "--algorithm", "tlkc", "-i", TREATMENT, "-o", str(out),
+                    *TREATMENT_FLAGS])
+        assert code == 2
+        assert "error: the tlkc algorithm needs --theta" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_invalid_confidence_is_usage_error(self, tmp_path, capsys):
         code = run(
             ["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-i", TREATMENT,

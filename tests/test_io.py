@@ -166,6 +166,12 @@ class TestCsv:
         log = read_csv(target, CsvColumnMap(resource_col=None))
         assert [e.activity for e in log.instances[0].trace] == ["a", "b"]
 
+    def test_utf8_byte_order_mark_is_skipped(self, hospital_log, tmp_path):
+        # spreadsheet programs write one before the header
+        target = tmp_path / "log.csv"
+        target.write_bytes(b"\xef\xbb\xbf" + (DATA / "hospital_log.csv").read_bytes())
+        assert read_csv(target, HOSPITAL_COLMAP) == hospital_log
+
     def test_non_finite_values_stay_text_across_rows(self, tmp_path):
         # a float NaN would differ from itself on the case's second row
         target = tmp_path / "log.csv"
@@ -756,10 +762,10 @@ def _spied_reads():
             seen["read_at"].append(seen["bytes"])
         return built
 
-    def spy_add(cases, layout, values):
+    def spy_add(cases, trace, events):
         seen["callbacks"] += 1
         seen["read_at"].append(seen["bytes"])
-        add(cases, layout, values)
+        add(cases, trace, events)
 
     with mock.patch.object(xes_io, "_read_traces", spy_read), \
             mock.patch.object(xes_io._XesCases, "text", spy_text), \
@@ -810,12 +816,22 @@ XES_EDITS = {
 # after the first from its text
 TOKENIZED = (1, 3, 3)
 
+# edits of a trace of write_xes output that the callbacks read: a comment leaves
+# the canonical form, and no plan builds a case id typed as <int>
+TRACE_EDITS = {
+    "comment": lambda trace: trace.replace("<event>", "<event><!-- c -->", 1),
+    "typed-case-id": lambda trace: trace.replace(
+        '<string key="concept:name"', '<int key="concept:name"', 1
+    ),
+}
+
 
 class TestXesTokenizer:
     """Each canonical trace after the first is read from its text (counted as
-    tokenized); the first trace, and a trace that leaves the form with the
-    rest of its block, are read through expat callbacks, and both agree with
-    the element tree.  The file is read once."""
+    tokenized).  The first trace, and a trace that leaves the form or that
+    no plan builds, together with the rest of its block, are read through
+    expat callbacks, and both agree with the element tree.  The file is read
+    once."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -836,6 +852,9 @@ class TestXesTokenizer:
         if edit != "cut":  # the first trace goes to the callbacks, as does a reference's block
             traces = re.findall(r"<trace>.*?</trace>", text, re.S)
             assert seen["tokenized"] + seen["callbacks"] == len(traces)
+            if edit == "empty-trace":  # no plan builds a trace without events
+                assert seen["tokenized"] == 0
+                return
             if not any("&" in trace for trace in traces[1:]):
                 assert (seen["callbacks"], seen["tried"]) == (min(len(traces), 1), len(traces[1:]))
             assert seen["tried"] - seen["tokenized"] <= sum("&" in trace for trace in traces[1:])
@@ -938,10 +957,25 @@ class TestXesTokenizer:
                 0,
                 id="document-type",
             ),
+            # in the form, but no plan builds the trace: its case id is typed
+            pytest.param(
+                lambda t: t.replace('<string key="concept:name" value="2" />',
+                                    '<int key="concept:name" value="2" />'),
+                1,
+                id="typed-case-id",
+            ),
+            # in the form and of a layout with a plan, but its date does not parse:
+            # the callbacks' walk reports the tree reader's error
+            pytest.param(
+                lambda t: t.replace('value="b" />\n      <date key="time:timestamp" value="1970-',
+                                    'value="b" />\n      <date key="time:timestamp" value="1970-13-'),
+                1,
+                id="bad-date",
+            ),
         ],
     )
     def test_fallback_triggers(self, edit, tokenized, tmp_path, monkeypatch):
-        # the callbacks read a trace out of the canonical form and the rest of
+        # the callbacks read a trace not built from its text and the rest of
         # its block; with short blocks the tokenizer takes the fourth trace again
         # when the trigger is in the second only
         monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 64)
@@ -953,19 +987,31 @@ class TestXesTokenizer:
         assert seen["bytes"] == target.stat().st_size
         assert seen["read_at"][1] < seen["bytes"]  # built while the file is read
 
-    @pytest.mark.parametrize("where", [0, 1, 0.5, 1.0], ids=["first", "second", "middle", "last"])
+    @pytest.mark.parametrize(
+        "where, edit",
+        [
+            pytest.param(0, "comment", id="first"),
+            pytest.param(1, "comment", id="second"),
+            pytest.param(0.5, "comment", id="middle"),
+            pytest.param(1.0, "comment", id="last"),
+            # a valid trace in the form that no plan builds
+            pytest.param(0.5, "typed-case-id", id="typed-case-id-middle"),
+            pytest.param(1.0, "typed-case-id", id="typed-case-id-last"),
+        ],
+    )
     def test_tokenizer_resumes_after_a_trace_out_of_form(
-        self, where, hospital_log, tmp_path, monkeypatch
+        self, where, edit, hospital_log, tmp_path, monkeypatch
     ):
-        # with blocks shorter than a trace, the callbacks read the trace out of
-        # form and the next one, up to the first trace end after its block
+        # with blocks shorter than a trace, the callbacks read the trace not
+        # built from its text and the next one, up to the first trace end
+        # after its block
         monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 64)
         target = tmp_path / "log.xes"
         write_xes(hospital_log, target)
         cases = len(hospital_log)
         at = where if isinstance(where, int) else int(where * (cases - 1))
         traces = target.read_text(encoding="utf-8").split("</trace>")
-        traces[at] = traces[at].replace("<event>", "<event><!-- c -->", 1)
+        traces[at] = TRACE_EDITS[edit](traces[at])
         target.write_text("</trace>".join(traces), encoding="utf-8")
         got, seen = _spied_read(target, ("Age", "Disease"))
         assert got == _tree_read(target, ("Age", "Disease"))
@@ -1073,12 +1119,14 @@ class TestXesTokenizer:
                 lambda t: t.replace("<event>", "<event>&#65;&lt;&amp;"), TOKENIZED,
                 id="text-references",
             ),
+            # a typed sensitive key repeated after the events: no plan builds
+            # the trace, so the callbacks read it and the rest of its block
             pytest.param(
                 lambda t: t.replace(
                     "</event>\n  </trace>",
                     '</event><string key="Age" value="late" /><int key="Age" value="5" /></trace>',
                 ),
-                TOKENIZED,
+                (4, 0, 1),
                 id="trace-attributes-after-events",
             ),
             pytest.param(
@@ -1097,8 +1145,9 @@ class TestXesTokenizer:
                 TOKENIZED,
                 id="value-characters",
             ),
+            # an event without fields: no plan builds the trace either
             pytest.param(
-                lambda t: t.replace("</trace>", "<event></event></trace>"), TOKENIZED,
+                lambda t: t.replace("</trace>", "<event></event></trace>"), (4, 0, 1),
                 id="empty-event",
             ),
         ],
@@ -1153,8 +1202,9 @@ class TestXesTokenizer:
         got, seen = _spied_read(target, ("Age",))
         assert got == _tree_read(target, ("Age",))
         assert got.startswith(f"cannot read {target}: mismatched tag")
-        # the trace with the bad date was tokenized before expat met the error
-        assert seen["tokenized"] == 3
+        # the trace with the bad date was tried as text, and read by the
+        # callbacks, before expat met the error
+        assert (seen["tokenized"], seen["tried"]) == (2, 3)
 
 
 # --- trace layouts against the element-tree reference -------------------------
@@ -1298,9 +1348,9 @@ def _parts(xes_text):
 
 
 class TestXesPlans:
-    """One plan per trace layout, joined from one part per event layout,
-    builds each case, whether the trace comes as text or through the
-    callbacks, and reads as the element tree does."""
+    """One plan per trace layout, joined from one part per distinct stretch,
+    builds each case read from its text, the callbacks build the others, and
+    the read equals the element tree's."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -1340,7 +1390,8 @@ class TestXesPlans:
         with _counted_plans() as plans:
             got, seen = _spied_read(target, ("Age", "Disease"))
         assert got == _tree_read(target, ("Age", "Disease")) == (_as_read_back(log), 0)
-        assert plans["plans"] == 1 and seen["tokenized"] == tokenized
+        # the callbacks compile no plan
+        assert plans["plans"] == min(tokenized, 1) and seen["tokenized"] == tokenized
         bad = text.replace('<int key="Age" value="3" />', '<int key="Age" value="x" />')
         target.write_text(bad, encoding="utf-8")
         got, _ = _spied_read(target, ("Age", "Disease"))
@@ -1365,7 +1416,8 @@ class TestXesPlans:
         with _counted_plans() as seen:
             read_xes(target, treatment_log.sensitive_attrs)
         text = target.read_text(encoding="utf-8")
-        assert seen["plans"] == len(_layouts(text)) < len(treatment_log)
+        # the layouts of the traces after the first, which the callbacks read
+        assert seen["plans"] == len(_layouts(text.split("</trace>", 1)[1])) < len(treatment_log)
         assert seen["parts"] <= len(_parts(text)) and seen["regex"] <= len(_parts(text))
 
     def test_plans_past_the_bound_serve_one_trace(self, treatment_log, tmp_path, monkeypatch):
@@ -1374,14 +1426,16 @@ class TestXesPlans:
         write_xes(treatment_log, target)
         with _counted_plans() as seen:
             assert read_xes(target, treatment_log.sensitive_attrs) == _as_read_back(treatment_log)
-        assert seen["plans"] == len(treatment_log)
-        # each part of a trace after the first, which the callbacks read, is matched
+        # each trace after the first, which the callbacks read, compiles its
+        # plan, and each of its parts is matched
+        assert seen["plans"] == len(treatment_log) - 1
         assert seen["regex"] == sum(len(inst) + 1 for inst in treatment_log.instances[1:])
 
     def test_kept_plans_and_parts_are_bounded_by_their_keys(self, treatment_log, tmp_path,
                                                              monkeypatch):
         # long text between elements, distinct in each trace, makes every layout
-        # and part distinct and larger than a layout's tokens
+        # and part distinct and larger than a layout's tokens; one layout and its
+        # parts fit the bound, and all of them fill it ten times over
         bound = 1 << 15
         monkeypatch.setattr(xes_io, "_HELD_BYTES", bound)
         made = []
@@ -1392,13 +1446,15 @@ class TestXesPlans:
                 made.append(self)
 
         monkeypatch.setattr(xes_io, "_XesCases", Recorded)
-        log = EventLog(treatment_log.instances[:60], treatment_log.sensitive_attrs)
+        copies = [ProcessInstance(f"{inst.case_id}.{copy}", inst.trace, inst.sensitive)
+                  for copy in range(8) for inst in treatment_log]
+        log = EventLog(tuple(copies[:60]), treatment_log.sensitive_attrs)
         target = tmp_path / "log.xes"
         write_xes(log, target)
         traces = iter(range(len(log)))
         text = re.sub(
             r"<trace>.*?</trace>",
-            lambda m: m.group().replace("\n", "\n" + " " * (2000 + next(traces))),
+            lambda m: m.group().replace("\n", "\n" + " " * (800 + next(traces))),
             target.read_text(encoding="utf-8"),
             flags=re.S,
         )
