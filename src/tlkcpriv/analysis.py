@@ -25,7 +25,7 @@ one-smaller sub of another frequent pattern.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import ceil
 from typing import Dict, Iterable, Optional
 
@@ -137,13 +137,8 @@ def focal_values(log: EventLog, attrs: Iterable[str]) -> Dict[str, object]:
     out = {}
     for attr in attrs:
         counts = Counter(inst.sensitive.get(attr) for inst in log)
-        if not counts:
-            continue
-        best = max(counts.values())
-        for inst in log:
-            if counts[inst.sensitive.get(attr)] == best:
-                out[attr] = inst.sensitive.get(attr)
-                break
+        if counts:  # the first value seen leads among equal counts
+            out[attr] = counts.most_common(1)[0][0]
     return out
 
 
@@ -168,22 +163,18 @@ class _Checker:
     def verdicts(self, support: np.ndarray, hits: np.ndarray) -> tuple:
         """``(ok, verdicts)`` over candidates matched by ``support`` cases,
         ``hits[a]`` of them holding the ``a``-th attribute's focal value:
-        ``ok`` marks the candidates that violate nothing and ``verdicts(rows)``
-        builds the :class:`Verdict` of each candidate in ``rows``."""
+        ``ok`` marks the candidates that violate nothing and ``verdicts()``
+        builds the :class:`Verdict` of each candidate."""
         conf = hits / support
         k_violation, c_violation = support < self.params.K, conf > self.params.C
         max_confidence = conf.max(axis=0, initial=0.0)
 
-        def verdicts(rows) -> list:
+        def verdicts() -> list:
             attrs = self.attrs
             return [
                 Verdict(n, k, tuple(attr for attr, hit in zip(attrs, c) if hit), top)
-                for n, k, c, top in zip(
-                    support[rows].tolist(),
-                    k_violation[rows].tolist(),
-                    c_violation[:, rows].T.tolist(),
-                    max_confidence[rows].tolist(),
-                )
+                for n, k, c, top in zip(support.tolist(), k_violation.tolist(),
+                                        c_violation.T.tolist(), max_confidence.tolist())
             ]
 
         return ~(k_violation | c_violation.any(axis=0)), verdicts
@@ -194,7 +185,7 @@ class _Checker:
         matched = list(indices)
         hits = np.array([flag[matched].sum() for flag in self.flags], np.int64)
         _, verdicts = self.verdicts(np.array([len(matched)]), hits.reshape(-1, 1))
-        return verdicts([0])[0]
+        return verdicts()[0]
 
 
 def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdict:
@@ -210,10 +201,7 @@ def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdi
     return checker.verdict_for_indices(indices)
 
 
-@dataclass(frozen=True)
 class _Items:
-    items: tuple
-
     def __len__(self):
         return len(self.items)
 
@@ -221,15 +209,34 @@ class _Items:
         return iter(self.items)
 
 
-@dataclass(frozen=True)
 class MvtSet(_Items):
-    """Minimal violating candidates, each with its verdict.
+    """Minimal violating candidates, each with its verdict, canonically
+    ordered: ``items`` holds ``(Candidate, Verdict)`` pairs.
 
     Every proper sub-candidate of every item is non-violating; an empty set
     is equivalent to the log satisfying the privacy requirements.
+    :func:`enumerate_mvt` keeps, per size, the candidates' code rows and
+    their verdict arrays in ``levels`` and decodes ``items`` only when they
+    are first read, so the greedy rounds work in codes throughout; a set
+    built as ``MvtSet(items)`` has no levels.
     """
 
-    items: tuple  # of (Candidate, Verdict), canonically ordered
+    def __init__(self, items: tuple = (), levels: tuple = (), decode=None):
+        self.levels = levels  # of (code matrix, verdicts()); ``decode`` makes a row's candidate
+        self._items = tuple(items) if decode is None else None
+        self._decode = decode
+
+    @property
+    def items(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(
+                pair for codes, verdicts in self.levels
+                for pair in zip(map(self._decode, codes.tolist()), verdicts())
+            )
+        return self._items
+
+    def __len__(self):  # without decoding
+        return len(self._items) if self._decode is None else sum(len(c) for c, _ in self.levels)
 
     @property
     def candidates(self) -> tuple:
@@ -245,6 +252,8 @@ class MftSet(_Items):
 
     items: tuple  # of (pattern tuple, support), canonically ordered
     threshold: int = 1
+    # the patterns' code rows, one matrix per size, as the greedy rounds read them
+    levels: tuple = field(default=(), compare=False, repr=False)
 
     def utility_loss(self, e: ProjectedEvent) -> int:
         return sum(1 for pattern, _ in self.items if e in pattern)
@@ -261,17 +270,18 @@ def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
     """
     checker = _Checker(log, params)
     plog = checker.plog
-    items = []
+    levels = []
     walk = background._enumerate(
         plog.traces, len(plog.alphabet), params.bk.bk_type, params.L, checker.flags
     )
     for level in walk:
-        ok, verdicts = checker.verdicts(level.support, level.hits)
+        ok, _ = checker.verdicts(level.support, level.hits)
         subs_good = (level.subs >= 0).all(axis=1)
         level.carry &= ok & subs_good
         minimal = np.flatnonzero(subs_good & ~ok)
-        items.extend(zip(map(plog.decode, level.codes[minimal].tolist()), verdicts(minimal)))
-    return MvtSet(tuple(items))
+        _, verdicts = checker.verdicts(level.support[minimal], level.hits[:, minimal])
+        levels.append((level.codes[minimal], verdicts))
+    return MvtSet(levels=tuple(levels), decode=plog.decode)
 
 
 def enumerate_mft(
@@ -301,14 +311,15 @@ def enumerate_mft(
             levels[-1][2][level.subs[frequent]] = True
         covered = np.zeros(frequent.sum(), bool)
         levels.append((level.codes[frequent], level.support[frequent], covered))
-    decode = alphabet.__getitem__
+    levels = [(codes[~covered], support[~covered]) for codes, support, covered in levels]
     return MftSet(
         tuple(
-            (tuple(map(decode, pattern)), n)
-            for codes, support, covered in levels
-            for pattern, n in zip(codes[~covered].tolist(), support[~covered].tolist())
+            (tuple(map(alphabet.__getitem__, pattern)), n)
+            for codes, support in levels
+            for pattern, n in zip(codes.tolist(), support.tolist())
         ),
         threshold=threshold,
+        levels=tuple(codes for codes, _ in levels),
     )
 
 
@@ -365,7 +376,12 @@ def score(e: ProjectedEvent, mvt: MvtSet, mft: MftSet) -> float:
     pg = mvt.privacy_gain(e)
     if pg == 0:
         raise LogError(f"event {e} occurs in no minimal violating candidate")
-    return pg / (mft.utility_loss(e) + 1)
+    return _ratio_score(pg, mft.utility_loss(e))
+
+
+def _ratio_score(gain, loss):
+    """:func:`score` from its parts, scalars or arrays."""
+    return gain / (loss + 1)
 
 
 def coverage(
@@ -391,6 +407,9 @@ def n_score(
     utility, both in [0, 1].  ``coverage`` is the map :func:`coverage` returns."""
     if len(mvt) == 0:
         raise LogError("normalized score needs a non-empty set of minimal violations")
-    rpg = mvt.privacy_gain(e) / len(mvt)
-    nul = 1.0 - coverage.get(e, 0.0)
-    return alpha * rpg + beta * nul
+    return _weighted_score(mvt.privacy_gain(e), len(mvt), coverage.get(e, 0.0), alpha, beta)
+
+
+def _weighted_score(gain, violations: int, coverage, alpha: float, beta: float):
+    """:func:`n_score` from its parts, scalars or arrays."""
+    return alpha * (gain / violations) + beta * (1.0 - coverage)

@@ -17,6 +17,12 @@ never invented or reordered):
 Every class follows the scikit-learn parameter protocol (``get_params`` /
 ``set_params``) and exposes ``transform(log)``; the richer result object is
 returned by ``anonymize(log)``.
+
+The TLKC anonymizers keep their greedy rounds in descriptor codes: the
+minimal violations and frequent subtraces become (item, code) incidence
+arrays, every code is ranked at once by the formulas of ``score`` and
+``n_score``, only the winners are decoded, and suppression hands the
+surviving log its projection for the next round.
 """
 
 from __future__ import annotations
@@ -27,20 +33,20 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .analysis import (
-    MvtSet,
     PrivacyParams,
+    _ratio_score,
+    _weighted_score,
     coverage,
     enumerate_mft,
     enumerate_mvt,
-    n_score,
-    score,
 )
 from .log import (
     EventLog,
     LogError,
     Perspective,
-    ProcessInstance,
     ProjectedEvent,
     TimestampAccuracy,
     is_subsequence,
@@ -100,28 +106,16 @@ class AnonymizationResult:
     runtime_seconds: float
 
 
-def _result(log, out, dropped, started, winners=(), iterations=()):
+def _result(log, out, dropped, started, iterations=()):
     """The result of turning ``log`` into ``out`` in a run begun at ``started``."""
     return AnonymizationResult(
         log=out,
-        suppression=SuppressionSet(tuple(winners)),
+        suppression=SuppressionSet(tuple(r.winner for r in iterations)),
         dropped_cases=tuple(dropped),
         iterations=tuple(iterations),
         events_removed=log.total_events - out.total_events,
         runtime_seconds=time.perf_counter() - started,
     )
-
-
-def _cut(log: EventLog, traces: Iterable[tuple]):
-    """``log`` with each case's trace replaced by a tuple of its events, in
-    case order; emptied cases are dropped.  Returns (new log, dropped ids)."""
-    kept, dropped = [], []
-    for inst, trace in zip(log, traces):
-        if trace:  # a subsequence of an ordered trace is ordered
-            kept.append(ProcessInstance._ordered(inst.case_id, trace, dict(inst.sensitive)))
-        else:
-            dropped.append(inst.case_id)
-    return EventLog(tuple(kept), log.sensitive_attrs), tuple(dropped)
 
 
 def suppress_global(
@@ -133,14 +127,10 @@ def suppress_global(
     """Remove every event whose projection equals one of the descriptors.
 
     Cases whose trace empties are dropped. Returns (new log, dropped ids).
+    The new log keeps the projection on ``ps`` of what is left, so the next
+    greedy round does not project again.
     """
-    traces, alphabet = log.coded(ps, accuracy)
-    targets = set(descriptors)
-    drop = {c for c, e in enumerate(alphabet) if e in targets}
-    return _cut(log, (
-        tuple(ev for ev, c in zip(inst.trace, codes) if c not in drop)
-        for inst, codes in zip(log, traces)
-    ))
+    return log._without(ps, accuracy, set(descriptors))
 
 
 class BaseAnonymizer:
@@ -173,56 +163,18 @@ class BaseAnonymizer:
         return self.fit(log).transform(log)
 
 
-class _Tally:
-    """Per descriptor, how many still-alive item sets contain it."""
-
-    def __init__(self, item_sets):
-        self.sets = [set(items) for items in item_sets]
-        self.alive = set(range(len(self.sets)))
-        self.count: Counter = Counter()
-        self.holders: dict = {}
-        for i, elems in enumerate(self.sets):
-            for e in elems:
-                self.count[e] += 1
-                self.holders.setdefault(e, []).append(i)
-
-    def delete_containing(self, e: ProjectedEvent) -> None:
-        for i in self.holders.get(e, ()):
-            if i in self.alive:
-                self.alive.remove(i)
-                for x in self.sets[i]:
-                    self.count[x] -= 1
-
-
-class _GreedyIndex:
-    """Incremental privacy-gain / utility-loss bookkeeping for the greedy loop.
-
-    Counts, per descriptor, the still-alive minimal violations and frequent
-    patterns containing it; deleting a winner touches only the items that
-    actually contain it.  ``privacy_gain``, ``utility_loss`` and ``len`` (the
-    surviving violations) let it stand in for both the :class:`MvtSet` and
-    the :class:`MftSet` that :func:`score` and :func:`n_score` take.
-    """
-
-    def __init__(self, mvt: MvtSet, mft):
-        self.mvts = _Tally(c.elements for c in mvt.candidates)
-        self.mfts = _Tally(p for p, _ in mft)
-
-    def __len__(self):
-        return len(self.mvts.alive)
-
-    def privacy_gain(self, e: ProjectedEvent) -> int:
-        return self.mvts.count[e]
-
-    def utility_loss(self, e: ProjectedEvent) -> int:
-        return self.mfts.count[e]
-
-    def events(self):
-        return [e for e, n in self.mvts.count.items() if n > 0]
-
-    def delete_containing(self, winner: ProjectedEvent) -> None:
-        self.mvts.delete_containing(winner)
-        self.mfts.delete_containing(winner)
+def _incidence(matrices: Iterable[np.ndarray], n_codes: int) -> tuple:
+    """``(items, codes, alive)`` of code matrices that hold one item (a minimal
+    violation or frequent subtrace) per row, numbered on from matrix to
+    matrix: one ``(item, code)`` pair per distinct code of an item, and
+    every item alive."""
+    keys, first = [np.zeros(0, np.int64)], 0
+    for matrix in matrices:
+        rows = np.arange(first, first + len(matrix))[:, None]
+        keys.append((rows * n_codes + matrix).ravel())
+        first += len(matrix)
+    items, codes = np.divmod(np.unique(np.concatenate(keys)), n_codes)
+    return items, codes, np.ones(first, bool)
 
 
 def _tie_key(seed: Optional[int]):
@@ -235,10 +187,7 @@ def _tie_key(seed: Optional[int]):
         return ProjectedEvent.sort_key
     from zlib import crc32
 
-    def key(e: ProjectedEvent):
-        return crc32(f"{seed}:{e}".encode()), e.sort_key()
-
-    return key
+    return lambda e: (crc32(f"{seed}:{e}".encode()), e.sort_key())
 
 
 def _anonymize_greedily(
@@ -247,39 +196,48 @@ def _anonymize_greedily(
     """The greedy suppression rounds shared by both TLKC anonymizers.
 
     Each round mines the minimal violating candidates of the current log and
-    asks ``start_round(log)`` for the round's maximal frequent subtraces (or
-    ``()``) and its ``rank(e, index)``.  It then repeatedly picks the
-    highest-ranked descriptor (ties: higher privacy gain, then the tie-break
-    order), prunes every violation and frequent subtrace containing it, and
-    finally suppresses the winners globally.  If that drops emptied cases,
-    the survivors go through another round, so the output always passes the
-    audit.
+    asks ``start_round(log, alphabet)`` for the code matrices of the round's
+    maximal frequent subtraces (or ``()``) and its ``rank(gain, loss,
+    violations)`` of every code at once.  It then repeatedly picks the
+    highest-ranked code (ties: higher privacy gain, then the tie-break
+    order of the descriptors), prunes every violation and frequent subtrace
+    holding it, and finally suppresses the winners globally.  The rounds
+    work in descriptor codes; only the winners are decoded.  If suppression
+    drops emptied cases, the survivors go through another round, so the
+    output always passes the audit.
     """
     started = time.perf_counter()
     ps, accuracy = params.perspective, params.accuracy
     tie_key = _tie_key(tie_break)
     current = log
-    all_winners: list = []
-    all_iterations: list = []
+    iterations: list = []
     all_dropped: list = []
 
     while True:
         mvt = enumerate_mvt(current, params)
         if len(mvt) == 0:
             break
-        mft, rank = start_round(current)
-        index = _GreedyIndex(mvt, mft)
+        _, alphabet = current.coded(ps, accuracy)
+        n = len(alphabet)
+        frequent, rank = start_round(current, alphabet)
+        v_items, v_codes, v_alive = _incidence((codes for codes, _ in mvt.levels), n)
+        f_items, f_codes, f_alive = _incidence(frequent, n)
         winners = []
-        while len(index):
-            events = index.events()
-            ranks = {e: (rank(e, index), index.privacy_gain(e)) for e in events}
-            best = max(ranks.values())
-            winner = min((e for e in events if ranks[e] == best), key=tie_key)
-            winners.append(winner)
-            index.delete_containing(winner)
-            all_iterations.append(IterationRecord(winner, best[0], len(index)))
+        while v_alive.any():
+            # per code, the alive violations and frequent subtraces holding it
+            gain = np.bincount(v_codes[v_alive[v_items]], minlength=n)
+            loss = np.bincount(f_codes[f_alive[f_items]], minlength=n)
+            live = np.flatnonzero(gain)
+            ranks = rank(gain, loss, v_alive.sum())[live]
+            best = ranks.max()
+            tied = live[ranks == best]
+            tied = tied[gain[tied] == gain[tied].max()]
+            winner = min(tied.tolist(), key=lambda c: tie_key(alphabet[c]))
+            v_alive[v_items[v_codes == winner]] = False
+            f_alive[f_items[f_codes == winner]] = False
+            winners.append(alphabet[winner])
+            iterations.append(IterationRecord(alphabet[winner], float(best), int(v_alive.sum())))
         current, dropped = suppress_global(current, winners, ps, accuracy)
-        all_winners.extend(winners)
         all_dropped.extend(dropped)
         if not current.instances:
             raise ParameterError(
@@ -290,7 +248,7 @@ def _anonymize_greedily(
             # no case vanished, so every remaining candidate kept its
             # match set and the log is guaranteed violation-free
             break
-    return _result(log, current, all_dropped, started, all_winners, all_iterations)
+    return _result(log, current, all_dropped, started, iterations)
 
 
 @dataclass(eq=False)
@@ -322,9 +280,9 @@ class TlkcAnonymizer(BaseAnonymizer):
             self.accuracy, self.L, self.K, self.C, self.bk, self.sensitive, theta=self.theta
         )
 
-        def start_round(current):
+        def start_round(current, alphabet):
             mft = enumerate_mft(current, params.perspective, params.theta, params.accuracy)
-            return mft, lambda e, index: score(e, index, index)
+            return mft.levels, lambda gain, loss, violations: _ratio_score(gain, loss)
 
         return _anonymize_greedily(log, params, self.tie_break, start_round)
 
@@ -356,9 +314,12 @@ class TlkcExtAnonymizer(BaseAnonymizer):
             alpha=self.alpha, beta=self.beta,
         )
 
-        def start_round(current):
+        def start_round(current, alphabet):
             cov = coverage(current, params.perspective, params.accuracy)
-            return (), lambda e, index: n_score(e, index, cov, params.alpha, params.beta)
+            cov = np.array([cov[e] for e in alphabet])
+            return (), lambda gain, loss, violations: _weighted_score(
+                gain, violations, cov, params.alpha, params.beta
+            )
 
         return _anonymize_greedily(log, params, self.tie_break, start_round)
 
@@ -386,8 +347,8 @@ class Baseline1(_KBaseline):
         ps, accuracy = self._view()
         traces, _ = log.coded(ps, accuracy)
         counts = Counter(traces)
-        out, dropped = _cut(
-            log, (i.trace if counts[t] >= self.k else () for i, t in zip(log, traces))
+        out, dropped = log._cut(
+            i.trace if counts[t] >= self.k else () for i, t in zip(log, traces)
         )
         return _result(log, out, dropped, started)
 
@@ -486,8 +447,8 @@ class Baseline2(_KBaseline):
                 for cid in violating[rep]:
                     state[cid] = []
 
-        out, dropped = _cut(
-            log, (tuple(inst.trace[i] for i, _ in state[inst.case_id]) for inst in log)
+        out, dropped = log._cut(
+            tuple(inst.trace[i] for i, _ in state[inst.case_id]) for inst in log
         )
         return _result(log, out, dropped, started)
 

@@ -83,10 +83,6 @@ class BkSpec:
         kept = {BkAttr.AC: "A", BkAttr.RE: "R", BkAttr.AR: "AR"}[self.bk_attr]
         return Perspective(kept + "T" if self.bk_type is BkType.REL else kept)
 
-    @property
-    def ordered(self) -> bool:
-        return self.bk_type in (BkType.SEQ, BkType.REL)
-
     @classmethod
     def parse(cls, text) -> "BkSpec":
         if isinstance(text, BkSpec):
@@ -135,10 +131,6 @@ class Candidate:
         object.__setattr__(cand, "bk_type", bk_type)
         object.__setattr__(cand, "elements", elements)
         return cand
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
 
     def __str__(self) -> str:
         return format_candidate(self)

@@ -199,7 +199,7 @@ def read_csv(
         events.sort(key=itemgetter(0))  # stable: file order breaks ties
         sensitive = {attr: v for attr, (_, v) in zip(attrs, values)}
         instances.append(ProcessInstance._ordered(cid, tuple(ev for _, ev in events), sensitive))
-    return EventLog(tuple(instances), attrs)
+    return EventLog._built(tuple(instances), attrs)
 
 
 def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> None:
@@ -677,7 +677,7 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     if cases.dropped:
         logger.warning("dropped %d unrecognized XES attributes from %s", cases.dropped, path)
     try:
-        return EventLog(tuple(cases.instances), cases.sensitive_attrs)
+        return EventLog._built(tuple(cases.instances), cases.sensitive_attrs)
     except LogError as exc:  # a repeated case id
         raise LogError(f"{path}: {exc}") from None
 
@@ -852,7 +852,7 @@ def read_config(path) -> dict:
     known = {f.name for f in fields(RunConfig)}
     out = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # skips a byte-order mark
     except OSError as exc:
         raise LogError(f"cannot read config {path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

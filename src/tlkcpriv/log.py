@@ -7,18 +7,20 @@ since the Unix epoch (UTC); after relativization they encode offsets from a
 shared origin, which keeps timed matching a plain equality check.
 
 Logs are immutable after construction and all operations here are pure
-functions, safe for concurrent readers.  Events are values: equal events may
-be one shared object (:func:`truncate_to_accuracy` makes one per distinct
-floored event), and identity is not part of the model.
-:meth:`EventLog.coded` caches a pure function in one assignment, so
-concurrent readers at worst project twice.
+functions, safe for concurrent readers.  Events and cases are values: equal
+events may be one shared object (:func:`truncate_to_accuracy` makes one per
+distinct floored event), a log derived from another may share its unchanged
+cases, and identity is not part of the model.  :meth:`EventLog.coded`
+caches a pure function in one assignment, so concurrent readers at worst
+project twice.
 
 A projection is kept in integer codes, and :meth:`EventLog.coded` is the one
 place events become descriptors: it numbers the log's distinct descriptors in
 their canonical order, so the analysis, the anonymizers and the variant and
 directly-follows helpers hash, compare and sort small ints and decode only
 what they return.  Untimed perspectives do not depend on the timestamp
-accuracy, so one projection serves them at every accuracy.
+accuracy, so one projection serves them at every accuracy; a log cut by
+global suppression is handed its codes (:meth:`EventLog._without`).
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate, compress
 from operator import attrgetter
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -100,10 +103,6 @@ class Perspective(Enum):
     AT = "AT"
     RT = "RT"
     ART = "ART"
-
-    @property
-    def has_activity(self) -> bool:
-        return "A" in self.value
 
     @property
     def has_resource(self) -> bool:
@@ -186,15 +185,30 @@ class EventLog:
     _projection = (None, ((), ()))
 
     def __post_init__(self):
-        instances = tuple(self.instances)
-        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "instances", tuple(self.instances))
         object.__setattr__(self, "sensitive_attrs", tuple(self.sensitive_attrs))
+        self._check(self.sensitive_attrs)
+
+    @classmethod
+    def _built(cls, instances: tuple, sensitive_attrs: tuple, check_ids=True) -> "EventLog":
+        """The log of a tuple of cases that hold every attribute of the
+        ``sensitive_attrs`` tuple, built without checking that; duplicate ids
+        are still rejected unless ``check_ids`` is False."""
+        log = object.__new__(cls)
+        object.__setattr__(log, "instances", instances)
+        object.__setattr__(log, "sensitive_attrs", sensitive_attrs)
+        if check_ids:
+            log._check(())
+        return log
+
+    def _check(self, attrs: tuple) -> None:
+        """Reject a repeated case id and a case that lacks one of ``attrs``."""
         seen = set()
-        for inst in instances:
+        for inst in self.instances:
             if inst.case_id in seen:
                 raise LogError(f"duplicate case id {inst.case_id!r}")
             seen.add(inst.case_id)
-            for attr in self.sensitive_attrs:
+            for attr in attrs:
                 if attr not in inst.sensitive:
                     raise LogError(
                         f"case {inst.case_id!r} lacks declared sensitive attribute {attr!r}"
@@ -205,10 +219,6 @@ class EventLog:
 
     def __iter__(self) -> Iterator[ProcessInstance]:
         return iter(self.instances)
-
-    @property
-    def case_ids(self) -> tuple:
-        return tuple(inst.case_id for inst in self.instances)
 
     @property
     def total_events(self) -> int:
@@ -251,6 +261,40 @@ class EventLog:
             coded = _encode(self.instances, ps, accuracy)
             object.__setattr__(self, "_projection", (key, coded))
         return coded
+
+    def _cut(self, traces: Iterable[tuple]) -> tuple:
+        """``(log, dropped ids)``: each case with its trace replaced by the next
+        of ``traces``, a tuple of its events in order, emptied cases dropped.
+        A monotone shift or floor of every timestamp keeps the order."""
+        kept, dropped = [], []
+        for inst, trace in zip(self.instances, traces):
+            if trace is inst.trace:
+                kept.append(inst)
+            elif trace:  # a subsequence of an ordered trace is ordered
+                kept.append(ProcessInstance._ordered(inst.case_id, trace, dict(inst.sensitive)))
+            else:
+                dropped.append(inst.case_id)
+        return EventLog._built(tuple(kept), self.sensitive_attrs, check_ids=False), tuple(dropped)
+
+    def _without(self, ps: Perspective, accuracy: TimestampAccuracy, descriptors: set) -> tuple:
+        """:meth:`_cut` to the events whose projection is none of
+        ``descriptors``.  The pass that keeps a case's events keeps their
+        codes, numbered on past the vanished ones, as the new log's slot."""
+        traces, alphabet = self.coded(ps, accuracy)
+        keep = [e not in descriptors for e in alphabet]
+        renumber = None if all(keep) else list(accumulate(keep, initial=-1))[1:]
+        cut, coded = [], []
+        for inst, codes in zip(self.instances, traces):
+            kept = list(map(keep.__getitem__, codes))
+            cut.append(tuple(compress(inst.trace, kept)))
+            if renumber is not None:
+                codes = tuple(map(renumber.__getitem__, compress(codes, kept)))
+            if codes:
+                coded.append(codes)
+        log, dropped = self._cut(cut)
+        coded = (tuple(coded), tuple(compress(alphabet, keep)))
+        object.__setattr__(log, "_projection", ((ps, accuracy if ps.has_time else None), coded))
+        return log, dropped
 
 
 @dataclass(frozen=True, slots=True)
@@ -342,15 +386,7 @@ def relative_timestamps(trace: Sequence[Event], t0: int = 0) -> tuple:
 
 def relativize_log(log: EventLog, t0: int = 0) -> EventLog:
     """Rebase every case to the shared origin ``t0`` (Unix epoch by default)."""
-    return EventLog(
-        tuple(
-            ProcessInstance(
-                inst.case_id, relative_timestamps(inst.trace, t0), inst.sensitive
-            )
-            for inst in log
-        ),
-        log.sensitive_attrs,
-    )
+    return log._cut(relative_timestamps(inst.trace, t0) for inst in log)[0]
 
 
 def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog:
@@ -363,17 +399,9 @@ def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog
     if accuracy.unit_seconds == 1:
         return log
     make = event_maker(accuracy)
-    return EventLog(
-        tuple(
-            ProcessInstance(
-                inst.case_id,
-                tuple(make(ev.activity, ev.resource, ev.timestamp) for ev in inst.trace),
-                inst.sensitive,
-            )
-            for inst in log
-        ),
-        log.sensitive_attrs,
-    )
+    return log._cut(
+        tuple(make(ev.activity, ev.resource, ev.timestamp) for ev in inst.trace) for inst in log
+    )[0]
 
 
 def event_maker(accuracy: TimestampAccuracy):

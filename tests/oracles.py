@@ -1,17 +1,20 @@
 """Brute-force reference implementations, kept independent of the package
 internals: containment is re-derived from scratch, candidates are enumerated
-exhaustively, the transport problem is searched on a grid, edit distances
-are filled cell by cell, and XES goes through a whole ElementTree.
+exhaustively, the greedy rounds rank descriptors one by one, the transport
+problem is searched on a grid, edit distances are filled cell by cell, and
+XES goes through a whole ElementTree.
 """
 
 import itertools
 import math
 import random
 import xml.etree.ElementTree as ET
+import zlib
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
 from tlkcpriv import (
     BkType,
@@ -42,7 +45,7 @@ def project_raw(inst, ps: Perspective, unit: int):
     for ev in inst.trace:
         out.append(
             ProjectedEvent(
-                ev.activity if ps.has_activity else None,
+                ev.activity if "A" in ps.value else None,
                 ev.resource if ps.has_resource else None,
                 ev.timestamp // unit if ps.has_time else None,
             )
@@ -174,8 +177,8 @@ def brute_verdict(log: EventLog, bk_type, bk_attr, elements, ps, unit, K, C, sen
 def proper_sub_candidates(cand: Candidate):
     """Every non-empty proper sub-candidate of ``cand``, any size, each once."""
     seen = set()
-    for size in range(1, cand.size):
-        for positions in itertools.combinations(range(cand.size), size):
+    for size in range(1, len(cand.elements)):
+        for positions in itertools.combinations(range(len(cand.elements)), size):
             sub = Candidate(cand.bk_type, tuple(cand.elements[i] for i in positions))
             if sub not in seen:
                 seen.add(sub)
@@ -220,6 +223,107 @@ def brute_suppress(log: EventLog, descriptors, ps: Perspective, unit: int):
         else:
             dropped.append(inst.case_id)
     return tuple(kept), tuple(dropped)
+
+
+# --- descriptor-level greedy rounds ---------------------------------------------
+
+
+class _Tally:
+    """Per descriptor, how many still-alive item sets contain it."""
+
+    def __init__(self, item_sets):
+        self.sets = [set(items) for items in item_sets]
+        self.alive = set(range(len(self.sets)))
+        self.count: Counter = Counter()
+        self.holders: dict = {}
+        for i, elems in enumerate(self.sets):
+            for e in elems:
+                self.count[e] += 1
+                self.holders.setdefault(e, []).append(i)
+
+    def delete_containing(self, e: ProjectedEvent) -> None:
+        for i in self.holders.get(e, ()):
+            if i in self.alive:
+                self.alive.remove(i)
+                for x in self.sets[i]:
+                    self.count[x] -= 1
+
+
+class _GreedyIndex:
+    """The surviving minimal violations and frequent subtraces of a round,
+    counted per descriptor; ``privacy_gain``, ``utility_loss`` and ``len``
+    let it stand in for both sets that ``score`` and ``n_score`` take."""
+
+    def __init__(self, mvt, mft):
+        self.mvts = _Tally(c.elements for c in mvt.candidates)
+        self.mfts = _Tally(p for p, _ in mft)
+
+    def __len__(self):
+        return len(self.mvts.alive)
+
+    def privacy_gain(self, e: ProjectedEvent) -> int:
+        return self.mvts.count[e]
+
+    def utility_loss(self, e: ProjectedEvent) -> int:
+        return self.mfts.count[e]
+
+    def events(self):
+        return [e for e, n in self.mvts.count.items() if n > 0]
+
+    def delete_containing(self, winner: ProjectedEvent) -> None:
+        self.mvts.delete_containing(winner)
+        self.mfts.delete_containing(winner)
+
+
+def _seeded_order(seed):
+    if seed is None:
+        return ProjectedEvent.sort_key
+    return lambda e: (zlib.crc32(f"{seed}:{e}".encode()), e.sort_key())
+
+
+def descriptor_greedy(log: EventLog, anonymizer):
+    """The greedy rounds of a ``TlkcAnonymizer`` or ``TlkcExtAnonymizer``
+    run on descriptors, each rank through the public ``score`` / ``n_score``
+    and each suppression by :func:`brute_suppress`: ``(iterations as
+    (winner, score, remaining violations), dropped ids, output log)``, or
+    the ``ParameterError`` text when the log empties."""
+    from tlkcpriv import (
+        PrivacyParams, coverage, enumerate_mft, enumerate_mvt, n_score, score,
+    )
+
+    a = anonymizer
+    params = PrivacyParams(a.accuracy, a.L, a.K, a.C, a.bk, a.sensitive)
+    ps, unit = params.perspective, params.accuracy.unit_seconds
+    order = _seeded_order(a.tie_break)
+    current, iterations, dropped = log, [], []
+    while True:
+        mvt = enumerate_mvt(current, params)
+        if len(mvt) == 0:
+            break
+        if hasattr(a, "theta"):
+            mft = enumerate_mft(current, ps, a.theta, params.accuracy)
+            rank = lambda e, index: score(e, index, index)  # noqa: E731
+        else:
+            mft, cov = (), coverage(current, ps, params.accuracy)
+            rank = lambda e, index: n_score(e, index, cov, a.alpha, a.beta)  # noqa: E731
+        index = _GreedyIndex(mvt, mft)
+        winners = []
+        while len(index):
+            events = index.events()
+            ranks = {e: (rank(e, index), index.privacy_gain(e)) for e in events}
+            best = max(ranks.values())
+            winner = min((e for e in events if ranks[e] == best), key=order)
+            winners.append(winner)
+            index.delete_containing(winner)
+            iterations.append((winner, best[0], len(index)))
+        kept, gone = brute_suppress(current, set(winners), ps, unit)
+        current = EventLog(kept, current.sensitive_attrs)
+        dropped.extend(gone)
+        if not kept:
+            return "suppression emptied the whole log"
+        if not gone:
+            break
+    return iterations, tuple(dropped), current
 
 
 def brute_focal(log: EventLog, attrs):
@@ -571,3 +675,19 @@ def random_log(
             )
         )
     return EventLog(tuple(instances), tuple(sensitive))
+
+
+@st.composite
+def hypothesis_logs(draw, max_cases=10, max_events=5):
+    """Hour-stamped logs in the shape of :func:`random_log`, drawn by Hypothesis."""
+    instances = []
+    for cid in range(draw(st.integers(2, max_cases))):
+        hours = sorted(draw(st.lists(st.integers(0, 8), min_size=1, max_size=max_events)))
+        trace = tuple(
+            Event(draw(st.sampled_from(ACTIVITIES)), draw(st.sampled_from(RESOURCES)), h * HOUR)
+            for h in hours
+        )
+        instances.append(
+            ProcessInstance(f"c{cid}", trace, {"Disease": draw(st.sampled_from(DISEASES))})
+        )
+    return EventLog(tuple(instances), ("Disease",))

@@ -2,15 +2,21 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlkcpriv import (
     BkAttr,
     BkSpec,
     BkType,
     Candidate,
+    Event,
+    EventLog,
     LogError,
+    MvtSet,
     Perspective,
     PrivacyParams,
+    ProcessInstance,
     ProjectedEvent,
     TimestampAccuracy,
     audit_tlkc,
@@ -29,6 +35,7 @@ from .oracles import (
     brute_focal,
     brute_mft,
     brute_mvt,
+    hypothesis_logs,
     proper_sub_candidates,
     random_log,
 )
@@ -98,6 +105,15 @@ class TestFocalValues:
     def test_matches_independent_derivation(self, hospital_log):
         got = focal_values(hospital_log, ("Disease", "Age"))
         assert got == brute_focal(hospital_log, ("Disease", "Age"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, 1.0, True, "x", "y", None, float("nan")]),
+                    min_size=1, max_size=8))
+    def test_ties_and_equal_values_match_the_derivation(self, values):
+        # 1, 1.0 and True count as one value, seen first as whichever comes first
+        log = EventLog(tuple(ProcessInstance(str(i), (Event("a", None, 0),), {"D": v})
+                             for i, v in enumerate(values)), ("D",))
+        assert focal_values(log, ("D",))["D"] is brute_focal(log, ("D",))["D"]
 
 
 class TestIsViolating:
@@ -235,8 +251,9 @@ class TestMvt:
                     assert got == oracle
 
     def test_minimality_reads_only_the_walks_record(self, treatment_log, monkeypatch):
-        # mining makes no full-log match scan, and builds a verdict and a
-        # candidate for the minimal violations alone
+        # mining makes no full-log match scan and builds no verdict or
+        # candidate; reading the items builds them for the minimal
+        # violations alone, once
         import tlkcpriv.analysis as analysis
         from tlkcpriv.background import ProjectedLog
 
@@ -271,6 +288,8 @@ class TestMvt:
                     )
                     built.clear()
                     mvt = enumerate_mvt(log, params)
+                    assert built["verdicts"] == built["candidates"] == 0
+                    assert len(mvt.items) == len(mvt.candidates) == len(mvt)
                     assert built["verdicts"] == built["candidates"] == len(mvt)
                     found += len(mvt)
         assert found > 0
@@ -296,9 +315,39 @@ class TestMvt:
         mvt = enumerate_mvt(log, params)
         monkeypatch.undo()
         _, alphabet = log.coded(params.perspective, HOURS)
-        bound = len(alphabet) + sum(c.size for c in mvt.candidates)
+        bound = len(alphabet) + sum(len(c.elements) for c in mvt.candidates)
         assert len(mvt) > 0
         assert calls["__hash__"] + calls["__eq__"] <= bound, calls
+
+
+class TestLazyMvtSet:
+    """A mined :class:`MvtSet` decodes its items only when they are read, and
+    they equal an eager decode of its code rows, each checked on its own."""
+
+    @pytest.mark.parametrize("spec", [BkSpec(t, a) for t in BkType for a in BkAttr], ids=str)
+    @settings(max_examples=25, deadline=None)
+    @given(log=hypothesis_logs(), L=st.integers(1, 3), K=st.integers(2, 3),
+           C=st.sampled_from([0.5, 1.0]))
+    def test_items_equal_an_eager_decode(self, spec, log, L, K, C):
+        params = PrivacyParams(accuracy="hours", L=L, K=K, C=C, bk=spec, sensitive=("Disease",))
+        mvt = enumerate_mvt(log, params)
+        assert mvt._items is None
+        _, alphabet = log.coded(spec.perspective, HOURS)
+        eager = []
+        for codes, _ in mvt.levels:
+            for row in codes.tolist():
+                cand = Candidate(spec.bk_type, tuple(alphabet[c] for c in row))
+                eager.append((cand, is_violating(cand, log, params)))
+        assert len(mvt) == len(eager)
+        assert mvt.items == tuple(eager)
+        assert mvt.candidates == tuple(c for c, _ in eager)
+        assert mvt.items is mvt.items
+
+    def test_built_from_items(self, treatment_mvt):
+        items = treatment_mvt.items
+        built = MvtSet(items)
+        assert built.items == items and len(built) == len(items) and built.levels == ()
+        assert list(built) == list(items) and MvtSet().items == ()
 
 
 class TestMft:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlkcpriv import (
     Baseline1,
@@ -38,10 +40,17 @@ from .conftest import (
     build_log,
     hours_view,
 )
-from .oracles import brute_suppress, project_raw, random_log
+from .oracles import (
+    brute_suppress,
+    descriptor_greedy,
+    hypothesis_logs,
+    project_raw,
+    random_log,
+)
 from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
+SPECS = [BkSpec(t, a) for t in BkType for a in BkAttr]
 
 
 def pe(a=None, r=None, t=None):
@@ -383,8 +392,10 @@ class TestGreedyCoreAgainstScores:
 
 
 class TestOneProjectionPerRound:
-    """Every greedy round projects its log once, shared by MVT mining, MFT
-    mining or coverage, and global suppression; an audit projects once."""
+    """A greedy job projects its input once: MVT mining, MFT mining or
+    coverage and global suppression share it, and suppression hands the
+    surviving log its projection for the next round; an audit projects
+    once."""
 
     COMMON = dict(accuracy="hours", L=2, K=5, C=0.8, bk="seq/ar", sensitive=("Disease",))
 
@@ -426,8 +437,76 @@ class TestOneProjectionPerRound:
         monkeypatch.setattr(tlkcpriv.anonymize, "enumerate_mvt", recording)
         result = anonymizer.anonymize(self._log())
         assert len(round_sizes) >= 2 and result.dropped_cases
-        assert builds == [Perspective.AR] * len(round_sizes)
+        # later rounds read the projection that suppression carried over
+        assert builds == [Perspective.AR]
 
     def test_audit(self, builds):
         audit_tlkc(self._log(), PrivacyParams(**self.COMMON))
         assert builds == [Perspective.AR]
+
+
+class TestGreedyAgainstDescriptorOracle:
+    """Both TLKC anonymizers pick, score and suppress as the descriptor-level
+    greedy rounds of ``oracles.descriptor_greedy`` do, and every suppression
+    hands the surviving log the projection a fresh one would build."""
+
+    @staticmethod
+    def _fresh(log, ps):
+        from tlkcpriv.log import _encode
+
+        return (ps, HOURS if ps.has_time else None), _encode(log.instances, ps, HOURS)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        log=hypothesis_logs(),
+        L=st.integers(1, 3),
+        K=st.integers(2, 3),
+        C=st.sampled_from([0.5, 1.0]),
+        tie_break=st.none() | st.integers(0, 99),
+        theta=st.none() | st.sampled_from([0.0, 0.1, 0.25]),
+        alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_greedy_equals_the_oracle(self, spec, log, L, K, C, tie_break, theta, alpha):
+        import tlkcpriv.anonymize
+
+        common = dict(accuracy="hours", L=L, K=K, C=C, bk=spec, sensitive=("Disease",),
+                      tie_break=tie_break)
+        if theta is None:
+            anonymizer = TlkcExtAnonymizer(alpha=alpha, beta=1 - alpha, **common)
+        else:
+            anonymizer = TlkcAnonymizer(theta=theta, **common)
+        want = descriptor_greedy(log, anonymizer)
+        suppressed = []
+
+        def recording(*args):
+            out, dropped = suppress_global(*args)
+            suppressed.append(out)
+            return out, dropped
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tlkcpriv.anonymize, "suppress_global", recording)
+            try:
+                got = anonymizer.anonymize(log)
+            except ParameterError as exc:
+                assert isinstance(want, str) and str(exc).startswith(want)
+                return
+        iterations, dropped, out = want
+        assert [(r.winner, r.score, r.remaining_mvts) for r in got.iterations] == iterations
+        assert all(type(r.score) is float for r in got.iterations)
+        assert got.dropped_cases == dropped
+        assert got.log == out
+        for log_after in suppressed:
+            assert log_after._projection == self._fresh(log_after, spec.perspective)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(log=hypothesis_logs(), data=st.data())
+    def test_suppression_carries_a_fresh_projection(self, spec, log, data):
+        ps = spec.perspective
+        _, alphabet = log.coded(ps, HOURS)
+        chosen = data.draw(st.sets(st.sampled_from(alphabet)))
+        out, dropped = suppress_global(log, chosen, ps, HOURS)
+        kept, want_dropped = brute_suppress(log, chosen, ps, HOURS.unit_seconds)
+        assert (out.instances, dropped) == (kept, want_dropped)
+        assert out._projection == self._fresh(out, ps)

@@ -113,7 +113,7 @@ class TestMatch:
                         assert indices == oracle
                         assert plog.match_indices(cand) == oracle
                         triple_repeats += (
-                            bk_type is BkType.MULT and cand.size == 3 and len(set(cand.elements)) == 1
+                            bk_type is BkType.MULT and len(cand.elements) == 3 and len(set(cand.elements)) == 1
                         )
         assert triple_repeats > 0
 
@@ -123,7 +123,7 @@ class TestMatch:
         of one descriptor (timed twins under rel) and random draws."""
         ps = plog.spec.perspective
         absent = ProjectedEvent(
-            "zz" if ps.has_activity else None,
+            "zz" if "A" in ps.value else None,
             "zz" if ps.has_resource else None,
             999 if ps.has_time else None,
         )

@@ -221,6 +221,24 @@ class TestAudit:
         assert written.startswith("# effective configuration\n")
         assert written.endswith(out) and out.startswith("privacy audit: NOT satisfied")
 
+    def test_hospital_reports_keep_their_bytes(self, tmp_path, capsys, monkeypatch):
+        # the JSON reports of an L=3 audit of the hospital log on all twelve
+        # specs, as the eagerly decoded minimal violations wrote them
+        import hashlib
+
+        monkeypatch.chdir(DATA)  # the report echoes the input path
+        digest = hashlib.sha256()
+        for bk in ("set", "mult", "seq", "rel"):
+            for attr in ("ac", "re", "ar"):
+                report = tmp_path / f"{bk}-{attr}.json"
+                assert run(["audit", "-i", "hospital_log.xes", "-T", "hours", "-L", "3",
+                            "-K", "2", "-C", "0.5", "--sensitive", "Disease",
+                            "--bk", f"{bk}/{attr}", "--report-json", str(report)]) == 1
+                digest.update(report.read_bytes())
+        assert digest.hexdigest() == (
+            "0f454566293fac164b5a48566a210a34ca77d675155cafb15be84309ef4b08da"
+        )
+
     def test_vacuous_requirements_pass(self):
         code = run(
             ["audit", "-i", TREATMENT, "-T", "hours", "-L", "2", "-K", "1",

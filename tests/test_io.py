@@ -1700,6 +1700,12 @@ class TestRunConfig:
         with pytest.raises(LogError, match=rf"run\.conf:3: unknown config key '{key}'"):
             read_config(target)
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # as Windows Notepad saves UTF-8
+        target = tmp_path / "bom.conf"
+        target.write_bytes(b"\xef\xbb\xbfalgorithm = tlkc-ext\nK = 3\n")
+        assert read_config(target) == {"algorithm": "tlkc-ext", "K": 3}
+
     def test_malformed_file_reported(self, tmp_path):
         target = tmp_path / "bad.conf"
         target.write_text("K: 2\n")

@@ -63,6 +63,15 @@ class TestModel:
         with pytest.raises(LogError, match="sensitive"):
             EventLog((inst,), ("Disease",))
 
+    def test_constructor_rejects_cases_from_logs(self, treatment_log):
+        # readers and suppression build logs without the checks their cases
+        # pass by construction; the public constructor still makes both
+        cases = treatment_log.instances
+        with pytest.raises(LogError, match="^duplicate case id '1'$"):
+            EventLog(list(cases) + [cases[0]], ("Disease",))
+        with pytest.raises(LogError, match="^case '1' lacks declared sensitive attribute 'Age'$"):
+            EventLog(cases, ("Disease", "Age"))
+
     def test_empty_activity_rejected(self):
         with pytest.raises(LogError):
             Event("", None, 0)
@@ -157,6 +166,7 @@ class TestOrderedConstructor:
         assert out == EventLog(
             tuple(ProcessInstance(i.case_id, list(i.trace), i.sensitive) for i in out)
         )
+        assert type(out.instances) is tuple and type(out.sensitive_attrs) is tuple
 
 
 class TestProjectedLog:
