@@ -483,6 +483,8 @@ def parse_candidate(text: str, spec: BkSpec) -> Candidate:
         act = act or None
         if rep is not None and spec.bk_type is not BkType.MULT:
             raise CandidateSyntaxError(text, pos, "^count is only valid in multisets")
+        if rep is not None and int(rep) == 0:
+            raise CandidateSyntaxError(text, pos, "^count must be at least 1")
         if spec.bk_attr is BkAttr.AC and (res or not act):
             raise CandidateSyntaxError(text, pos, "activity-based elements are plain labels")
         if spec.bk_attr is BkAttr.RE:
@@ -505,7 +507,7 @@ def parse_candidate(text: str, spec: BkSpec) -> Candidate:
             resource=res if spec.bk_attr in (BkAttr.RE, BkAttr.AR) else None,
             time=int(time) if time is not None else None,
         )
-        elements.extend([elem] * (int(rep) if rep else 1))
+        elements.extend([elem] * int(rep or 1))
         pos += len(chunk) + 1
     return Candidate(spec.bk_type, tuple(elements))
 

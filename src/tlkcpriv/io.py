@@ -1,13 +1,13 @@
 """Reading and writing event logs (XES, CSV) and run configuration.
 
-Timestamps are parsed to whole epoch seconds (UTC; naive stamps are taken as
-UTC).  Each reader floors them to its ``accuracy`` as it reads, sharing equal
-events as :func:`~tlkcpriv.log.truncate_to_accuracy` does, but orders each
-case on the exact seconds: a read at ``T`` equals a read at seconds truncated
-to ``T``.  Both formats round-trip every modeled field: case id, activity,
-resource, timestamp and the declared case-level sensitive attributes.  XES
-values keep the type their tag names; CSV cells are text, so CSV sensitive
-values are read as numbers where they parse.
+Timestamps are floored to whole epoch seconds (UTC; naive stamps are taken
+as UTC).  Both readers build their cases through :func:`~tlkcpriv.log.case_maker`
+(ordered on the exact seconds, then floored to ``accuracy``), as
+:func:`~tlkcpriv.log.truncate_to_accuracy` does: a read at ``T`` equals a
+read at seconds truncated to ``T``.  Both formats round-trip every modeled
+field: case id, activity, resource, timestamp and the declared case-level
+sensitive attributes.  XES values keep the type their tag names; CSV cells
+are text, so CSV sensitive values are read as numbers where they parse.
 """
 
 from __future__ import annotations
@@ -17,14 +17,14 @@ import logging
 import math
 import re
 from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
 
 from .analysis import check_requirements
-from .log import Event, EventLog, LogError, ProcessInstance, TimestampAccuracy, event_maker
+from .log import Event, EventLog, LogError, TimestampAccuracy, _Memo, case_maker
 
 __all__ = [
     "LogFileError",
@@ -68,18 +68,25 @@ class CsvColumnMap:
             raise LogError("case, activity and timestamp columns must be distinct")
 
 
+_EPOCH, _SECOND = datetime(1970, 1, 1, tzinfo=timezone.utc), timedelta(seconds=1)
+_FRACTION = re.compile(r"(?<=:\d\d)\.(\d+)")  # of the seconds, any number of digits
+
+
 def _parse_timestamp(text: str, fmt: str) -> int:
+    """The whole epoch seconds at or before a timestamp (floor, with no float
+    in between); an ISO fraction is cut or padded to microseconds first."""
     text = text.strip()
     try:
         if fmt == ISO_FORMAT:
-            dt = datetime.fromisoformat(text.replace("Z", "+00:00"))
+            iso = _FRACTION.sub(lambda m: f".{m[1]:0<6.6}", text, 1) if "." in text else text
+            dt = datetime.fromisoformat(iso.replace("Z", "+00:00"))
         else:
             dt = datetime.strptime(text, fmt)
     except ValueError as exc:
         raise LogError(f"cannot parse timestamp {text!r}: {exc}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return int(dt.timestamp())
+    return (dt - _EPOCH) // _SECOND
 
 
 def _format_timestamp(seconds: int, fmt: str) -> str:
@@ -87,21 +94,6 @@ def _format_timestamp(seconds: int, fmt: str) -> str:
     if fmt == ISO_FORMAT:
         return dt.isoformat().replace("+00:00", "Z")
     return dt.strftime(fmt)
-
-
-class _Memo(dict):
-    """``convert(key)`` of each key, computed on its first lookup; made for
-    one read or write, since logs repeat few distinct timestamps and labels."""
-
-    __slots__ = ("convert",)
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
 
 
 def _coerce_value(text):
@@ -142,9 +134,10 @@ def read_csv(
     means no resource.  Errors name the file and the row.
     """
     path = Path(path)
-    make_event = event_maker(TimestampAccuracy.parse(accuracy))
+    make = case_maker(TimestampAccuracy.parse(accuracy))
     parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
     coerce = _Memo(_coerce_value).__getitem__
+    label = _Memo(str).__getitem__  # one string per distinct label, held until the build
     try:
         handle = path.open(newline="", encoding="utf-8-sig")  # a byte-order mark is skipped
     except OSError as exc:
@@ -163,7 +156,7 @@ def read_csv(
         case_at, activity_at, stamp_at = (column[c] for c in needed[:3])
         attrs_at = [column[a] for a in attrs]
         resource_at = column[colmap.resource_col] if colmap.resource_col else None
-        cases: dict = {}  # case id -> its (exact timestamp, event) pairs and sensitive values
+        cases: dict = {}  # case id -> its events' fields in file order and sensitive values
         next_line = reader.line_num + 1
         for row in reader:
             lineno, next_line = next_line, reader.line_num + 1  # the line the record starts on
@@ -173,7 +166,7 @@ def read_csv(
                 raise LogError(
                     f"{path}: row {lineno} has {len(row)} cells; the header has {len(header)}"
                 )
-            cid, activity = row[case_at], row[activity_at]
+            cid, activity = row[case_at], label(row[activity_at])
             if not cid:
                 raise LogError(f"{path}: row {lineno} has an empty case id")
             if not activity:
@@ -182,24 +175,24 @@ def read_csv(
                 ts = parse_stamp(row[stamp_at])
             except LogError as exc:
                 raise LogError(f"{path}: row {lineno}: {exc}") from None
-            resource = (row[resource_at] or None) if resource_at is not None else None
+            resource = (label(row[resource_at]) or None) if resource_at is not None else None
             # typed, as True == 1 == 1.0 would hide a conflict
             values = tuple((type(v), v) for v in (coerce(row[i]) for i in attrs_at))
-            events, first = cases.setdefault(cid, ([], values))
+            case = cases.get(cid) or cases.setdefault(cid, ([], [], [], values))
+            activities, resources, seconds, first = case
             if values != first:
                 attr, old, new = next(d for d in zip(attrs, first, values) if d[1] != d[2])
                 raise LogError(
                     f"{path}: row {lineno}: case {cid!r} has conflicting values "
                     f"{sorted([str(old[1]), str(new[1])])} for sensitive attribute {attr!r}"
                 )
-            events.append((ts, make_event(activity, resource, ts)))
-
-    instances = []
-    for cid, (events, values) in cases.items():
-        events.sort(key=itemgetter(0))  # stable: file order breaks ties
-        sensitive = {attr: v for attr, (_, v) in zip(attrs, values)}
-        instances.append(ProcessInstance._ordered(cid, tuple(ev for _, ev in events), sensitive))
-    return EventLog._built(tuple(instances), attrs)
+            activities.append(activity)
+            resources.append(resource)
+            seconds.append(ts)
+    return EventLog._built(tuple(
+        make(cid, *fields, {attr: v for attr, (_, v) in zip(attrs, values)})
+        for cid, (*fields, values) in cases.items()
+    ), attrs)
 
 
 def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> None:
@@ -241,7 +234,8 @@ _XES_LOG_TAG = f'<log xes.version="2.0" xmlns="{_XES_NS}"'
 
 
 def _xes_float(text):
-    """A float, or its text when not finite (as :func:`_coerce_value`)."""
+    """A float, or Python's spelling of it when not finite (``NaN`` and
+    `` nan `` read as ``nan``, ``1e999`` as ``inf``), which stays text."""
     value = float(text)
     return value if math.isfinite(value) else str(value)
 
@@ -364,11 +358,8 @@ class _XesCases:
     def __init__(self, path, sensitive_attrs, accuracy):
         self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
         self.kept = {"concept:name", "org:resource", "time:timestamp", *self.sensitive_attrs}
-        accuracy = TimestampAccuracy.parse(accuracy)
         self.seconds = _Memo(lambda text: _parse_timestamp(text, ISO_FORMAT))
-        # above seconds, floored timestamps and one shared Event per distinct event
-        self.floors = None if accuracy.unit_seconds == 1 else _Memo(accuracy.flooring())
-        self.events = _Memo(lambda key: Event(*key))
+        self.case = case_maker(TimestampAccuracy.parse(accuracy))
         # text with values emptied -> its plan (None for a layout no plan
         # builds); a stretch of it -> its part (False for text out of the form)
         self.plans, self.parts, self.held = {}, {}, 0
@@ -405,8 +396,8 @@ class _XesCases:
             for attr, cast in plan.casts.items():
                 sensitive[attr] = cast(sensitive[attr])
             seconds = list(map(self.seconds.__getitem__, plan.pick_stamps(values)))
-            case = self._case(values[plan.case_at], plan.pick_acts(values),
-                              plan.pick_resources(values), seconds, sensitive)
+            case = self.case(values[plan.case_at], plan.pick_acts(values),
+                             plan.pick_resources(values), seconds, sensitive)
         except ValueError:  # LogError included
             return False
         self.instances.append(case)
@@ -520,21 +511,7 @@ class _XesCases:
             resource = fields.get("org:resource")
             resources.append(None if resource is None else str(resource))
         sensitive = {attr: attrs.get(attr) for attr in self.sensitive_attrs}
-        return self._case(str(case_id), activities, resources, seconds, sensitive)
-
-    def _case(self, case_id, activities, resources, seconds, sensitive):
-        """The case of its events' fields in file order, ordered by seconds
-        (stable: file order breaks ties) and then floored."""
-        if sorted(seconds) != seconds:
-            pick = itemgetter(*sorted(range(len(seconds)), key=seconds.__getitem__))
-            activities, resources, seconds = pick(activities), pick(resources), pick(seconds)
-        if self.floors is None:
-            trace = tuple(map(Event, activities, resources, seconds))
-        else:
-            floored = map(self.floors.__getitem__, seconds)
-            trace = tuple(map(self.events.__getitem__, zip(activities, resources, floored)))
-        make = ProcessInstance._ordered if trace else ProcessInstance  # which rejects no events
-        return make(case_id, trace, sensitive)
+        return self.case(str(case_id), activities, resources, seconds, sensitive)
 
 
 _BLOCK_BYTES = 1 << 16  # read at a time
@@ -651,7 +628,7 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     trace/event attributes are dropped with a counted warning.  Only direct
     children of ``<trace>`` and ``<event>`` are attributes.  A value is read
     by its tag: ``<string>``, ``<id>`` and ``<date>`` verbatim, ``<int>`` and
-    ``<float>`` as numbers (a non-finite float as its text), ``<boolean>``
+    ``<float>`` as numbers (a non-finite float as Python spells it), ``<boolean>``
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
     is an error naming the file, case and key, as is an unparsable timestamp.
 

@@ -8,11 +8,11 @@ shared origin, which keeps timed matching a plain equality check.
 
 Logs are immutable after construction and all operations here are pure
 functions, safe for concurrent readers.  Events and cases are values: equal
-events may be one shared object (:func:`truncate_to_accuracy` makes one per
-distinct floored event), a log derived from another may share its unchanged
-cases, and identity is not part of the model.  :meth:`EventLog.coded`
-caches a pure function in one assignment, so concurrent readers at worst
-project twice.
+events may be one shared object (:func:`case_maker`, which builds every read
+or truncated case, makes one per distinct floored event), a log derived from
+another may share its unchanged cases, and identity is not part of the
+model.  :meth:`EventLog.coded` caches a pure function in one assignment, so
+concurrent readers at worst project twice.
 
 A projection is kept in integer codes, and :meth:`EventLog.coded` is the one
 place events become descriptors: it numbers the log's distinct descriptors in
@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -74,12 +74,6 @@ class TimestampAccuracy(Enum):
     @property
     def unit_seconds(self) -> int:
         return {"seconds": 1, "minutes": 60, "hours": 3600, "days": 86400}[self.value]
-
-    def flooring(self):
-        """``timestamp`` -> the start of its unit: the one flooring rule of
-        :func:`event_maker` and the readers."""
-        unit = self.unit_seconds
-        return lambda timestamp: timestamp - timestamp % unit
 
     @classmethod
     def parse(cls, text) -> "TimestampAccuracy":
@@ -392,32 +386,57 @@ def relativize_log(log: EventLog, t0: int = 0) -> EventLog:
 def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog:
     """Floor every timestamp to its accuracy-unit boundary (stable, idempotent).
 
-    Equal floored events come out as one shared :class:`Event`, so a log
-    floored to hours holds one object per distinct event rather than one per
-    occurrence; identity is not part of the model.
+    Each case is rebuilt by :func:`case_maker`, so a log floored to hours
+    holds one :class:`Event` per distinct event rather than one per occurrence.
     """
     if accuracy.unit_seconds == 1:
         return log
-    make = event_maker(accuracy)
-    return log._cut(
-        tuple(make(ev.activity, ev.resource, ev.timestamp) for ev in inst.trace) for inst in log
-    )[0]
+    make, fields = case_maker(accuracy), attrgetter("activity", "resource", "timestamp")
+    cases = []
+    for inst in log:
+        activities, resources, seconds = map(list, zip(*map(fields, inst.trace)))
+        cases.append(make(inst.case_id, activities, resources, seconds, dict(inst.sensitive)))
+    return EventLog._built(tuple(cases), log.sensitive_attrs, check_ids=False)
 
 
-def event_maker(accuracy: TimestampAccuracy):
-    """``(activity, resource, timestamp)`` -> its :class:`Event` at ``accuracy``.
+class _Memo(dict):
+    """``convert(key)`` of each key, computed on its first lookup; made for
+    one read, write or maker, since logs repeat few distinct values."""
 
-    The timestamp is floored to its unit boundary and equal results share one
-    object per maker.  At seconds there is nothing to floor or share, so the
-    maker is :class:`Event` itself.
-    """
-    if accuracy.unit_seconds == 1:
-        return Event
-    floor, shared = accuracy.flooring(), {}
+    __slots__ = ("convert",)
 
-    def make(activity, resource, timestamp):
-        key = (activity, resource, floor(timestamp))
-        return shared.get(key) or shared.setdefault(key, Event(*key))
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+def case_maker(accuracy: TimestampAccuracy):
+    """``(case_id, activities, resources, seconds, sensitive)`` -> its
+    :class:`ProcessInstance` at ``accuracy``: the one builder of the readers'
+    and :func:`truncate_to_accuracy`'s cases, from their events' fields in
+    source order (``seconds`` a list of exact timestamps).  Events are ordered
+    by exact seconds (stable: file order breaks ties), then floored, and equal
+    floored events share one object per maker.  No events raise the
+    constructor's error."""
+    unit = accuracy.unit_seconds
+    floors = None if unit == 1 else _Memo(lambda seconds: seconds - seconds % unit)
+    events = _Memo(lambda key: Event(*key))
+
+    def make(case_id, activities, resources, seconds, sensitive):
+        if sorted(seconds) != seconds:
+            pick = itemgetter(*sorted(range(len(seconds)), key=seconds.__getitem__))
+            activities, resources, seconds = pick(activities), pick(resources), pick(seconds)
+        if floors is None:
+            trace = tuple(map(Event, activities, resources, seconds))
+        else:
+            floored = map(floors.__getitem__, seconds)
+            trace = tuple(map(events.__getitem__, zip(activities, resources, floored)))
+        build = ProcessInstance._ordered if trace else ProcessInstance  # which rejects no events
+        return build(case_id, trace, sensitive)
 
     return make
 
@@ -470,6 +489,8 @@ def discretize_sensitive(log: EventLog, attr: str) -> EventLog:
     values strictly above Q3 become "high", strictly below Q1 "low",
     everything else "middle".
     """
+    if attr not in log.sensitive_attrs:
+        raise LogError(f"cannot discretize {attr!r}: it is not a declared sensitive attribute")
     values = []
     for inst in log:
         v = inst.sensitive.get(attr)

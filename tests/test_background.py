@@ -336,3 +336,10 @@ class TestLiterals:
         with pytest.raises(CandidateSyntaxError) as err:
             parse_candidate("{a,b/r/x}", BkSpec.parse("set/ac"))
         assert "position" in str(err.value)
+
+    # a zero count would drop its element and attack on knowledge never given
+    @pytest.mark.parametrize("literal, pos", [("[VI^0,IN]", 1), ("[VI^0]", 1), ("[IN,VI^00]", 4)])
+    def test_zero_count_reported_at_its_element(self, literal, pos):
+        message = rf"position {pos}: \^count must be at least 1$"
+        with pytest.raises(CandidateSyntaxError, match=message):
+            parse_candidate(literal, BkSpec.parse("mult/ac"))

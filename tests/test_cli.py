@@ -286,6 +286,11 @@ class TestAttack:
         assert code == 2
         assert "position" in capsys.readouterr().err
 
+    def test_zero_count_is_usage_error(self, capsys):
+        code = run(["attack", "-i", HOSPITAL, *HOSPITAL_FLAGS, "--bk", "mult/ac", "[VI^0,IN]"])
+        assert code == 2
+        assert "position 1: ^count must be at least 1" in capsys.readouterr().err
+
 
 class TestEvaluate:
     def test_identical_logs_emd(self, capsys, tmp_path):
@@ -388,6 +393,17 @@ class TestDiscretizeFlag:
         assert code == 0
         out = capsys.readouterr().out
         assert "high=" in out and "low=" in out
+
+
+    def test_undeclared_attribute_is_usage_error(self, capsys):
+        code = run(
+            ["attack", "-i", HOSPITAL, "--csv-timestamp-format", "%d.%m.%Y-%H:%M:%S",
+             "--sensitive", "Disease", "--discretize", "Age", "--bk", "set/ac", "{RE}"]
+        )
+        assert code == 2
+        assert "cannot discretize 'Age': it is not a declared sensitive attribute" in (
+            capsys.readouterr().err
+        )
 
 
 class TestStats:

@@ -1499,6 +1499,28 @@ def _shuffle_events(xes_text, rng):
     return re.sub(r"<trace>.*?</trace>", shuffle, xes_text, flags=re.S)
 
 
+def _write_stamps(target, cases):
+    """Write ``{case id: {activity: timestamp text}}`` as a CSV or XES log
+    (by the suffix), the events in the order given."""
+    if target.suffix == ".csv":
+        rows = "".join(f"{cid},{act},{ts}\n" for cid, evs in cases.items()
+                       for act, ts in evs.items())
+        target.write_text(f"CaseId,Activity,Timestamp\n{rows}")
+        return target
+    traces = "".join(
+        f'<trace><string key="concept:name" value="{cid}"/>'
+        + "".join(
+            f'<event><string key="concept:name" value="{act}"/>'
+            f'<date key="time:timestamp" value="{ts}"/></event>'
+            for act, ts in evs.items()
+        )
+        + "</trace>"
+        for cid, evs in cases.items()
+    )
+    target.write_text(f"<log>{traces}</log>")
+    return target
+
+
 class TestFlooredRead:
     """A read at an accuracy equals a read at seconds, then truncated."""
 
@@ -1530,23 +1552,33 @@ class TestFlooredRead:
 
     @pytest.mark.parametrize("fmt", ["xes", "csv"])
     def test_sorts_on_exact_seconds_before_flooring(self, fmt, tmp_path):
-        # 10:30 comes first in the file; flooring first would tie it with 10:10
-        stamps = {"b": "2019-01-01T10:30:00Z", "a": "2019-01-01T10:10:00Z"}
-        target = tmp_path / f"log.{fmt}"
-        if fmt == "csv":
-            rows = "".join(f"1,{act},{ts}\n" for act, ts in stamps.items())
-            target.write_text(f"CaseId,Activity,Timestamp\n{rows}")
-        else:
-            events = "".join(
-                f'<event><string key="concept:name" value="{act}"/>'
-                f'<date key="time:timestamp" value="{ts}"/></event>'
-                for act, ts in stamps.items()
-            )
-            target.write_text(f'<log><trace><string key="concept:name" value="1"/>{events}</trace></log>')
+        # 10:30 comes first in the file; flooring first would tie it with 10:10;
+        # half a second before the epoch is second -1, so "c" precedes "d"
+        cases = {
+            "1": {"b": "2019-01-01T10:30:00Z", "a": "2019-01-01T10:10:00Z"},
+            "2": {"d": "1970-01-01T00:00:00Z", "c": "1969-12-31T23:59:59.5Z"},
+        }
+        target = _write_stamps(tmp_path / f"log.{fmt}", cases)
         colmap = CsvColumnMap(resource_col=None)
         floored = load_log(target, colmap=colmap, accuracy="hours")
-        assert [e.activity for e in floored.instances[0].trace] == ["a", "b"]
+        assert [[e.activity for e in i.trace] for i in floored] == [["a", "b"], ["c", "d"]]
+        assert floored.instances[1].trace[0].timestamp == -3600
         assert floored == truncate_to_accuracy(load_log(target, colmap=colmap), TimestampAccuracy.HOURS)
+
+    # xs:dateTime allows any number of fraction digits; a read floors to the second
+    @pytest.mark.parametrize("fmt", ["xes", "csv"])
+    @pytest.mark.parametrize(
+        "stamp, seconds",
+        [*((f"2020-01-01T00:38:44.{'9' * n}+02:00", 1577831924) for n in range(1, 10)),
+         *((f"1969-12-31T23:59:59.{'5' * n}Z", -1) for n in range(1, 10)),
+         ("1960-06-01T12:00:00.25+01:00", -302446800),
+         ("1960-06-01T12:00:00+01:00", -302446800),
+         ("1969-12-31T23:59:59", -1)],
+    )
+    def test_timestamps_floor_to_whole_seconds(self, fmt, stamp, seconds, tmp_path):
+        target = _write_stamps(tmp_path / f"log.{fmt}", {"1": {"a": stamp}})
+        log = load_log(target, colmap=CsvColumnMap(resource_col=None))
+        assert log.instances[0].trace[0].timestamp == seconds
 
     def test_one_event_object_per_distinct_event(self):
         log = read_xes(DATA / "hospital_log.xes", ("Age", "Disease"), "hours")

@@ -25,7 +25,7 @@ from tlkcpriv import (
     variants,
 )
 from tlkcpriv.anonymize import suppress_global
-from tlkcpriv.log import event_maker
+from tlkcpriv.log import case_maker
 
 from .conftest import HOUR, build_log
 from .oracles import brute_directly_follows, per_event_truncate, project_raw, random_log
@@ -306,20 +306,58 @@ class TestTruncate:
         events = [ev for inst in log for ev in inst.trace]
         assert len({id(ev) for ev in events}) == len(set(events)) < len(events)
 
-    def test_event_maker_floors_and_shares_above_seconds_only(self):
-        # at seconds the readers build each event as read, with no table
-        assert event_maker(TimestampAccuracy.SECONDS) is Event
-        make = event_maker(HOURS)
-        first = make("a", "r", 32 * HOUR + 45 * 60)
-        assert first == Event("a", "r", 32 * HOUR)
-        assert make("a", "r", 32 * HOUR + 1) is first
-        assert make("a", None, 32 * HOUR) == Event("a", None, 32 * HOUR)
+    def test_case_maker_floors_and_shares_above_seconds_only(self):
+        fields = (["a"] * 3, ["r", "r", None], [32 * HOUR + 45 * 60, 32 * HOUR + 1, 32 * HOUR])
+        exact = case_maker(TimestampAccuracy.SECONDS)("1", *fields, {}).trace
+        assert [ev.timestamp for ev in exact] == [32 * HOUR, 32 * HOUR + 1, 32 * HOUR + 45 * 60]
+        make = case_maker(HOURS)
+        first, second, third = make("1", *fields, {}).trace
+        assert first == Event("a", None, 32 * HOUR)
+        assert second == Event("a", "r", 32 * HOUR) and second is third
+        assert make("2", ["a"], ["r"], [32 * HOUR + 59], {}).trace[0] is second
 
     def test_treatment_log_hours_are_integral(self, treatment_log):
         got = truncate_to_accuracy(treatment_log, HOURS)
         assert got == treatment_log  # fixture already sits on hour boundaries
         hours = {e.timestamp // HOUR for inst in got for e in inst.trace}
         assert hours == {1, 4, 5, 6, 7, 8, 9}
+
+
+_FIELD_LISTS = st.lists(
+    st.tuples(
+        st.sampled_from("abc"),
+        st.sampled_from([None, "r", "s"]),
+        st.one_of(  # equal, near, negative and wide stamps
+            st.sampled_from([-1, 0, 59, 60, HOUR - 1, HOUR]),
+            st.integers(-3 * 86400, 3 * 86400),
+            st.integers(-(10**11), 10**11),
+        ),
+    ),
+    max_size=12,
+)
+
+
+class TestCaseMaker:
+    @settings(max_examples=150, deadline=None)
+    @given(first=_FIELD_LISTS.filter(bool), second=_FIELD_LISTS.filter(bool))
+    def test_equals_a_stable_sort_then_the_per_event_floor(self, first, second):
+        for acc in TimestampAccuracy:
+            make, built, oracles = case_maker(acc), [], []
+            for cid, fields in (("1", first), ("2", second)):
+                acts, resources, seconds = map(list, zip(*fields))
+                built.append(make(cid, acts, resources, seconds, {"S": cid}))
+                ordered = sorted(fields, key=lambda f: f[2])  # stable
+                oracles.append(ProcessInstance(cid, [Event(*f) for f in ordered], {"S": cid}))
+            got = EventLog(built, ("S",))
+            assert got == per_event_truncate(EventLog(oracles, ("S",)), acc.unit_seconds)
+            if acc is not TimestampAccuracy.SECONDS:  # one object per equal floored event
+                events = [ev for inst in got for ev in inst.trace]
+                assert len({id(ev) for ev in events}) == len(set(events))
+
+    @pytest.mark.parametrize("acc", list(TimestampAccuracy))
+    def test_empty_trace_raises_the_constructors_error(self, acc):
+        with pytest.raises(LogError, match="^case '1': empty traces are not allowed$"):
+            case_maker(acc)("1", [], [], [], {})
 
 
 class TestVariants:
@@ -417,6 +455,11 @@ class TestDiscretize:
     def test_four_values(self):
         log = discretize_sensitive(self._log([10, 20, 30, 40]), "Age")
         assert [i.sensitive["Age"] for i in log] == ["low", "middle", "middle", "high"]
+
+    def test_undeclared_attribute_is_named(self):
+        log = build_log({"1": [("a", None, 0)]}, {"1": {"Disease": "flu"}}, attrs=("Disease",))
+        with pytest.raises(LogError, match="^cannot discretize 'Age': it is not a declared"):
+            discretize_sensitive(log, "Age")
 
     def test_non_numeric_names_case(self):
         log = build_log(
