@@ -58,24 +58,6 @@ __all__ = [
 ]
 
 
-def check_requirements(req) -> None:
-    """Validate the L, K, C, theta and alpha/beta fields of ``req``."""
-    if req.L < 1:
-        raise LogError("L must be a positive integer")
-    if req.K < 1:
-        raise LogError("K must be a positive integer")
-    if not 0 < req.C <= 1:
-        raise LogError("C must lie in (0, 1]")
-    if req.theta is not None and not 0 <= req.theta <= 1:
-        raise LogError("theta must lie in [0, 1]")
-    if (req.alpha is None) != (req.beta is None):
-        raise LogError("alpha and beta must be given together")
-    if req.alpha is not None:
-        # written so that a NaN weight fails it
-        if not (req.alpha >= 0 and req.beta >= 0 and abs(req.alpha + req.beta - 1) <= 1e-9):
-            raise LogError("alpha and beta must be non-negative and sum to 1")
-
-
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy requirements: timestamp accuracy T, knowledge bound L, anonymity
@@ -84,7 +66,8 @@ class PrivacyParams:
 
     ``theta`` (frequency threshold) is used by the classic greedy algorithm;
     ``alpha``/``beta`` weight privacy gain against utility loss in the
-    normalized-score variant and must sum to 1.
+    normalized-score variant and must sum to 1.  Construction parses and
+    checks every field; it is the one place run parameters are validated.
     """
 
     accuracy: TimestampAccuracy
@@ -101,7 +84,20 @@ class PrivacyParams:
         object.__setattr__(self, "accuracy", TimestampAccuracy.parse(self.accuracy))
         object.__setattr__(self, "bk", BkSpec.parse(self.bk))
         object.__setattr__(self, "sensitive", tuple(self.sensitive))
-        check_requirements(self)
+        if self.L < 1:
+            raise LogError("L must be a positive integer")
+        if self.K < 1:
+            raise LogError("K must be a positive integer")
+        if not 0 < self.C <= 1:
+            raise LogError("C must lie in (0, 1]")
+        if self.theta is not None and not 0 <= self.theta <= 1:
+            raise LogError("theta must lie in [0, 1]")
+        if (self.alpha is None) != (self.beta is None):
+            raise LogError("alpha and beta must be given together")
+        if self.alpha is not None:
+            alpha, beta = self.alpha, self.beta  # written so that a NaN weight fails it
+            if not (alpha >= 0 and beta >= 0 and abs(alpha + beta - 1) <= 1e-9):
+                raise LogError("alpha and beta must be non-negative and sum to 1")
 
     @property
     def perspective(self) -> Perspective:

@@ -447,10 +447,16 @@ def _enumerate(traces, n_codes: int, bk_type: BkType, max_size: int, flags=()):
 # set        {a,b}            multiset   [a^2,b]
 # sequence   <a,b>            timed      <a@3,b/r@7>
 # elements:  act | act/res | /res, optionally @<units> for timed specs
+# a backslash takes the next character literally, so a label may hold
+# \ , / @ ^ (always escaped) and whitespace at its ends (escaped there)
 
+_LABEL = r"(?:[^\\/@^]|\\.)"  # one label character, an escaped one included
 _ELEMENT_RE = re.compile(
-    r"^(?P<act>[^/@^]*?)(?:/(?P<res>[^/@^]+))?(?:@(?P<time>-?\d+))?(?:\^(?P<rep>\d+))?$"
+    rf"\s*(?P<act>{_LABEL}*?)(?:/(?P<res>{_LABEL}+?))?(?:@(?P<time>-?\d+))?(?:\^(?P<rep>\d+))?\s*",
+    re.S,
 )
+_PIECE_RE = re.compile(r"(?:[^\\,]|\\.)*\\?", re.S)  # an element: up to a plain comma
+_ESCAPE_RE = re.compile(r"[\\,/@^]|\A\s|\s\Z")
 
 
 _BRACKETS = {BkType.SET: "{}", BkType.MULT: "[]", BkType.SEQ: "<>", BkType.REL: "<>"}
@@ -470,16 +476,17 @@ def parse_candidate(text: str, spec: BkSpec) -> Candidate:
         raise CandidateSyntaxError(
             text, 0, f"{spec.bk_type.value} candidates are written {opener}...{closer}"
         )
-    body = text[1:-1].strip()
-    if not body:
+    if not text[1:-1].strip():
         raise CandidateSyntaxError(text, 1, "candidate has no elements")
     elements = []
-    pos = 1
-    for chunk in body.split(","):
-        m = _ELEMENT_RE.match(chunk.strip())
+    pos, end = 1, len(text) - 1
+    while pos <= end:
+        chunk = _PIECE_RE.match(text, pos, end).group()
+        m = _ELEMENT_RE.fullmatch(chunk)
         if not m:
             raise CandidateSyntaxError(text, pos, f"bad element {chunk.strip()!r}")
-        act, res, time, rep = m.group("act"), m.group("res"), m.group("time"), m.group("rep")
+        act, res, time, rep = m.group("act", "res", "time", "rep")
+        act, res = (s and re.sub(r"\\(.)", r"\1", s, flags=re.S) for s in (act, res))
         act = act or None
         if rep is not None and spec.bk_type is not BkType.MULT:
             raise CandidateSyntaxError(text, pos, "^count is only valid in multisets")
@@ -513,13 +520,15 @@ def parse_candidate(text: str, spec: BkSpec) -> Candidate:
 
 
 def format_candidate(cand: Candidate) -> str:
+    """The literal that :func:`parse_candidate` reads back as ``cand``; a
+    label without special characters is written as it is."""
     opener, closer = _BRACKETS[cand.bk_type]
     if cand.bk_type is BkType.MULT:
-        counts = Counter(cand.elements)
-        parts = [
-            f"{e}^{n}" if n > 1 else str(e)
-            for e, n in sorted(counts.items(), key=lambda kv: kv[0].sort_key())
-        ]
+        counts = sorted(Counter(cand.elements).items(), key=lambda kv: kv[0].sort_key())
     else:
-        parts = [str(e) for e in cand.elements]
+        counts = [(e, 1) for e in cand.elements]
+    parts = []
+    for e, n in counts:
+        act, res = (s and _ESCAPE_RE.sub(r"\\\g<0>", s) for s in (e.activity, e.resource))
+        parts.append(str(ProjectedEvent(act, res, e.time)) + (f"^{n}" if n > 1 else ""))
     return opener + ",".join(parts) + closer

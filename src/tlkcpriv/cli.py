@@ -2,8 +2,10 @@
 
 Subcommands: ``anonymize``, ``audit``, ``attack``, ``evaluate``, ``stats``.
 Every flag has a config-file equivalent (``--config``, flat ``key = value``
-lines); flags override the file.  The effective configuration is echoed into
-every report for reproducibility.
+lines); flags override the file.  Both become one checked ``RunConfig``;
+every command takes accuracy, spec and perspective from its ``params`` and
+makes its flag-only checks (algorithm, metrics, literal) before any read.
+The effective configuration is echoed into every report for reproducibility.
 
 Exit codes: 0 success (audit: satisfied), 1 audit violation, 2 usage or
 validation error, 3 runtime failure.
@@ -17,7 +19,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .analysis import PrivacyParams, audit_tlkc
+from .analysis import audit_tlkc
 from .anonymize import (
     Baseline1,
     Baseline2,
@@ -25,16 +27,8 @@ from .anonymize import (
     TlkcAnonymizer,
     TlkcExtAnonymizer,
 )
-from .background import BkSpec, confidence, match, parse_candidate
-from .io import (
-    LogFileError,
-    RunConfig,
-    config_lines,
-    load_log,
-    read_config,
-    save_log,
-    split_list,
-)
+from .background import confidence, match, parse_candidate
+from .io import LogFileError, RunConfig, config_lines, load_log, read_config, save_log
 from .log import (
     EventLog,
     LogError,
@@ -93,26 +87,20 @@ def _add_common(parser: argparse.ArgumentParser, *, needs_output=False):
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config(args.config))
-    names = {f.name for f in fields(RunConfig)}
-    for name in names:
-        flag = getattr(args, name, None)
+    """The checked configuration of the file and flags (flags win)."""
+    values = read_config(args.config) if args.config else {}
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name, None)
         if flag is not None:
-            values[name] = flag
-    for listy in ("sensitive", "discretize"):
-        if isinstance(values.get(listy), str):
-            values[listy] = split_list(values[listy])
-    if values.get("csv_resource") == "":
-        values["csv_resource"] = None
-    return RunConfig(**values)
+            values[f.name] = flag
+    config = RunConfig(**values)
+    if not config.input:
+        raise LogError("no input log given (use --input)")
+    return config
 
 
 def _load_prepared(config: RunConfig) -> EventLog:
-    if not config.input:
-        raise LogError("no input log given (use --input)")
-    accuracy = TimestampAccuracy.parse(config.accuracy)
+    accuracy = config.params.accuracy
     log = load_log(
         config.input,
         fmt=config.format,
@@ -128,51 +116,34 @@ def _load_prepared(config: RunConfig) -> EventLog:
     return log
 
 
-def _privacy_params(config: RunConfig) -> PrivacyParams:
-    # RunConfig carries every PrivacyParams field under the same name
-    return PrivacyParams(**{f.name: getattr(config, f.name) for f in fields(PrivacyParams)})
-
-
 def _write_report(path, lines) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _make_anonymizer(config: RunConfig):
     algorithm = config.algorithm.lower()
-    greedy = dict(
-        accuracy=config.accuracy,
-        L=config.L,
-        K=config.K,
-        C=config.C,
-        bk=config.bk,
-        sensitive=config.sensitive,
-        tie_break=config.tie_break,
-    )
-    if algorithm == "tlkc":
-        if config.theta is None:
-            raise LogError("the tlkc algorithm needs --theta")
-        return TlkcAnonymizer(theta=config.theta, **greedy)
-    if algorithm == "tlkc-ext":
-        alpha = 0.5 if config.alpha is None else config.alpha
-        beta = 0.5 if config.beta is None else config.beta
-        return TlkcExtAnonymizer(alpha=alpha, beta=beta, **greedy)
-    ps = BkSpec.parse(config.bk).perspective
-    if algorithm == "baseline1":
-        return Baseline1(k=config.K, ps=ps, accuracy=config.accuracy)
-    if algorithm == "baseline2":
-        return Baseline2(k=config.K, ps=ps, accuracy=config.accuracy)
-    raise LogError(
-        f"unknown algorithm {config.algorithm!r}; expected tlkc, tlkc-ext, "
-        "baseline1 or baseline2"
-    )
+    if algorithm in ("baseline1", "baseline2"):
+        baseline = Baseline1 if algorithm == "baseline1" else Baseline2
+        return baseline(k=config.K, ps=config.params.perspective, accuracy=config.params.accuracy)
+    greedy = {"tlkc": TlkcAnonymizer, "tlkc-ext": TlkcExtAnonymizer}.get(algorithm)
+    if greedy is None:
+        raise LogError(
+            f"unknown algorithm {config.algorithm!r}; expected tlkc, tlkc-ext, "
+            "baseline1 or baseline2"
+        )
+    if algorithm == "tlkc" and config.theta is None:
+        raise LogError("the tlkc algorithm needs --theta")
+    # the run's value of each anonymizer field; an unset one keeps the class default
+    values = {f.name: getattr(config, f.name) for f in fields(greedy)}
+    return greedy(**{name: value for name, value in values.items() if value is not None})
 
 
 def cmd_anonymize(args) -> int:
     config = _build_config(args)
     if not config.output:
         raise LogError("no output path given (use --output)")
-    log = _load_prepared(config)
-    result = _make_anonymizer(config).anonymize(log)
+    anonymizer = _make_anonymizer(config)  # a bad algorithm or no theta fails before the read
+    result = anonymizer.anonymize(_load_prepared(config))
     save_log(result.log, config.output, fmt=config.format, colmap=config.colmap())
 
     lines = ["# effective configuration"]
@@ -205,8 +176,7 @@ def cmd_anonymize(args) -> int:
 
 def cmd_audit(args) -> int:
     config = _build_config(args)
-    log = _load_prepared(config)
-    report = audit_tlkc(log, _privacy_params(config))
+    report = audit_tlkc(_load_prepared(config), config.params)
     text = report.lines()
     print("\n".join(text))
     if args.report:
@@ -223,10 +193,9 @@ def cmd_audit(args) -> int:
 
 def cmd_attack(args) -> int:
     config = _build_config(args)
-    log = _load_prepared(config)
-    spec = BkSpec.parse(config.bk)
-    cand = parse_candidate(args.candidate, spec)
-    matched = match(log, spec, cand, TimestampAccuracy.parse(config.accuracy))
+    params = config.params
+    cand = parse_candidate(args.candidate, params.bk)
+    matched = match(_load_prepared(config), params.bk, cand, params.accuracy)
     print(f"candidate {cand} -> {len(matched)} match(es)")
     if matched:
         print("cases: " + ", ".join(inst.case_id for inst in matched))
@@ -247,14 +216,13 @@ def cmd_evaluate(args) -> int:
     for metric in metrics:
         if metric not in ("emd", "dfg", "handover"):
             raise LogError(f"unknown metric {metric!r}; expected emd, dfg or handover")
+    ps = config.params.perspective
     original = _load_prepared(config)
     anonymized = _load_prepared(replace(config, input=args.anonymized))
-    ps = BkSpec.parse(config.bk).perspective
-    accuracy = TimestampAccuracy.parse(config.accuracy)
     payload = {"config": dict(config.items()), "anonymized": args.anonymized, "metrics": {}}
     for metric in metrics:
         if metric == "emd":
-            report = emd_data_utility(original, anonymized, ps, accuracy)
+            report = emd_data_utility(original, anonymized, ps, config.params.accuracy)
             payload["metrics"]["emd"] = {
                 "du": report.du,
                 "transport_cost": report.transport_cost,
@@ -287,7 +255,7 @@ def cmd_stats(args) -> int:
     print(f"activities: {len(log.activities())}")
     resources = log.resources()
     print(f"resources: {len(resources)}")
-    accuracy = TimestampAccuracy.parse(config.accuracy)
+    accuracy = config.params.accuracy
     for ps in Perspective:
         if ps.has_resource and not log.has_resources():
             print(f"variants[{ps.value}]: n/a (missing resources)")
@@ -325,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "candidate",
         help="candidate literal: {a,b} (set), [a^2,b] (multiset), <a,b> (sequence), "
-        "<a@3,b@7> (timed); elements are act, act/res or /res",
+        "<a@3,b@7> (timed); elements are act, act/res or /res; \\ escapes , / @ ^ \\",
     )
     p.set_defaults(func=cmd_attack)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
 
-from .analysis import check_requirements
+from .analysis import PrivacyParams
 from .log import Event, EventLog, LogError, TimestampAccuracy, _Memo, case_maker
 
 __all__ = [
@@ -69,17 +69,26 @@ class CsvColumnMap:
 
 
 _EPOCH, _SECOND = datetime(1970, 1, 1, tzinfo=timezone.utc), timedelta(seconds=1)
-_FRACTION = re.compile(r"(?<=:\d\d)\.(\d+)")  # of the seconds, any number of digits
+_FRACTION = re.compile(r"(?<=:\d\d)[.,](\d+)")  # of the seconds, any number of digits
+# what fromisoformat reads alike on every supported Python once the fraction has six
+# digits: YYYY-MM-DD, then a separator, HH[:MM[:SS[.f]]] and an offset +HH:MM[:SS[.f]]
+_ISO = re.compile(r"\d{4}-\d\d-\d\d(?:\D\d\d(?::\d\d(?::\d\d(?:\.\d{6})?)?)?"
+                  r"(?:[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?", re.ASCII)
 
 
 def _parse_timestamp(text: str, fmt: str) -> int:
     """The whole epoch seconds at or before a timestamp (floor, with no float
-    in between); an ISO fraction is cut or padded to microseconds first."""
+    in between); an ISO fraction (after a dot or a comma) is cut or padded to
+    microseconds first, and ISO text outside the forms of ``_ISO`` fails."""
     text = text.strip()
     try:
         if fmt == ISO_FORMAT:
-            iso = _FRACTION.sub(lambda m: f".{m[1]:0<6.6}", text, 1) if "." in text else text
-            dt = datetime.fromisoformat(iso.replace("Z", "+00:00"))
+            iso = text.replace("Z", "+00:00")
+            if "." in iso or "," in iso:
+                iso = _FRACTION.sub(lambda m: f".{m[1]:0<6.6}", iso, 1)
+            if not _ISO.fullmatch(iso):
+                raise ValueError(f"Invalid isoformat string: {text!r}")
+            dt = datetime.fromisoformat(iso)
         else:
             dt = datetime.strptime(text, fmt)
     except ValueError as exc:
@@ -770,16 +779,25 @@ class RunConfig:
     csv_timestamp_format: str = ISO_FORMAT
 
     def __post_init__(self):
-        self.sensitive = tuple(self.sensitive)
-        self.discretize = tuple(self.discretize)
-        check_requirements(self)
+        # a comma string (a flag's, a config line's) is split; a blank resource column is none
+        self.sensitive, self.discretize = (
+            tuple(s.strip() for s in v.split(",") if s.strip()) if isinstance(v, str) else tuple(v)
+            for v in (self.sensitive, self.discretize)
+        )
+        self.csv_resource = self.csv_resource or None
+        self.params  # parsed and checked now, so a bad value fails before any read
+
+    @property
+    def params(self) -> PrivacyParams:
+        """The privacy parameters of the run, parsed and checked on each access."""
+        return PrivacyParams(**{f.name: getattr(self, f.name) for f in fields(PrivacyParams)})
 
     def colmap(self) -> CsvColumnMap:
         return CsvColumnMap(
             case_col=self.csv_case,
             activity_col=self.csv_activity,
             timestamp_col=self.csv_timestamp,
-            resource_col=self.csv_resource or None,
+            resource_col=self.csv_resource,
             sensitive_cols=self.sensitive,
             timestamp_format=self.csv_timestamp_format,
         )
@@ -792,11 +810,6 @@ class RunConfig:
                 yield f.name, getattr(self, f.name)
         for name in lists:
             yield name, ",".join(getattr(self, name))
-
-
-def split_list(text: str) -> tuple:
-    """The non-empty items of a comma-separated list, stripped."""
-    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
 # the fields that may hold None, which write_config writes as a blank value
@@ -816,8 +829,6 @@ _CONFIG_CASTS = {
     "alpha": float,
     "beta": float,
     "relativize": lambda v: _FLAGS[v.lower()],
-    "sensitive": split_list,
-    "discretize": split_list,
 }
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlkcpriv import (
     BkAttr,
@@ -297,7 +299,42 @@ class TestSpecMapping:
             BkSpec.parse("sets/ac")
 
 
+# any non-empty label, spaces and the literal syntax's own punctuation included
+LABELS = st.text(st.characters() | st.sampled_from(" \t,/@^\\{}[]<>"), min_size=1, max_size=6)
+
+
+@st.composite
+def spec_and_candidate(draw):
+    spec = draw(st.sampled_from([BkSpec(t, a) for t in BkType for a in BkAttr]))
+    element = st.builds(
+        ProjectedEvent,
+        activity=st.none() if spec.bk_attr is BkAttr.RE else LABELS,
+        resource=st.none() if spec.bk_attr is BkAttr.AC else LABELS,
+        time=st.integers(-50, 50) if spec.bk_type is BkType.REL else st.none(),
+    )
+    pool = draw(st.lists(element, min_size=1, max_size=3, unique=True))
+    if spec.bk_type is BkType.SET:
+        elements = draw(st.permutations(pool))
+    else:  # repeats give multiset counts
+        elements = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5))
+    return spec, Candidate(spec.bk_type, tuple(elements))
+
+
 class TestLiterals:
+    @given(spec_and_candidate())
+    @settings(max_examples=400, deadline=None)
+    def test_any_labels_round_trip(self, drawn):
+        spec, cand = drawn
+        assert parse_candidate(format_candidate(cand), spec) == cand
+
+    def test_special_characters_are_escaped(self):
+        spec = BkSpec.parse("seq/ar")
+        cand = Candidate(BkType.SEQ, (ProjectedEvent("a,b", " r/"), ProjectedEvent("x@1^2", "\\")))
+        assert format_candidate(cand) == r"<a\,b/\ r\/,x\@1\^2/\\>"
+        assert parse_candidate(format_candidate(cand), spec) == cand
+        # unescaped, the comma still separates elements
+        assert len(parse_candidate("<a,b>", BkSpec.parse("seq/ac")).elements) == 2
+
     @pytest.mark.parametrize(
         "bk,literal",
         [

@@ -376,6 +376,47 @@ class TestEvaluate:
         assert list(json.loads(report.read_text())["metrics"]) == ["emd", "dfg"]
 
 
+def _flag_errors():
+    """(argv, message) of every usage error that the flags alone decide."""
+    commands = {
+        "anonymize": ["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-o", "anon.csv"],
+        "audit": ["audit"],
+        "attack": ["attack", "<RE/E4@1>"],
+        "evaluate": ["evaluate", "--anonymized", TREATMENT],
+        "stats": ["stats"],
+    }
+    shared = [
+        (["--bk", "bogus/ar"], "unknown background knowledge 'bogus/ar'; expected "
+         "<type>/<attr> with type in {set,mult,seq,rel} and attr in {ac,re,ar}"),
+        (["-T", "weeks"],
+         "unknown timestamp accuracy 'weeks'; expected one of seconds, minutes, hours, days"),
+        (["-C", "1.5"], "C must lie in (0, 1]"),
+    ]
+    for name, argv in commands.items():
+        for flags, message in shared:
+            yield pytest.param([*argv, "-i", TREATMENT, *TREATMENT_FLAGS, *flags], message,
+                               id=f"{name}{flags[0]}")
+    anonymize = ["anonymize", "-o", "anon.csv", "-i", TREATMENT, *TREATMENT_FLAGS]
+    yield pytest.param([*anonymize, "--algorithm", "nope"], "unknown algorithm 'nope'; "
+                       "expected tlkc, tlkc-ext, baseline1 or baseline2", id="anonymize--algorithm")
+    yield pytest.param([*anonymize, "--algorithm", "tlkc"], "the tlkc algorithm needs --theta",
+                       id="anonymize-no-theta")
+    yield pytest.param(["attack", "-i", TREATMENT, *TREATMENT_FLAGS, "--bk", "seq/ac", "<a"],
+                       "cannot parse candidate '<a' at position 0: seq candidates are written "
+                       "<...>", id="attack-literal")
+
+
+class TestUsageErrorsBeforeAnyRead:
+    @pytest.mark.parametrize("argv, message", _flag_errors())
+    def test_exits_2_without_reading(self, argv, message, capsys, monkeypatch):
+        def no_read(config):
+            raise AssertionError(f"{config.input} was read")
+
+        monkeypatch.setattr(cli, "_load_prepared", no_read)
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 class TestDiscretizeFlag:
     def test_audit_with_discretized_age(self, capsys):
         code = run(

@@ -1503,7 +1503,7 @@ def _write_stamps(target, cases):
     """Write ``{case id: {activity: timestamp text}}`` as a CSV or XES log
     (by the suffix), the events in the order given."""
     if target.suffix == ".csv":
-        rows = "".join(f"{cid},{act},{ts}\n" for cid, evs in cases.items()
+        rows = "".join(f'{cid},{act},"{ts}"\n' for cid, evs in cases.items()
                        for act, ts in evs.items())
         target.write_text(f"CaseId,Activity,Timestamp\n{rows}")
         return target
@@ -1579,6 +1579,25 @@ class TestFlooredRead:
         target = _write_stamps(tmp_path / f"log.{fmt}", {"1": {"a": stamp}})
         log = load_log(target, colmap=CsvColumnMap(resource_col=None))
         assert log.instances[0].trace[0].timestamp == seconds
+
+    # forms that datetime.fromisoformat reads on Python 3.11 and not on 3.10:
+    # a comma fraction reads as a dot fraction, the others fail on every Python
+    @pytest.mark.parametrize("fmt", ["xes", "csv"])
+    def test_comma_fraction_reads_as_dot_fraction(self, fmt, tmp_path):
+        cases = {"1": {"a": "2020-01-01T00:38:44,5+00:00", "b": "2020-01-01T00:38:45,75"}}
+        target = _write_stamps(tmp_path / f"log.{fmt}", cases)
+        log = load_log(target, colmap=CsvColumnMap(resource_col=None))
+        assert [e.timestamp for e in log.instances[0].trace] == [1577839124, 1577839125]
+
+    @pytest.mark.parametrize("fmt", ["xes", "csv"])
+    @pytest.mark.parametrize(
+        "stamp",
+        ["20200101T003844+00:00", "2020-01-01T00:38:44+0000", "2020-01-01T003844", "2020-W01-1"],
+    )
+    def test_other_iso_forms_fail_on_every_python(self, fmt, stamp, tmp_path):
+        target = _write_stamps(tmp_path / f"log.{fmt}", {"1": {"a": stamp}})
+        with pytest.raises(LogError, match=re.escape(f"cannot parse timestamp {stamp!r}: ")):
+            load_log(target, colmap=CsvColumnMap(resource_col=None))
 
     def test_one_event_object_per_distinct_event(self):
         log = read_xes(DATA / "hospital_log.xes", ("Age", "Disease"), "hours")
@@ -1701,11 +1720,35 @@ class TestRunConfig:
             dict(alpha=0.2, beta=0.9),
             dict(alpha=float("nan"), beta=float("nan")),
             dict(alpha=0.5, beta=float("nan")),
+            dict(bk="nonsense"),
+            dict(bk="seq"),
+            dict(accuracy="weeks"),
         ],
     )
     def test_validation(self, bad):
         with pytest.raises(LogError):
             RunConfig(**bad)
+
+    def test_values_are_normalized_as_the_flags_are(self):
+        from tlkcpriv.cli import _build_config, build_parser
+
+        args = build_parser().parse_args(
+            ["stats", "-i", "log.csv", "--sensitive", "Disease,Age", "--discretize", "Age",
+             "--csv-resource", ""]
+        )
+        config = RunConfig(input="log.csv", sensitive="Disease,Age", discretize="Age",
+                           csv_resource="")
+        assert config == _build_config(args)
+        assert (config.sensitive, config.discretize) == (("Disease", "Age"), ("Age",))
+        assert config.colmap().resource_col is None
+
+    def test_params_are_parsed_from_the_current_fields(self):
+        config = RunConfig(accuracy="MINUTES", bk="Set/AC", sensitive="Disease", theta=0.3)
+        assert config.params == PrivacyParams(
+            TimestampAccuracy.MINUTES, 2, 2, 0.5, "set/ac", ("Disease",), theta=0.3
+        )
+        config.K = 5  # a later assignment is never stale
+        assert config.params.K == 5
 
     @pytest.mark.parametrize(
         "value,expected",
