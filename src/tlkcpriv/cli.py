@@ -4,7 +4,8 @@ Subcommands: ``anonymize``, ``audit``, ``attack``, ``evaluate``, ``stats``.
 Every flag has a config-file equivalent (``--config``, flat ``key = value``
 lines); flags override the file.  Both become one checked ``RunConfig``;
 every command takes accuracy, spec and perspective from its ``params`` and
-makes its flag-only checks (algorithm, metrics, literal) before any read.
+makes its flag-only checks (algorithm, metrics, literal, output format)
+before any read.
 The effective configuration is echoed into every report for reproducibility.
 
 Exit codes: 0 success (audit: satisfied), 1 audit violation, 2 usage or
@@ -28,7 +29,7 @@ from .anonymize import (
     TlkcExtAnonymizer,
 )
 from .background import confidence, match, parse_candidate
-from .io import LogFileError, RunConfig, config_lines, load_log, read_config, save_log
+from .io import LogFileError, RunConfig, config_lines, load_log, log_format, read_config, save_log
 from .log import (
     EventLog,
     LogError,
@@ -142,7 +143,8 @@ def cmd_anonymize(args) -> int:
     config = _build_config(args)
     if not config.output:
         raise LogError("no output path given (use --output)")
-    anonymizer = _make_anonymizer(config)  # a bad algorithm or no theta fails before the read
+    log_format(config.format, config.output)  # an unknown output format fails before the read
+    anonymizer = _make_anonymizer(config)  # as do a bad algorithm and no theta
     result = anonymizer.anonymize(_load_prepared(config))
     save_log(result.log, config.output, fmt=config.format, colmap=config.colmap())
 

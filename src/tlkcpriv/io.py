@@ -38,6 +38,7 @@ __all__ = [
     "write_config",
     "load_log",
     "save_log",
+    "log_format",
 ]
 
 logger = logging.getLogger(__name__)
@@ -378,14 +379,16 @@ class _XesCases:
         """Add the case of a trace's text, between ``<trace>`` and ``</trace>``,
         and return True if its layout has a plan and each value it picks
         holds.  Else add nothing and return False, and the callbacks read the
-        trace: one out of the form, of a layout no plan builds, or with a
-        typed sensitive value that does not cast, a timestamp that does not
-        parse or an empty activity.
+        trace: one out of the form, of a layout no plan builds, with a value
+        expat would refuse, or with a typed sensitive value that does not
+        cast, a timestamp that does not parse or an empty activity.
 
         Split at ``"``, every fourth piece is a value when the quotes number
         four per attribute.  The text with those pieces emptied finds the
-        plan; a trace of the same emptied text holds the same tokens once no
-        value holds ``&``, ``<``, a tab or a line break."""
+        plan, whose layout expat has checked once.  A trace of the same
+        emptied text holds the same tokens, and is well formed too, once no
+        value holds ``&``, ``<``, a control character (a tab and a line
+        break included) or U+FFFE or U+FFFF."""
         pieces = text.split('"')
         values = pieces[3::4]
         pieces[3::4] = [""] * len(values)
@@ -396,9 +399,8 @@ class _XesCases:
             self._keep(self.plans, shape, plan, len(shape) + _PART_BYTES)
         if plan is None:
             return False
-        joined = "".join(values)
-        if "&" in joined or "<" in joined or "\t" in joined or "\n" in joined or "\r" in joined:
-            return False  # a reference, or a character the parser normalizes
+        if _UNPLAIN.search("".join(values)):
+            return False  # a reference, or a character the parser normalizes or refuses
         values.append(None)  # the value of an absent resource or sensitive attribute
         sensitive = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
         try:
@@ -429,8 +431,8 @@ class _XesCases:
         stretch whole and each ``"`` is an attribute's, the first stretch
         closes no event and every other closes its own, each event has a text
         activity and timestamp and no typed kept attribute, the case id is
-        text and each typed trace attribute is the last value of a sensitive
-        one."""
+        text, each typed trace attribute is the last value of a sensitive one
+        and the layout, its values empty, is well formed XML."""
         parts = list(map(self._part, shape.split("<event>")))
         if False in parts or shape.count('"') != 4 * sum(part.size for part in parts):
             return None
@@ -454,6 +456,10 @@ class _XesCases:
         sensitive = [final.get(attr, (None, -1)) for attr in self.sensitive_attrs]
         casts = {attr: _XES_CASTS[tag] for attr, (tag, _) in zip(self.sensitive_attrs, sensitive)
                  if tag in _XES_CASTS}
+        try:  # a trace of the layout, as expat reads it, is well formed if this is
+            expat.ParserCreate(namespace_separator="}").Parse(f"<trace>{shape}</trace>", True)
+        except expat.ExpatError:  # the callbacks report it
+            return None
         return _Plan(sum(part.dropped for part in parts), case_at, fields[1:],
                      [slot for _, slot in sensitive], casts)
 
@@ -531,6 +537,10 @@ _END = b"</trace>"
 # event's start or end
 _VALUE = r'"([^"&<\t\n\r]*)"'
 _TOKEN = re.compile(rf"<(?:(?!event )(\w+) key={_VALUE} value={_VALUE} ?/>|(/?)event>)")
+# what no value read as text holds: a reference, a character the parser
+# normalizes (tab, line break) and one XML 1.0 does not allow
+_UNPLAIN = re.compile("[&<\x00-\x1f\ufffe\uffff]")
+_BLANK = bytes(byte if byte > 0x7F else 0x20 for byte in range(256))  # ASCII to spaces
 
 
 def _tokens(text):
@@ -542,28 +552,44 @@ def _tokens(text):
 
 
 def _trace_text(segment):
-    """The text of a whitespace-led ``<trace>`` up to its closing tag, or None."""
+    """The text of a ``<trace>`` led by XML whitespace only, up to its closing
+    tag, or None."""
     try:
         space, opening, text = segment.decode().partition("<trace>")
     except UnicodeDecodeError:  # a parse error, which expat reports
         return None
-    return text if opening and not space.strip() else None
+    return text if opening and not space.strip(" \t\r\n") else None
+
+
+def _stand_in(taken):
+    """What expat reads in place of traces taken as text: a line feed per
+    line break of theirs (CRLF, CR or LF), then their last line with its
+    ASCII bytes blanked and the rest kept, so that expat counts lines and
+    columns on past them as it would have through them."""
+    breaks, last = taken.count(b"\n"), taken.rfind(b"\n")
+    if b"\r" in taken:
+        breaks += taken.count(b"\r") - taken.count(b"\r\n")
+        last = max(last, taken.rfind(b"\r"))
+    return b"\n" * breaks + taken[last + 1 :].translate(_BLANK)
 
 
 def _read_traces(handle, cases) -> None:
     """Hand each trace of an XES file to ``cases``, reading the file once, in
     blocks, through one expat parser.  After its callbacks close a trace at a
     plain ``</trace>`` in a UTF-8 file with no document type declaration,
-    each whole trace goes to ``cases`` as text and expat then checks it with
-    no handler.  A trace that ``cases`` does not build from its text (one out
-    of the canonical form, quoted text between its elements included, or one
-    no plan builds) sends itself and the rest of its block to the callbacks,
-    which hand over each trace's attributes and its events'; a trace longer
-    than ``_TRACE_BYTES`` goes to them as well."""
+    each whole trace goes to ``cases`` as text, and expat reads only its
+    :func:`_stand_in`: ``cases`` builds a trace only once its layout and
+    values are shown to be well formed.  A trace that ``cases`` does not
+    build from its text (one out of the canonical form, quoted text between
+    its elements included, or one no plan builds) sends itself and the rest
+    of its block to the callbacks, which hand over each trace's attributes
+    and its events'; a trace longer than ``_TRACE_BYTES`` goes to them as
+    well."""
     local_names = {}  # raw expat element name -> local name
     depth, in_event = 0, False  # the root at depth 1
     trace, events = None, None  # the open trace's attributes, and each of its events'
     plain, closed = True, -1  # whether to take traces as text; the file offset after the last
+    skipped = 0  # the bytes of the traces taken as text beyond their stand-ins
     parser = expat.ParserCreate(namespace_separator="}")
 
     def declared(*decl):  # an XML declaration (version, encoding, standalone) or a document type
@@ -590,7 +616,7 @@ def _read_traces(handle, cases) -> None:
             in_event = False
         elif depth == 2 and trace is not None:
             cases.add(trace, events)
-            trace, closed = None, parser.CurrentByteIndex + len(_END)
+            trace, closed = None, parser.CurrentByteIndex + skipped + len(_END)
         depth -= 1
 
     parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = declared
@@ -614,7 +640,9 @@ def _read_traces(handle, cases) -> None:
                 parsed = taken = stop
                 if plain and closed == offset + stop:  # a trace end to read text from
                     parser.StartElementHandler = parser.EndElementHandler = None
-        parser.Parse(pending[parsed:taken])
+        stand_in = _stand_in(pending[parsed:taken])
+        skipped += taken - parsed - len(stand_in)
+        parser.Parse(stand_in)
         if not canonical or not block or len(pending) - taken > _TRACE_BYTES:
             parser.StartElementHandler, parser.EndElementHandler = start, end
         if parser.StartElementHandler is not None:  # all but what may start a closing tag
@@ -641,14 +669,16 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
     is an error naming the file, case and key, as is an unparsable timestamp.
 
-    The file is read once, in blocks that expat checks.  A UTF-8 trace of
-    ``<tag key=".." value=".." />`` attributes and plain events is split at
-    its quotes, and the plan of its layout, compiled once per distinct
-    layout from parts compiled once per distinct stretch, picks its case's
-    values by position.  Every other trace (comments, references, other
-    quoting, a ``"`` in text between elements, a typed case id, a value
-    that fails) is read through expat callbacks, whose walk settles each
-    attribute in document order.  A parse error anywhere in the file is
+    The file is read once, in blocks, through one expat parser.  A UTF-8
+    trace of ``<tag key=".." value=".." />`` attributes and plain events is
+    split at its quotes, and the plan of its layout, compiled once per
+    distinct layout from parts compiled once per distinct stretch, picks its
+    case's values by position.  Expat checks such a trace's layout once, when
+    its plan is compiled, and a regex its values; it reads only a stand-in
+    that keeps the lines and columns of later parse errors.  Every other
+    trace (comments, references, other quoting, a ``"`` in text between
+    elements, a typed case id, a value that fails) is read through expat
+    callbacks, whose walk settles each attribute in document order.  A parse error anywhere in the file is
     reported before any error in its content, and content errors come in
     document order of the traces.
     """
@@ -724,29 +754,26 @@ def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None, sensitive_at
              accuracy=TimestampAccuracy.SECONDS) -> EventLog:
     """Read an XES or CSV log (by ``fmt`` or the file suffix), its timestamps
     floored to ``accuracy`` as read."""
-    fmt = fmt or _infer_format(path)
-    if fmt == "xes":
+    if log_format(fmt, path) == "xes":
         return read_xes(path, sensitive_attrs, accuracy)
-    if fmt == "csv":
-        colmap = colmap or CsvColumnMap(sensitive_cols=tuple(sensitive_attrs))
-        return read_csv(path, colmap, accuracy)
-    raise LogError(f"unknown log format {fmt!r} (expected xes or csv)")
+    colmap = colmap or CsvColumnMap(sensitive_cols=tuple(sensitive_attrs))
+    return read_csv(path, colmap, accuracy)
 
 
 def save_log(log: EventLog, path, fmt=None, colmap: Optional[CsvColumnMap] = None) -> None:
-    fmt = fmt or _infer_format(path)
-    if fmt == "xes":
+    if log_format(fmt, path) == "xes":
         write_xes(log, path)
-    elif fmt == "csv":
-        colmap = colmap or CsvColumnMap(sensitive_cols=log.sensitive_attrs)
-        write_csv(log, path, colmap)
     else:
+        write_csv(log, path, colmap or CsvColumnMap(sensitive_cols=log.sensitive_attrs))
+
+
+def log_format(fmt, path=None) -> str:
+    """``fmt``, or else the format the suffix of ``path`` names; an error
+    unless it is xes or csv."""
+    fmt = fmt or Path(path).suffix.lower().lstrip(".")
+    if fmt not in ("xes", "csv"):
         raise LogError(f"unknown log format {fmt!r} (expected xes or csv)")
-
-
-def _infer_format(path) -> str:
-    suffix = Path(path).suffix.lower().lstrip(".")
-    return suffix
+    return fmt
 
 
 # --- run configuration ---------------------------------------------------------
@@ -779,12 +806,14 @@ class RunConfig:
     csv_timestamp_format: str = ISO_FORMAT
 
     def __post_init__(self):
-        # a comma string (a flag's, a config line's) is split; a blank resource column is none
+        # a comma string (a flag's, a config line's) is split; a blank resource column or
+        # format is none, and another format than xes or csv fails
         self.sensitive, self.discretize = (
             tuple(s.strip() for s in v.split(",") if s.strip()) if isinstance(v, str) else tuple(v)
             for v in (self.sensitive, self.discretize)
         )
         self.csv_resource = self.csv_resource or None
+        self.format = log_format(self.format) if self.format else None
         self.params  # parsed and checked now, so a bad value fails before any read
 
     @property

@@ -401,6 +401,9 @@ def _flag_errors():
                        "expected tlkc, tlkc-ext, baseline1 or baseline2", id="anonymize--algorithm")
     yield pytest.param([*anonymize, "--algorithm", "tlkc"], "the tlkc algorithm needs --theta",
                        id="anonymize-no-theta")
+    yield pytest.param(["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-o", "anon.txt",
+                        "-i", TREATMENT, *TREATMENT_FLAGS],
+                       "unknown log format 'txt' (expected xes or csv)", id="anonymize-output-format")
     yield pytest.param(["attack", "-i", TREATMENT, *TREATMENT_FLAGS, "--bk", "seq/ac", "<a"],
                        "cannot parse candidate '<a' at position 0: seq candidates are written "
                        "<...>", id="attack-literal")
@@ -415,6 +418,12 @@ class TestUsageErrorsBeforeAnyRead:
         monkeypatch.setattr(cli, "_load_prepared", no_read)
         assert run(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_config_format_is_checked_before_any_read(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {tmp_path / 'missing.xes'}\nformat = txt\n")
+        assert run(["stats", "--config", str(config)]) == 2
+        assert capsys.readouterr() == ("", "error: unknown log format 'txt' (expected xes or csv)\n")
 
 
 class TestDiscretizeFlag:

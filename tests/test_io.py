@@ -3,7 +3,9 @@ import csv
 import logging
 import math
 import re
+import types
 from unittest import mock
+from xml.parsers import expat
 
 import pytest
 from hypothesis import given, settings
@@ -1207,6 +1209,109 @@ class TestXesTokenizer:
         assert (seen["tokenized"], seen["tried"]) == (2, 3)
 
 
+# --- what expat reads of the traces taken as text ------------------------------
+
+# one insertion each: characters XML 1.0 refuses (controls, U+FFFE, U+FFFF),
+# a CDATA end, markup characters, characters str.strip() takes for
+# whitespace and XML does not (FS, NEL, U+3000), a raw byte that is not
+# UTF-8 and a tag whose name starts with a digit
+MALFORMING = [b"\x01", b"\x0b", b"\x1f", "\ufffe".encode(), "\uffff".encode(), b"]]>", b"&",
+              b"<", b"\x1c", "\x85".encode(), "\u3000".encode(), b"\x85",
+              b'<1tag key="a" value="b" />']
+
+
+@contextlib.contextmanager
+def _fed_to_expat():
+    """Record the bytes each expat parser of a read is given, in the order
+    the parsers are made (the reader's first, then one per plan)."""
+    fed = []
+
+    class Recorded:
+        def __init__(self, **kwargs):
+            object.__setattr__(self, "parser", expat.ParserCreate(**kwargs))
+            object.__setattr__(self, "data", bytearray())
+            fed.append(self.data)
+
+        def Parse(self, data, final=False):
+            self.data.extend(data.encode() if isinstance(data, str) else data)
+            return self.parser.Parse(data, final)
+
+        def __getattr__(self, name):
+            return getattr(self.parser, name)
+
+        def __setattr__(self, name, value):
+            setattr(self.parser, name, value)
+
+    spy = types.SimpleNamespace(ParserCreate=Recorded, ExpatError=expat.ExpatError)
+    with mock.patch.object(xes_io, "expat", spy):
+        yield fed
+
+
+class TestXesWellFormedness:
+    """Expat checks each layout once, when its plan is compiled, and a regex
+    each value; of a trace taken as text expat reads only a stand-in.  A file
+    reads as the element tree reads it, the line and column of a parse error
+    included, and no file that expat refuses is read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log=st.sampled_from([PLAIN_XML_CHARS, XML_CHARS])
+        .flatmap(lambda chars: xes_logs(NEAR_STAMPS, chars))
+        .filter(lambda log: len(log) > 1),
+        item=st.sampled_from(MALFORMING),
+        newline=st.sampled_from(["\n", "\r\n", "\r", ""]),
+        where=st.sampled_from([None, rb"(?=<)", rb'value="']),
+        data=st.data(),
+    )
+    def test_one_insertion_reads_as_the_tree_reads_it(
+        self, log, item, newline, where, data, tmp_path_factory
+    ):
+        target = tmp_path_factory.mktemp("xes") / "log.xes"
+        write_xes(log, target)
+        raw = target.read_bytes().replace(b"\n", newline.encode())
+        first = raw.index(b"</trace>") + len(b"</trace>")
+        # anywhere after the first trace, or there just before a markup
+        # character or at the start of a value
+        spots = where and [first + m.end() for m in re.finditer(where, raw[first:])]
+        at = data.draw(st.sampled_from(spots) if spots else st.integers(first, len(raw)))
+        target.write_bytes(raw[:at] + item + raw[at:])
+        expected = _tree_read(target, log.sensitive_attrs)
+        for block in (64, xes_io._BLOCK_BYTES):
+            with mock.patch.object(xes_io, "_BLOCK_BYTES", block):
+                got, _ = _spied_read(target, log.sensitive_attrs)
+            assert got == expected
+
+    @pytest.mark.parametrize("block", [64, None])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_expat_reads_stand_ins_for_the_traces_taken_as_text(
+        self, block, newline, hospital_log, tmp_path, monkeypatch
+    ):
+        if block:
+            monkeypatch.setattr(xes_io, "_BLOCK_BYTES", block)
+        target = tmp_path / "log.xes"
+        write_xes(hospital_log, target)
+        raw = target.read_bytes().replace(b"\n", newline.encode())
+        target.write_bytes(raw)
+        with _fed_to_expat() as fed:
+            got, seen = _spied_read(target, ("Age", "Disease"))
+        assert got == _tree_read(target, ("Age", "Disease"))
+        assert seen["bytes"] == len(raw) and seen["tokenized"] == len(hospital_log) - 1
+        read, *plans = fed
+        assert len(plans) == len(_layouts(raw.decode().split("</trace>", 1)[1]))
+        assert len(read) < len(raw)  # the file is read once, and parsed in part
+
+        def breaks(text):  # the line breaks expat counts
+            return text.count(b"\n") + text.count(b"\r") - text.count(b"\r\n")
+
+        assert breaks(read) == breaks(raw)
+        # the callbacks' trace byte for byte, and what follows the last trace
+        first, last = raw.index(b"</trace>") + 8, raw.rindex(b"</trace>") + 8
+        assert read.startswith(raw[:first]) and read.endswith(raw[last:])
+        if not block:  # the file is one block: the traces after the first are one stretch
+            stand_in = b"\n" * breaks(raw[first:last]) + b" " * len(b"  </trace>")
+            assert read == raw[:first] + stand_in + raw[last:]
+
+
 # --- trace layouts against the element-tree reference -------------------------
 
 # good and bad attribute values by (tag, key); None writes the attribute without one
@@ -1723,6 +1828,8 @@ class TestRunConfig:
             dict(bk="nonsense"),
             dict(bk="seq"),
             dict(accuracy="weeks"),
+            dict(format="txt"),
+            dict(format="XES"),
         ],
     )
     def test_validation(self, bad):
