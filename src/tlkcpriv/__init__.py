@@ -4,150 +4,22 @@ The package models event logs, simulates linkage attacks from bounded
 background knowledge, audits (T,L,K,C) privacy guarantees, anonymizes logs
 by greedy global suppression, and quantifies the damage with data-utility
 and result-utility metrics.
+
+The public names are those of each module's ``__all__``.
 """
 
-from .analysis import (
-    AuditReport,
-    MftSet,
-    MvtSet,
-    PrivacyParams,
-    Verdict,
-    audit_tlkc,
-    coverage,
-    enumerate_mft,
-    enumerate_mvt,
-    focal_values,
-    is_violating,
-    n_score,
-    score,
-)
-from .anonymize import (
-    AnonymizationResult,
-    Baseline1,
-    Baseline2,
-    IterationRecord,
-    ParameterError,
-    SuppressionSet,
-    TlkcAnonymizer,
-    TlkcExtAnonymizer,
-    suppress_global,
-)
-from .background import (
-    BkAttr,
-    BkSpec,
-    BkType,
-    Candidate,
-    CandidateSyntaxError,
-    confidence,
-    enumerate_candidates,
-    format_candidate,
-    match,
-    parse_candidate,
-)
-from .io import (
-    CsvColumnMap,
-    LogFileError,
-    RunConfig,
-    load_log,
-    read_config,
-    read_csv,
-    read_xes,
-    save_log,
-    write_config,
-    write_csv,
-    write_xes,
-)
-from .log import (
-    Event,
-    EventLog,
-    LogError,
-    MissingResourceError,
-    Perspective,
-    ProcessInstance,
-    ProjectedEvent,
-    TimestampAccuracy,
-    directly_follows,
-    discretize_sensitive,
-    relative_timestamps,
-    relativize_log,
-    truncate_to_accuracy,
-    variant_frequency,
-    variants,
-)
-from .metrics import (
-    GraphComparison,
-    UtilityReport,
-    dfg_compare,
-    emd_data_utility,
-    handover_compare,
-    normalized_levenshtein,
-)
+from . import analysis, anonymize, background, io, log, metrics
+from .analysis import *  # noqa: F401,F403
+from .anonymize import *  # noqa: F401,F403
+from .background import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .log import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnonymizationResult",
-    "AuditReport",
-    "Baseline1",
-    "Baseline2",
-    "BkAttr",
-    "BkSpec",
-    "BkType",
-    "Candidate",
-    "CandidateSyntaxError",
-    "CsvColumnMap",
-    "Event",
-    "EventLog",
-    "GraphComparison",
-    "IterationRecord",
-    "LogError",
-    "LogFileError",
-    "MftSet",
-    "MissingResourceError",
-    "MvtSet",
-    "ParameterError",
-    "Perspective",
-    "PrivacyParams",
-    "ProcessInstance",
-    "ProjectedEvent",
-    "RunConfig",
-    "SuppressionSet",
-    "TimestampAccuracy",
-    "TlkcAnonymizer",
-    "TlkcExtAnonymizer",
-    "UtilityReport",
-    "Verdict",
-    "audit_tlkc",
-    "confidence",
-    "coverage",
-    "dfg_compare",
-    "directly_follows",
-    "discretize_sensitive",
-    "emd_data_utility",
-    "enumerate_candidates",
-    "enumerate_mft",
-    "enumerate_mvt",
-    "focal_values",
-    "format_candidate",
-    "handover_compare",
-    "is_violating",
-    "load_log",
-    "match",
-    "n_score",
-    "normalized_levenshtein",
-    "parse_candidate",
-    "read_config",
-    "read_csv",
-    "read_xes",
-    "relative_timestamps",
-    "relativize_log",
-    "save_log",
-    "score",
-    "suppress_global",
-    "truncate_to_accuracy",
-    "variant_frequency",
-    "variants",
-    "write_config",
-    "write_csv",
-    "write_xes",
+    name
+    for module in (analysis, anonymize, background, io, log, metrics)
+    for name in module.__all__
 ]

@@ -25,7 +25,7 @@ one-smaller sub of another frequent pattern.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import ceil
 from typing import Dict, Iterable, Optional
 
@@ -98,6 +98,13 @@ class PrivacyParams:
             alpha, beta = self.alpha, self.beta  # written so that a NaN weight fails it
             if not (alpha >= 0 and beta >= 0 and abs(alpha + beta - 1) <= 1e-9):
                 raise LogError("alpha and beta must be non-negative and sum to 1")
+
+    @classmethod
+    def of(cls, source) -> "PrivacyParams":
+        """The parameters of ``source``, read field by field by name; a field
+        that ``source`` lacks keeps its default."""
+        names = [f.name for f in fields(cls) if hasattr(source, f.name)]
+        return cls(**{name: getattr(source, name) for name in names})
 
     @property
     def perspective(self) -> Perspective:

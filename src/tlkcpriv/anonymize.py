@@ -15,8 +15,8 @@ never invented or reordered):
   merge violating variant classes onto shared subtraces.
 
 Every class follows the scikit-learn parameter protocol (``get_params`` /
-``set_params``) and exposes ``transform(log)``; the richer result object is
-returned by ``anonymize(log)``.
+``set_params``, both checked) and exposes ``transform(log)``; the richer
+result object is returned by ``anonymize(log)``.
 
 The TLKC anonymizers keep their greedy rounds in descriptor codes: the
 minimal violations and frequent subtraces become (item, code) incidence
@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional
 
 import numpy as np
@@ -58,7 +58,6 @@ __all__ = [
     "AnonymizationResult",
     "ParameterError",
     "suppress_global",
-    "BaseAnonymizer",
     "TlkcAnonymizer",
     "TlkcExtAnonymizer",
     "Baseline1",
@@ -135,16 +134,26 @@ def suppress_global(
 
 class BaseAnonymizer:
     """Parameter handling shared by the anonymizers (scikit-learn protocol);
-    the parameters are a subclass's dataclass fields."""
+    the parameters are a subclass's dataclass fields, checked by
+    :meth:`_params` when the anonymizer is made and on :meth:`set_params`."""
+
+    def __post_init__(self):
+        self._params()
+
+    def _params(self):
+        """The parsed and checked parameters of a run."""
+        return PrivacyParams.of(self)
 
     def get_params(self, deep=True):
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params):
         valid = self.get_params()
-        for name, value in params.items():
+        for name in params:
             if name not in valid:
                 raise LogError(f"unknown parameter {name!r} for {type(self).__name__}")
+        replace(self, **params)  # checks the new values before any is assigned
+        for name, value in params.items():
             setattr(self, name, value)
         return self
 
@@ -273,12 +282,13 @@ class TlkcAnonymizer(BaseAnonymizer):
     sensitive: tuple = ()
     tie_break: Optional[int] = None
 
-    def anonymize(self, log: EventLog) -> AnonymizationResult:
+    def _params(self) -> PrivacyParams:
         if self.theta is None:
             raise LogError("theta is required for the classic greedy algorithm")
-        params = PrivacyParams(
-            self.accuracy, self.L, self.K, self.C, self.bk, self.sensitive, theta=self.theta
-        )
+        return super()._params()
+
+    def anonymize(self, log: EventLog) -> AnonymizationResult:
+        params = self._params()
 
         def start_round(current, alphabet):
             mft = enumerate_mft(current, params.perspective, params.theta, params.accuracy)
@@ -309,10 +319,7 @@ class TlkcExtAnonymizer(BaseAnonymizer):
     tie_break: Optional[int] = None
 
     def anonymize(self, log: EventLog) -> AnonymizationResult:
-        params = PrivacyParams(
-            self.accuracy, self.L, self.K, self.C, self.bk, self.sensitive,
-            alpha=self.alpha, beta=self.beta,
-        )
+        params = self._params()
 
         def start_round(current, alphabet):
             cov = coverage(current, params.perspective, params.accuracy)
@@ -332,7 +339,7 @@ class _KBaseline(BaseAnonymizer):
     ps: str = "ART"
     accuracy: str = "hours"
 
-    def _view(self):
+    def _params(self):
         """Check k; return the perspective and timestamp accuracy to project on."""
         if self.k < 1:
             raise LogError("k must be a positive integer")
@@ -344,7 +351,7 @@ class Baseline1(_KBaseline):
 
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         started = time.perf_counter()
-        ps, accuracy = self._view()
+        ps, accuracy = self._params()
         traces, _ = log.coded(ps, accuracy)
         counts = Counter(traces)
         out, dropped = log._cut(
@@ -407,7 +414,7 @@ class Baseline2(_KBaseline):
 
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         started = time.perf_counter()
-        ps, accuracy = self._view()
+        ps, accuracy = self._params()
 
         # per case: surviving (event index, descriptor code) pairs; codes
         # sort in canonical descriptor order, so they break every tie

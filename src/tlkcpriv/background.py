@@ -49,7 +49,6 @@ __all__ = [
     "BkSpec",
     "Candidate",
     "CandidateSyntaxError",
-    "ProjectedLog",
     "match",
     "confidence",
     "enumerate_candidates",

@@ -215,6 +215,8 @@ def cmd_evaluate(args) -> int:
     config = _build_config(args)
     # checked and de-duplicated (in order) before either log is read
     metrics = list(dict.fromkeys(m.strip() for m in args.metrics.split(",") if m.strip()))
+    if not metrics:
+        raise LogError("no metric given; expected emd, dfg or handover")
     for metric in metrics:
         if metric not in ("emd", "dfg", "handover"):
             raise LogError(f"unknown metric {metric!r}; expected emd, dfg or handover")

@@ -38,7 +38,6 @@ __all__ = [
     "write_config",
     "load_log",
     "save_log",
-    "log_format",
 ]
 
 logger = logging.getLogger(__name__)
@@ -819,7 +818,7 @@ class RunConfig:
     @property
     def params(self) -> PrivacyParams:
         """The privacy parameters of the run, parsed and checked on each access."""
-        return PrivacyParams(**{f.name: getattr(self, f.name) for f in fields(PrivacyParams)})
+        return PrivacyParams.of(self)
 
     def colmap(self) -> CsvColumnMap:
         return CsvColumnMap(
@@ -841,23 +840,17 @@ class RunConfig:
             yield name, ",".join(getattr(self, name))
 
 
-# the fields that may hold None, which write_config writes as a blank value
-_NULLABLE = frozenset(
-    name for name, hint in get_type_hints(RunConfig).items() if type(None) in get_args(hint)
-)
-
 _FLAGS = {"1": True, "true": True, "yes": True, "on": True,
           "0": False, "false": False, "no": False, "off": False}
+_CASTS = {int: int, float: float, bool: lambda v: _FLAGS[v.lower()]}
 
-_CONFIG_CASTS = {
-    "L": int,
-    "K": int,
-    "tie_break": int,
-    "C": float,
-    "theta": float,
-    "alpha": float,
-    "beta": float,
-    "relativize": lambda v: _FLAGS[v.lower()],
+# per field, from its annotation (Optional[X] reads as X): the cast of a config
+# value, str unless int, float or bool, and whether the field may hold None,
+# which write_config writes as a blank value
+_CONFIG_FIELDS = {
+    name: (_CASTS.get(next(t for t in get_args(hint) or (hint,) if t is not type(None)), str),
+           type(None) in get_args(hint))
+    for name, hint in get_type_hints(RunConfig).items()
 }
 
 
@@ -866,7 +859,6 @@ def read_config(path) -> dict:
     whose first non-blank character is '#' is a comment, and a '#' anywhere
     else is part of the value."""
     path = Path(path)
-    known = {f.name for f in fields(RunConfig)}
     out = {}
     try:
         text = path.read_text(encoding="utf-8-sig")  # skips a byte-order mark
@@ -879,13 +871,13 @@ def read_config(path) -> dict:
         if "=" not in line:
             raise LogError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in _CONFIG_FIELDS:
             raise LogError(f"{path}:{lineno}: unknown config key {key!r}")
+        cast, nullable = _CONFIG_FIELDS[key]
         if value == "":
-            if key in _NULLABLE:  # blank value = None where None is allowed, else unset
+            if nullable:  # blank value = None where None is allowed, else unset
                 out[key] = None
             continue
-        cast = _CONFIG_CASTS.get(key, str)
         try:
             out[key] = cast(value)
         except (KeyError, ValueError):  # KeyError: not a flag value

@@ -36,7 +36,6 @@ __all__ = [
     "emd_data_utility",
     "dfg_compare",
     "handover_compare",
-    "TRANSPORT_SIZE_CAP",
 ]
 
 # largest cost-matrix (variants x variants) solved exactly; larger inputs

@@ -331,6 +331,29 @@ class TestEstimatorProtocol:
         text = repr(Baseline2(k=3, ps="A"))
         assert "Baseline2" in text and "k=3" in text
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TlkcAnonymizer(bk="nonsense"),
+            lambda: TlkcAnonymizer(K=0),
+            lambda: TlkcAnonymizer(theta=None),
+            lambda: TlkcExtAnonymizer(alpha=0.7),
+            lambda: Baseline1(k=0),
+            lambda: Baseline2(ps="XYZ"),
+        ],
+        ids=["tlkc-bk", "tlkc-K", "tlkc-theta", "ext-alpha", "baseline1-k", "baseline2-ps"],
+    )
+    def test_bad_parameters_fail_when_made(self, make):
+        with pytest.raises(LogError):
+            make()
+
+    def test_failing_set_params_changes_nothing(self):
+        anonymizer = TlkcAnonymizer(**REFERENCE)
+        before = anonymizer.get_params()
+        with pytest.raises(LogError, match="L must be a positive integer"):
+            anonymizer.set_params(K=5, L=-3)
+        assert anonymizer.get_params() == before
+
     def test_positional_construction_and_repr(self):
         anonymizer = TlkcAnonymizer("hours", 2, 5, 0.8, 0.2)
         assert anonymizer.K == 5 and anonymizer.theta == 0.2

@@ -396,6 +396,11 @@ def _flag_errors():
         for flags, message in shared:
             yield pytest.param([*argv, "-i", TREATMENT, *TREATMENT_FLAGS, *flags], message,
                                id=f"{name}{flags[0]}")
+    evaluate = ["evaluate", "--anonymized", TREATMENT, "-i", TREATMENT, *TREATMENT_FLAGS]
+    for metrics in ("", ","):
+        yield pytest.param([*evaluate, "--metrics", metrics],
+                           "no metric given; expected emd, dfg or handover",
+                           id=f"evaluate-metrics-{metrics!r}")
     anonymize = ["anonymize", "-o", "anon.csv", "-i", TREATMENT, *TREATMENT_FLAGS]
     yield pytest.param([*anonymize, "--algorithm", "nope"], "unknown algorithm 'nope'; "
                        "expected tlkc, tlkc-ext, baseline1 or baseline2", id="anonymize--algorithm")

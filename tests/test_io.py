@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import types
+from typing import get_args, get_type_hints
 from unittest import mock
 from xml.parsers import expat
 
@@ -1856,6 +1857,19 @@ class TestRunConfig:
         )
         config.K = 5  # a later assignment is never stale
         assert config.params.K == 5
+
+    def test_every_field_reads_back_as_its_annotated_type(self, tmp_path):
+        samples = {int: ("7", 7), float: ("0.25", 0.25), bool: ("yes", True)}
+        target = tmp_path / "run.conf"
+        for name, hint in get_type_hints(RunConfig).items():
+            optional = type(None) in get_args(hint)
+            kind = next(t for t in get_args(hint) or (hint,) if t is not type(None))
+            text, value = samples.get(kind, ("x", "x"))  # any other field reads as str
+            target.write_text(f"{name} = {text}\n")
+            got = read_config(target)[name]
+            assert type(got) is type(value) and got == value, name
+            target.write_text(f"{name} =\n")  # blank: None where allowed, else unset
+            assert read_config(target) == ({name: None} if optional else {}), name
 
     @pytest.mark.parametrize(
         "value,expected",

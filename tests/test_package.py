@@ -1,0 +1,23 @@
+"""The package's public names are its modules' ``__all__`` lists, each once."""
+
+import tlkcpriv
+from tlkcpriv import analysis, anonymize, background, io, log, metrics
+
+MODULES = (analysis, anonymize, background, io, log, metrics)
+
+
+def test_package_names_are_the_union_of_the_module_lists():
+    union = {name for module in MODULES for name in module.__all__}
+    assert len(tlkcpriv.__all__) == len(union) == 64
+    assert set(tlkcpriv.__all__) == union
+
+
+def test_no_name_is_in_two_module_lists():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+
+
+def test_each_package_name_is_its_module_object():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(tlkcpriv, name) is getattr(module, name), f"{module.__name__}.{name}"
