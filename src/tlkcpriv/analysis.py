@@ -25,8 +25,10 @@ one-smaller sub of another frequent pattern.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
+from functools import cached_property
 from math import ceil
+from numbers import Integral, Real
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -58,6 +60,12 @@ __all__ = [
 ]
 
 
+def _number(kind, value) -> bool:
+    """Whether ``value`` is a number of ``kind``, which a bool, a string or,
+    for ``Integral``, a float (NaN too) is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Privacy requirements: timestamp accuracy T, knowledge bound L, anonymity
@@ -84,19 +92,20 @@ class PrivacyParams:
         object.__setattr__(self, "accuracy", TimestampAccuracy.parse(self.accuracy))
         object.__setattr__(self, "bk", BkSpec.parse(self.bk))
         object.__setattr__(self, "sensitive", tuple(self.sensitive))
-        if self.L < 1:
+        if not (_number(Integral, self.L) and self.L >= 1):
             raise LogError("L must be a positive integer")
-        if self.K < 1:
+        if not (_number(Integral, self.K) and self.K >= 1):
             raise LogError("K must be a positive integer")
-        if not 0 < self.C <= 1:
+        if not (_number(Real, self.C) and 0 < self.C <= 1):
             raise LogError("C must lie in (0, 1]")
-        if self.theta is not None and not 0 <= self.theta <= 1:
+        if self.theta is not None and not (_number(Real, self.theta) and 0 <= self.theta <= 1):
             raise LogError("theta must lie in [0, 1]")
         if (self.alpha is None) != (self.beta is None):
             raise LogError("alpha and beta must be given together")
         if self.alpha is not None:
             alpha, beta = self.alpha, self.beta  # written so that a NaN weight fails it
-            if not (alpha >= 0 and beta >= 0 and abs(alpha + beta - 1) <= 1e-9):
+            if not (_number(Real, alpha) and _number(Real, beta)
+                    and alpha >= 0 and beta >= 0 and abs(alpha + beta - 1) <= 1e-9):
                 raise LogError("alpha and beta must be non-negative and sum to 1")
 
     @classmethod
@@ -163,32 +172,25 @@ class _Checker:
             for attr in self.attrs
         )
 
-    def verdicts(self, support: np.ndarray, hits: np.ndarray) -> tuple:
-        """``(ok, verdicts)`` over candidates matched by ``support`` cases,
-        ``hits[a]`` of them holding the ``a``-th attribute's focal value:
-        ``ok`` marks the candidates that violate nothing and ``verdicts()``
-        builds the :class:`Verdict` of each candidate."""
+    def ok(self, support: np.ndarray, hits: np.ndarray) -> np.ndarray:
+        """Which candidates violate nothing, each matched by ``support`` cases,
+        ``hits[a]`` of them holding the ``a``-th attribute's focal value."""
+        return ~((support < self.params.K) | (hits / support > self.params.C).any(axis=0))
+
+    def verdicts(self, support: np.ndarray, hits: np.ndarray) -> list:
+        """The :class:`Verdict` of each candidate, from the arrays of :meth:`ok`."""
         conf = hits / support
-        k_violation, c_violation = support < self.params.K, conf > self.params.C
-        max_confidence = conf.max(axis=0, initial=0.0)
-
-        def verdicts() -> list:
-            attrs = self.attrs
-            return [
-                Verdict(n, k, tuple(attr for attr, hit in zip(attrs, c) if hit), top)
-                for n, k, c, top in zip(support.tolist(), k_violation.tolist(),
-                                        c_violation.T.tolist(), max_confidence.tolist())
-            ]
-
-        return ~(k_violation | c_violation.any(axis=0)), verdicts
+        attrs, K = self.attrs, self.params.K
+        return [
+            Verdict(n, n < K, tuple(attr for attr, hit in zip(attrs, c) if hit), top)
+            for n, c, top in zip(support.tolist(), (conf > self.params.C).T.tolist(),
+                                 conf.max(axis=0, initial=0.0).tolist())
+        ]
 
     def verdict_for_indices(self, indices: frozenset) -> Verdict:
-        if not indices:
-            raise LogError("verdicts apply only to candidates with a non-empty match")
         matched = list(indices)
         hits = np.array([flag[matched].sum() for flag in self.flags], np.int64)
-        _, verdicts = self.verdicts(np.array([len(matched)]), hits.reshape(-1, 1))
-        return verdicts()[0]
+        return self.verdicts(np.array([len(matched)]), hits.reshape(-1, 1))[0]
 
 
 def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdict:
@@ -204,42 +206,40 @@ def is_violating(cand: Candidate, log: EventLog, params: PrivacyParams) -> Verdi
     return checker.verdict_for_indices(indices)
 
 
-class _Items:
-    def __len__(self):
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-
-class MvtSet(_Items):
-    """Minimal violating candidates, each with its verdict, canonically
-    ordered: ``items`` holds ``(Candidate, Verdict)`` pairs.
-
-    Every proper sub-candidate of every item is non-violating; an empty set
-    is equivalent to the log satisfying the privacy requirements.
-    :func:`enumerate_mvt` keeps, per size, the candidates' code rows and
-    their verdict arrays in ``levels`` and decodes ``items`` only when they
-    are first read, so the greedy rounds work in codes throughout; a set
-    built as ``MvtSet(items)`` has no levels.
-    """
+class _Mined:
+    """Items of one level-wise walk, kept as the walk's arrays: ``levels``
+    holds a tuple per size, code rows first, and ``decode(*level)`` yields a
+    level's items.  ``items`` are decoded when first read and ``len()``
+    counts rows without decoding, so the greedy rounds work in codes; a set
+    built from ``items`` has no levels."""
 
     def __init__(self, items: tuple = (), levels: tuple = (), decode=None):
-        self.levels = levels  # of (code matrix, verdicts()); ``decode`` makes a row's candidate
+        self.levels = levels
         self._items = tuple(items) if decode is None else None
         self._decode = decode
 
     @property
     def items(self) -> tuple:
         if self._items is None:
-            self._items = tuple(
-                pair for codes, verdicts in self.levels
-                for pair in zip(map(self._decode, codes.tolist()), verdicts())
-            )
+            self._items = tuple(item for level in self.levels for item in self._decode(*level))
         return self._items
 
-    def __len__(self):  # without decoding
-        return len(self._items) if self._decode is None else sum(len(c) for c, _ in self.levels)
+    def __len__(self):
+        return sum(len(codes) for codes, *_ in self.levels) if self._decode else len(self._items)
+
+    def __iter__(self):
+        return iter(self.items)
+
+
+class MvtSet(_Mined):
+    """Minimal violating candidates, each with its verdict, canonically
+    ordered: ``items`` holds ``(Candidate, Verdict)`` pairs.
+
+    Every proper sub-candidate of every item is non-violating; an empty set
+    is equivalent to the log satisfying the privacy requirements.  Mined
+    ``levels`` are ``(codes, support, hits)``: per size, the code rows, match
+    sizes and focal-value hits of the minimal violations.
+    """
 
     @property
     def candidates(self) -> tuple:
@@ -249,14 +249,14 @@ class MvtSet(_Items):
         return sum(1 for c, _ in self.items if e in c.elements)
 
 
-@dataclass(frozen=True)
-class MftSet(_Items):
-    """Maximal frequent subtraces with their supports."""
+class MftSet(_Mined):
+    """Maximal frequent subtraces, canonically ordered: ``items`` holds
+    ``(pattern tuple, support)`` pairs, each support at least ``threshold``.
+    Mined ``levels`` are ``(codes, support)`` per size."""
 
-    items: tuple  # of (pattern tuple, support), canonically ordered
-    threshold: int = 1
-    # the patterns' code rows, one matrix per size, as the greedy rounds read them
-    levels: tuple = field(default=(), compare=False, repr=False)
+    def __init__(self, items: tuple = (), threshold: int = 1, levels: tuple = (), decode=None):
+        super().__init__(items, levels, decode)
+        self.threshold = threshold
 
     def utility_loss(self, e: ProjectedEvent) -> int:
         return sum(1 for pattern, _ in self.items if e in pattern)
@@ -278,13 +278,13 @@ def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
         plog.traces, len(plog.alphabet), params.bk.bk_type, params.L, checker.flags
     )
     for level in walk:
-        ok, _ = checker.verdicts(level.support, level.hits)
+        ok = checker.ok(level.support, level.hits)
         subs_good = (level.subs >= 0).all(axis=1)
         level.carry &= ok & subs_good
         minimal = np.flatnonzero(subs_good & ~ok)
-        _, verdicts = checker.verdicts(level.support[minimal], level.hits[:, minimal])
-        levels.append((level.codes[minimal], verdicts))
-    return MvtSet(levels=tuple(levels), decode=plog.decode)
+        levels.append((level.codes[minimal], level.support[minimal], level.hits[:, minimal]))
+    return MvtSet(levels=tuple(levels), decode=lambda codes, support, hits: zip(
+        map(plog.decode, codes.tolist()), checker.verdicts(support, hits)))
 
 
 def enumerate_mft(
@@ -314,16 +314,9 @@ def enumerate_mft(
             levels[-1][2][level.subs[frequent]] = True
         covered = np.zeros(frequent.sum(), bool)
         levels.append((level.codes[frequent], level.support[frequent], covered))
-    levels = [(codes[~covered], support[~covered]) for codes, support, covered in levels]
-    return MftSet(
-        tuple(
-            (tuple(map(alphabet.__getitem__, pattern)), n)
-            for codes, support in levels
-            for pattern, n in zip(codes.tolist(), support.tolist())
-        ),
-        threshold=threshold,
-        levels=tuple(codes for codes, _ in levels),
-    )
+    levels = tuple((codes[~covered], support[~covered]) for codes, support, covered in levels)
+    return MftSet(threshold=threshold, levels=levels, decode=lambda codes, support: zip(
+        (tuple(map(alphabet.__getitem__, p)) for p in codes.tolist()), support.tolist()))
 
 
 @dataclass(frozen=True)
@@ -333,28 +326,27 @@ class AuditReport:
     params: PrivacyParams
 
     def lines(self) -> list:
-        head = "satisfied" if self.satisfied else "NOT satisfied"
-        out = [
-            f"privacy audit: {head} "
-            f"(T={self.params.accuracy.value}, L={self.params.L}, K={self.params.K}, "
-            f"C={self.params.C}, bk={self.params.bk})",
+        """The text report: a head line, the count and one line per record."""
+        p, head = self.params, "satisfied" if self.satisfied else "NOT satisfied"
+        return [
+            f"privacy audit: {head} (T={p.accuracy.value}, L={p.L}, K={p.K}, C={p.C}, bk={p.bk})",
             f"minimal violating candidates: {len(self.violations)}",
+        ] + [
+            f"  {r['candidate']}  [{r['verdict']}; matches={r['match_size']}, "
+            f"max_confidence={r['max_confidence']:.3f}]"
+            for r in self.records()
         ]
-        for cand, verdict in self.violations:
-            out.append(
-                f"  {cand}  [{verdict.describe()}; matches={verdict.match_size}, "
-                f"max_confidence={verdict.max_confidence:.3f}]"
-            )
-        return out
 
     def records(self) -> list:
+        """One record per violation, built on the first call: the one place
+        a violation is formatted, for :meth:`lines` and the JSON report."""
+        return self._records
+
+    @cached_property
+    def _records(self) -> list:
         return [
-            {
-                "candidate": str(cand),
-                "verdict": verdict.describe(),
-                "match_size": verdict.match_size,
-                "max_confidence": verdict.max_confidence,
-            }
+            {"candidate": str(cand), "verdict": verdict.describe(),
+             "match_size": verdict.match_size, "max_confidence": verdict.max_confidence}
             for cand, verdict in self.violations
         ]
 
@@ -367,11 +359,7 @@ def audit_tlkc(log: EventLog, params: PrivacyParams) -> AuditReport:
     which witness every violation there is.
     """
     mvt = enumerate_mvt(log, params)
-    return AuditReport(
-        satisfied=len(mvt) == 0,
-        violations=mvt.items,
-        params=params,
-    )
+    return AuditReport(satisfied=len(mvt) == 0, violations=mvt.items, params=params)
 
 
 def score(e: ProjectedEvent, mvt: MvtSet, mft: MftSet) -> float:

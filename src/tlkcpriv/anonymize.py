@@ -31,12 +31,14 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from numbers import Integral
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .analysis import (
     PrivacyParams,
+    _number,
     _ratio_score,
     _weighted_score,
     coverage,
@@ -172,13 +174,12 @@ class BaseAnonymizer:
         return self.fit(log).transform(log)
 
 
-def _incidence(matrices: Iterable[np.ndarray], n_codes: int) -> tuple:
-    """``(items, codes, alive)`` of code matrices that hold one item (a minimal
-    violation or frequent subtrace) per row, numbered on from matrix to
-    matrix: one ``(item, code)`` pair per distinct code of an item, and
-    every item alive."""
+def _incidence(levels: Iterable[tuple], n_codes: int) -> tuple:
+    """``(items, codes, alive)`` of a mined set's ``levels``, one item per code
+    row, numbered on from level to level: one ``(item, code)`` pair per
+    distinct code of an item, and every item alive."""
     keys, first = [np.zeros(0, np.int64)], 0
-    for matrix in matrices:
+    for matrix, *_ in levels:
         rows = np.arange(first, first + len(matrix))[:, None]
         keys.append((rows * n_codes + matrix).ravel())
         first += len(matrix)
@@ -205,7 +206,7 @@ def _anonymize_greedily(
     """The greedy suppression rounds shared by both TLKC anonymizers.
 
     Each round mines the minimal violating candidates of the current log and
-    asks ``start_round(log, alphabet)`` for the code matrices of the round's
+    asks ``start_round(log, alphabet)`` for the levels of the round's
     maximal frequent subtraces (or ``()``) and its ``rank(gain, loss,
     violations)`` of every code at once.  It then repeatedly picks the
     highest-ranked code (ties: higher privacy gain, then the tie-break
@@ -229,7 +230,7 @@ def _anonymize_greedily(
         _, alphabet = current.coded(ps, accuracy)
         n = len(alphabet)
         frequent, rank = start_round(current, alphabet)
-        v_items, v_codes, v_alive = _incidence((codes for codes, _ in mvt.levels), n)
+        v_items, v_codes, v_alive = _incidence(mvt.levels, n)
         f_items, f_codes, f_alive = _incidence(frequent, n)
         winners = []
         while v_alive.any():
@@ -341,7 +342,7 @@ class _KBaseline(BaseAnonymizer):
 
     def _params(self):
         """Check k; return the perspective and timestamp accuracy to project on."""
-        if self.k < 1:
+        if not (_number(Integral, self.k) and self.k >= 1):
             raise LogError("k must be a positive integer")
         return Perspective.parse(self.ps), TimestampAccuracy.parse(self.accuracy)
 

@@ -16,7 +16,7 @@ import csv as csvlib
 import logging
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 from operator import itemgetter
 from pathlib import Path
@@ -755,15 +755,24 @@ def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None, sensitive_at
     floored to ``accuracy`` as read."""
     if log_format(fmt, path) == "xes":
         return read_xes(path, sensitive_attrs, accuracy)
-    colmap = colmap or CsvColumnMap(sensitive_cols=tuple(sensitive_attrs))
-    return read_csv(path, colmap, accuracy)
+    return read_csv(path, _sensitive_columns(colmap, sensitive_attrs), accuracy)
 
 
 def save_log(log: EventLog, path, fmt=None, colmap: Optional[CsvColumnMap] = None) -> None:
     if log_format(fmt, path) == "xes":
         write_xes(log, path)
     else:
-        write_csv(log, path, colmap or CsvColumnMap(sensitive_cols=log.sensitive_attrs))
+        write_csv(log, path, _sensitive_columns(colmap, log.sensitive_attrs))
+
+
+def _sensitive_columns(colmap: Optional[CsvColumnMap], attrs) -> CsvColumnMap:
+    """``colmap`` (default columns if none) with the sensitive columns ``attrs``, the
+    one source of a log's sensitive attributes; other sensitive columns are an error."""
+    colmap, attrs = colmap or CsvColumnMap(), tuple(attrs)
+    if colmap.sensitive_cols not in ((), attrs):
+        raise LogError(f"CSV sensitive columns {list(colmap.sensitive_cols)} differ from "
+                       f"the sensitive attributes {list(attrs)}")
+    return replace(colmap, sensitive_cols=attrs)
 
 
 def log_format(fmt, path=None) -> str:

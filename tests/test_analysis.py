@@ -13,6 +13,7 @@ from tlkcpriv import (
     Event,
     EventLog,
     LogError,
+    MftSet,
     MvtSet,
     Perspective,
     PrivacyParams,
@@ -95,6 +96,35 @@ class TestParams:
         params = {**REFERENCE_PARAMS, **bad}
         with pytest.raises(LogError):
             PrivacyParams(**params)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(K=float("nan")), "K must be a positive integer"),
+            (dict(K=2.0), "K must be a positive integer"),
+            (dict(K="2"), "K must be a positive integer"),
+            (dict(K=True), "K must be a positive integer"),
+            (dict(L=2.5), "L must be a positive integer"),
+            (dict(L=float("inf")), "L must be a positive integer"),
+            (dict(C="0.5"), r"C must lie in \(0, 1\]"),
+            (dict(C=True), r"C must lie in \(0, 1\]"),
+            (dict(theta="0.2"), r"theta must lie in \[0, 1\]"),
+            (dict(alpha="0.5", beta=0.5), "alpha and beta must be non-negative"),
+            (dict(alpha=0.5, beta="0.5"), "alpha and beta must be non-negative"),
+        ],
+    )
+    def test_values_of_the_wrong_kind_fail_with_their_message(self, bad, message):
+        # a NaN K passed every bound and made each audit vacuous; a string
+        # failed a comparison with a bare TypeError
+        with pytest.raises(LogError, match=message):
+            PrivacyParams(**{**REFERENCE_PARAMS, **bad})
+
+    def test_numpy_numbers_are_accepted(self):
+        import numpy as np
+
+        params = PrivacyParams(**{**REFERENCE_PARAMS, "L": np.int64(2), "K": np.int32(2),
+                                  "C": np.float64(0.5), "theta": np.float32(0.25)})
+        assert params.K == 2 and params.C == 0.5
 
 
 class TestFocalValues:
@@ -334,7 +364,7 @@ class TestLazyMvtSet:
         assert mvt._items is None
         _, alphabet = log.coded(spec.perspective, HOURS)
         eager = []
-        for codes, _ in mvt.levels:
+        for codes, *_ in mvt.levels:
             for row in codes.tolist():
                 cand = Candidate(spec.bk_type, tuple(alphabet[c] for c in row))
                 eager.append((cand, is_violating(cand, log, params)))
@@ -348,6 +378,35 @@ class TestLazyMvtSet:
         built = MvtSet(items)
         assert built.items == items and len(built) == len(items) and built.levels == ()
         assert list(built) == list(items) and MvtSet().items == ()
+
+
+class TestLazyMftSet:
+    """A mined :class:`MftSet` decodes its patterns only when they are read,
+    and they equal an eager decode of its code rows and supports."""
+
+    @pytest.mark.parametrize("ps", list(Perspective), ids=lambda ps: ps.value)
+    @settings(max_examples=25, deadline=None)
+    @given(log=hypothesis_logs(), theta=st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    def test_items_equal_an_eager_decode(self, ps, log, theta):
+        mft = enumerate_mft(log, ps, theta, HOURS)
+        assert mft._items is None
+        _, alphabet = log.coded(ps, HOURS)
+        eager = [
+            (tuple(alphabet[c] for c in row), n)
+            for codes, support in mft.levels
+            for row, n in zip(codes.tolist(), support.tolist())
+        ]
+        assert len(mft) == len(eager)
+        assert mft._items is None  # counting decodes nothing
+        assert mft.items == tuple(eager) and list(mft) == eager
+        assert mft.items is mft.items
+        assert all(n >= mft.threshold for _, n in mft)
+
+    def test_built_from_items(self, treatment_mft):
+        built = MftSet(treatment_mft.items, threshold=treatment_mft.threshold)
+        assert built.items == treatment_mft.items and len(built) == len(treatment_mft)
+        assert built.levels == () and built.threshold == treatment_mft.threshold
+        assert MftSet().items == () and MftSet().threshold == 1
 
 
 class TestMft:

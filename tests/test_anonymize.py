@@ -340,8 +340,17 @@ class TestEstimatorProtocol:
             lambda: TlkcExtAnonymizer(alpha=0.7),
             lambda: Baseline1(k=0),
             lambda: Baseline2(ps="XYZ"),
+            lambda: TlkcAnonymizer(K=float("nan"), theta=0.2),
+            lambda: TlkcAnonymizer(L=2.5),
+            lambda: TlkcAnonymizer(theta="0.2"),
+            lambda: TlkcExtAnonymizer(alpha="0.5", beta=0.5),
+            lambda: Baseline1(k=2.5),
+            lambda: Baseline2(k=float("nan")),
+            lambda: Baseline2(k="2"),
         ],
-        ids=["tlkc-bk", "tlkc-K", "tlkc-theta", "ext-alpha", "baseline1-k", "baseline2-ps"],
+        ids=["tlkc-bk", "tlkc-K", "tlkc-theta", "ext-alpha", "baseline1-k", "baseline2-ps",
+             "tlkc-K-nan", "tlkc-L-float", "tlkc-theta-str", "ext-alpha-str",
+             "baseline1-k-float", "baseline2-k-nan", "baseline2-k-str"],
     )
     def test_bad_parameters_fail_when_made(self, make):
         with pytest.raises(LogError):

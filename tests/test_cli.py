@@ -239,6 +239,50 @@ class TestAudit:
             "0f454566293fac164b5a48566a210a34ca77d675155cafb15be84309ef4b08da"
         )
 
+    def test_hospital_text_reports_keep_their_bytes(self, tmp_path, capsys, monkeypatch):
+        # the text reports and printed output of the same twelve L=3 audits, as
+        # each violation's own formatting wrote them
+        import hashlib
+
+        monkeypatch.chdir(DATA)  # the report echoes the input path
+        text, out = hashlib.sha256(), hashlib.sha256()
+        for bk in ("set", "mult", "seq", "rel"):
+            for attr in ("ac", "re", "ar"):
+                report = tmp_path / f"{bk}-{attr}.txt"
+                assert run(["audit", "-i", "hospital_log.xes", "-T", "hours", "-L", "3",
+                            "-K", "2", "-C", "0.5", "--sensitive", "Disease",
+                            "--bk", f"{bk}/{attr}", "--report", str(report)]) == 1
+                text.update(report.read_bytes())
+                out.update(capsys.readouterr().out.encode())
+        assert text.hexdigest() == (
+            "680402e423ebb518744c2d01b177b37b055959aa097994d196b393935e709f65"
+        )
+        assert out.hexdigest() == (
+            "9783a60b2cefce8e5ff1c9cfb5490e34a919303c8b8674117ff0c0e820bd3588"
+        )
+
+    def test_each_violation_is_formatted_once(self, tmp_path, capsys, monkeypatch):
+        from tlkcpriv import background
+
+        calls = []
+        format_candidate = background.format_candidate
+
+        def counted(cand):
+            calls.append(cand)
+            return format_candidate(cand)
+
+        monkeypatch.setattr(background, "format_candidate", counted)
+        report, report_json = tmp_path / "audit.txt", tmp_path / "audit.json"
+        code = run(["audit", "-i", HOSPITAL_XES, "-T", "hours", "-L", "3", "-K", "2",
+                    "-C", "0.5", "--sensitive", "Disease", "--bk", "seq/ar",
+                    "--report", str(report), "--report-json", str(report_json)])
+        assert code == 1
+        violations = json.loads(report_json.read_text())["violations"]
+        assert len(violations) > 1 and len(calls) == len(violations)
+        assert [v["candidate"] for v in violations] == [
+            line.split("  ")[1] for line in report.read_text().splitlines() if line.startswith("  ")
+        ]
+
     def test_vacuous_requirements_pass(self):
         code = run(
             ["audit", "-i", TREATMENT, "-T", "hours", "-L", "2", "-K", "1",

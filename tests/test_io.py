@@ -1790,6 +1790,29 @@ class TestFormatDispatch:
         with pytest.raises(LogError):
             save_log(hospital_log, tmp_path / "log.txt")
 
+    def test_csv_read_takes_the_sensitive_attributes(self):
+        # a column map without sensitive columns used to drop the attributes
+        log = load_log(DATA / "treatment_relative.csv", colmap=CsvColumnMap(),
+                       sensitive_attrs=("Disease",))
+        assert log.sensitive_attrs == ("Disease",)
+        assert log.instances[0].sensitive == {"Disease": "Cancer"}
+
+    def test_csv_write_keeps_the_sensitive_attributes(self, hospital_log, tmp_path):
+        target = tmp_path / "log.csv"
+        save_log(hospital_log, target, colmap=CsvColumnMap())
+        with target.open(newline="") as handle:
+            header = next(csv.reader(handle))
+        assert header == ["CaseId", "Activity", "Timestamp", "Resource", "Age", "Disease"]
+        assert load_log(target, sensitive_attrs=("Age", "Disease")) == hospital_log
+
+    def test_csv_columns_that_differ_from_the_attributes_fail(self, hospital_log, tmp_path):
+        colmap = CsvColumnMap(sensitive_cols=("Disease",))
+        with pytest.raises(LogError, match="differ from the sensitive attributes"):
+            load_log(DATA / "treatment_relative.csv", colmap=colmap, sensitive_attrs=("Age",))
+        with pytest.raises(LogError, match="differ from the sensitive attributes"):
+            save_log(hospital_log, tmp_path / "log.csv", colmap=colmap)
+        assert not (tmp_path / "log.csv").exists()
+
 
 class TestRunConfig:
     def test_fixture_file(self):

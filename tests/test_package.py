@@ -1,5 +1,9 @@
 """The package's public names are its modules' ``__all__`` lists, each once."""
 
+import os
+import subprocess
+import sys
+
 import tlkcpriv
 from tlkcpriv import analysis, anonymize, background, io, log, metrics
 
@@ -21,3 +25,15 @@ def test_each_package_name_is_its_module_object():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(tlkcpriv, name) is getattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_the_command_line_loads_no_scipy():
+    # scipy is imported on the first transport solve, so a command that never
+    # solves one does not pay for it at start-up
+    script = ("import sys, tlkcpriv.cli; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(tlkcpriv.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.strip() == "[]"
