@@ -148,7 +148,7 @@ def focal_values(log: EventLog, attrs: Iterable[str]) -> Dict[str, object]:
     value, ties resolved by first appearance in case order."""
     out = {}
     for attr in attrs:
-        counts = Counter(inst.sensitive.get(attr) for inst in log)
+        counts = Counter(values.get(attr) for values in log.case_sensitive)
         if counts:  # the first value seen leads among equal counts
             out[attr] = counts.most_common(1)[0][0]
     return out
@@ -167,7 +167,8 @@ class _Checker:
         self.attrs = tuple(dict.fromkeys(params.sensitive))
         self.flags = tuple(
             np.fromiter(
-                (inst.sensitive.get(attr) == focal.get(attr) for inst in log), bool, len(log)
+                (values.get(attr) == focal.get(attr) for values in log.case_sensitive),
+                bool, len(log),
             )
             for attr in self.attrs
         )
@@ -304,7 +305,7 @@ def enumerate_mft(
         return MftSet((), threshold=len(log) + 1)
     traces, alphabet = log.coded(ps, accuracy)
     threshold = max(1, ceil(theta * len(traces)))
-    longest = max((len(t) for t in traces), default=0)
+    longest = int(traces.lengths.max(initial=0))
     levels = []  # per size: the frequent patterns, their supports, which are covered
     for level in background._enumerate(traces, len(alphabet), BkType.SEQ, longest):
         frequent = level.support >= threshold

@@ -249,7 +249,7 @@ def _anonymize_greedily(
             iterations.append(IterationRecord(alphabet[winner], float(best), int(v_alive.sum())))
         current, dropped = suppress_global(current, winners, ps, accuracy)
         all_dropped.extend(dropped)
-        if not current.instances:
+        if not len(current):
             raise ParameterError(
                 f"suppression emptied the whole log; requirements are too strict "
                 f"(T={accuracy.value}, L={params.L}, K={params.K}, C={params.C})"
@@ -355,9 +355,8 @@ class Baseline1(_KBaseline):
         ps, accuracy = self._params()
         traces, _ = log.coded(ps, accuracy)
         counts = Counter(traces)
-        out, dropped = log._cut(
-            i.trace if counts[t] >= self.k else () for i, t in zip(log, traces)
-        )
+        common = np.fromiter((counts[t] >= self.k for t in traces), bool, len(traces))
+        out, dropped = log._keep(np.repeat(common, traces.lengths))
         return _result(log, out, dropped, started)
 
 
@@ -420,7 +419,7 @@ class Baseline2(_KBaseline):
         # per case: surviving (event index, descriptor code) pairs; codes
         # sort in canonical descriptor order, so they break every tie
         traces, _ = log.coded(ps, accuracy)
-        state = {inst.case_id: list(enumerate(codes)) for inst, codes in zip(log, traces)}
+        state = {cid: list(enumerate(codes)) for cid, codes in zip(log.case_ids, traces)}
         structural = False
 
         while True:
@@ -455,9 +454,10 @@ class Baseline2(_KBaseline):
                 for cid in violating[rep]:
                     state[cid] = []
 
-        out, dropped = log._cut(
-            tuple(inst.trace[i] for i, _ in state[inst.case_id]) for inst in log
-        )
+        keep = np.zeros(log.total_events, bool)
+        keep[[start + i for start, cid in zip(log.bounds.tolist(), log.case_ids)
+              for i, _ in state[cid]]] = True
+        out, dropped = log._keep(keep)
         return _result(log, out, dropped, started)
 
     def _merge_step(self, state, live, classes, violating) -> bool:

@@ -29,12 +29,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .log import (
+    CodedTraces,
     EventLog,
     LogError,
     Perspective,
@@ -139,7 +139,7 @@ class ProjectedLog:
     """A log projected on the perspective induced by a background-knowledge
     spec, in descriptor codes.
 
-    ``traces`` holds each case's projection as a tuple of codes and
+    ``traces`` holds each case's projection in codes (:class:`CodedTraces`) and
     ``alphabet[c]`` is the descriptor of code ``c`` (see
     :meth:`EventLog.coded`); codes follow the canonical descriptor order, so
     enumeration and tie-breaks sort plain ints.  Containment is one rule for
@@ -279,11 +279,10 @@ class _View(NamedTuple):
     run_end: np.ndarray
 
 
-def _view(traces, bk_type: BkType, n_codes: int) -> _View:
+def _view(traces: CodedTraces, bk_type: BkType, n_codes: int) -> _View:
     """The :class:`_View` of ``traces`` under ``bk_type`` (see :class:`ProjectedLog`)."""
-    lengths = np.fromiter(map(len, traces), np.int64, len(traces))
-    codes = np.fromiter(chain.from_iterable(traces), np.int32, int(lengths.sum()))
-    trace_of = np.repeat(np.arange(len(traces), dtype=np.int32), lengths)
+    codes = traces.codes
+    trace_of = np.repeat(np.arange(len(traces), dtype=np.int32), traces.lengths)
     if bk_type in (BkType.SET, BkType.MULT):
         codes = codes[np.lexsort((codes, trace_of))]
     new_run = np.ones(len(codes), bool)
@@ -380,9 +379,9 @@ def _count_chunk(view: _View, parent, start, n_codes: int, flags) -> tuple:
     return children, np.array([support, *hits], np.int64), at
 
 
-def _enumerate(traces, n_codes: int, bk_type: BkType, max_size: int, flags=()):
-    """Walk the lattice of patterns realized in ``traces`` (code tuples over
-    ``n_codes`` codes) level by level: PrefixSpan (Pei et al. 2001), one
+def _enumerate(traces: CodedTraces, n_codes: int, bk_type: BkType, max_size: int, flags=()):
+    """Walk the lattice of patterns realized in ``traces`` (over ``n_codes``
+    codes) level by level: PrefixSpan (Pei et al. 2001), one
     whole level counted at a time over per-trace positions as in SPADE
     (Zaki 2001).
 

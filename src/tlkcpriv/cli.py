@@ -171,7 +171,7 @@ def cmd_anonymize(args) -> int:
         f"{len(result.dropped_cases)} cases dropped, "
         f"{len(result.log)} cases written to {config.output}"
     )
-    if not result.log.instances:
+    if not len(result.log):
         print("warning: the anonymized log is empty", file=sys.stderr)
     return EXIT_OK
 

@@ -1,10 +1,12 @@
 """Reading and writing event logs (XES, CSV) and run configuration.
 
 Timestamps are floored to whole epoch seconds (UTC; naive stamps are taken
-as UTC).  Both readers build their cases through :func:`~tlkcpriv.log.case_maker`
-(ordered on the exact seconds, then floored to ``accuracy``), as
+as UTC).  Both readers hand each case's fields to the one builder of a log's
+columns (:class:`~tlkcpriv.log._Columns`), which orders it on the exact
+seconds and then floors them to ``accuracy``, as
 :func:`~tlkcpriv.log.truncate_to_accuracy` does: a read at ``T`` equals a
-read at seconds truncated to ``T``.  Both formats round-trip every modeled
+read at seconds truncated to ``T``.  Both writers read the columns and
+format each distinct event once.  Both formats round-trip every modeled
 field: case id, activity, resource, timestamp and the declared case-level
 sensitive attributes.  XES values keep the type their tag names; CSV cells
 are text, so CSV sensitive values are read as numbers where they parse.
@@ -23,8 +25,10 @@ from pathlib import Path
 from typing import Optional, get_args, get_type_hints
 from xml.parsers import expat
 
+import numpy as np
+
 from .analysis import PrivacyParams
-from .log import Event, EventLog, LogError, TimestampAccuracy, _Memo, case_maker
+from .log import EventLog, LogError, TimestampAccuracy, _Columns, _group, _Memo
 
 __all__ = [
     "LogFileError",
@@ -142,8 +146,7 @@ def read_csv(
     :func:`write_csv` writes reads back the same; an empty resource cell
     means no resource.  Errors name the file and the row.
     """
-    path = Path(path)
-    make = case_maker(TimestampAccuracy.parse(accuracy))
+    path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
     parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
     coerce = _Memo(_coerce_value).__getitem__
     label = _Memo(str).__getitem__  # one string per distinct label, held until the build
@@ -198,10 +201,10 @@ def read_csv(
             activities.append(activity)
             resources.append(resource)
             seconds.append(ts)
-    return EventLog._built(tuple(
-        make(cid, *fields, {attr: v for attr, (_, v) in zip(attrs, values)})
-        for cid, (*fields, values) in cases.items()
-    ), attrs)
+    columns = _Columns()
+    for cid, (*fields, values) in cases.items():
+        columns.add(cid, *fields, {attr: v for attr, (_, v) in zip(attrs, values)})
+    return columns.log(attrs, accuracy)
 
 
 def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> None:
@@ -211,6 +214,12 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
         header.append(colmap.resource_col)
     header += list(colmap.sensitive_cols)
     stamp = _Memo(lambda seconds: _format_timestamp(seconds, colmap.timestamp_format)).__getitem__
+
+    def event(activity, resource, seconds):
+        if not colmap.resource_col:
+            return activity, stamp(seconds)
+        return activity, stamp(seconds), "" if resource is None else resource
+
     try:
         handle = path.open("w", newline="", encoding="utf-8")
     except OSError as exc:
@@ -218,21 +227,29 @@ def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> Non
     with handle:
         writer = csvlib.writer(handle)
         writer.writerow(header)
-        for inst in log:
-            for ev in inst.trace:
-                row = [
-                    inst.case_id,
-                    ev.activity,
-                    stamp(ev.timestamp),
-                ]
-                if colmap.resource_col:
-                    row.append(ev.resource if ev.resource is not None else "")
-                for attr in colmap.sensitive_cols:
-                    value = inst.sensitive.get(attr)
-                    if isinstance(value, bool):
-                        value = str(value).lower()  # the XES spelling
-                    row.append("" if value is None else value)
-                writer.writerow(row)
+        events, bounds = _rendered(log, event), log.bounds.tolist()
+        for case_id, sensitive, a, b in zip(log.case_ids, log.case_sensitive, bounds, bounds[1:]):
+            tail = []
+            for attr in colmap.sensitive_cols:
+                value = sensitive.get(attr)
+                if isinstance(value, bool):
+                    value = str(value).lower()  # the XES spelling
+                tail.append("" if value is None else value)
+            writer.writerows([case_id, *fields, *tail] for fields in events[a:b])
+
+
+def _rendered(log: EventLog, render) -> list:
+    """Per event of ``log``, ``render(activity, resource, seconds)`` of its
+    fields, made once per distinct event."""
+    stamps, stamp_at = np.unique(log.seconds, return_inverse=True)
+    codes, one = _group([(log.activity_codes, len(log.activity_labels)),
+                         (log.resource_codes + 1, len(log.resource_labels) + 1),
+                         (stamp_at, len(stamps))])
+    resources = log.resource_labels + (None,)  # code -1 picks None
+    made = list(map(render, map(log.activity_labels.__getitem__, log.activity_codes[one].tolist()),
+                    map(resources.__getitem__, log.resource_codes[one].tolist()),
+                    log.seconds[one].tolist()))
+    return list(map(made.__getitem__, codes.tolist()))
 
 
 # --- XES ---------------------------------------------------------------------
@@ -368,11 +385,11 @@ class _XesCases:
         self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
         self.kept = {"concept:name", "org:resource", "time:timestamp", *self.sensitive_attrs}
         self.seconds = _Memo(lambda text: _parse_timestamp(text, ISO_FORMAT))
-        self.case = case_maker(TimestampAccuracy.parse(accuracy))
+        self.accuracy, self.columns = TimestampAccuracy.parse(accuracy), _Columns()
         # text with values emptied -> its plan (None for a layout no plan
         # builds); a stretch of it -> its part (False for text out of the form)
         self.plans, self.parts, self.held = {}, {}, 0
-        self.instances, self.dropped, self.error = [], 0, None
+        self.dropped, self.error = 0, None
 
     def text(self, text) -> bool:
         """Add the case of a trace's text, between ``<trace>`` and ``</trace>``,
@@ -402,15 +419,17 @@ class _XesCases:
             return False  # a reference, or a character the parser normalizes or refuses
         values.append(None)  # the value of an absent resource or sensitive attribute
         sensitive = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
+        activities = plan.pick_acts(values)
+        if "" in activities:
+            return False
         try:
             for attr, cast in plan.casts.items():
                 sensitive[attr] = cast(sensitive[attr])
             seconds = list(map(self.seconds.__getitem__, plan.pick_stamps(values)))
-            case = self.case(values[plan.case_at], plan.pick_acts(values),
-                             plan.pick_resources(values), seconds, sensitive)
         except ValueError:  # LogError included
             return False
-        self.instances.append(case)
+        self.columns.add(values[plan.case_at], activities, plan.pick_resources(values),
+                         seconds, sensitive)
         self.dropped += plan.dropped
         return True
 
@@ -421,7 +440,7 @@ class _XesCases:
         if self.error is not None:
             return
         try:
-            self.instances.append(self._walk(trace, events))
+            self._walk(trace, events)
         except LogError as exc:
             self.error = LogError(f"{self.path}: {exc}")
 
@@ -495,14 +514,16 @@ class _XesCases:
         return attrs, bad
 
     def _walk(self, trace, events):
-        """The case of a trace's attributes and its events', checked in the
-        order of a tree walk: the trace's attributes, then each event's."""
+        """Add the case of a trace's attributes and its events', checked in
+        the order of a tree walk: the trace's attributes, then each event's."""
         attrs, bad = self._settle(trace)
         case_id = attrs.get("concept:name")
         if bad is not None:
             raise _bad_value(case_id, *bad)
         if case_id is None:
             raise LogError("trace without concept:name case id")
+        if not events:
+            raise LogError(f"case {str(case_id)!r}: empty traces are not allowed")
         activities, resources, seconds = [], [], []
         for event in events:
             fields, bad = self._settle(event)
@@ -520,12 +541,12 @@ class _XesCases:
                 raise LogError(f"case {case_id!r}: {exc}") from None
             label = str(activity)
             if not label:
-                Event(label, None, 0)  # raises the empty label's error here, in walk order
+                raise LogError("event activity label must be non-empty")
             activities.append(label)
             resource = fields.get("org:resource")
             resources.append(None if resource is None else str(resource))
         sensitive = {attr: attrs.get(attr) for attr in self.sensitive_attrs}
-        return self.case(str(case_id), activities, resources, seconds, sensitive)
+        self.columns.add(str(case_id), activities, resources, seconds, sensitive)
 
 
 _BLOCK_BYTES = 1 << 16  # read at a time
@@ -692,7 +713,7 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     if cases.dropped:
         logger.warning("dropped %d unrecognized XES attributes from %s", cases.dropped, path)
     try:
-        return EventLog._built(tuple(cases.instances), cases.sensitive_attrs)
+        return cases.columns.log(cases.sensitive_attrs, cases.accuracy)
     except LogError as exc:  # a repeated case id
         raise LogError(f"{path}: {exc}") from None
 
@@ -703,17 +724,27 @@ def write_xes(log: EventLog, path) -> None:
     label = _Memo(lambda text: text.translate(esc)).__getitem__
     keys = {attr: attr.translate(esc) for attr in log.sensitive_attrs}
     stamp = _Memo(lambda seconds: _format_timestamp(seconds, ISO_FORMAT)).__getitem__
+
+    def event(activity, resource, seconds):
+        if resource is not None:
+            resource = f'\n      <string key="org:resource" value="{label(resource)}" />'
+        return (f'\n    <event>\n      <string key="concept:name" value="{label(activity)}" />'
+                f'{resource or ""}\n      <date key="time:timestamp" value="{stamp(seconds)}" />'
+                "\n    </event>")
+
     try:
         with open(path, "w", encoding="utf-8", errors="xmlcharrefreplace") as out:
-            if not log.instances:
+            if not len(log):
                 out.write(f"{_XES_HEADER}{_XES_LOG_TAG} />")
                 return
             out.write(f"{_XES_HEADER}{_XES_LOG_TAG}>")
-            for inst in log:
-                case_id = inst.case_id.translate(esc)
+            events, bounds = _rendered(log, event), log.bounds.tolist()
+            for case_id, sensitive, a, b in zip(log.case_ids, log.case_sensitive,
+                                                 bounds, bounds[1:]):
+                case_id = case_id.translate(esc)
                 lines = [f'\n  <trace>\n    <string key="concept:name" value="{case_id}" />']
                 for attr, key in keys.items():
-                    value = inst.sensitive.get(attr)
+                    value = sensitive.get(attr)
                     if value is None:
                         continue
                     if isinstance(value, bool):
@@ -725,20 +756,7 @@ def write_xes(log: EventLog, path) -> None:
                     else:
                         tag, text = "string", str(value).translate(esc)
                     lines.append(f'\n    <{tag} key="{key}" value="{text}" />')
-                for ev in inst.trace:
-                    activity = label(ev.activity)
-                    lines.append(
-                        f'\n    <event>\n      <string key="concept:name" value="{activity}" />'
-                    )
-                    if ev.resource is not None:
-                        resource = label(ev.resource)
-                        lines.append(
-                            f'\n      <string key="org:resource" value="{resource}" />'
-                        )
-                    lines.append(
-                        f'\n      <date key="time:timestamp" value="{stamp(ev.timestamp)}" />'
-                        "\n    </event>"
-                    )
+                lines += events[a:b]
                 lines.append("\n  </trace>")
                 out.write("".join(lines))
             out.write("\n</log>")
@@ -753,16 +771,18 @@ def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None, sensitive_at
              accuracy=TimestampAccuracy.SECONDS) -> EventLog:
     """Read an XES or CSV log (by ``fmt`` or the file suffix), its timestamps
     floored to ``accuracy`` as read."""
+    colmap = _sensitive_columns(colmap, sensitive_attrs)
     if log_format(fmt, path) == "xes":
-        return read_xes(path, sensitive_attrs, accuracy)
-    return read_csv(path, _sensitive_columns(colmap, sensitive_attrs), accuracy)
+        return read_xes(path, colmap.sensitive_cols, accuracy)
+    return read_csv(path, colmap, accuracy)
 
 
 def save_log(log: EventLog, path, fmt=None, colmap: Optional[CsvColumnMap] = None) -> None:
+    colmap = _sensitive_columns(colmap, log.sensitive_attrs)
     if log_format(fmt, path) == "xes":
         write_xes(log, path)
     else:
-        write_csv(log, path, _sensitive_columns(colmap, log.sensitive_attrs))
+        write_csv(log, path, colmap)
 
 
 def _sensitive_columns(colmap: Optional[CsvColumnMap], attrs) -> CsvColumnMap:

@@ -6,13 +6,17 @@ mapping of case-level sensitive attributes.  Timestamps are integer seconds
 since the Unix epoch (UTC); after relativization they encode offsets from a
 shared origin, which keeps timed matching a plain equality check.
 
+A log is columns (:class:`EventLog`): per event an activity code, a
+resource code and int64 seconds, per case its id and sensitive values.
+Readers fill them through one builder, and flooring, rebasing and
+suppression are array operations; :attr:`EventLog.instances`, the cases as
+:class:`ProcessInstance` objects, is built on first read.
+
 Logs are immutable after construction and all operations here are pure
-functions, safe for concurrent readers.  Events and cases are values: equal
-events may be one shared object (:func:`case_maker`, which builds every read
-or truncated case, makes one per distinct floored event), a log derived from
-another may share its unchanged cases, and identity is not part of the
-model.  :meth:`EventLog.coded` caches a pure function in one assignment, so
-concurrent readers at worst project twice.
+functions, safe for concurrent readers.  Events and cases are values, a
+derived log may share its arrays, and identity is not part of the model.
+:attr:`EventLog.instances` and :meth:`EventLog.coded` cache a pure function
+in one assignment, so concurrent readers at worst build twice.
 
 A projection is kept in integer codes, and :meth:`EventLog.coded` is the one
 place events become descriptors: it numbers the log's distinct descriptors in
@@ -25,12 +29,14 @@ global suppression is handed its codes (:meth:`EventLog._without`).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
-from itertools import accumulate, compress
-from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import compress
+from operator import attrgetter
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -51,10 +57,6 @@ __all__ = [
     "directly_follows",
     "discretize_sensitive",
 ]
-
-
-# the event field behind each letter of a perspective's value, in that order
-_FIELDS = {"A": "activity", "R": "resource", "T": "timestamp"}
 
 
 class LogError(ValueError):
@@ -166,80 +168,131 @@ class ProcessInstance:
         return len(self.trace)
 
 
-@dataclass(frozen=True)
+class _Memo(dict):
+    """``convert(key)`` of each key, computed on its first lookup; made for
+    one read, write or build, since logs repeat few distinct values."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        value = self[key] = self.convert(key)
+        return value
+
+
+# the most seconds a timestamp or a rebasing origin lies from the epoch, so that
+# no difference of two stamps, plus an origin, leaves the int64 columns
+_SECONDS_BOUND = 1 << 61
+
+# the columns of a log, in the order _fill takes them
+_COLUMNS = ("sensitive_attrs", "case_ids", "case_sensitive", "bounds", "activity_codes",
+            "resource_codes", "seconds", "activity_labels", "resource_labels")
+
+
 class EventLog:
-    """An immutable collection of process instances with declared sensitive attributes."""
+    """An immutable collection of process instances with declared sensitive
+    attributes, held as columns.
 
-    instances: tuple
-    sensitive_attrs: tuple = ()
+    ``case_ids[i]`` and ``case_sensitive[i]`` (a dict) belong to case ``i``,
+    whose events are the positions ``bounds[i]`` to ``bounds[i + 1]`` of the
+    event columns, in time order: ``activity_codes`` index
+    ``activity_labels``, ``resource_codes`` index ``resource_labels`` (-1 for
+    no resource) and ``seconds`` holds the int64 timestamps.  A table may
+    hold labels no event uses.  ``EventLog(instances, sensitive_attrs)``
+    rejects a repeated case id and a case that lacks a declared attribute,
+    and keeps ``instances``; any other log builds them on first read.
+    """
 
-    # ((ps, accuracy or None if untimed), (traces, alphabet)) of the last
-    # projection; not a field, so it stays out of the constructor, ``==``
-    # and ``repr``
-    _projection = (None, ((), ()))
+    __slots__ = _COLUMNS + ("_instances", "_projection")
 
-    def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
-        object.__setattr__(self, "sensitive_attrs", tuple(self.sensitive_attrs))
-        self._check(self.sensitive_attrs)
+    def __init__(self, instances, sensitive_attrs=()):
+        instances, columns = tuple(instances), _Columns()
+        for inst in instances:
+            columns.add(inst.case_id, [ev.activity for ev in inst.trace],
+                        [ev.resource for ev in inst.trace], [ev.timestamp for ev in inst.trace],
+                        inst.sensitive)
+        columns.log(tuple(sensitive_attrs), TimestampAccuracy.SECONDS, self)
+        object.__setattr__(self, "_instances", instances)
 
-    @classmethod
-    def _built(cls, instances: tuple, sensitive_attrs: tuple, check_ids=True) -> "EventLog":
-        """The log of a tuple of cases that hold every attribute of the
-        ``sensitive_attrs`` tuple, built without checking that; duplicate ids
-        are still rejected unless ``check_ids`` is False."""
-        log = object.__new__(cls)
-        object.__setattr__(log, "instances", instances)
-        object.__setattr__(log, "sensitive_attrs", sensitive_attrs)
-        if check_ids:
-            log._check(())
-        return log
+    def _fill(self, *columns) -> "EventLog":
+        """This log, its columns set in the order of ``_COLUMNS`` and nothing cached."""
+        for name, value in zip(_COLUMNS, columns, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_instances", None)
+        # ((ps, accuracy or None if untimed), (traces, alphabet)) of the last projection
+        object.__setattr__(self, "_projection", (None, None))
+        return self
 
-    def _check(self, attrs: tuple) -> None:
-        """Reject a repeated case id and a case that lacks one of ``attrs``."""
-        seen = set()
-        for inst in self.instances:
-            if inst.case_id in seen:
-                raise LogError(f"duplicate case id {inst.case_id!r}")
-            seen.add(inst.case_id)
-            for attr in attrs:
-                if attr not in inst.sensitive:
-                    raise LogError(
-                        f"case {inst.case_id!r} lacks declared sensitive attribute {attr!r}"
-                    )
+    def _with(self, **changes) -> "EventLog":
+        """A log of this one's columns with those named replaced."""
+        return object.__new__(EventLog)._fill(*(
+            changes[name] if name in changes else getattr(self, name) for name in _COLUMNS
+        ))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):
+        return EventLog, (self.instances, self.sensitive_attrs)
+
+    @property
+    def instances(self) -> tuple:
+        """The cases as :class:`ProcessInstance` objects, in order, built on
+        first read with one :class:`Event` per distinct event."""
+        if self._instances is None:
+            activities, resources = self.activity_labels, self.resource_labels + (None,)
+            event = _Memo(lambda key: Event(activities[key[0]], resources[key[1]], key[2]))
+            events = list(map(event.__getitem__, zip(
+                self.activity_codes.tolist(), self.resource_codes.tolist(), self.seconds.tolist()
+            )))
+            bounds = self.bounds.tolist()
+            object.__setattr__(self, "_instances", tuple(
+                ProcessInstance._ordered(case_id, tuple(events[a:b]), dict(sensitive))
+                for case_id, sensitive, a, b
+                in zip(self.case_ids, self.case_sensitive, bounds, bounds[1:])
+            ))
+        return self._instances
+
+    def __eq__(self, other):
+        if not isinstance(other, EventLog):
+            return NotImplemented
+        return (self.instances, self.sensitive_attrs) == (other.instances, other.sensitive_attrs)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"EventLog(instances={self.instances!r}, sensitive_attrs={self.sensitive_attrs!r})"
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.case_ids)
 
     def __iter__(self) -> Iterator[ProcessInstance]:
         return iter(self.instances)
 
     @property
     def total_events(self) -> int:
-        return sum(len(inst) for inst in self.instances)
+        return int(self.bounds[-1])
 
     def activities(self) -> set:
-        return {ev.activity for inst in self.instances for ev in inst.trace}
+        used = np.unique(self.activity_codes).tolist()
+        return set(map(self.activity_labels.__getitem__, used))
 
     def resources(self) -> set:
-        return {
-            ev.resource
-            for inst in self.instances
-            for ev in inst.trace
-            if ev.resource is not None
-        }
+        used = np.unique(self.resource_codes[self.resource_codes >= 0]).tolist()
+        return set(map(self.resource_labels.__getitem__, used))
 
     def has_resources(self) -> bool:
-        return all(
-            ev.resource is not None for inst in self.instances for ev in inst.trace
-        )
+        return not (self.resource_codes < 0).any()
 
     def coded(
         self, ps: Perspective, accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS
     ) -> tuple:
-        """``(traces, alphabet)``: every case's trace projected on ``ps`` as a
-        tuple of descriptor codes, in case order, and ``alphabet[c]``, the
-        :class:`ProjectedEvent` of code ``c``.
+        """``(traces, alphabet)``: every case's trace projected on ``ps`` in
+        descriptor codes, as :class:`CodedTraces` in case order, and
+        ``alphabet[c]``, the :class:`ProjectedEvent` of code ``c``.
 
         A descriptor keeps exactly the perspective's fields; a timed one holds
         the timestamp in whole ``accuracy`` units (floor), and an untimed one
@@ -252,43 +305,144 @@ class EventLog:
         key = (ps, accuracy if ps.has_time else None)
         held, coded = self._projection
         if held != key:
-            coded = _encode(self.instances, ps, accuracy)
+            coded = _encode(self, ps, accuracy)
             object.__setattr__(self, "_projection", (key, coded))
         return coded
 
-    def _cut(self, traces: Iterable[tuple]) -> tuple:
-        """``(log, dropped ids)``: each case with its trace replaced by the next
-        of ``traces``, a tuple of its events in order, emptied cases dropped.
-        A monotone shift or floor of every timestamp keeps the order."""
-        kept, dropped = [], []
-        for inst, trace in zip(self.instances, traces):
-            if trace is inst.trace:
-                kept.append(inst)
-            elif trace:  # a subsequence of an ordered trace is ordered
-                kept.append(ProcessInstance._ordered(inst.case_id, trace, dict(inst.sensitive)))
-            else:
-                dropped.append(inst.case_id)
-        return EventLog._built(tuple(kept), self.sensitive_attrs, check_ids=False), tuple(dropped)
+    def _keep(self, keep: np.ndarray) -> tuple:
+        """``(log, dropped ids)``: each case with the events that the boolean
+        array ``keep`` marks, cases left with none dropped.  A subsequence
+        of an ordered trace is ordered."""
+        if not len(self):
+            return self, ()
+        lengths = np.add.reduceat(keep, self.bounds[:-1], dtype=np.int64)
+        alive = (lengths > 0).tolist()
+        log = self._with(
+            case_ids=tuple(compress(self.case_ids, alive)),
+            case_sensitive=tuple(compress(self.case_sensitive, alive)),
+            bounds=np.concatenate(([0], np.cumsum(lengths[lengths > 0]))),
+            activity_codes=self.activity_codes[keep],
+            resource_codes=self.resource_codes[keep],
+            seconds=self.seconds[keep],
+        )
+        return log, tuple(compress(self.case_ids, (lengths == 0).tolist()))
 
     def _without(self, ps: Perspective, accuracy: TimestampAccuracy, descriptors: set) -> tuple:
-        """:meth:`_cut` to the events whose projection is none of
-        ``descriptors``.  The pass that keeps a case's events keeps their
-        codes, numbered on past the vanished ones, as the new log's slot."""
+        """:meth:`_keep` of the events whose projection is none of
+        ``descriptors``.  Their codes, numbered on past the vanished ones,
+        are the new log's projection."""
         traces, alphabet = self.coded(ps, accuracy)
-        keep = [e not in descriptors for e in alphabet]
-        renumber = None if all(keep) else list(accumulate(keep, initial=-1))[1:]
-        cut, coded = [], []
-        for inst, codes in zip(self.instances, traces):
-            kept = list(map(keep.__getitem__, codes))
-            cut.append(tuple(compress(inst.trace, kept)))
-            if renumber is not None:
-                codes = tuple(map(renumber.__getitem__, compress(codes, kept)))
-            if codes:
-                coded.append(codes)
-        log, dropped = self._cut(cut)
-        coded = (tuple(coded), tuple(compress(alphabet, keep)))
+        kept = np.fromiter((e not in descriptors for e in alphabet), bool, len(alphabet))
+        keep = kept[traces.codes]
+        log, dropped = self._keep(keep)
+        renumber = (np.cumsum(kept) - 1).astype(np.int32)
+        coded = (CodedTraces(renumber[traces.codes[keep]], log.bounds),
+                 tuple(compress(alphabet, kept.tolist())))
         object.__setattr__(log, "_projection", ((ps, accuracy if ps.has_time else None), coded))
         return log, dropped
+
+
+def _check(case_ids: tuple, sensitive: tuple, attrs: tuple) -> None:
+    """Reject a repeated case id and a case that lacks one of ``attrs``."""
+    seen = set()
+    for case_id, values in zip(case_ids, sensitive):
+        if case_id in seen:
+            raise LogError(f"duplicate case id {case_id!r}")
+        seen.add(case_id)
+        for attr in attrs:
+            if attr not in values:
+                raise LogError(f"case {case_id!r} lacks declared sensitive attribute {attr!r}")
+
+
+class _Columns:
+    """The columns of a log in the making, one case at a time: the one
+    builder of the readers' logs and of :class:`EventLog`'s.
+
+    :meth:`add` takes a case with a non-empty trace as sequences of
+    activities, resources (None for none) and exact seconds in source order,
+    and codes its labels at once, in order of first use, so that a reader
+    holds no label per event.  :meth:`log` orders each case by its seconds
+    (stable: source order breaks ties) and floors them to the accuracy, as
+    :func:`truncate_to_accuracy` does."""
+
+    def __init__(self):
+        self.activity = _Memo(lambda label: len(self.activity))
+        self.resource = _Memo(lambda label: len(self.resource) - 1)
+        self.resource[None] = -1
+        self.activities, self.resources, self.seconds, self.lengths = [], [], [], []
+        self.case_ids, self.sensitive = [], []
+
+    def add(self, case_id, activities, resources, seconds, sensitive) -> None:
+        self.activities += map(self.activity.__getitem__, activities)
+        self.resources += map(self.resource.__getitem__, resources)
+        self.seconds += seconds
+        self.lengths.append(len(seconds))
+        self.case_ids.append(case_id)
+        self.sensitive.append(sensitive)
+
+    def log(self, attrs: tuple, accuracy: TimestampAccuracy, log=None) -> EventLog:
+        """``log``, or a new log, holding the cases added and declaring ``attrs``."""
+        log = object.__new__(EventLog) if log is None else log
+        case_ids, sensitive = tuple(self.case_ids), tuple(self.sensitive)
+        _check(case_ids, sensitive, attrs)
+        try:
+            seconds = np.array(self.seconds, np.int64)
+        except OverflowError:
+            seconds = None
+        if seconds is None or not (-_SECONDS_BOUND <= seconds.min(initial=0)
+                                   and seconds.max(initial=0) <= _SECONDS_BOUND):
+            raise LogError("a timestamp lies more than 2**61 seconds from the epoch")
+        activities = np.array(self.activities, np.int32)
+        resources = np.array(self.resources, np.int32)
+        lengths = np.array(self.lengths, np.int64)
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        falls = seconds[1:] < seconds[:-1]
+        falls[bounds[1:-1] - 1] = False  # from one case to the next
+        if falls.any():
+            order = np.lexsort((seconds, np.repeat(np.arange(len(lengths)), lengths)))
+            activities, resources, seconds = activities[order], resources[order], seconds[order]
+        unit = accuracy.unit_seconds
+        if unit > 1:
+            seconds -= seconds % unit
+        return log._fill(attrs, case_ids, sensitive, bounds, activities, resources, seconds,
+                         tuple(self.activity), tuple(self.resource)[1:])
+
+
+class CodedTraces(Sequence):
+    """Every case's projection in descriptor codes: case ``i``'s codes are
+    ``codes[bounds[i]:bounds[i + 1]]``.  As a sequence its items are the
+    cases' code tuples, built on first read."""
+
+    __slots__ = ("codes", "bounds", "_tuples")
+
+    def __init__(self, codes: np.ndarray, bounds: np.ndarray):
+        self.codes, self.bounds, self._tuples = codes, bounds, None
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.bounds)
+
+    def _items(self) -> tuple:
+        if self._tuples is None:
+            flat, bounds = self.codes.tolist(), self.bounds.tolist()
+            self._tuples = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+        return self._tuples
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    def __getitem__(self, index):
+        return self._items()[index]
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def __eq__(self, other):
+        if not isinstance(other, CodedTraces):
+            return NotImplemented
+        return np.array_equal(self.codes, other.codes) and np.array_equal(self.bounds, other.bounds)
+
+    __hash__ = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,37 +480,63 @@ class ProjectedEvent:
         return parts or "?"
 
 
-def _encode(instances, ps: Perspective, accuracy: TimestampAccuracy) -> tuple:
-    """The ``(traces, alphabet)`` of :meth:`EventLog.coded`: one pass collects
-    the distinct tuples of kept fields, a second maps each event to the code
-    of the descriptor its tuple floors to."""
-    kept = [_FIELDS[letter] for letter in ps.value]
-    fields = attrgetter(*kept)
-    seen = set()
-    for inst in instances:
-        seen.update(map(fields, inst.trace))
-    unit = accuracy.unit_seconds
-    descs = {}
-    for values in seen:
-        got = dict(zip(kept, values if len(kept) > 1 else (values,)))
-        stamp = got.get("timestamp")
-        descs[values] = (
-            got.get("activity"), got.get("resource"), None if stamp is None else stamp // unit
-        )
-    if ps.has_resource and any(d[1] is None for d in descs.values()):
-        inst, ev = next(
-            (inst, ev) for inst in instances for ev in inst.trace if ev.resource is None
-        )
-        raise MissingResourceError(
-            f"perspective {ps.value} requires a resource but event "
-            f"{ev.activity!r} in case {inst.case_id!r} has none"
-        )
-    events = {d: ProjectedEvent(*d) for d in descs.values()}
-    order = sorted(events, key=lambda d: events[d].sort_key())
-    rank = {d: c for c, d in enumerate(order)}
-    code = {values: rank[d] for values, d in descs.items()}.__getitem__
-    traces = tuple(tuple(map(code, map(fields, inst.trace))) for inst in instances)
-    return traces, tuple(events[d] for d in order)
+def _ranks(labels: tuple) -> np.ndarray:
+    """Per label code, the rank of its label in sorted order."""
+    ranks = np.empty(len(labels), np.int64)
+    ranks[sorted(range(len(labels)), key=labels.__getitem__)] = np.arange(len(labels))
+    return ranks
+
+
+def _group(columns) -> tuple:
+    """``(codes, one)`` of events keyed by ``columns``, ``(values, count)``
+    pairs of int arrays with values in ``[0, count)``: each event's rank
+    among the distinct keys in lexicographic order, and an event of each."""
+    key, size = np.zeros(len(columns[0][0]), np.int64), 1
+    for values, count in columns:
+        if size * count >= 1 << 62:  # too wide to mix: rank the keys so far
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max(initial=0)) + 1
+        key, size = key * count + values, size * count
+    if size <= 4 * len(key) + 256:  # a count per key beats a sort
+        present = np.bincount(key, minlength=size) > 0
+        codes = (np.cumsum(present) - 1)[key]
+    else:
+        codes = np.unique(key, return_inverse=True)[1]
+    one = np.empty(int(codes.max(initial=-1)) + 1, np.int64)
+    one[codes] = np.arange(len(key))
+    return codes, one
+
+
+def _encode(log: EventLog, ps: Perspective, accuracy: TimestampAccuracy) -> tuple:
+    """The ``(traces, alphabet)`` of :meth:`EventLog.coded`: an event's key
+    mixes the canonical ranks of its kept fields, so the distinct keys in
+    order are the codes, and one event of each key makes its descriptor."""
+    columns, times = [], None
+    if "A" in ps.value:
+        columns.append((_ranks(log.activity_labels)[log.activity_codes], len(log.activity_labels)))
+    if ps.has_resource:
+        bare = np.flatnonzero(log.resource_codes < 0)
+        if len(bare):
+            case = int(np.searchsorted(log.bounds, bare[0], "right")) - 1
+            activity = log.activity_labels[log.activity_codes[bare[0]]]
+            raise MissingResourceError(
+                f"perspective {ps.value} requires a resource but event "
+                f"{activity!r} in case {log.case_ids[case]!r} has none"
+            )
+        columns.append((_ranks(log.resource_labels)[log.resource_codes], len(log.resource_labels)))
+    if ps.has_time:
+        times = log.seconds // accuracy.unit_seconds
+        values, at = np.unique(times, return_inverse=True)
+        columns.append((at, len(values)))
+    codes, one = _group(columns)
+    n = len(one)
+    activities = (map(log.activity_labels.__getitem__, log.activity_codes[one].tolist())
+                  if "A" in ps.value else [None] * n)
+    resources = (map(log.resource_labels.__getitem__, log.resource_codes[one].tolist())
+                 if ps.has_resource else [None] * n)
+    stamps = times[one].tolist() if times is not None else [None] * n
+    alphabet = tuple(map(ProjectedEvent, activities, resources, stamps))
+    return CodedTraces(codes.astype(np.int32), log.bounds), alphabet
 
 
 def is_subsequence(small: Sequence, big: Sequence) -> bool:
@@ -380,65 +560,18 @@ def relative_timestamps(trace: Sequence[Event], t0: int = 0) -> tuple:
 
 def relativize_log(log: EventLog, t0: int = 0) -> EventLog:
     """Rebase every case to the shared origin ``t0`` (Unix epoch by default)."""
-    return log._cut(relative_timestamps(inst.trace, t0) for inst in log)[0]
+    if not -_SECONDS_BOUND <= t0 <= _SECONDS_BOUND:
+        raise LogError(f"origin {t0} lies more than 2**61 seconds from the epoch")
+    shifts = t0 - log.seconds[log.bounds[:-1]]
+    return log._with(seconds=log.seconds + np.repeat(shifts, np.diff(log.bounds)))
 
 
 def truncate_to_accuracy(log: EventLog, accuracy: TimestampAccuracy) -> EventLog:
-    """Floor every timestamp to its accuracy-unit boundary (stable, idempotent).
-
-    Each case is rebuilt by :func:`case_maker`, so a log floored to hours
-    holds one :class:`Event` per distinct event rather than one per occurrence.
-    """
-    if accuracy.unit_seconds == 1:
-        return log
-    make, fields = case_maker(accuracy), attrgetter("activity", "resource", "timestamp")
-    cases = []
-    for inst in log:
-        activities, resources, seconds = map(list, zip(*map(fields, inst.trace)))
-        cases.append(make(inst.case_id, activities, resources, seconds, dict(inst.sensitive)))
-    return EventLog._built(tuple(cases), log.sensitive_attrs, check_ids=False)
-
-
-class _Memo(dict):
-    """``convert(key)`` of each key, computed on its first lookup; made for
-    one read, write or maker, since logs repeat few distinct values."""
-
-    __slots__ = ("convert",)
-
-    def __init__(self, convert):
-        super().__init__()
-        self.convert = convert
-
-    def __missing__(self, key):
-        value = self[key] = self.convert(key)
-        return value
-
-
-def case_maker(accuracy: TimestampAccuracy):
-    """``(case_id, activities, resources, seconds, sensitive)`` -> its
-    :class:`ProcessInstance` at ``accuracy``: the one builder of the readers'
-    and :func:`truncate_to_accuracy`'s cases, from their events' fields in
-    source order (``seconds`` a list of exact timestamps).  Events are ordered
-    by exact seconds (stable: file order breaks ties), then floored, and equal
-    floored events share one object per maker.  No events raise the
-    constructor's error."""
+    """Floor every timestamp to its accuracy-unit boundary (stable, idempotent)."""
     unit = accuracy.unit_seconds
-    floors = None if unit == 1 else _Memo(lambda seconds: seconds - seconds % unit)
-    events = _Memo(lambda key: Event(*key))
-
-    def make(case_id, activities, resources, seconds, sensitive):
-        if sorted(seconds) != seconds:
-            pick = itemgetter(*sorted(range(len(seconds)), key=seconds.__getitem__))
-            activities, resources, seconds = pick(activities), pick(resources), pick(seconds)
-        if floors is None:
-            trace = tuple(map(Event, activities, resources, seconds))
-        else:
-            floored = map(floors.__getitem__, seconds)
-            trace = tuple(map(events.__getitem__, zip(activities, resources, floored)))
-        build = ProcessInstance._ordered if trace else ProcessInstance  # which rejects no events
-        return build(case_id, trace, sensitive)
-
-    return make
+    if unit == 1:
+        return log
+    return log._with(seconds=log.seconds - log.seconds % unit)
 
 
 def variants(
@@ -487,25 +620,27 @@ def discretize_sensitive(log: EventLog, attr: str) -> EventLog:
 
     Quartiles (linear interpolation) are computed over the per-case values;
     values strictly above Q3 become "high", strictly below Q1 "low",
-    everything else "middle".
+    everything else "middle".  A value that is not a finite number is an
+    error.
     """
     if attr not in log.sensitive_attrs:
         raise LogError(f"cannot discretize {attr!r}: it is not a declared sensitive attribute")
     values = []
-    for inst in log:
-        v = inst.sensitive.get(attr)
+    for case_id, sensitive in zip(log.case_ids, log.case_sensitive):
+        v = sensitive.get(attr)
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise LogError(
-                f"case {inst.case_id!r}: sensitive attribute {attr!r} has "
+                f"case {case_id!r}: sensitive attribute {attr!r} has "
                 f"non-numeric value {v!r}"
             )
-        values.append(float(v))
+        v = float(v)
+        if not math.isfinite(v):
+            raise LogError(
+                f"case {case_id!r}: sensitive attribute {attr!r} has non-finite value {v!r}"
+            )
+        values.append(v)
     q1, q3 = np.percentile(values, [25, 75])
-    relabeled = []
-    for inst in log:
-        v = float(inst.sensitive[attr])
-        label = "high" if v > q3 else "low" if v < q1 else "middle"
-        sens = dict(inst.sensitive)
-        sens[attr] = label
-        relabeled.append(ProcessInstance(inst.case_id, inst.trace, sens))
-    return EventLog(tuple(relabeled), log.sensitive_attrs)
+    return log._with(case_sensitive=tuple(
+        {**sensitive, attr: "high" if v > q3 else "low" if v < q1 else "middle"}
+        for sensitive, v in zip(log.case_sensitive, values)
+    ))

@@ -100,9 +100,9 @@ def encode_builds(monkeypatch):
     calls = []
     original = tlkcpriv.log._encode
 
-    def counting(instances, ps, accuracy):
+    def counting(log, ps, accuracy):
         calls.append((ps, accuracy))
-        return original(instances, ps, accuracy)
+        return original(log, ps, accuracy)
 
     monkeypatch.setattr(tlkcpriv.log, "_encode", counting)
     return calls

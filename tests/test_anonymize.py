@@ -444,9 +444,9 @@ class TestOneProjectionPerRound:
         calls = []
         original = tlkcpriv.log._encode
 
-        def counting(instances, ps, accuracy):
+        def counting(log, ps, accuracy):
             calls.append(ps)
-            return original(instances, ps, accuracy)
+            return original(log, ps, accuracy)
 
         monkeypatch.setattr(tlkcpriv.log, "_encode", counting)
         return calls
@@ -486,7 +486,7 @@ class TestGreedyAgainstDescriptorOracle:
     def _fresh(log, ps):
         from tlkcpriv.log import _encode
 
-        return (ps, HOURS if ps.has_time else None), _encode(log.instances, ps, HOURS)
+        return (ps, HOURS if ps.has_time else None), _encode(log, ps, HOURS)
 
     @pytest.mark.parametrize("spec", SPECS, ids=str)
     @settings(max_examples=30, deadline=None)

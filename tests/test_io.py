@@ -24,6 +24,7 @@ from tlkcpriv import (
     ProjectedEvent,
     RunConfig,
     TimestampAccuracy,
+    TlkcAnonymizer,
     is_violating,
     load_log,
     read_config,
@@ -40,6 +41,7 @@ import tlkcpriv.io as xes_io
 
 from .conftest import DATA, HOSPITAL_COLMAP
 from .oracles import tree_read_xes, tree_write_xes
+from .test_acceptance import _synthetic_big_log
 
 
 class TestCsv:
@@ -1812,6 +1814,36 @@ class TestFormatDispatch:
         with pytest.raises(LogError, match="differ from the sensitive attributes"):
             save_log(hospital_log, tmp_path / "log.csv", colmap=colmap)
         assert not (tmp_path / "log.csv").exists()
+
+    def test_xes_columns_that_differ_from_the_attributes_fail(self, hospital_log, tmp_path):
+        # the column map's sensitive columns used to be ignored for XES
+        colmap = CsvColumnMap(sensitive_cols=("Disease",))
+        with pytest.raises(LogError, match="differ from the sensitive attributes"):
+            load_log(DATA / "hospital_log.xes", colmap=colmap)
+        with pytest.raises(LogError, match="differ from the sensitive attributes"):
+            load_log(DATA / "hospital_log.xes", colmap=colmap, sensitive_attrs=("Age",))
+        with pytest.raises(LogError, match="differ from the sensitive attributes"):
+            save_log(hospital_log, tmp_path / "log.xes", colmap=colmap)
+        assert not (tmp_path / "log.xes").exists()
+
+    def test_xes_read_takes_the_column_maps_attributes(self):
+        colmap = CsvColumnMap(sensitive_cols=("Disease",))
+        log = load_log(DATA / "hospital_log.xes", colmap=colmap, sensitive_attrs=("Disease",))
+        assert log.sensitive_attrs == ("Disease",)
+        assert log.instances[0].sensitive == {"Disease": "Flu"}
+
+
+class TestColumnarJob:
+    @pytest.mark.parametrize("fmt", ["xes", "csv"])
+    def test_anonymize_job_builds_no_instances(self, fmt, tmp_path):
+        save_log(_synthetic_big_log(200, 4025), tmp_path / f"in.{fmt}")
+        log = load_log(tmp_path / f"in.{fmt}", sensitive_attrs=("Disease",), accuracy="hours")
+        result = TlkcAnonymizer(theta=0.2, accuracy="hours", L=2, K=5, C=0.8, bk="seq/ar",
+                                sensitive=("Disease",)).anonymize(log)
+        save_log(result.log, tmp_path / f"out.{fmt}")
+        assert result.dropped_cases and result.events_removed  # the job cuts events and cases
+        assert log._instances is None and result.log._instances is None
+        assert load_log(tmp_path / f"out.{fmt}", sensitive_attrs=("Disease",)) == result.log
 
 
 class TestRunConfig:

@@ -18,6 +18,7 @@ from tlkcpriv import (
     TimestampAccuracy,
     directly_follows,
     discretize_sensitive,
+    read_xes,
     relative_timestamps,
     relativize_log,
     truncate_to_accuracy,
@@ -25,10 +26,16 @@ from tlkcpriv import (
     variants,
 )
 from tlkcpriv.anonymize import suppress_global
-from tlkcpriv.log import case_maker
+from tlkcpriv.log import _Columns
 
 from .conftest import HOUR, build_log
-from .oracles import brute_directly_follows, per_event_truncate, project_raw, random_log
+from .oracles import (
+    brute_directly_follows,
+    hypothesis_logs,
+    per_event_truncate,
+    project_raw,
+    random_log,
+)
 from .test_acceptance import _synthetic_big_log
 
 HOURS = TimestampAccuracy.HOURS
@@ -36,6 +43,15 @@ HOURS = TimestampAccuracy.HOURS
 
 def case(log, cid):
     return next(inst for inst in log if inst.case_id == cid)
+
+
+def built(cases, attrs, accuracy):
+    """The log that the column builder makes of ``(case_id, activities,
+    resources, seconds, sensitive)`` cases."""
+    columns = _Columns()
+    for fields in cases:
+        columns.add(*fields)
+    return columns.log(attrs, accuracy)
 
 
 def decoded(log, ps, accuracy=TimestampAccuracy.SECONDS):
@@ -139,8 +155,8 @@ SENSITIVE_VALUES = st.none() | st.integers() | st.floats() | st.booleans() | st.
 
 
 class TestOrderedConstructor:
-    """``ProcessInstance._ordered``, which the readers and the suppressors
-    use on traces they know to be ordered, builds what the constructor does."""
+    """``ProcessInstance._ordered``, which builds the cases of a log's
+    columns, ordered by construction, builds what the constructor does."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -306,15 +322,15 @@ class TestTruncate:
         events = [ev for inst in log for ev in inst.trace]
         assert len({id(ev) for ev in events}) == len(set(events)) < len(events)
 
-    def test_case_maker_floors_and_shares_above_seconds_only(self):
+    def test_builder_orders_floors_and_shares_events(self):
         fields = (["a"] * 3, ["r", "r", None], [32 * HOUR + 45 * 60, 32 * HOUR + 1, 32 * HOUR])
-        exact = case_maker(TimestampAccuracy.SECONDS)("1", *fields, {}).trace
+        exact = built([("1", *fields, {})], (), TimestampAccuracy.SECONDS).instances[0].trace
         assert [ev.timestamp for ev in exact] == [32 * HOUR, 32 * HOUR + 1, 32 * HOUR + 45 * 60]
-        make = case_maker(HOURS)
-        first, second, third = make("1", *fields, {}).trace
+        log = built([("1", *fields, {}), ("2", ["a"], ["r"], [32 * HOUR + 59], {})], (), HOURS)
+        assert log.seconds.tolist() == [32 * HOUR] * 4
+        (first, second, third), (fourth,) = (inst.trace for inst in log.instances)
         assert first == Event("a", None, 32 * HOUR)
-        assert second == Event("a", "r", 32 * HOUR) and second is third
-        assert make("2", ["a"], ["r"], [32 * HOUR + 59], {}).trace[0] is second
+        assert second == Event("a", "r", 32 * HOUR) and second is third is fourth
 
     def test_treatment_log_hours_are_integral(self, treatment_log):
         got = truncate_to_accuracy(treatment_log, HOURS)
@@ -337,27 +353,88 @@ _FIELD_LISTS = st.lists(
 )
 
 
-class TestCaseMaker:
+class TestColumns:
     @settings(max_examples=150, deadline=None)
     @given(first=_FIELD_LISTS.filter(bool), second=_FIELD_LISTS.filter(bool))
-    def test_equals_a_stable_sort_then_the_per_event_floor(self, first, second):
+    def test_builder_equals_a_stable_sort_then_the_per_event_floor(self, first, second):
         for acc in TimestampAccuracy:
-            make, built, oracles = case_maker(acc), [], []
+            cases, oracles = [], []
             for cid, fields in (("1", first), ("2", second)):
                 acts, resources, seconds = map(list, zip(*fields))
-                built.append(make(cid, acts, resources, seconds, {"S": cid}))
+                cases.append((cid, acts, resources, seconds, {"S": cid}))
                 ordered = sorted(fields, key=lambda f: f[2])  # stable
                 oracles.append(ProcessInstance(cid, [Event(*f) for f in ordered], {"S": cid}))
-            got = EventLog(built, ("S",))
-            assert got == per_event_truncate(EventLog(oracles, ("S",)), acc.unit_seconds)
-            if acc is not TimestampAccuracy.SECONDS:  # one object per equal floored event
-                events = [ev for inst in got for ev in inst.trace]
-                assert len({id(ev) for ev in events}) == len(set(events))
+            got = built(cases, ("S",), acc)
+            want = per_event_truncate(EventLog(oracles, ("S",)), acc.unit_seconds)
+            assert got == want and got.instances == want.instances
+            # one object per equal event
+            events = [ev for inst in got for ev in inst.trace]
+            assert len({id(ev) for ev in events}) == len(set(events))
 
     @pytest.mark.parametrize("acc", list(TimestampAccuracy))
-    def test_empty_trace_raises_the_constructors_error(self, acc):
-        with pytest.raises(LogError, match="^case '1': empty traces are not allowed$"):
-            case_maker(acc)("1", [], [], [], {})
+    def test_empty_trace_raises_the_constructors_error(self, acc, tmp_path):
+        # the builder takes non-empty traces only; the reader that can meet
+        # an empty one raises the constructor's error at every accuracy
+        target = tmp_path / "log.xes"
+        target.write_text('<log><trace><string key="concept:name" value="1"/></trace></log>')
+        with pytest.raises(LogError, match=": case '1': empty traces are not allowed$"):
+            read_xes(target, (), acc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(log=hypothesis_logs(), bare=st.sets(st.integers(0, 49)))
+    def test_instances_round_trip_through_the_columns(self, log, bare):
+        # hypothesis_logs repeats hours within a case, and ``bare`` picks
+        # events, counted across the log, that lose their resource
+        events = iter(range(50))
+        instances = tuple(
+            ProcessInstance(inst.case_id, [
+                Event(ev.activity, None, ev.timestamp) if next(events) in bare else ev
+                for ev in inst.trace
+            ], inst.sensitive)
+            for inst in log
+        )
+        source = EventLog(instances, log.sensitive_attrs)
+        assert source.instances is instances
+        rebuilt = source._with()  # the same columns, no instances kept
+        assert rebuilt.instances == instances and rebuilt.instances is not instances
+        assert rebuilt == source and source == rebuilt
+        assert rebuilt == EventLog(rebuilt.instances, log.sensitive_attrs)
+        flat = [ev for inst in instances for ev in inst.trace]
+        assert rebuilt.total_events == len(flat)
+        assert rebuilt.activities() == {ev.activity for ev in flat}
+        assert rebuilt.resources() == {ev.resource for ev in flat if ev.resource is not None}
+        assert rebuilt.has_resources() == all(ev.resource is not None for ev in flat)
+
+    def test_timestamps_stay_within_the_int64_columns(self):
+        # Python ints do not wrap; the columns would, so stamps and origins are bounded
+        bound = 2**61
+        for stamp in (bound + 1, -bound - 1, 2**64):
+            with pytest.raises(LogError, match=r"more than 2\*\*61 seconds from the epoch$"):
+                EventLog([ProcessInstance("1", [Event("a", None, stamp)])])
+        log = EventLog([ProcessInstance("1", [Event("a", None, -bound), Event("b", None, bound)])])
+        for t0 in (bound, -bound, 0):
+            got = [ev.timestamp for ev in relativize_log(log, t0).instances[0].trace]
+            assert got == [t0, t0 + 2 * bound]
+            assert relativize_log(relativize_log(log, t0), -t0) == relativize_log(log, -t0)
+        for t0 in (bound + 1, -bound - 1):
+            with pytest.raises(LogError, match=r"more than 2\*\*61 seconds from the epoch$"):
+                relativize_log(log, t0)
+
+    def test_logs_differing_in_one_field_differ(self):
+        log = build_log({"1": [("a", "r", 0), ("b", None, 1)]}, {"1": {"S": 1}}, ("S",))
+        twin = built([("1", ["a", "b"], ["r", None], [0, HOUR], {"S": 1})], ("S",), HOURS)
+        assert twin == log
+        for other in (
+            build_log({"1": [("a", "r", 0), ("c", None, 1)]}, {"1": {"S": 1}}, ("S",)),
+            build_log({"1": [("a", "s", 0), ("b", None, 1)]}, {"1": {"S": 1}}, ("S",)),
+            build_log({"1": [("a", "r", 0), ("b", "r", 1)]}, {"1": {"S": 1}}, ("S",)),
+            build_log({"1": [("a", "r", 0), ("b", None, 2)]}, {"1": {"S": 1}}, ("S",)),
+            build_log({"1": [("a", "r", 0), ("b", None, 1)]}, {"1": {"S": 2}}, ("S",)),
+            build_log({"2": [("a", "r", 0), ("b", None, 1)]}, {"2": {"S": 1}}, ("S",)),
+            build_log({"1": [("a", "r", 0)], "2": [("b", None, 1)]},
+                      {"1": {"S": 1}, "2": {"S": 1}}, ("S",)),
+        ):
+            assert other != log and log != other
 
 
 class TestVariants:
@@ -460,6 +537,20 @@ class TestDiscretize:
         log = build_log({"1": [("a", None, 0)]}, {"1": {"Disease": "flu"}}, attrs=("Disease",))
         with pytest.raises(LogError, match="^cannot discretize 'Age': it is not a declared"):
             discretize_sensitive(log, "Age")
+
+    def test_non_finite_value_names_case(self):
+        # a NaN would make every quartile NaN, and every value "middle"
+        values = [1, 2, float("nan"), 4, 50, 60, 70, 3]
+        sens = {f"c{i}": {"Age": v} for i, v in enumerate(values)}
+        log = build_log({cid: [("a", None, 0)] for cid in sens}, sens, attrs=("Age",))
+        with pytest.raises(LogError) as got:
+            discretize_sensitive(log, "Age")
+        assert str(got.value) == "case 'c2': sensitive attribute 'Age' has non-finite value nan"
+        for value in (float("inf"), -float("inf")):
+            sens["c2"] = {"Age": value}
+            log = build_log({cid: [("a", None, 0)] for cid in sens}, sens, attrs=("Age",))
+            with pytest.raises(LogError, match=f"^case 'c2': .* non-finite value {value!r}$"):
+                discretize_sensitive(log, "Age")
 
     def test_non_numeric_names_case(self):
         log = build_log(
