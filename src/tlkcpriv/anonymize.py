@@ -354,8 +354,9 @@ class Baseline1(_KBaseline):
         started = time.perf_counter()
         ps, accuracy = self._params()
         traces, _ = log.coded(ps, accuracy)
-        counts = Counter(traces)
-        common = np.fromiter((counts[t] >= self.k for t in traces), bool, len(traces))
+        cases = list(traces)
+        counts = Counter(cases)
+        common = np.fromiter((counts[t] >= self.k for t in cases), bool, len(cases))
         out, dropped = log._keep(np.repeat(common, traces.lengths))
         return _result(log, out, dropped, started)
 

@@ -12,9 +12,10 @@ Readers fill them through one builder, and flooring, rebasing and
 suppression are array operations; :attr:`EventLog.instances`, the cases as
 :class:`ProcessInstance` objects, is built on first read.
 
-Logs are immutable after construction and all operations here are pure
-functions, safe for concurrent readers.  Events and cases are values, a
-derived log may share its arrays, and identity is not part of the model.
+Logs are immutable after construction (their arrays are read-only) and all
+operations here are pure functions, safe for concurrent readers.  Events and
+cases are values, a derived log may share its arrays, and identity is not
+part of the model.
 :attr:`EventLog.instances` and :meth:`EventLog.coded` cache a pure function
 in one assignment, so concurrent readers at worst build twice.
 
@@ -200,10 +201,11 @@ class EventLog:
     whose events are the positions ``bounds[i]`` to ``bounds[i + 1]`` of the
     event columns, in time order: ``activity_codes`` index
     ``activity_labels``, ``resource_codes`` index ``resource_labels`` (-1 for
-    no resource) and ``seconds`` holds the int64 timestamps.  A table may
-    hold labels no event uses.  ``EventLog(instances, sensitive_attrs)``
-    rejects a repeated case id and a case that lacks a declared attribute,
-    and keeps ``instances``; any other log builds them on first read.
+    no resource) and ``seconds`` holds the int64 timestamps; the arrays are
+    read-only.  A table may hold labels no event uses.
+    ``EventLog(instances, sensitive_attrs)`` rejects a repeated case id and
+    a case that lacks a declared attribute, and keeps ``instances``; any
+    other log builds them on first read.
     """
 
     __slots__ = _COLUMNS + ("_instances", "_projection")
@@ -220,6 +222,8 @@ class EventLog:
     def _fill(self, *columns) -> "EventLog":
         """This log, its columns set in the order of ``_COLUMNS`` and nothing cached."""
         for name, value in zip(_COLUMNS, columns, strict=True):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False  # derived logs share their arrays
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_instances", None)
         # ((ps, accuracy or None if untimed), (traces, alphabet)) of the last projection
@@ -408,34 +412,27 @@ class _Columns:
                          tuple(self.activity), tuple(self.resource)[1:])
 
 
-class CodedTraces(Sequence):
+class CodedTraces:
     """Every case's projection in descriptor codes: case ``i``'s codes are
-    ``codes[bounds[i]:bounds[i + 1]]``.  As a sequence its items are the
-    cases' code tuples, built on first read."""
+    ``codes[bounds[i]:bounds[i + 1]]`` (read-only arrays).  Iteration yields
+    each case's codes as a tuple."""
 
-    __slots__ = ("codes", "bounds", "_tuples")
+    __slots__ = ("codes", "bounds")
 
     def __init__(self, codes: np.ndarray, bounds: np.ndarray):
-        self.codes, self.bounds, self._tuples = codes, bounds, None
+        codes.flags.writeable = bounds.flags.writeable = False
+        self.codes, self.bounds = codes, bounds
 
     @property
     def lengths(self) -> np.ndarray:
         return np.diff(self.bounds)
 
-    def _items(self) -> tuple:
-        if self._tuples is None:
-            flat, bounds = self.codes.tolist(), self.bounds.tolist()
-            self._tuples = tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
-        return self._tuples
-
     def __len__(self) -> int:
         return len(self.bounds) - 1
 
-    def __getitem__(self, index):
-        return self._items()[index]
-
     def __iter__(self):
-        return iter(self._items())
+        flat, bounds = self.codes.tolist(), self.bounds.tolist()
+        return (tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def __eq__(self, other):
         if not isinstance(other, CodedTraces):
@@ -497,11 +494,7 @@ def _group(columns) -> tuple:
             key = np.unique(key, return_inverse=True)[1]
             size = int(key.max(initial=0)) + 1
         key, size = key * count + values, size * count
-    if size <= 4 * len(key) + 256:  # a count per key beats a sort
-        present = np.bincount(key, minlength=size) > 0
-        codes = (np.cumsum(present) - 1)[key]
-    else:
-        codes = np.unique(key, return_inverse=True)[1]
+    codes = np.unique(key, return_inverse=True)[1]
     one = np.empty(int(codes.max(initial=-1)) + 1, np.int64)
     one[codes] = np.arange(len(key))
     return codes, one
@@ -562,7 +555,7 @@ def relativize_log(log: EventLog, t0: int = 0) -> EventLog:
     """Rebase every case to the shared origin ``t0`` (Unix epoch by default)."""
     if not -_SECONDS_BOUND <= t0 <= _SECONDS_BOUND:
         raise LogError(f"origin {t0} lies more than 2**61 seconds from the epoch")
-    shifts = t0 - log.seconds[log.bounds[:-1]]
+    shifts = int(t0) - log.seconds[log.bounds[:-1]]
     return log._with(seconds=log.seconds + np.repeat(shifts, np.diff(log.bounds)))
 
 

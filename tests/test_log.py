@@ -3,6 +3,7 @@ import dataclasses
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -419,6 +420,26 @@ class TestColumns:
         for t0 in (bound + 1, -bound - 1):
             with pytest.raises(LogError, match=r"more than 2\*\*61 seconds from the epoch$"):
                 relativize_log(log, t0)
+        # a float origin is taken whole, as Event took its stamps, so the column stays int64
+        for t0 in (3600.0, np.float64(3600.7)):
+            shifted = relativize_log(log, t0)
+            assert shifted.seconds.dtype == np.int64
+            assert [ev.timestamp for ev in shifted.instances[0].trace] == [3600, 3600 + 2 * bound]
+            assert all(type(ev.timestamp) is int for ev in shifted.instances[0].trace)
+
+    def test_columns_are_read_only(self):
+        log = build_log({"1": [("a", "r", 0), ("b", None, HOUR)], "2": [("a", "r", 60)]})
+        traces, _ = log.coded(Perspective.A)
+        derived = (truncate_to_accuracy(log, TimestampAccuracy.SECONDS), relativize_log(log),
+                   suppress_global(log, [ProjectedEvent("b")], Perspective.A)[0])
+        for holder in (log, *derived):
+            for name in ("seconds", "activity_codes", "resource_codes", "bounds"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(holder, name)[0] = 1
+        for array in (traces.codes, traces.bounds, derived[2].coded(Perspective.A)[0].codes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert log == build_log({"1": [("a", "r", 0), ("b", None, HOUR)], "2": [("a", "r", 60)]})
 
     def test_logs_differing_in_one_field_differ(self):
         log = build_log({"1": [("a", "r", 0), ("b", None, 1)]}, {"1": {"S": 1}}, ("S",))
