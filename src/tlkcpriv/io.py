@@ -15,11 +15,14 @@ are text, so CSV sensitive values are read as numbers where they parse.
 from __future__ import annotations
 
 import csv as csvlib
+import io
 import logging
 import math
 import re
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
+from functools import partial
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, get_args, get_type_hints
@@ -144,67 +147,173 @@ def read_csv(
 
     Case ids, activities and resources are taken verbatim, so that whatever
     :func:`write_csv` writes reads back the same; an empty resource cell
-    means no resource.  Errors name the file and the row.
+    means no resource.  Errors name the file and the line the first failing
+    record starts on, as a row by row read would; a cell longer than
+    ``csv.field_size_limit()`` is one.  Rows are read in chunks
+    (:func:`_csv_chunks`) and checked and coded by columns (:class:`_CsvCases`).
     """
     path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
-    parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
-    coerce = _Memo(_coerce_value).__getitem__
-    label = _Memo(str).__getitem__  # one string per distinct label, held until the build
     try:
         handle = path.open(newline="", encoding="utf-8-sig")  # a byte-order mark is skipped
     except OSError as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
     with handle:
         reader = csvlib.reader(handle)
-        header = next(reader, [])
-        attrs = colmap.sensitive_cols
-        needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *attrs]
+        try:
+            header = next(reader, [])
+        except csvlib.Error as exc:
+            raise LogError(f"{path}: row 1: {exc}") from None
+        needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *colmap.sensitive_cols]
         if colmap.resource_col:
             needed.append(colmap.resource_col)
         missing = [c for c in needed if c not in header]
         if missing:
             raise LogError(f"{path}: missing columns {missing}; header is {header}")
         column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-        case_at, activity_at, stamp_at = (column[c] for c in needed[:3])
-        attrs_at = [column[a] for a in attrs]
-        resource_at = column[colmap.resource_col] if colmap.resource_col else None
-        cases: dict = {}  # case id -> its events' fields in file order and sensitive values
-        next_line = reader.line_num + 1
-        for row in reader:
-            lineno, next_line = next_line, reader.line_num + 1  # the line the record starts on
-            if not row:  # a blank line
-                continue
-            if len(row) != len(header):
-                raise LogError(
-                    f"{path}: row {lineno} has {len(row)} cells; the header has {len(header)}"
-                )
-            cid, activity = row[case_at], label(row[activity_at])
-            if not cid:
-                raise LogError(f"{path}: row {lineno} has an empty case id")
-            if not activity:
-                raise LogError(f"{path}: row {lineno} has an empty activity")
-            try:
-                ts = parse_stamp(row[stamp_at])
-            except LogError as exc:
-                raise LogError(f"{path}: row {lineno}: {exc}") from None
-            resource = (label(row[resource_at]) or None) if resource_at is not None else None
-            # typed, as True == 1 == 1.0 would hide a conflict
-            values = tuple((type(v), v) for v in (coerce(row[i]) for i in attrs_at))
-            case = cases.get(cid) or cases.setdefault(cid, ([], [], [], values))
-            activities, resources, seconds, first = case
-            if values != first:
-                attr, old, new = next(d for d in zip(attrs, first, values) if d[1] != d[2])
-                raise LogError(
-                    f"{path}: row {lineno}: case {cid!r} has conflicting values "
-                    f"{sorted([str(old[1]), str(new[1])])} for sensitive attribute {attr!r}"
-                )
-            activities.append(activity)
-            resources.append(resource)
-            seconds.append(ts)
-    columns = _Columns()
-    for cid, (*fields, values) in cases.items():
-        columns.add(cid, *fields, {attr: v for attr, (_, v) in zip(attrs, values)})
-    return columns.log(attrs, accuracy)
+        cases = _CsvCases(path, colmap, len(header), [column[c] for c in needed])
+        for chunk in _csv_chunks(handle, reader.line_num + 1):
+            cases.add(*chunk)
+    return cases.log(accuracy)
+
+
+_CSV_CHARS = 1 << 16  # read at a time, then on to the end of the line
+_CSV_ROWS = 1 << 12  # records csv.reader reads at a time
+
+
+def _csv_chunks(handle, line):
+    """Per chunk of the rows of an open CSV file, the first starting on line
+    ``line``: their cells in one list, each row's cell count (0 for a blank
+    line), a function that gives the line each starts on and the line after
+    them, and the csv.Error that ends the file after them, or None.
+
+    A chunk is whole lines, about ``_CSV_CHARS``.  One with no ``"``, NUL or
+    lone CR and no line longer than the field limit (which could hold a
+    longer cell) is split at its line ends and commas, as csv.reader would
+    split it.  The first other chunk and the rest of the file go through
+    csv.reader, which starts at a record boundary: no record before holds a
+    quote.  Its record spans a line and one more per line break (CRLF, CR or
+    LF) in its cells."""
+    limit = csvlib.field_size_limit()
+    while chunk := handle.read(_CSV_CHARS):
+        if chunk[-1] != "\n":
+            chunk += handle.readline()
+        text = chunk.replace("\r\n", "\n")
+        lines = text.split("\n")
+        if not lines[-1]:
+            lines.pop()
+        sizes = np.fromiter(map(len, lines), np.int64, len(lines))
+        if '"' in text or "\0" in text or "\r" in text or sizes.max() > limit:
+            break
+        commas = np.fromiter(map(str.count, lines, repeat(",")), np.int64, len(lines))
+        yield (",".join(filter(None, lines)).split(","), np.where(sizes > 0, commas + 1, 0),
+               partial(np.arange, line, line + len(lines) + 1), None)
+        line += len(lines)
+    else:
+        return
+    reader = csvlib.reader(chain(io.StringIO(chunk, newline=""), handle))
+    while True:
+        rows, error, start = [], None, line + reader.line_num
+        try:
+            rows += islice(reader, _CSV_ROWS)
+        except csvlib.Error as exc:  # the rows before the failing record are kept
+            error = exc
+        if not rows and error is None:
+            return
+        yield (list(chain.from_iterable(rows)), np.fromiter(map(len, rows), np.int64, len(rows)),
+               partial(_record_starts, rows, start), error)
+
+
+def _record_starts(rows, line) -> np.ndarray:
+    """The line each of csv.reader's ``rows`` starts on, the first on
+    ``line``, and the line after them."""
+    return np.cumsum([line] + [
+        1 + sum(c.count("\n") + c.count("\r") - c.count("\r\n") for c in row) for row in rows
+    ])
+
+
+class _CsvCases:
+    """The cases of one CSV read, a chunk of rows at a time: each column is
+    coded through a memo in one map, every row is checked on the codes, and
+    the first failing row in file order raises what a row by row read would.
+    Case ids are coded in order of first row, and sensitive values by value
+    and type (as True == 1 == 1.0 would hide a conflict), to be compared
+    with the case's first row."""
+
+    def __init__(self, path, colmap: CsvColumnMap, width, at):
+        self.path, self.width, self.at, self.attrs = path, width, at, colmap.sensitive_cols
+        self.resources = bool(colmap.resource_col)
+        self.case = _Memo(lambda _: len(self.case))
+        self.label = _Memo(lambda _: len(self.label))  # an activity or resource -> its code
+        self.stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format))
+        self.value = _Memo(_coerce_value)
+        kinds = _Memo(lambda _: len(kinds))
+        self.kind = _Memo(lambda text: kinds[type(self.value[text]), self.value[text]])
+        self.first = [np.zeros(0, np.int64) for _ in self.attrs]  # per case, its first row's kinds
+        self.sensitive = []
+        self.events = [[np.zeros(0, np.int64)] for _ in range(4)]  # case, activity, resource, seconds
+
+    def add(self, flat, cells, starts, error) -> None:
+        """Check and code a chunk of :func:`_csv_chunks`; raise its first error."""
+        rows, width, known = np.flatnonzero(cells), self.width, len(self.case)  # no blank lines
+        wrong = np.flatnonzero(cells[rows] != width)[:1].tolist()
+        n = wrong[0] if wrong else len(rows)
+        case_ids, activities, stamps, *values = (flat[k : n * width : width] for k in self.at)
+        code = lambda memo, column: np.fromiter(map(memo.__getitem__, column), np.int64, n)  # noqa: E731
+        case, activity = code(self.case, case_ids), code(self.label, activities)
+        resource = code(self.label, values.pop()) if self.resources else np.full(n, -1)
+        kinds = [code(self.kind, column) for column in values]
+        seconds, failed = [], None
+        try:
+            seconds += map(self.stamp.__getitem__, stamps)
+        except LogError as exc:  # the timestamp of row len(seconds)
+            failed = exc
+        found, first = np.unique(case, return_index=True)
+        first = first[found >= known].tolist()  # the first row of each new case
+        self.first = [np.concatenate((old, new[first])) for old, new in zip(self.first, kinds)]
+        self.sensitive += [{attr: self.value[column[row]] for attr, column in zip(self.attrs, values)}
+                           for row in first]
+        bad = (case == self.case.get("", -1)) | (activity == self.label.get("", -1))
+        for new, old in zip(kinds, self.first):
+            bad |= new != old[case]
+        bad[len(seconds):] = True  # from the row whose timestamp failed, if one did
+        for row in np.flatnonzero(bad)[:1].tolist():
+            what = self._failure(row, case_ids, activities, values, kinds, case, len(seconds), failed)
+            raise LogError(f"{self.path}: row {starts()[rows[row]]}{what}")
+        for part, codes in zip(self.events, (case, activity, resource, seconds)):
+            part.append(np.asarray(codes, np.int64))
+        if wrong:
+            raise LogError(f"{self.path}: row {starts()[rows[n]]} has {cells[rows[n]]} cells; "
+                           f"the header has {width}")
+        if error is not None:
+            raise LogError(f"{self.path}: row {starts()[-1]}: {error}")
+
+    def _failure(self, row, case_ids, activities, values, kinds, case, parsed, failed) -> str:
+        """What the first failing check of a row says, in the row loop's
+        order; the timestamp of row ``parsed`` failed with ``failed``."""
+        if not case_ids[row]:
+            return " has an empty case id"
+        if not activities[row]:
+            return " has an empty activity"
+        if row == parsed:
+            return f": {failed}"
+        at = case[row]
+        attr, column = next((attr, column) for attr, column, new, old
+                            in zip(self.attrs, values, kinds, self.first) if new[row] != old[at])
+        pair = sorted([str(self.sensitive[at][attr]), str(self.value[column[row]])])
+        return (f": case {case_ids[row]!r} has conflicting values {pair} "
+                f"for sensitive attribute {attr!r}")
+
+    def log(self, accuracy) -> EventLog:
+        """The log of the rows added: cases in order of first row, each one's
+        events in file order, grouped by a stable sort of the case codes."""
+        case, activity, resource, seconds = map(np.concatenate, self.events)
+        order, labels = np.argsort(case, kind="stable"), list(self.label)
+        columns = _Columns()
+        columns.extend(list(self.case), np.array(labels, object)[activity[order]],
+                       np.array([*(label or None for label in labels), None], object)[resource[order]],
+                       seconds[order].tolist(), np.bincount(case, minlength=len(self.case)).tolist(),
+                       self.sensitive)
+        return columns.log(self.attrs, accuracy)
 
 
 def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> None:

@@ -365,9 +365,10 @@ class _Columns:
     :meth:`add` takes a case with a non-empty trace as sequences of
     activities, resources (None for none) and exact seconds in source order,
     and codes its labels at once, in order of first use, so that a reader
-    holds no label per event.  :meth:`log` orders each case by its seconds
-    (stable: source order breaks ties) and floors them to the accuracy, as
-    :func:`truncate_to_accuracy` does."""
+    holds no label per event; :meth:`extend` takes many cases at once.
+    :meth:`log` orders each case by its seconds (stable: source order breaks
+    ties) and floors them to the accuracy, as :func:`truncate_to_accuracy`
+    does."""
 
     def __init__(self):
         self.activity = _Memo(lambda label: len(self.activity))
@@ -377,12 +378,17 @@ class _Columns:
         self.case_ids, self.sensitive = [], []
 
     def add(self, case_id, activities, resources, seconds, sensitive) -> None:
+        self.extend((case_id,), activities, resources, seconds, (len(seconds),), (sensitive,))
+
+    def extend(self, case_ids, activities, resources, seconds, lengths, sensitive) -> None:
+        """Add cases whose events lie back to back in ``activities``,
+        ``resources`` and ``seconds``, ``lengths[i]`` of them for case ``i``."""
         self.activities += map(self.activity.__getitem__, activities)
         self.resources += map(self.resource.__getitem__, resources)
         self.seconds += seconds
-        self.lengths.append(len(seconds))
-        self.case_ids.append(case_id)
-        self.sensitive.append(sensitive)
+        self.lengths += lengths
+        self.case_ids += case_ids
+        self.sensitive += sensitive
 
     def log(self, attrs: tuple, accuracy: TimestampAccuracy, log=None) -> EventLog:
         """``log``, or a new log, holding the cases added and declaring ``attrs``."""
@@ -602,10 +608,12 @@ def directly_follows(log: EventLog, ps: Perspective) -> dict:
         raise LogError(f"directly-follows is defined for perspectives A and R, not {ps.value}")
     label = attrgetter("activity" if ps is Perspective.A else "resource")
     traces, alphabet = log.coded(ps)
-    counts: Counter = Counter()
-    for trace in traces:
-        counts.update(zip(trace, trace[1:]))
-    return {(label(alphabet[x]), label(alphabet[y])): n for (x, y), n in counts.items()}
+    codes, size = traces.codes.astype(np.int64), len(alphabet)
+    within = np.ones(max(len(codes) - 1, 0), bool)
+    within[traces.bounds[1:-1] - 1] = False  # the pair from a case's last event to the next's first
+    pairs, counts = np.unique((codes[:-1] * size + codes[1:])[within], return_counts=True)
+    return {(label(alphabet[p // size]), label(alphabet[p % size])): n
+            for p, n in zip(pairs.tolist(), counts.tolist())}
 
 
 def discretize_sensitive(log: EventLog, attr: str) -> EventLog:

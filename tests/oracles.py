@@ -1,10 +1,11 @@
 """Brute-force reference implementations, kept independent of the package
 internals: containment is re-derived from scratch, candidates are enumerated
 exhaustively, the greedy rounds rank descriptors one by one, the transport
-problem is searched on a grid, edit distances are filled cell by cell, and
-XES goes through a whole ElementTree.
+problem is searched on a grid, edit distances are filled cell by cell, XES
+goes through a whole ElementTree, and CSV is read row by row.
 """
 
+import csv
 import itertools
 import math
 import random
@@ -28,11 +29,14 @@ from tlkcpriv import (
 )
 from tlkcpriv.io import (
     ISO_FORMAT,
+    CsvColumnMap,
+    LogFileError,
     _bad_value,
+    _coerce_value,
     _format_timestamp,
     _parse_timestamp,
 )
-from tlkcpriv.log import LogError
+from tlkcpriv.log import LogError, TimestampAccuracy, _Columns, _Memo
 
 HOUR = 3600
 
@@ -508,6 +512,84 @@ def brute_transport_cost(weights_a, weights_b, cost, steps=60):
 
     rec(0, ia, list(ib), 0.0)
     return best[0] / steps
+
+
+# --- CSV row by row -------------------------------------------------------------
+
+
+def row_read_csv(path, colmap=CsvColumnMap(), accuracy=TimestampAccuracy.SECONDS):
+    """The reference CSV reader: csv.reader's rows one at a time, each checked
+    in turn (cell count, case id, activity, timestamp, sensitive values
+    against the case's first row) and appended to its case's lists, then the
+    cases handed to the column builder one by one.  An error names the line
+    its record starts on, a csv.reader error included."""
+    path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
+    parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
+    coerce = _Memo(_coerce_value).__getitem__
+    label = _Memo(str).__getitem__
+    try:
+        handle = path.open(newline="", encoding="utf-8-sig")
+    except OSError as exc:
+        raise LogFileError(f"cannot read {path}: {exc}") from None
+    with handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise LogError(f"{path}: row 1: {exc}") from None
+        attrs = colmap.sensitive_cols
+        needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *attrs]
+        if colmap.resource_col:
+            needed.append(colmap.resource_col)
+        missing = [c for c in needed if c not in header]
+        if missing:
+            raise LogError(f"{path}: missing columns {missing}; header is {header}")
+        column = {name: i for i, name in enumerate(header)}
+        case_at, activity_at, stamp_at = (column[c] for c in needed[:3])
+        attrs_at = [column[a] for a in attrs]
+        resource_at = column[colmap.resource_col] if colmap.resource_col else None
+        cases = {}
+        next_line = reader.line_num + 1
+        while True:
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise LogError(f"{path}: row {next_line}: {exc}") from None
+            lineno, next_line = next_line, reader.line_num + 1
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise LogError(
+                    f"{path}: row {lineno} has {len(row)} cells; the header has {len(header)}"
+                )
+            cid, activity = row[case_at], label(row[activity_at])
+            if not cid:
+                raise LogError(f"{path}: row {lineno} has an empty case id")
+            if not activity:
+                raise LogError(f"{path}: row {lineno} has an empty activity")
+            try:
+                ts = parse_stamp(row[stamp_at])
+            except LogError as exc:
+                raise LogError(f"{path}: row {lineno}: {exc}") from None
+            resource = (label(row[resource_at]) or None) if resource_at is not None else None
+            values = tuple((type(v), v) for v in (coerce(row[i]) for i in attrs_at))
+            case = cases.get(cid) or cases.setdefault(cid, ([], [], [], values))
+            activities, resources, seconds, first = case
+            if values != first:
+                attr, old, new = next(d for d in zip(attrs, first, values) if d[1] != d[2])
+                raise LogError(
+                    f"{path}: row {lineno}: case {cid!r} has conflicting values "
+                    f"{sorted([str(old[1]), str(new[1])])} for sensitive attribute {attr!r}"
+                )
+            activities.append(activity)
+            resources.append(resource)
+            seconds.append(ts)
+    columns = _Columns()
+    for cid, (*fields, values) in cases.items():
+        columns.add(cid, *fields, {attr: v for attr, (_, v) in zip(attrs, values)})
+    return columns.log(attrs, accuracy)
 
 
 # --- XES through an element tree ------------------------------------------------

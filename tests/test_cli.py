@@ -201,6 +201,17 @@ class TestAudit:
             payload["violations"][0]
         )
 
+    def test_cell_over_the_field_limit_is_a_log_error(self, tmp_path, capsys):
+        # exit 1 would read as "violations found"; an unreadable log is exit 2
+        target = tmp_path / "long.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp,Resource,Disease\n"
+            f"1,{'a' * 200_000},1970-01-01T00:00:00,r,x\n"
+        )
+        assert run(["audit", "-i", str(target), *TREATMENT_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert f"{target}: row 2: field larger than field limit" in err
+
     def test_report_text_is_built_once(self, tmp_path, capsys, monkeypatch):
         from tlkcpriv.analysis import AuditReport
 

@@ -40,7 +40,7 @@ from tlkcpriv import (
 import tlkcpriv.io as xes_io
 
 from .conftest import DATA, HOSPITAL_COLMAP
-from .oracles import tree_read_xes, tree_write_xes
+from .oracles import row_read_csv, tree_read_xes, tree_write_xes
 from .test_acceptance import _synthetic_big_log
 
 
@@ -208,6 +208,170 @@ class TestCsv:
         )
         (inst,) = read_csv(target, CsvColumnMap())
         assert (inst.case_id, inst.trace[0].activity, inst.trace[0].resource) == (" 1", "a ", " r")
+
+
+# --- CSV chunks against the row loop ----------------------------------------------
+
+# the characters that decide how a CSV chunk is read, and a few plain ones
+CSV_PIECES = st.lists(st.sampled_from([",", '"', "\r", "\n", "\r\n", "\0", "a", "b", "é"]),
+                      max_size=4).map("".join)
+CSV_STAMPS = ["1970-01-01T00:00:00", "1970-01-01T01:00:00Z", " 1970-01-02 ",
+              "1970-01-01T00:30:00+01:00"]
+# what may go wrong with a row, one at a time, most rows holding none
+CSV_FAULTS = st.sampled_from([None] * 30 + ["short", "long", "case", "activity", "stamp",
+                                            "conflict", "noise", "blank"])
+
+
+def _csv_cell(draw, text):
+    piece = draw(st.integers(0, 19)) == 0
+    if piece:
+        text = draw(CSV_PIECES)
+    if draw(st.integers(0, 2 if piece else 7)) == 0:  # quoted, its quotes doubled
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes of rows with a case id, activity, timestamp, resource and
+    one sensitive value: mostly well formed, with blank lines, short and
+    long rows, empty cells, bad stamps, conflicting values, quotes, NULs,
+    CR, LF and CRLF line ends and a byte-order mark."""
+    values = {case: draw(st.sampled_from(["x", "1", "1.0", "true", ""])) for case in "12é"}
+    lines = ["CaseId,Activity,Timestamp,Resource,D"]
+    for _ in range(draw(st.integers(0, 12))):
+        fault, case = draw(CSV_FAULTS), draw(st.sampled_from("12é"))
+        if fault in ("noise", "blank"):
+            lines.append(draw(CSV_PIECES) if fault == "noise" else "")
+            continue
+        cells = [
+            "" if fault == "case" else case,
+            "" if fault == "activity" else draw(st.sampled_from("abé")),
+            draw(st.sampled_from(["not-a-date", ""])) if fault == "stamp"
+            else draw(st.sampled_from(CSV_STAMPS)),
+            draw(st.sampled_from(["r", "s", ""])),
+            draw(st.sampled_from(["y", "1", "true"])) if fault == "conflict" else values[case],
+        ]
+        cells = [_csv_cell(draw, cell) for cell in cells]
+        if fault == "short":
+            cells = cells[:draw(st.integers(1, 4))]
+        elif fault == "long":
+            cells.append("z")
+        lines.append(",".join(cells))
+    ends = st.sampled_from(["\n", "\n", "\r\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
+
+
+def _log_columns(log):
+    """Every column of a log, sensitive values with their types."""
+    return (log.sensitive_attrs, log.case_ids,
+            [sorted((k, type(v).__name__, v) for k, v in d.items()) for d in log.case_sensitive],
+            *[(a.dtype, a.tolist()) for a in (log.bounds, log.activity_codes, log.resource_codes,
+                                             log.seconds)],
+            log.activity_labels, log.resource_labels)
+
+
+def _read_or_error(read, *args):
+    try:
+        return _log_columns(read(*args))
+    except LogError as exc:
+        return str(exc)
+
+
+class TestCsvChunks:
+    @settings(max_examples=400, deadline=None)
+    @given(data=csv_files(), chars=st.integers(1, 40), rows=st.integers(1, 4),
+           limit=st.sampled_from([None, 20]), resource=st.sampled_from(["Resource", None, ""]),
+           accuracy=st.sampled_from(["seconds", "hours"]))
+    def test_same_columns_or_error_as_the_row_loop(self, data, chars, rows, limit, resource,
+                                                   accuracy, tmp_path_factory):
+        # chunks of a few characters: rows and CRLF straddle chunk ends, and a
+        # file turns from split chunks to csv.reader midway; a field limit of 20
+        # passes the header and some timestamps, and fails others
+        target = tmp_path_factory.mktemp("csv") / "log.csv"
+        target.write_bytes(data)
+        colmap = CsvColumnMap(resource_col=resource, sensitive_cols=("D",))
+        default = csv.field_size_limit()
+        try:
+            csv.field_size_limit(limit or default)
+            expected = _read_or_error(row_read_csv, target, colmap, accuracy)
+            with mock.patch.object(xes_io, "_CSV_CHARS", chars), \
+                    mock.patch.object(xes_io, "_CSV_ROWS", rows):
+                got = _read_or_error(read_csv, target, colmap, accuracy)
+        finally:
+            csv.field_size_limit(default)
+        assert got == expected
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_line_ends_read_as_line_feeds(self, end, tmp_path):
+        rows = "CaseId,Activity,Timestamp\n1,a,1970-01-01T00:00:00\n\n2,b,1970-01-01T00:00:00\n"
+        (tmp_path / "lf.csv").write_text(rows)
+        (tmp_path / "other.csv").write_bytes(rows.replace("\n", end).encode())
+        colmap = CsvColumnMap(resource_col=None)
+        assert read_csv(tmp_path / "other.csv", colmap) == read_csv(tmp_path / "lf.csv", colmap)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r", "\n"])
+    def test_line_breaks_in_cells_count_once_each(self, end, tmp_path):
+        # csv.reader reads the quoted cell over three lines, whatever their ends
+        target = tmp_path / "log.csv"
+        target.write_bytes(
+            f'CaseId,Activity,Timestamp{end}1,"a{end}b{end}c",1970-01-01T00:00:00{end}'
+            f"2,,1970-01-01T00:00:00{end}".encode()
+        )
+        with pytest.raises(LogError, match=re.escape(f"{target}: row 5 has an empty activity")):
+            read_csv(target, CsvColumnMap(resource_col=None))
+
+    @pytest.mark.parametrize("quote", ["", '"'], ids=["unquoted", "quoted"])
+    def test_cell_over_the_field_limit_names_its_row(self, quote, tmp_path):
+        # a line longer than the limit goes to csv.reader, quoted or not
+        target = tmp_path / "log.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp\n"
+            f"1,{quote}a{quote},1970-01-01T00:00:00\n2,{'b' * 200_000},1970-01-01T00:00:00\n"
+        )
+        expected = f"{target}: row 3: field larger than field limit (131072)"
+        with pytest.raises(LogError, match=re.escape(expected)):
+            read_csv(target, CsvColumnMap(resource_col=None))
+
+    def test_chunk_with_a_nul_goes_to_csv_reader(self, tmp_path, monkeypatch):
+        # csv.reader refuses a NUL on Python 3.10 and reads it on 3.11; either
+        # way the reader must read such a chunk as the row loop does
+        real = csv.reader
+
+        def refusing(lines):
+            def checked():
+                for line in lines:
+                    if "\0" in line:
+                        raise csv.Error("line contains NUL")
+                    yield line
+            return real(checked())
+
+        monkeypatch.setattr(csv, "reader", refusing)
+        target = tmp_path / "log.csv"
+        target.write_text("CaseId,Activity,Timestamp\n1,a,1970-01-01T00:00:00\n"
+                          "\n2,b\0,1970-01-01T00:00:00\n")
+        expected = f"{target}: row 4: line contains NUL"
+        colmap = CsvColumnMap(resource_col=None)
+        for read in (read_csv, row_read_csv):
+            with pytest.raises(LogError, match=re.escape(expected)):
+                read(target, colmap)
+
+    def test_header_over_the_field_limit_is_row_1(self, tmp_path):
+        target = tmp_path / "log.csv"
+        target.write_text("CaseId,Activity,Timestamp" + "x" * 200_000 + "\n")
+        with pytest.raises(LogError, match=re.escape(f"{target}: row 1: field larger")):
+            read_csv(target, CsvColumnMap(resource_col=None))
+
+    def test_long_line_of_short_cells_reads(self, tmp_path):
+        # a line longer than the field limit goes to csv.reader, which reads it
+        target = tmp_path / "log.csv"
+        pad = ",".join(["p" * 1000] * 200)
+        target.write_text(f"CaseId,Activity,Timestamp,{pad}\n1,a,1970-01-01T00:00:00,{pad}\n")
+        (inst,) = read_csv(target, CsvColumnMap(resource_col=None))
+        assert inst.trace[0].activity == "a"
 
 
 # --- CSV round trip ---------------------------------------------------------------

@@ -535,6 +535,17 @@ class TestDirectlyFollows:
             for ps in (Perspective.A, Perspective.R):
                 assert directly_follows(log, ps) == brute_directly_follows(log, ps)
 
+    @settings(max_examples=100, deadline=None)
+    @given(log=hypothesis_logs(), ps=st.sampled_from([Perspective.A, Perspective.R]),
+           drop=st.sets(st.sampled_from(["a", "b", "c"]), max_size=2))
+    def test_flat_pairs_match_position_scan(self, log, ps, drop):
+        # also on a log cut by suppression, whose projection is renumbered
+        out, _ = suppress_global(log, [ProjectedEvent(a) for a in drop], Perspective.A)
+        for view in (log, out):
+            got = directly_follows(view, ps)
+            assert got == brute_directly_follows(view, ps)
+            assert all(type(n) is int for n in got.values())
+
 
 class TestDiscretize:
     @staticmethod
