@@ -154,25 +154,26 @@ def read_csv(
     """
     path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
     try:
-        handle = path.open(newline="", encoding="utf-8-sig")  # a byte-order mark is skipped
+        with path.open(newline="", encoding="utf-8-sig") as handle:  # skips a byte-order mark
+            reader = csvlib.reader(handle)
+            try:
+                header = next(reader, [])
+            except csvlib.Error as exc:
+                raise LogError(f"{path}: row 1: {exc}") from None
+            needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *colmap.sensitive_cols]
+            if colmap.resource_col:
+                needed.append(colmap.resource_col)
+            missing = [c for c in needed if c not in header]
+            if missing:
+                raise LogError(f"{path}: missing columns {missing}; header is {header}")
+            column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+            cases = _CsvCases(path, colmap, len(header), [column[c] for c in needed])
+            for chunk in _csv_chunks(handle, reader.line_num + 1):
+                cases.add(*chunk)
     except OSError as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csvlib.reader(handle)
-        try:
-            header = next(reader, [])
-        except csvlib.Error as exc:
-            raise LogError(f"{path}: row 1: {exc}") from None
-        needed = [colmap.case_col, colmap.activity_col, colmap.timestamp_col, *colmap.sensitive_cols]
-        if colmap.resource_col:
-            needed.append(colmap.resource_col)
-        missing = [c for c in needed if c not in header]
-        if missing:
-            raise LogError(f"{path}: missing columns {missing}; header is {header}")
-        column = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-        cases = _CsvCases(path, colmap, len(header), [column[c] for c in needed])
-        for chunk in _csv_chunks(handle, reader.line_num + 1):
-            cases.add(*chunk)
+    except UnicodeDecodeError as exc:  # its position is in a buffer, not in the file
+        raise LogFileError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
     return cases.log(accuracy)
 
 
@@ -415,6 +416,8 @@ _CLOSE = ("", "", "", "/")  # the token of an event's end
 _FIELDS = {"concept:name": 0, "time:timestamp": 1, "org:resource": 2}
 _HELD_BYTES = 1 << 20  # plans and parts kept at a time, by what they and their keys hold
 _PART_BYTES = 160  # about what a plan or a part holds beside its text key
+_PATTERN_BYTES = 20  # about what a plan's pattern, compiled and as text, holds per layout character
+_PATTERN_USES = 64  # split reads of a layout before its pattern, whose compile costs about 256
 
 
 def _picker(at):
@@ -469,26 +472,26 @@ class _Plan:
     its attributes' in document order, and each field of its case is picked
     from them by index (-1 picks the None after them).  ``fields`` holds
     each event's activity, timestamp and resource index, ``sensitive`` each
-    sensitive attribute's, and ``casts`` the cast of each typed one."""
+    sensitive attribute's, ``casts`` the cast of each typed one."""
 
     __slots__ = ("dropped", "case_at", "pick_acts", "pick_stamps", "pick_resources",
-                 "pick_sensitive", "casts")
+                 "pick_sensitive", "casts", "uses")
 
     def __init__(self, dropped, case_at, fields, sensitive, casts):
-        self.dropped, self.case_at, self.casts = dropped, case_at, casts
+        self.dropped, self.case_at, self.casts, self.uses = dropped, case_at, casts, 0
         acts, stamps, resources = zip(*fields)
         self.pick_acts, self.pick_stamps = _picker(acts), _picker(stamps)
         self.pick_resources, self.pick_sensitive = _picker(resources), _picker(sensitive)
 
 
 class _XesCases:
-    """The cases of one XES read.  A trace in the canonical form comes as
-    its text (:meth:`text`), and the plan of its layout, compiled once,
-    builds its case if every value holds; any other trace comes from the
-    callbacks' walk (:meth:`add`), which settles its attributes and raises
-    the reader's content errors in document order.  The first content error
-    is kept, to be raised once the whole file has parsed: a parse error
-    anywhere wins."""
+    """The cases of one XES read.  Traces in the canonical form come as
+    their text, a block at a time (:meth:`traces`), and the plan of each
+    one's layout, compiled once, builds its case if every value holds; any
+    other trace comes from the callbacks' walk (:meth:`add`), which settles
+    its attributes and raises the reader's content errors in document
+    order.  The first content error is kept, to be raised once the whole
+    file has parsed: a parse error anywhere wins."""
 
     def __init__(self, path, sensitive_attrs, accuracy):
         self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
@@ -496,24 +499,62 @@ class _XesCases:
         self.seconds = _Memo(lambda text: _parse_timestamp(text, ISO_FORMAT))
         self.accuracy, self.columns = TimestampAccuracy.parse(accuracy), _Columns()
         # text with values emptied -> its plan (None for a layout no plan
-        # builds); a stretch of it -> its part (False for text out of the form)
-        self.plans, self.parts, self.held = {}, {}, 0
+        # builds); a stretch of it -> its part (False for text out of the
+        # form); a quote count -> (pattern, plan) of each kept plan's layout
+        self.plans, self.parts, self.patterns, self.held = {}, {}, {}, 0
         self.dropped, self.error = 0, None
 
-    def text(self, text) -> bool:
-        """Add the case of a trace's text, between ``<trace>`` and ``</trace>``,
-        and return True if its layout has a plan and each value it picks
-        holds.  Else add nothing and return False, and the callbacks read the
-        trace: one out of the form, of a layout no plan builds, with a value
-        expat would refuse, or with a typed sensitive value that does not
-        cast, a timestamp that does not parse or an empty activity.
+    def traces(self, pieces) -> int:
+        """Add the cases of whole traces, each piece the text after one
+        ``</trace>`` up to the next, until one is not built (one that
+        :meth:`_shape` refuses, or with a typed sensitive value that does not
+        cast, a timestamp that does not parse or an empty activity), and
+        return how many were; the callbacks read that one on.  A
+        piece that the pattern of a plan, found by its quote count, matches
+        has that plan's layout and plain values, the pattern's groups."""
+        built, stamp = [], self.seconds.__getitem__
+        for piece in pieces:
+            for pattern, plan in self.patterns.get(piece.count('"'), ()):
+                if match := pattern.fullmatch(piece):
+                    values = (*match.groups(), None)  # None: an absent resource or attribute
+                    break
+            else:
+                plan, values = self._shape(piece)
+                if plan is None:
+                    break
+            acts = plan.pick_acts(values)
+            if "" in acts:
+                break
+            case = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
+            try:
+                for attr, cast in plan.casts.items():
+                    case[attr] = cast(case[attr])
+                stamps = list(map(stamp, plan.pick_stamps(values)))
+            except ValueError:  # LogError included
+                break
+            built.append((values[plan.case_at], acts, plan.pick_resources(values), stamps, case))
+            self.dropped += plan.dropped
+        if built:
+            case_ids, acts, resources, stamps, sensitive = zip(*built)
+            flat = map(chain.from_iterable, (acts, resources, stamps))
+            self.columns.extend(case_ids, *flat, map(len, stamps), sensitive)
+        return len(built)
 
-        Split at ``"``, every fourth piece is a value when the quotes number
-        four per attribute.  The text with those pieces emptied finds the
-        plan, whose layout expat has checked once.  A trace of the same
-        emptied text holds the same tokens, and is well formed too, once no
-        value holds ``&``, ``<``, a control character (a tab and a line
-        break included) or U+FFFE or U+FFFF."""
+    def _shape(self, piece):
+        """The plan of a piece's layout and its values, None after them, or
+        ``(None, None)`` for one not led by XML whitespace alone to its
+        ``<trace>``, out of the form, of a layout no plan builds or with a
+        value expat would refuse.  Split at ``"``, every fourth
+        piece is a value when the quotes number four per attribute.  The
+        text with those pieces emptied finds the plan, whose layout expat
+        has checked once.  A trace of the same emptied text holds the same
+        tokens, and is well formed too, once no value holds ``&``, ``<``, a
+        control character (a tab and a line break included) or U+FFFE or
+        U+FFFF.  A kept plan's pattern is compiled at its
+        ``_PATTERN_USES``-th trace."""
+        space, opening, text = piece.partition("<trace>")
+        if not opening or space.strip(" \t\r\n"):
+            return None, None
         pieces = text.split('"')
         values = pieces[3::4]
         pieces[3::4] = [""] * len(values)
@@ -521,26 +562,17 @@ class _XesCases:
         plan = self.plans.get(shape, False)
         if plan is False:  # a layout not met, or not kept
             plan = self._plan(shape)
-            self._keep(self.plans, shape, plan, len(shape) + _PART_BYTES)
-        if plan is None:
-            return False
-        if _UNPLAIN.search("".join(values)):
-            return False  # a reference, or a character the parser normalizes or refuses
-        values.append(None)  # the value of an absent resource or sensitive attribute
-        sensitive = dict(zip(self.sensitive_attrs, plan.pick_sensitive(values)))
-        activities = plan.pick_acts(values)
-        if "" in activities:
-            return False
-        try:
-            for attr, cast in plan.casts.items():
-                sensitive[attr] = cast(sensitive[attr])
-            seconds = list(map(self.seconds.__getitem__, plan.pick_stamps(values)))
-        except ValueError:  # LogError included
-            return False
-        self.columns.add(values[plan.case_at], activities, plan.pick_resources(values),
-                         seconds, sensitive)
-        self.dropped += plan.dropped
-        return True
+            if self._keep(len(shape) + _PART_BYTES):
+                self.plans[shape] = plan
+        if plan is None or _UNPLAIN.search("".join(values)):
+            return None, None  # a reference, or a character the parser normalizes or refuses
+        plan.uses += 1
+        if plan.uses == _PATTERN_USES and shape in self.plans and \
+                self._keep(len(shape) * _PATTERN_BYTES):
+            self.patterns.setdefault(len(pieces) - 1, []).append(
+                (re.compile(_pattern(pieces)), plan))
+        values.append(None)
+        return plan, values
 
     def add(self, trace, events) -> None:
         """Add the case of a trace read by the callbacks, from its attributes
@@ -597,13 +629,14 @@ class _XesCases:
         if part is None:
             tokens = _tokens(text)
             part = False if tokens is None else _Part(tokens, self.kept)
-            self._keep(self.parts, text, part, len(text) + _PART_BYTES)
+            if self._keep(len(text) + _PART_BYTES):
+                self.parts[text] = part
         return part
 
-    def _keep(self, kept, key, value, cost):
-        if self.held + cost <= _HELD_BYTES:  # else made again on each use
-            self.held += cost
-            kept[key] = value
+    def _keep(self, cost) -> bool:
+        kept = self.held + cost <= _HELD_BYTES  # else made again on each use
+        self.held += cost * kept
+        return kept
 
     def _settle(self, owner):
         """An owner's read attributes from its ``(tag, key, value)``, the last
@@ -668,7 +701,8 @@ _VALUE = r'"([^"&<\t\n\r]*)"'
 _TOKEN = re.compile(rf"<(?:(?!event )(\w+) key={_VALUE} value={_VALUE} ?/>|(/?)event>)")
 # what no value read as text holds: a reference, a character the parser
 # normalizes (tab, line break) and one XML 1.0 does not allow
-_UNPLAIN = re.compile("[&<\x00-\x1f\ufffe\uffff]")
+_UNPLAIN_CHARS = "&<\x00-\x1f\ufffe\uffff"
+_UNPLAIN = re.compile(f"[{_UNPLAIN_CHARS}]")
 _BLANK = bytes(byte if byte > 0x7F else 0x20 for byte in range(256))  # ASCII to spaces
 
 
@@ -680,14 +714,13 @@ def _tokens(text):
     return found if text.count("<") == len(found) else None  # each markup character starts one
 
 
-def _trace_text(segment):
-    """The text of a ``<trace>`` led by XML whitespace only, up to its closing
-    tag, or None."""
-    try:
-        space, opening, text = segment.decode().partition("<trace>")
-    except UnicodeDecodeError:  # a parse error, which expat reports
-        return None
-    return text if opening and not space.strip(" \t\r\n") else None
+def _pattern(pieces) -> str:
+    """The pattern of a layout split at ``"``, its values emptied: what
+    matches it whole is ``<trace>`` led by XML whitespace, then that layout
+    with plain values (no ``"`` nor what ``_UNPLAIN`` finds), its groups."""
+    return "[ \t\r\n]*<trace>" + '"'.join(
+        f'([^"{_UNPLAIN_CHARS}]*)' if at % 4 == 3 else re.escape(piece)
+        for at, piece in enumerate(pieces))
 
 
 def _stand_in(taken):
@@ -706,14 +739,14 @@ def _read_traces(handle, cases) -> None:
     """Hand each trace of an XES file to ``cases``, reading the file once, in
     blocks, through one expat parser.  After its callbacks close a trace at a
     plain ``</trace>`` in a UTF-8 file with no document type declaration,
-    each whole trace goes to ``cases`` as text, and expat reads only its
-    :func:`_stand_in`: ``cases`` builds a trace only once its layout and
-    values are shown to be well formed.  A trace that ``cases`` does not
-    build from its text (one out of the canonical form, quoted text between
-    its elements included, or one no plan builds) sends itself and the rest
-    of its block to the callbacks, which hand over each trace's attributes
-    and its events'; a trace longer than ``_TRACE_BYTES`` goes to them as
-    well."""
+    the whole traces of each block go to ``cases`` as text, decoded at once
+    and split at ``</trace>``, and expat reads only their :func:`_stand_in`:
+    ``cases`` builds a trace only once its layout and values are shown to be
+    well formed.  The first trace it does not build from its text (one out
+    of the canonical form, quoted text between its elements included, one
+    no plan builds or one not UTF-8) sends itself and the rest of its block
+    to the callbacks, which hand over each trace's attributes and its
+    events'; a trace longer than ``_TRACE_BYTES`` goes to them as well."""
     local_names = {}  # raw expat element name -> local name
     depth, in_event = 0, False  # the root at depth 1
     trace, events = None, None  # the open trace's attributes, and each of its events'
@@ -758,10 +791,16 @@ def _read_traces(handle, cases) -> None:
         canonical = True  # False once a trace not built from its text stops the text reads
         while plain and (stop := pending.find(_END, taken)) >= 0:
             stop += len(_END)
-            if parser.StartElementHandler is None:
-                text = _trace_text(pending[taken : stop - len(_END)])
-                canonical = text is not None and cases.text(text)
-                if not canonical:  # the callbacks read on to the end of the block
+            if parser.StartElementHandler is None:  # every whole trace left, as text
+                stop = pending.rfind(_END) + len(_END)
+                try:
+                    text = pending[taken:stop].decode()
+                except UnicodeDecodeError as exc:  # expat reports it, in the trace that holds it
+                    text, canonical = pending[taken : taken + exc.start].decode(), False
+                traces = text.split("</trace>")[:-1]
+                if (built := cases.traces(traces)) < len(traces) or not canonical:
+                    taken += len("".join(traces[:built]).encode()) + built * len(_END)
+                    canonical = False  # the callbacks read on to the end of the block
                     break
                 taken = stop
             else:
@@ -800,16 +839,17 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
 
     The file is read once, in blocks, through one expat parser.  A UTF-8
     trace of ``<tag key=".." value=".." />`` attributes and plain events is
-    split at its quotes, and the plan of its layout, compiled once per
-    distinct layout from parts compiled once per distinct stretch, picks its
-    case's values by position.  Expat checks such a trace's layout once, when
-    its plan is compiled, and a regex its values; it reads only a stand-in
-    that keeps the lines and columns of later parse errors.  Every other
-    trace (comments, references, other quoting, a ``"`` in text between
-    elements, a typed case id, a value that fails) is read through expat
-    callbacks, whose walk settles each attribute in document order.  A parse error anywhere in the file is
-    reported before any error in its content, and content errors come in
-    document order of the traces.
+    split at its quotes, or matched whole by the pattern of its layout (a
+    group per value) once the layout's plan has read ``_PATTERN_USES`` split
+    traces, and the plan, compiled once per layout, picks its case's values
+    by position.  Expat checks each layout once, when its plan is compiled,
+    and a regex the values; of such traces it reads only a stand-in that
+    keeps the lines and columns of later parse errors.  Every other trace
+    (comments, references, other quoting, a ``"`` in text between elements,
+    a typed case id, a value that fails) is read through expat callbacks,
+    whose walk settles each attribute in document order.  A parse error
+    anywhere in the file is reported before any error in its content, and
+    content errors come in document order of the traces.
     """
     path = Path(path)
     try:

@@ -6,9 +6,11 @@ goes through a whole ElementTree, and CSV is read row by row.
 """
 
 import csv
+import io
 import itertools
 import math
 import random
+import re
 import xml.etree.ElementTree as ET
 import zlib
 from collections import Counter
@@ -522,16 +524,19 @@ def row_read_csv(path, colmap=CsvColumnMap(), accuracy=TimestampAccuracy.SECONDS
     in turn (cell count, case id, activity, timestamp, sensitive values
     against the case's first row) and appended to its case's lists, then the
     cases handed to the column builder one by one.  An error names the line
-    its record starts on, a csv.reader error included."""
+    its record starts on, a csv.reader error included; a file that is not
+    UTF-8 fails before any row is read."""
     path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
     parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
     coerce = _Memo(_coerce_value).__getitem__
     label = _Memo(str).__getitem__
     try:
-        handle = path.open(newline="", encoding="utf-8-sig")
+        text = path.read_bytes().decode("utf-8-sig")
     except OSError as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
-    with handle:
+    except UnicodeDecodeError as exc:
+        raise LogFileError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
+    with io.StringIO(text, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
@@ -687,6 +692,25 @@ def tree_read_xes(path, sensitive_attrs=()):
         return EventLog(tuple(instances), sensitive_attrs), dropped_attrs
     except LogError as exc:  # a repeated case id
         raise LogError(f"{path}: {exc}") from None
+
+
+# what a value read as text may not hold: a reference, a character the parser
+# normalizes (tab, line break) and one XML 1.0 does not allow
+UNPLAIN_VALUE = re.compile("[&<\x00-\x1f\ufffe\uffff]")
+
+
+def plain_layout(piece, layout) -> bool:
+    """Whether ``piece``, a trace's text from after the previous ``</trace>``,
+    is ``<trace>`` led by XML whitespace only, then the trace layout
+    ``layout`` with plain values: split at ``"``, every fourth piece is a
+    value, the text with those emptied equals ``layout``, and the values
+    joined hold nothing ``UNPLAIN_VALUE`` finds."""
+    space, opening, text = piece.partition("<trace>")
+    pieces = text.split('"')
+    values = pieces[3::4]
+    pieces[3::4] = [""] * len(values)
+    return (bool(opening) and not space.strip(" \t\r\n") and '"'.join(pieces) == layout
+            and not UNPLAIN_VALUE.search("".join(values)))
 
 
 def tree_write_xes(log: EventLog, path) -> None:

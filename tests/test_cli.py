@@ -543,6 +543,19 @@ class TestStats:
         assert code == 2
         assert f"error: {source}: row 2 has an empty activity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("at", ["cell", "header", "late"])
+    def test_csv_not_utf8_is_file_error(self, at, capsys, tmp_path):
+        # exit 1 would read as "violations found": bytes that are not UTF-8 are
+        # a file that cannot be read, as for XES, anywhere in the file
+        source = tmp_path / "bad.csv"
+        rows = b"1,a,1970-01-01T00:00:00\n" * (5000 if at == "late" else 1)
+        header = b"CaseId,Activity,Timestamp" + (b"\xff" if at == "header" else b"") + b"\n"
+        bad = b"" if at == "header" else b"1,\xff,1970-01-01T00:00:00\n"
+        source.write_bytes(header + rows + bad)
+        code = run(["stats", "-i", str(source), "-T", "hours", "--csv-resource", ""])
+        assert code == 3
+        assert f"error: cannot read {source}: not UTF-8 (invalid start byte)" in capsys.readouterr().err
+
     def test_short_csv_row_is_usage_error(self, capsys, tmp_path):
         source = tmp_path / "short.csv"
         source.write_text("CaseId,Activity,Timestamp,Resource\nc1,a\n")

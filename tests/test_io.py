@@ -40,7 +40,7 @@ from tlkcpriv import (
 import tlkcpriv.io as xes_io
 
 from .conftest import DATA, HOSPITAL_COLMAP
-from .oracles import row_read_csv, tree_read_xes, tree_write_xes
+from .oracles import plain_layout, row_read_csv, tree_read_xes, tree_write_xes
 from .test_acceptance import _synthetic_big_log
 
 
@@ -358,6 +358,16 @@ class TestCsvChunks:
         for read in (read_csv, row_read_csv):
             with pytest.raises(LogError, match=re.escape(expected)):
                 read(target, colmap)
+
+    @pytest.mark.parametrize("chars", [8, xes_io._CSV_CHARS])
+    def test_bytes_not_utf8_are_a_file_error(self, chars, tmp_path, monkeypatch):
+        monkeypatch.setattr(xes_io, "_CSV_CHARS", chars)
+        target = tmp_path / "log.csv"
+        target.write_bytes(b"CaseId,Activity,Timestamp\n1,\xe9,1970-01-01T00:00:00\n")
+        expected = f"cannot read {target}: not UTF-8 (invalid continuation byte)"
+        for read in (read_csv, row_read_csv):
+            with pytest.raises(xes_io.LogFileError, match=re.escape(expected)):
+                read(target, CsvColumnMap(resource_col=None))
 
     def test_header_over_the_field_limit_is_row_1(self, tmp_path):
         target = tmp_path / "log.csv"
@@ -903,11 +913,14 @@ class TestXesAgainstTreeReference:
 @contextlib.contextmanager
 def _spied_reads():
     """Record how :func:`read_xes` reads a file: the bytes it reads, the traces
-    tried as text and the longest of them, the traces built from their text
-    and from the callbacks, the bytes read when each was built, and the
-    attributes it dropped."""
+    tried as text (those handed over whole up to the first not built, that
+    one too if led by XML whitespace and ``<trace>``) and the longest of them
+    from ``<trace>`` on, the traces built from their text and from the
+    callbacks, the bytes read when each was built, and the attributes it
+    dropped.  A layout's pattern is compiled with its plan, at its first
+    trace read as text, so that every later trace of it meets the pattern."""
     seen = {"bytes": 0, "tried": 0, "longest": 0, "tokenized": 0, "callbacks": 0, "read_at": []}
-    read_traces, text, add = xes_io._read_traces, xes_io._XesCases.text, xes_io._XesCases.add
+    read_traces, traces, add = xes_io._read_traces, xes_io._XesCases.traces, xes_io._XesCases.add
 
     class CountingHandle:
         def __init__(self, handle):
@@ -922,13 +935,14 @@ def _spied_reads():
         read_traces(CountingHandle(handle), cases)
         seen["dropped"] = cases.dropped
 
-    def spy_text(cases, trace):
-        seen["tried"] += 1
-        seen["longest"] = max(seen["longest"], len(trace))
-        built = text(cases, trace)
-        if built:
-            seen["tokenized"] += 1
-            seen["read_at"].append(seen["bytes"])
+    def spy_traces(cases, pieces):
+        built = traces(cases, pieces)
+        texts = [piece.partition("<trace>") for piece in pieces[: built + 1]]
+        tried = [text for space, opening, text in texts if opening and not space.strip(" \t\r\n")]
+        seen["tried"] += len(tried)
+        seen["longest"] = max([seen["longest"], *map(len, tried)])
+        seen["tokenized"] += built
+        seen["read_at"] += [seen["bytes"]] * built
         return built
 
     def spy_add(cases, trace, events):
@@ -937,7 +951,8 @@ def _spied_reads():
         add(cases, trace, events)
 
     with mock.patch.object(xes_io, "_read_traces", spy_read), \
-            mock.patch.object(xes_io._XesCases, "text", spy_text), \
+            mock.patch.object(xes_io, "_PATTERN_USES", 1), \
+            mock.patch.object(xes_io._XesCases, "traces", spy_traces), \
             mock.patch.object(xes_io._XesCases, "add", spy_add):
         yield seen
 
@@ -1738,6 +1753,96 @@ class TestXesPlans:
         assert cases.held <= bound
         assert sum(len(key) for key in kept) <= bound
         assert len(cases.plans) > 0 and len(cases.parts) > 0
+
+    @pytest.mark.parametrize("held, pattern_bytes", [(0, None), (None, 1 << 30), (None, None)],
+                             ids=["nothing-kept", "plans-kept", "default"])
+    def test_no_pattern_is_compiled_past_the_bound(self, held, pattern_bytes, treatment_log,
+                                                   tmp_path, monkeypatch):
+        # a layout whose plan or pattern does not fit is served by its split,
+        # and compiles no regex; within the bound each layout compiles one
+        monkeypatch.setattr(xes_io, "_PATTERN_USES", 1)
+        if held is not None:
+            monkeypatch.setattr(xes_io, "_HELD_BYTES", held)
+        if pattern_bytes is not None:
+            monkeypatch.setattr(xes_io, "_PATTERN_BYTES", pattern_bytes)
+        target = tmp_path / "log.xes"
+        write_xes(treatment_log, target)
+        with _counted_plans() as seen, mock.patch.object(xes_io.re, "compile",
+                                                         wraps=re.compile) as compiled:
+            assert read_xes(target, treatment_log.sensitive_attrs) == _as_read_back(treatment_log)
+        layouts = len(_layouts(target.read_text(encoding="utf-8").split("</trace>", 1)[1]))
+        assert compiled.call_count == (layouts if (held, pattern_bytes) == (None, None) else 0)
+        assert seen["plans"] == (len(treatment_log) - 1 if held == 0 else layouts)
+
+    @pytest.mark.parametrize("texts", [xes_io._PATTERN_USES - 1, xes_io._PATTERN_USES + 2])
+    def test_a_pattern_is_compiled_once_its_plan_is_used_enough(self, texts, treatment_log,
+                                                                 tmp_path):
+        # after the first trace, which the callbacks read, traces of one layout
+        # are split until its plan has read _PATTERN_USES of them; the pattern
+        # compiled then matches the rest
+        inst = treatment_log.instances[0]
+        log = EventLog(tuple(ProcessInstance(f"c{k}", inst.trace, inst.sensitive)
+                             for k in range(1 + texts)), treatment_log.sensitive_attrs)
+        target = tmp_path / "log.xes"
+        write_xes(log, target)
+        split = xes_io._XesCases._shape
+        with mock.patch.object(xes_io.re, "compile", wraps=re.compile) as compiled, \
+                mock.patch.object(xes_io._XesCases, "_shape", autospec=True,
+                                  side_effect=split) as shape:
+            assert read_xes(target, log.sensitive_attrs) == _as_read_back(log)
+        assert compiled.call_count == (texts >= xes_io._PATTERN_USES)
+        assert shape.call_count == min(texts, xes_io._PATTERN_USES)
+
+# value items of a trace tried against a pattern: the reader takes the first
+# ones as plain and the others not, and keys a regex would read as syntax
+PLAIN_ITEMS = ["", "a", ">", "'", "\x7f", "\x85", "\u3000", "\xe9", "\U0001f600"]
+UNPLAIN_ITEMS = ['"', "&", "<", "\t", "\n", "\r", "\x00", "\x1f", "\ufffe", "\uffff"]
+PATTERN_KEYS = ["Disease", "a.b", "x*", "(y)", "p+q", "[z]", "c|d", "e\\f", "g?", "$h^"]
+
+
+@st.composite
+def one_case_logs(draw):
+    """A log of one case of one to three events, a resource or none on each,
+    and a few sensitive attributes with keys a regex would misread."""
+    attrs = tuple(draw(st.lists(st.sampled_from(PATTERN_KEYS), max_size=3, unique=True)))
+    events = tuple(Event("a", draw(st.sampled_from([None, "r"])), 60 * k)
+                   for k in range(draw(st.integers(1, 3))))
+    sensitive = {attr: draw(st.sampled_from([None, 1, 1.5, True, "v"])) for attr in attrs}
+    return EventLog((ProcessInstance("c", events, sensitive),), attrs)
+
+
+class TestXesPatterns:
+    """The pattern of a layout matches a trace exactly when the trace is
+    that layout with plain values, as the split rule of
+    :func:`oracles.plain_layout` says."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(logs=st.lists(one_case_logs(), min_size=2, max_size=2),
+           newline=st.sampled_from(["\n", "\r\n"]), data=st.data())
+    def test_pattern_matches_as_the_split_rule(self, logs, newline, data, tmp_path_factory):
+        target = tmp_path_factory.mktemp("xes") / "log.xes"
+        traces = []
+        for log in logs:
+            write_xes(log, target)
+            text = target.read_text(encoding="utf-8").replace("\n", newline)
+            traces.append(text[text.index("<trace>") + len("<trace>") : text.index("</trace>")])
+        layouts = [trace.split('"') for trace in traces]
+        for pieces in layouts:
+            pieces[3::4] = [""] * len(pieces[3::4])
+        pattern = re.compile(xes_io._pattern(layouts[0]))
+        assert pattern.fullmatch(newline + "  <trace>" + traces[0])  # the writer's own trace
+        # plain values in this layout or another, then each item in turn put in one of them
+        value = st.lists(st.sampled_from(PLAIN_ITEMS), max_size=2).map("".join)
+        filled = list(data.draw(st.sampled_from(layouts)))
+        filled[3::4] = [data.draw(value) for _ in filled[3::4]]
+        slot = 3 + 4 * data.draw(st.integers(0, len(filled[3::4]) - 1))
+        at = data.draw(st.integers(0, len(filled[slot])))
+        lead = data.draw(st.sampled_from(["", "\n  ", " \t\r\n", "x", "\x0b", "<!---->"]))
+        plain = filled[slot]
+        for item in PLAIN_ITEMS + UNPLAIN_ITEMS:
+            filled[slot] = plain[:at] + item + plain[at:]
+            piece = lead + "<trace>" + '"'.join(filled)
+            assert bool(pattern.fullmatch(piece)) == plain_layout(piece, '"'.join(layouts[0])), item
 
 
 def _traces():
