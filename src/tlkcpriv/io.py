@@ -18,6 +18,7 @@ import csv as csvlib
 import io
 import logging
 import math
+import os
 import re
 from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
@@ -417,7 +418,7 @@ _FIELDS = {"concept:name": 0, "time:timestamp": 1, "org:resource": 2}
 _HELD_BYTES = 1 << 20  # plans and parts kept at a time, by what they and their keys hold
 _PART_BYTES = 160  # about what a plan or a part holds beside its text key
 _PATTERN_BYTES = 20  # about what a plan's pattern, compiled and as text, holds per layout character
-_PATTERN_USES = 64  # split reads of a layout before its pattern, whose compile costs about 256
+_PATTERN_USES = 1536  # a layout's traces to come that pay its pattern's compile (:func:`_pays`)
 
 
 def _picker(at):
@@ -498,28 +499,24 @@ class _XesCases:
         self.kept = {"concept:name", "org:resource", "time:timestamp", *self.sensitive_attrs}
         self.seconds = _Memo(lambda text: _parse_timestamp(text, ISO_FORMAT))
         self.accuracy, self.columns = TimestampAccuracy.parse(accuracy), _Columns()
-        # text with values emptied -> its plan (None for a layout no plan
-        # builds); a stretch of it -> its part (False for text out of the
-        # form); a quote count -> (pattern, plan) of each kept plan's layout
-        self.plans, self.parts, self.patterns, self.held = {}, {}, {}, 0
+        # emptied text -> its plan (None: none builds it); a stretch -> its part (False:
+        # out of the form); a quote count -> its split reads, and (pattern's fullmatch, plan)
+        self.plans, self.parts, self.splits, self.patterns, self.held = {}, {}, {}, {}, 0
         self.dropped, self.error = 0, None
 
-    def traces(self, pieces) -> int:
+    def traces(self, pieces, ahead) -> int:
         """Add the cases of whole traces, each piece the text after one
-        ``</trace>`` up to the next, until one is not built (one that
-        :meth:`_shape` refuses, or with a typed sensitive value that does not
-        cast, a timestamp that does not parse or an empty activity), and
-        return how many were; the callbacks read that one on.  A
-        piece that the pattern of a plan, found by its quote count, matches
-        has that plan's layout and plain values, the pattern's groups."""
-        built, stamp = [], self.seconds.__getitem__
+        ``</trace>`` up to the next, up to the first that :meth:`_shape` refuses
+        or whose values fail, and return how many it added.  A piece that the
+        pattern of its quote count matches has that layout, and plain values:
+        its groups.  ``ahead``: the file's bytes after the pieces per byte up to them."""
+        built, stamp, patterns = [], self.seconds.__getitem__, self.patterns
         for piece in pieces:
-            for pattern, plan in self.patterns.get(piece.count('"'), ()):
-                if match := pattern.fullmatch(piece):
-                    values = (*match.groups(), None)  # None: an absent resource or attribute
-                    break
+            found = patterns and patterns.get(piece.count('"'))  # (fullmatch, plan)
+            if found and (match := found[0](piece)):
+                plan, values = found[1], (*match.groups(), None)  # None: an absent value
             else:
-                plan, values = self._shape(piece)
+                plan, values = self._shape(piece, ahead)
                 if plan is None:
                     break
             acts = plan.pick_acts(values)
@@ -540,18 +537,16 @@ class _XesCases:
             self.columns.extend(case_ids, *flat, map(len, stamps), sensitive)
         return len(built)
 
-    def _shape(self, piece):
+    def _shape(self, piece, ahead):
         """The plan of a piece's layout and its values, None after them, or
         ``(None, None)`` for one not led by XML whitespace alone to its
         ``<trace>``, out of the form, of a layout no plan builds or with a
-        value expat would refuse.  Split at ``"``, every fourth
-        piece is a value when the quotes number four per attribute.  The
-        text with those pieces emptied finds the plan, whose layout expat
-        has checked once.  A trace of the same emptied text holds the same
-        tokens, and is well formed too, once no value holds ``&``, ``<``, a
-        control character (a tab and a line break included) or U+FFFE or
-        U+FFFF.  A kept plan's pattern is compiled at its
-        ``_PATTERN_USES``-th trace."""
+        value expat would refuse.  Split at ``"``, every fourth piece is a
+        value when the quotes number four per attribute; the text with those
+        emptied finds the plan, whose layout expat has checked once.  A trace
+        of that text holds the same tokens, and is well formed too, once no
+        value holds ``&``, ``<``, a control character, U+FFFE or U+FFFF.  A
+        kept plan's pattern is compiled once it pays, if it fits in half the bound."""
         space, opening, text = piece.partition("<trace>")
         if not opening or space.strip(" \t\r\n"):
             return None, None
@@ -566,11 +561,11 @@ class _XesCases:
                 self.plans[shape] = plan
         if plan is None or _UNPLAIN.search("".join(values)):
             return None, None  # a reference, or a character the parser normalizes or refuses
-        plan.uses += 1
-        if plan.uses == _PATTERN_USES and shape in self.plans and \
-                self._keep(len(shape) * _PATTERN_BYTES):
-            self.patterns.setdefault(len(pieces) - 1, []).append(
-                (re.compile(_pattern(pieces)), plan))
+        plan.uses, count = plan.uses + 1, len(pieces) - 1
+        self.splits[count] = splits = self.splits.get(count, 0) + 1
+        if count not in self.patterns and _pays(plan.uses, splits, ahead) and shape in self.plans \
+                and self._keep(len(shape) * _PATTERN_BYTES, spare=_HELD_BYTES // 2):
+            self.patterns[count] = re.compile(_pattern(pieces)).fullmatch, plan
         values.append(None)
         return plan, values
 
@@ -633,8 +628,8 @@ class _XesCases:
                 self.parts[text] = part
         return part
 
-    def _keep(self, cost) -> bool:
-        kept = self.held + cost <= _HELD_BYTES  # else made again on each use
+    def _keep(self, cost, spare=0) -> bool:
+        kept = self.held + cost + spare <= _HELD_BYTES  # else made again on each use
         self.held += cost * kept
         return kept
 
@@ -715,12 +710,19 @@ def _tokens(text):
 
 
 def _pattern(pieces) -> str:
-    """The pattern of a layout split at ``"``, its values emptied: what
-    matches it whole is ``<trace>`` led by XML whitespace, then that layout
-    with plain values (no ``"`` nor what ``_UNPLAIN`` finds), its groups."""
+    """The pattern of a layout split at ``"``, its values emptied: ``<trace>``
+    led by XML whitespace, then the layout with a group of plain text per value."""
     return "[ \t\r\n]*<trace>" + '"'.join(
         f'([^"{_UNPLAIN_CHARS}]*)' if at % 4 == 3 else re.escape(piece)
         for at, piece in enumerate(pieces))
+
+
+def _pays(uses, splits, ahead) -> bool:
+    """Whether a layout's pattern pays for its compile: its ``uses`` split reads
+    less two standard deviations, times ``ahead``, reach ``_PATTERN_USES``, and
+    are three in four of the ``splits`` of its quote count, all of which try it."""
+    low = uses - 2 * uses ** 0.5
+    return low * ahead >= _PATTERN_USES and 4 * low >= 3 * splits
 
 
 def _stand_in(taken):
@@ -783,7 +785,8 @@ def _read_traces(handle, cases) -> None:
 
     parser.XmlDeclHandler = parser.StartDoctypeDeclHandler = declared
     parser.StartElementHandler, parser.EndElementHandler = start, end
-    pending, offset = bytearray(), 0  # the bytes read but not parsed, and their file offset
+    # the bytes read but not parsed, their file offset, and the file's size
+    pending, offset, size = bytearray(), 0, os.fstat(handle.fileno()).st_size
     while True:
         block = handle.read(_BLOCK_BYTES)
         pending += block
@@ -798,7 +801,8 @@ def _read_traces(handle, cases) -> None:
                 except UnicodeDecodeError as exc:  # expat reports it, in the trace that holds it
                     text, canonical = pending[taken : taken + exc.start].decode(), False
                 traces = text.split("</trace>")[:-1]
-                if (built := cases.traces(traces)) < len(traces) or not canonical:
+                ahead = (size - offset - stop) / (offset + stop)
+                if (built := cases.traces(traces, ahead)) < len(traces) or not canonical:
                     taken += len("".join(traces[:built]).encode()) + built * len(_END)
                     canonical = False  # the callbacks read on to the end of the block
                     break
@@ -837,17 +841,13 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     ``true``/``false`` as ``True``/``False``; any other value of a typed tag
     is an error naming the file, case and key, as is an unparsable timestamp.
 
-    The file is read once, in blocks, through one expat parser.  A UTF-8
-    trace of ``<tag key=".." value=".." />`` attributes and plain events is
-    split at its quotes, or matched whole by the pattern of its layout (a
-    group per value) once the layout's plan has read ``_PATTERN_USES`` split
-    traces, and the plan, compiled once per layout, picks its case's values
-    by position.  Expat checks each layout once, when its plan is compiled,
-    and a regex the values; of such traces it reads only a stand-in that
-    keeps the lines and columns of later parse errors.  Every other trace
-    (comments, references, other quoting, a ``"`` in text between elements,
-    a typed case id, a value that fails) is read through expat callbacks,
-    whose walk settles each attribute in document order.  A parse error
+    The file is read once, in blocks, through one expat parser
+    (:func:`_read_traces`).  A UTF-8 trace of ``<tag key=".." value=".." />``
+    attributes and plain events is matched whole by the pattern of its
+    layout, once that pays (:func:`_pays`), or else split at its quotes; the
+    plan of its layout, checked by expat once, picks its case's values by
+    position.  Every other trace (comments, references, a typed case id, a
+    value that fails) is read through expat callbacks.  A parse error
     anywhere in the file is reported before any error in its content, and
     content errors come in document order of the traces.
     """

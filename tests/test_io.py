@@ -924,7 +924,7 @@ def _spied_reads():
 
     class CountingHandle:
         def __init__(self, handle):
-            self.handle = handle
+            self.handle, self.fileno = handle, handle.fileno
 
         def read(self, size):
             block = self.handle.read(size)
@@ -935,8 +935,8 @@ def _spied_reads():
         read_traces(CountingHandle(handle), cases)
         seen["dropped"] = cases.dropped
 
-    def spy_traces(cases, pieces):
-        built = traces(cases, pieces)
+    def spy_traces(cases, pieces, ahead):
+        built = traces(cases, pieces, ahead)
         texts = [piece.partition("<trace>") for piece in pieces[: built + 1]]
         tried = [text for space, opening, text in texts if opening and not space.strip(" \t\r\n")]
         seen["tried"] += len(tried)
@@ -951,7 +951,7 @@ def _spied_reads():
         add(cases, trace, events)
 
     with mock.patch.object(xes_io, "_read_traces", spy_read), \
-            mock.patch.object(xes_io, "_PATTERN_USES", 1), \
+            mock.patch.object(xes_io, "_pays", lambda *counts: True), \
             mock.patch.object(xes_io._XesCases, "traces", spy_traces), \
             mock.patch.object(xes_io._XesCases, "add", spy_add):
         yield seen
@@ -1760,7 +1760,7 @@ class TestXesPlans:
                                                    tmp_path, monkeypatch):
         # a layout whose plan or pattern does not fit is served by its split,
         # and compiles no regex; within the bound each layout compiles one
-        monkeypatch.setattr(xes_io, "_PATTERN_USES", 1)
+        monkeypatch.setattr(xes_io, "_pays", lambda *counts: True)
         if held is not None:
             monkeypatch.setattr(xes_io, "_HELD_BYTES", held)
         if pattern_bytes is not None:
@@ -1774,24 +1774,85 @@ class TestXesPlans:
         assert compiled.call_count == (layouts if (held, pattern_bytes) == (None, None) else 0)
         assert seen["plans"] == (len(treatment_log) - 1 if held == 0 else layouts)
 
-    @pytest.mark.parametrize("texts", [xes_io._PATTERN_USES - 1, xes_io._PATTERN_USES + 2])
-    def test_a_pattern_is_compiled_once_its_plan_is_used_enough(self, texts, treatment_log,
-                                                                 tmp_path):
-        # after the first trace, which the callbacks read, traces of one layout
-        # are split until its plan has read _PATTERN_USES of them; the pattern
-        # compiled then matches the rest
+    def test_patterns_leave_half_the_bound_to_plans_and_parts(self, treatment_log, tmp_path,
+                                                              monkeypatch):
+        # under a bound that holds every plan, part and pattern of the file,
+        # patterns take at most half of it, and every layout keeps its plan
+        monkeypatch.setattr(xes_io, "_pays", lambda *counts: True)
+        made = []
+
+        class Recorded(xes_io._XesCases):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(xes_io, "_XesCases", Recorded)
+        target = tmp_path / "log.xes"
+        write_xes(treatment_log, target)
+        read_xes(target, treatment_log.sensitive_attrs)
+        monkeypatch.setattr(xes_io, "_HELD_BYTES", made[0].held)
+        with mock.patch.object(xes_io.re, "compile", wraps=re.compile) as compiled:
+            assert read_xes(target, treatment_log.sensitive_attrs) == _as_read_back(treatment_log)
+        cases, layouts = made[1], len(made[0].plans)
+        keys = [*cases.plans, *cases.parts]
+        assert len(made[0].patterns) == len(cases.plans) == layouts > 1
+        assert 0 < cases.held - sum(len(key) + xes_io._PART_BYTES for key in keys) \
+            <= made[0].held // 2
+        assert 0 < compiled.call_count < layouts
+
+    @pytest.mark.parametrize("uses, splits, ahead, pays", [
+        (64, 64, 32, True), (64, 64, 31.9, False), (63, 63, 1e9, False),
+        (400, 480, 5, True), (400, 481, 1e9, False), (1, 1, 1e9, False)])
+    def test_a_pattern_pays_for_enough_traces_of_its_quote_count_to_come(
+            self, uses, splits, ahead, pays):
+        # a layout's split reads less two standard deviations, times the bytes
+        # ahead per byte read, reach _PATTERN_USES (1536), and are three in
+        # four of its quote count's split reads
+        assert xes_io._pays(uses, splits, ahead) is pays
+
+    @pytest.mark.parametrize("kinds, uses, compiles", [
+        ("A" * 300, 0, 1), ("A" * 300, 40, 1), ("A" * 300, 10**9, 0), ("AB" * 150, 0, 0),
+        (("A" * 9 + "B") * 30, 0, 1), ("A" * 220 + "C" * 80, 0, 2), ("A" * 220 + "C" * 80, 40, 1)])
+    def test_a_pattern_is_compiled_once_the_traces_to_come_pay_for_it(
+            self, kinds, uses, compiles, treatment_log, tmp_path, monkeypatch):
+        # a layout's pattern is compiled at its first split read that pays,
+        # and matches the rest of its traces.  A trace of kind A has another
+        # attribute on its first event, B on its second (the same quote
+        # count), and C has one event less.  Layouts of one in two of their
+        # count's traces, or met only near the end of the file, compile none
         inst = treatment_log.instances[0]
-        log = EventLog(tuple(ProcessInstance(f"c{k}", inst.trace, inst.sensitive)
-                             for k in range(1 + texts)), treatment_log.sensitive_attrs)
+        traces = {"A": inst.trace, "B": inst.trace, "C": inst.trace[1:]}
+        log = EventLog(tuple(ProcessInstance(f"c{k}", traces[kind], inst.sensitive)
+                             for k, kind in enumerate(kinds)), treatment_log.sensitive_attrs)
         target = tmp_path / "log.xes"
         write_xes(log, target)
-        split = xes_io._XesCases._shape
+        kind, extra = iter(kinds), '<event><string key="x" value="y" />'
+
+        def mark(trace):
+            head, event, rest = trace.group().partition("<event>")
+            if next(kind) == "B":
+                return head + event + rest.replace("<event>", extra, 1)
+            return head + extra + rest
+
+        text = target.read_text(encoding="utf-8")
+        target.write_text(re.sub(r"<trace>.*?</trace>", mark, text, flags=re.S))
+        monkeypatch.setattr(xes_io, "_PATTERN_USES", uses)
+        monkeypatch.setattr(xes_io, "_BLOCK_BYTES", 4096)
+        split, reads = xes_io._XesCases._shape, {}  # plan -> (uses, splits, ahead) of each read
+
+        def spy(cases, piece, ahead):
+            plan, values = split(cases, piece, ahead)
+            reads.setdefault(plan, []).append((plan.uses, cases.splits[piece.count('"')], ahead))
+            return plan, values
+
         with mock.patch.object(xes_io.re, "compile", wraps=re.compile) as compiled, \
-                mock.patch.object(xes_io._XesCases, "_shape", autospec=True,
-                                  side_effect=split) as shape:
+                mock.patch.object(xes_io._XesCases, "_shape", spy):
             assert read_xes(target, log.sensitive_attrs) == _as_read_back(log)
-        assert compiled.call_count == (texts >= xes_io._PATTERN_USES)
-        assert shape.call_count == min(texts, xes_io._PATTERN_USES)
+        first = [next((k for k, read in enumerate(seen, 1) if xes_io._pays(*read)), None)
+                 for seen in reads.values()]
+        assert compiled.call_count == len(first) - first.count(None) == compiles
+        assert [len(seen) for seen in reads.values()] == [
+            k or len(seen) for k, seen in zip(first, reads.values())]
 
 # value items of a trace tried against a pattern: the reader takes the first
 # ones as plain and the others not, and keys a regex would read as syntax
