@@ -383,9 +383,9 @@ def coverage(
 ) -> Dict[ProjectedEvent, float]:
     """Per descriptor, the fraction of cases whose projected trace contains it."""
     traces, alphabet = log.coded(ps, accuracy)
-    counts = Counter(c for trace in traces for c in set(trace))
-    n = len(log)
-    return {alphabet[c]: k / n for c, k in counts.items()}
+    counts = np.bincount(background._view(traces, BkType.SET, len(alphabet)).codes,
+                         minlength=len(alphabet))
+    return {e: k / len(log) for e, k in zip(alphabet, counts.tolist())}
 
 
 def n_score(

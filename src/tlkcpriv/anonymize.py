@@ -51,7 +51,6 @@ from .log import (
     Perspective,
     ProjectedEvent,
     TimestampAccuracy,
-    is_subsequence,
 )
 
 __all__ = [
@@ -380,14 +379,12 @@ def _longest_common_subsequence(a: tuple, b: tuple) -> tuple:
     return tuple(reversed(out))
 
 
-def _earliest_embedding(small: tuple, big: tuple) -> tuple:
-    pos, i = [], 0
-    for x in small:
-        while big[i] != x:
-            i += 1
-        pos.append(i)
-        i += 1
-    return tuple(pos)
+def _earliest_embedding(small: tuple, big: tuple) -> Optional[tuple]:
+    """The positions of ``small``'s earliest match in ``big``, in order, gaps
+    allowed; None when ``small`` is not a subsequence of ``big``."""
+    rest = iter(range(len(big)))
+    pos = tuple(next((i for i in rest if big[i] == x), -1) for x in small)
+    return None if -1 in pos else pos
 
 
 class Baseline2(_KBaseline):
@@ -467,9 +464,8 @@ class Baseline2(_KBaseline):
             options = [
                 u
                 for u in classes
-                if u != rep
-                and len(u) < len(rep)
-                and is_subsequence(u, rep)
+                if len(u) < len(rep)
+                and _earliest_embedding(u, rep) is not None
                 and len(classes[u]) + len(classes[rep]) >= self.k
             ]
             if options:

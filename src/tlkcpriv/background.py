@@ -20,7 +20,8 @@ multisets and its sorted distinct codes for sets, since a bag lies in a trace
 exactly when its sorted codes are a subsequence of the sorted trace.  So one
 walk enumerates all four kinds: :func:`_enumerate` grows the candidate
 lattice one level at a time, counting every child's support and focal hits
-for a whole level in array kernels over bounded chunks of positions.
+for a whole level in array kernels over bounded chunks of positions.  A
+single candidate is matched by the same walk, grown along its prefixes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .log import (
     Perspective,
     ProjectedEvent,
     TimestampAccuracy,
-    is_subsequence,
 )
 
 __all__ = [
@@ -147,9 +147,10 @@ class ProjectedLog:
     which is the trace itself for (timed) sequences, its sorted codes for
     multisets and its sorted distinct codes for sets, since a bag lies in a
     trace exactly when its sorted codes are a subsequence of the sorted
-    trace.  Mining walks these views level by level (:func:`_enumerate`);
-    a single candidate, in descriptors, is tested on each view in turn by
-    :meth:`match_indices`.  Mined codes leave through :meth:`decode`.
+    trace.  Mining walks these views level by level (:func:`_enumerate`),
+    and :meth:`match_indices` answers a single candidate, in descriptors, by
+    the same walk grown along the candidate's prefixes alone.  Mined codes
+    leave through :meth:`decode`.
     """
 
     def __init__(self, log: EventLog, spec: BkSpec, accuracy: TimestampAccuracy):
@@ -158,18 +159,22 @@ class ProjectedLog:
 
     def match_indices(self, cand: Candidate) -> frozenset:
         """Indices of the traces whose view holds the candidate's codes as a
-        subsequence; a candidate with a descriptor no trace holds matches
-        nothing."""
+        subsequence, read off the walk of :func:`_enumerate` grown along the
+        candidate's prefixes; a descriptor no trace holds matches nothing."""
         code = {e: c for c, e in enumerate(self.alphabet)}
-        if not all(e in code for e in cand.elements):
+        codes = [code.get(e, -1) for e in cand.elements]
+        # one size more, never reached, so that the candidate's level keeps its matches
+        walk = _enumerate(self.traces, len(code), self.spec.bk_type, len(codes) + 1)
+        level = None
+        for want, level in zip(codes, walk):
+            # every row extends the one carried pattern, the candidate's prefix
+            level.carry[:] = level.codes[:, -1] == want
+        if level is None or level.codes.shape[1] < len(codes) or not level.carry.any():
             return frozenset()
-        codes = [code[e] for e in cand.elements]
-        views = self.traces
-        if self.spec.bk_type is BkType.SET:
-            views = (sorted(set(trace)) for trace in views)
-        elif self.spec.bk_type is BkType.MULT:
-            views = map(sorted, views)
-        return frozenset(i for i, view in enumerate(views) if is_subsequence(codes, view))
+        row = int(level.carry.argmax())
+        first = int(level.support[:row].sum())
+        at = level.positions[first : first + level.support[row]]
+        return frozenset(level.trace_of[at].tolist())
 
     def decode(self, codes) -> Candidate:
         """The candidate, in descriptors, that these codes stand for.  A bag's

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, dataclass, field
 from enum import Enum
 from itertools import compress
@@ -50,7 +49,6 @@ __all__ = [
     "ProjectedEvent",
     "LogError",
     "MissingResourceError",
-    "relative_timestamps",
     "relativize_log",
     "truncate_to_accuracy",
     "variants",
@@ -154,17 +152,6 @@ class ProcessInstance:
                 )
         object.__setattr__(self, "sensitive", dict(self.sensitive))
 
-    @classmethod
-    def _ordered(cls, case_id: str, trace: tuple, sensitive: dict) -> "ProcessInstance":
-        """The case of a non-empty trace tuple already in time order and a
-        sensitive dict of its own, built without the constructor's copies and
-        order check."""
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "case_id", case_id)
-        object.__setattr__(inst, "trace", trace)
-        object.__setattr__(inst, "sensitive", sensitive)
-        return inst
-
     def __len__(self) -> int:
         return len(self.trace)
 
@@ -254,7 +241,7 @@ class EventLog:
             )))
             bounds = self.bounds.tolist()
             object.__setattr__(self, "_instances", tuple(
-                ProcessInstance._ordered(case_id, tuple(events[a:b]), dict(sensitive))
+                ProcessInstance(case_id, events[a:b], sensitive)
                 for case_id, sensitive, a, b
                 in zip(self.case_ids, self.case_sensitive, bounds, bounds[1:])
             ))
@@ -538,25 +525,6 @@ def _encode(log: EventLog, ps: Perspective, accuracy: TimestampAccuracy) -> tupl
     return CodedTraces(codes.astype(np.int32), log.bounds), alphabet
 
 
-def is_subsequence(small: Sequence, big: Sequence) -> bool:
-    """Whether ``small`` occurs in ``big`` in order, gaps allowed."""
-    it = iter(big)
-    return all(x in it for x in small)
-
-
-def relative_timestamps(trace: Sequence[Event], t0: int = 0) -> tuple:
-    """Rebase a trace so its first event is at ``t0``, preserving all gaps."""
-    trace = tuple(trace)
-    if not trace:
-        return trace
-    shift = t0 - trace[0].timestamp
-    if shift == 0:
-        return trace
-    return tuple(
-        Event(ev.activity, ev.resource, ev.timestamp + shift) for ev in trace
-    )
-
-
 def relativize_log(log: EventLog, t0: int = 0) -> EventLog:
     """Rebase every case to the shared origin ``t0`` (Unix epoch by default)."""
     if not -_SECONDS_BOUND <= t0 <= _SECONDS_BOUND:
@@ -640,6 +608,8 @@ def discretize_sensitive(log: EventLog, attr: str) -> EventLog:
                 f"case {case_id!r}: sensitive attribute {attr!r} has non-finite value {v!r}"
             )
         values.append(v)
+    if not values:  # no case, nothing to bin
+        return log
     q1, q3 = np.percentile(values, [25, 75])
     return log._with(case_sensitive=tuple(
         {**sensitive, attr: "high" if v > q3 else "low" if v < q1 else "middle"}

@@ -107,6 +107,27 @@ def brute_match(log: EventLog, bk_type, bk_attr, elements, ps, unit):
     )
 
 
+def probes(plog, rng, draws):
+    """Candidates for ``plog`` (a ``ProjectedLog``) that need not be realized:
+    an absent descriptor, repeats of one descriptor, its timed twin an hour
+    later, and ``draws`` random draws of one to three descriptors."""
+    present, ps = plog.alphabet, plog.spec.perspective
+    absent = ProjectedEvent(
+        "zz" if "A" in ps.value else None,
+        "zz" if ps.has_resource else None,
+        999 if ps.has_time else None,
+    )
+    e = rng.choice(present)
+    twin = ProjectedEvent(e.activity, e.resource, e.time + 1) if ps.has_time else e
+    out = [(absent,), (e, absent), (absent, e), (e, e), (e, e, e), (e, twin), (twin, e)]
+    out += [tuple(rng.choices(present, k=rng.randint(1, 3))) for _ in range(draws)]
+    return [
+        Candidate(plog.spec.bk_type, p)
+        for p in out
+        if plog.spec.bk_type is not BkType.SET or len(set(p)) == len(p)
+    ]
+
+
 # --- exhaustive candidate enumeration ----------------------------------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from tlkcpriv import (
     truncate_to_accuracy,
     variants,
 )
+from tlkcpriv.anonymize import _earliest_embedding
 
 from .conftest import (
     TREATMENT_2ANON,
@@ -42,6 +44,7 @@ from .conftest import (
 )
 from .oracles import (
     brute_suppress,
+    contains,
     descriptor_greedy,
     hypothesis_logs,
     project_raw,
@@ -288,6 +291,21 @@ class TestBaseline2:
                 kept = project_raw(inst, Perspective.A, 1)
                 it = iter(originals[inst.case_id])
                 assert all(e in it for e in kept)
+
+    @given(
+        small=st.lists(st.sampled_from("abc"), max_size=4).map(tuple),
+        big=st.lists(st.sampled_from("abc"), max_size=7).map(tuple),
+    )
+    def test_earliest_embedding_is_the_first_match(self, small, big):
+        # position tuples come in lexicographic order, so the first that spells
+        # ``small`` is the earliest match
+        first = next(
+            (at for at in itertools.combinations(range(len(big)), len(small))
+             if all(big[i] == x for i, x in zip(at, small))),
+            None,
+        )
+        assert _earliest_embedding(small, big) == first
+        assert (first is None) == (not contains(BkType.SEQ, small, big))
 
     def test_deterministic(self, treatment_log):
         a = Baseline2(k=4, ps="ART", accuracy="hours").anonymize(treatment_log)

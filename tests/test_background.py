@@ -25,7 +25,7 @@ from tlkcpriv import (
 from tlkcpriv.background import ProjectedLog, _enumerate
 
 from .conftest import build_log
-from .oracles import all_candidates, brute_match, proper_sub_candidates, random_log
+from .oracles import all_candidates, brute_match, probes, proper_sub_candidates, random_log
 
 HOURS = TimestampAccuracy.HOURS
 SECONDS = TimestampAccuracy.SECONDS
@@ -119,24 +119,6 @@ class TestMatch:
                         )
         assert triple_repeats > 0
 
-    @staticmethod
-    def _probes(plog, rng):
-        """Candidates that need not be realized: an absent descriptor, repeats
-        of one descriptor (timed twins under rel) and random draws."""
-        ps = plog.spec.perspective
-        absent = ProjectedEvent(
-            "zz" if "A" in ps.value else None,
-            "zz" if ps.has_resource else None,
-            999 if ps.has_time else None,
-        )
-        present = plog.alphabet
-        e = present[0]
-        probes = [(absent,), (e, absent), (absent, e), (e, e), (e, e, e)]
-        probes += [tuple(rng.choices(present, k=rng.randint(1, 3))) for _ in range(30)]
-        if plog.spec.bk_type is BkType.SET:
-            probes = [p for p in probes if len(set(p)) == len(p)]
-        return [Candidate(plog.spec.bk_type, p) for p in probes]
-
     def test_unrealized_and_repeated_candidates_match_brute_force(self):
         rng = random.Random(314)
         empty = 0
@@ -146,7 +128,7 @@ class TestMatch:
                 for bk_attr in BkAttr:
                     spec = BkSpec(bk_type, bk_attr)
                     plog = ProjectedLog(log, spec, HOURS)
-                    for cand in self._probes(plog, rng):
+                    for cand in probes(plog, rng, 30):
                         oracle = brute_match(
                             log, bk_type, bk_attr, cand.elements,
                             spec.perspective, HOURS.unit_seconds,

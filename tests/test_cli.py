@@ -504,6 +504,13 @@ class TestDiscretizeFlag:
         out = capsys.readouterr().out
         assert "high=" in out and "low=" in out
 
+    def test_log_without_cases_is_left_as_it_is(self, capsys, tmp_path):
+        # no value to bin; a traceback would exit 1, which reads as "violations found"
+        source = tmp_path / "header_only.csv"
+        source.write_text("CaseId,Activity,Timestamp,Resource,Age\n")
+        code = run(["stats", "-i", str(source), "--sensitive", "Age", "--discretize", "Age"])
+        assert code == 0
+        assert "cases: 0" in capsys.readouterr().out
 
     def test_undeclared_attribute_is_usage_error(self, capsys):
         code = run(

@@ -20,7 +20,6 @@ from tlkcpriv import (
     directly_follows,
     discretize_sensitive,
     read_xes,
-    relative_timestamps,
     relativize_log,
     truncate_to_accuracy,
     variant_frequency,
@@ -152,40 +151,6 @@ def coded_logs(draw):
     return log if t0 is None else relativize_log(log, t0)
 
 
-SENSITIVE_VALUES = st.none() | st.integers() | st.floats() | st.booleans() | st.text(max_size=3)
-
-
-class TestOrderedConstructor:
-    """``ProcessInstance._ordered``, which builds the cases of a log's
-    columns, ordered by construction, builds what the constructor does."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        log=coded_logs(),
-        sensitive=st.dictionaries(st.text(max_size=3), SENSITIVE_VALUES, max_size=3),
-    )
-    def test_equals_the_public_constructor(self, log, sensitive):
-        for inst in log:
-            public = ProcessInstance(inst.case_id, list(inst.trace), sensitive)
-            trusted = ProcessInstance._ordered(inst.case_id, tuple(inst.trace), dict(sensitive))
-            assert trusted == public and repr(trusted) == repr(public)
-            assert type(trusted.trace) is tuple and type(trusted.sensitive) is dict
-            assert trusted.sensitive is not sensitive
-        rebuilt = EventLog(
-            tuple(ProcessInstance._ordered(i.case_id, i.trace, dict(i.sensitive)) for i in log)
-        )
-        assert rebuilt == log
-
-    @settings(max_examples=100, deadline=None)
-    @given(log=coded_logs(), drop=st.sets(st.sampled_from("abc")))
-    def test_suppressed_cases_equal_the_public_build(self, log, drop):
-        out, _ = suppress_global(log, [ProjectedEvent(a) for a in drop], Perspective.A)
-        assert out == EventLog(
-            tuple(ProcessInstance(i.case_id, list(i.trace), i.sensitive) for i in out)
-        )
-        assert type(out.instances) is tuple and type(out.sensitive_attrs) is tuple
-
-
 class TestProjectedLog:
     KEYS = [(ps, acc) for ps in Perspective for acc in TimestampAccuracy]
 
@@ -260,35 +225,6 @@ class TestProjectedLog:
         timed = log.coded(Perspective.AT, HOURS)
         assert log.coded(Perspective.AT, seconds) != timed
         assert encode_builds[1:] == [(Perspective.AT, HOURS), (Perspective.AT, seconds)]
-
-
-class TestRelativeTimestamps:
-    def test_half_hour_gap(self):
-        trace = (Event("a", None, 10 * HOUR), Event("b", None, 10 * HOUR + 1800))
-        got = relative_timestamps(trace, 0)
-        assert [e.timestamp for e in got] == [0, 1800]
-
-    def test_identity_when_already_at_origin(self):
-        trace = (Event("a", None, 0), Event("b", None, 60))
-        assert relative_timestamps(trace, 0) == trace
-
-    def test_hospital_case6_offsets(self, hospital_log):
-        got = relative_timestamps(case(hospital_log, "6").trace, 0)
-        # gaps of 1h15m and 5h15m from the first event
-        assert [e.timestamp for e in got] == [0, 75 * 60, 315 * 60]
-
-    @given(
-        stamps=st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
-        t0=st.integers(-1000, 1000),
-    )
-    def test_pairwise_differences_preserved(self, stamps, t0):
-        stamps = sorted(stamps)
-        trace = tuple(Event("a", None, s) for s in stamps)
-        got = relative_timestamps(trace, t0)
-        assert got[0].timestamp == t0
-        for i in range(len(stamps)):
-            for j in range(len(stamps)):
-                assert got[i].timestamp - got[j].timestamp == stamps[i] - stamps[j]
 
 
 class TestTruncate:
@@ -405,6 +341,17 @@ class TestColumns:
         assert rebuilt.activities() == {ev.activity for ev in flat}
         assert rebuilt.resources() == {ev.resource for ev in flat if ev.resource is not None}
         assert rebuilt.has_resources() == all(ev.resource is not None for ev in flat)
+
+    @settings(max_examples=100, deadline=None)
+    @given(log=coded_logs(), drop=st.sets(st.sampled_from("abc")))
+    def test_suppressed_cases_equal_the_public_build(self, log, drop):
+        out, _ = suppress_global(log, [ProjectedEvent(a) for a in drop], Perspective.A)
+        assert out == EventLog(
+            tuple(ProcessInstance(i.case_id, list(i.trace), i.sensitive) for i in out)
+        )
+        assert type(out.instances) is tuple and type(out.sensitive_attrs) is tuple
+        for inst, sensitive in zip(out, out.case_sensitive):
+            assert type(inst.trace) is tuple and inst.sensitive is not sensitive
 
     def test_timestamps_stay_within_the_int64_columns(self):
         # Python ints do not wrap; the columns would, so stamps and origins are bounded
@@ -565,6 +512,10 @@ class TestDiscretize:
         log = discretize_sensitive(self._log([10, 20, 30, 40]), "Age")
         assert [i.sensitive["Age"] for i in log] == ["low", "middle", "middle", "high"]
 
+    def test_log_without_cases_is_returned_unchanged(self):
+        log = self._log([])
+        assert discretize_sensitive(log, "Age") is log
+
     def test_undeclared_attribute_is_named(self):
         log = build_log({"1": [("a", None, 0)]}, {"1": {"Disease": "flu"}}, attrs=("Disease",))
         with pytest.raises(LogError, match="^cannot discretize 'Age': it is not a declared"):
@@ -619,3 +570,20 @@ class TestRelativizeLog:
             ]
             gaps_after = [e.timestamp for e in after.trace]
             assert gaps_before == gaps_after
+
+    def test_hospital_case6_offsets(self, hospital_log):
+        got = case(relativize_log(hospital_log, 0), "6").trace
+        # gaps of 1h15m and 5h15m from the first event
+        assert [e.timestamp for e in got] == [0, 75 * 60, 315 * 60]
+
+    @given(log=hypothesis_logs(), t0=st.integers(-1000, 1000))
+    def test_pairwise_differences_preserved(self, log, t0):
+        got = relativize_log(log, t0)
+        assert relativize_log(got, t0) == got
+        for before, after in zip(log, got):
+            assert after.trace[0].timestamp == t0
+            stamps = [e.timestamp for e in before.trace]
+            shifted = [e.timestamp for e in after.trace]
+            for i in range(len(stamps)):
+                for j in range(len(stamps)):
+                    assert shifted[i] - shifted[j] == stamps[i] - stamps[j]

@@ -8,6 +8,8 @@ counted over many chunks and merged by key.
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tlkcpriv import (
     BkAttr,
@@ -19,8 +21,10 @@ from tlkcpriv import (
     enumerate_candidates,
     enumerate_mft,
     enumerate_mvt,
+    is_violating,
 )
 from tlkcpriv import background
+from tlkcpriv.background import ProjectedLog
 
 from .oracles import (
     all_candidates,
@@ -29,6 +33,8 @@ from .oracles import (
     brute_mft,
     brute_mvt,
     brute_verdict,
+    hypothesis_logs,
+    probes,
     random_log,
 )
 
@@ -138,3 +144,35 @@ def test_decoded_candidates_equal_the_public_constructor():
                 assert hash(cand) == hash(built)
                 bags += spec.bk_type in (BkType.SET, BkType.MULT) and len(set(cand.elements)) > 1
     assert bags > 0
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    log=hypothesis_logs(max_cases=6, max_events=4),
+    seed=st.integers(0, 2**32 - 1),
+    K=st.integers(1, 4),
+    C=st.sampled_from([0.34, 0.5, 1.0]),
+)
+def test_single_candidates_match_and_judge_as_brute_force(log, seed, K, C):
+    # the audit and the attack read one walk, so a single candidate's match
+    # and verdict are held to the case-by-case oracles, not to the audit
+    rng = random.Random(seed)
+    focal = brute_focal(log, ("Disease",))
+    for spec in SPECS:
+        ps = spec.perspective
+        plog = ProjectedLog(log, spec, HOURS)
+        realized = [
+            Candidate(spec.bk_type, elements)
+            for elements in all_candidates(log, spec.bk_type, ps, 3600, 3)
+        ]
+        for cand in realized + probes(plog, rng, 10):
+            want = brute_match(log, spec.bk_type, spec.bk_attr, cand.elements, ps, 3600)
+            assert plog.match_indices(cand) == want, cand
+        params = PrivacyParams(accuracy="hours", L=3, K=K, C=C, bk=spec, sensitive=("Disease",))
+        for cand in realized:
+            got = is_violating(cand, log, params)
+            assert (got.match_size, got.k_violation, got.c_violations, got.max_confidence) == (
+                brute_verdict(log, spec.bk_type, spec.bk_attr, cand.elements, ps, 3600, K, C,
+                              ("Disease",), focal)
+            ), cand
