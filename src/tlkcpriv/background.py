@@ -30,6 +30,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -530,8 +531,12 @@ def format_candidate(cand: Candidate) -> str:
         counts = sorted(Counter(cand.elements).items(), key=lambda kv: kv[0].sort_key())
     else:
         counts = [(e, 1) for e in cand.elements]
-    parts = []
-    for e, n in counts:
-        act, res = (s and _ESCAPE_RE.sub(r"\\\g<0>", s) for s in (e.activity, e.resource))
-        parts.append(str(ProjectedEvent(act, res, e.time)) + (f"^{n}" if n > 1 else ""))
+    parts = (_literal(e) + (f"^{n}" if n > 1 else "") for e, n in counts)
     return opener + ",".join(parts) + closer
+
+
+@lru_cache(maxsize=1 << 16)  # a report repeats few elements many times
+def _literal(e: ProjectedEvent) -> str:
+    """One element as a literal writes it, its labels escaped."""
+    act, res = (s and _ESCAPE_RE.sub(r"\\\g<0>", s) for s in (e.activity, e.resource))
+    return str(ProjectedEvent(act, res, e.time))

@@ -4,8 +4,8 @@ Subcommands: ``anonymize``, ``audit``, ``attack``, ``evaluate``, ``stats``.
 Every flag has a config-file equivalent (``--config``, flat ``key = value``
 lines); flags override the file.  Both become one checked ``RunConfig``;
 every command takes accuracy, spec and perspective from its ``params`` and
-makes its flag-only checks (algorithm, metrics, literal, output format)
-before any read.
+makes its flag-only checks (algorithm, metrics, literal, output format,
+discretized attributes) before any read.
 The effective configuration is echoed into every report for reproducibility.
 
 Exit codes: 0 success (audit: satisfied), 1 audit violation, 2 usage or
@@ -34,7 +34,6 @@ from .log import (
     EventLog,
     LogError,
     Perspective,
-    TimestampAccuracy,
     discretize_sensitive,
     relativize_log,
     truncate_to_accuracy,
@@ -101,20 +100,16 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_prepared(config: RunConfig) -> EventLog:
-    accuracy = config.params.accuracy
-    log = load_log(
-        config.input,
-        fmt=config.format,
-        colmap=config.colmap(),
-        sensitive_attrs=config.sensitive,
-        accuracy=TimestampAccuracy.SECONDS if config.relativize else accuracy,
-    )
+    """The run's log: read exact, discretized, rebased if asked, then floored
+    to the run's accuracy, once and last (rebasing shifts each case by its own
+    offset, so a floor before it would not be one after it)."""
+    log = load_log(config.input, fmt=config.format, colmap=config.colmap(),
+                   sensitive_attrs=config.sensitive)
     for attr in config.discretize:
         log = discretize_sensitive(log, attr)
-    if config.relativize:  # rebasing shifts each case by its own offset: floor after it
-        log = relativize_log(log, t0=0)  # the exact read is freed before flooring
-        log = truncate_to_accuracy(log, accuracy)
-    return log
+    if config.relativize:
+        log = relativize_log(log, t0=0)
+    return truncate_to_accuracy(log, config.params.accuracy)
 
 
 def _write_report(path, lines) -> None:

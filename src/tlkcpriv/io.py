@@ -3,13 +3,12 @@
 Timestamps are floored to whole epoch seconds (UTC; naive stamps are taken
 as UTC).  Both readers hand each case's fields to the one builder of a log's
 columns (:class:`~tlkcpriv.log._Columns`), which orders it on the exact
-seconds and then floors them to ``accuracy``, as
-:func:`~tlkcpriv.log.truncate_to_accuracy` does: a read at ``T`` equals a
-read at seconds truncated to ``T``.  Both writers read the columns and
-format each distinct event once.  Both formats round-trip every modeled
-field: case id, activity, resource, timestamp and the declared case-level
-sensitive attributes.  XES values keep the type their tag names; CSV cells
-are text, so CSV sensitive values are read as numbers where they parse.
+seconds; coarsening them is :func:`~tlkcpriv.log.truncate_to_accuracy`'s
+job.  Both writers read the columns and format each distinct event once.
+Both formats round-trip every modeled field: case id, activity, resource,
+timestamp and the declared case-level sensitive attributes.  XES values
+keep the type their tag names; CSV cells are text, so CSV sensitive values
+are read as numbers where they parse.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from xml.parsers import expat
 import numpy as np
 
 from .analysis import PrivacyParams
-from .log import EventLog, LogError, TimestampAccuracy, _Columns, _group, _Memo
+from .log import EventLog, LogError, _Columns, _group, _Memo
 
 __all__ = [
     "LogFileError",
@@ -140,11 +139,8 @@ def _coerce_value(text):
 # --- CSV --------------------------------------------------------------------
 
 
-def read_csv(
-    path, colmap: CsvColumnMap = CsvColumnMap(), accuracy=TimestampAccuracy.SECONDS
-) -> EventLog:
-    """Load a flat CSV log: rows grouped by case, ordered by timestamp (stable),
-    each timestamp then floored to ``accuracy``.
+def read_csv(path, colmap: CsvColumnMap = CsvColumnMap()) -> EventLog:
+    """Load a flat CSV log: rows grouped by case, ordered by timestamp (stable).
 
     Case ids, activities and resources are taken verbatim, so that whatever
     :func:`write_csv` writes reads back the same; an empty resource cell
@@ -153,7 +149,7 @@ def read_csv(
     ``csv.field_size_limit()`` is one.  Rows are read in chunks
     (:func:`_csv_chunks`) and checked and coded by columns (:class:`_CsvCases`).
     """
-    path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
+    path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as handle:  # skips a byte-order mark
             reader = csvlib.reader(handle)
@@ -175,7 +171,7 @@ def read_csv(
         raise LogFileError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:  # its position is in a buffer, not in the file
         raise LogFileError(f"cannot read {path}: not UTF-8 ({exc.reason})") from None
-    return cases.log(accuracy)
+    return cases.log()
 
 
 _CSV_CHARS = 1 << 16  # read at a time, then on to the end of the line
@@ -305,7 +301,7 @@ class _CsvCases:
         return (f": case {case_ids[row]!r} has conflicting values {pair} "
                 f"for sensitive attribute {attr!r}")
 
-    def log(self, accuracy) -> EventLog:
+    def log(self) -> EventLog:
         """The log of the rows added: cases in order of first row, each one's
         events in file order, grouped by a stable sort of the case codes."""
         case, activity, resource, seconds = map(np.concatenate, self.events)
@@ -315,7 +311,7 @@ class _CsvCases:
                        np.array([*(label or None for label in labels), None], object)[resource[order]],
                        seconds[order].tolist(), np.bincount(case, minlength=len(self.case)).tolist(),
                        self.sensitive)
-        return columns.log(self.attrs, accuracy)
+        return columns.log(self.attrs)
 
 
 def write_csv(log: EventLog, path, colmap: CsvColumnMap = CsvColumnMap()) -> None:
@@ -494,11 +490,11 @@ class _XesCases:
     order.  The first content error is kept, to be raised once the whole
     file has parsed: a parse error anywhere wins."""
 
-    def __init__(self, path, sensitive_attrs, accuracy):
+    def __init__(self, path, sensitive_attrs):
         self.path, self.sensitive_attrs = path, tuple(sensitive_attrs)
         self.kept = {"concept:name", "org:resource", "time:timestamp", *self.sensitive_attrs}
         self.seconds = _Memo(lambda text: _parse_timestamp(text, ISO_FORMAT))
-        self.accuracy, self.columns = TimestampAccuracy.parse(accuracy), _Columns()
+        self.columns = _Columns()
         # emptied text -> its plan (None: none builds it); a stretch -> its part (False:
         # out of the form); a quote count -> its split reads, and (pattern's fullmatch, plan)
         self.plans, self.parts, self.splits, self.patterns, self.held = {}, {}, {}, {}, 0
@@ -827,9 +823,8 @@ def _read_traces(handle, cases) -> None:
         offset += taken
 
 
-def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> EventLog:
-    """Load an XES log; each case is ordered by timestamp (stable), and each
-    timestamp then floored to ``accuracy``.
+def read_xes(path, sensitive_attrs=()) -> EventLog:
+    """Load an XES log; each case is ordered by timestamp (stable).
 
     Standard keys: concept:name (case id on traces, activity on events),
     org:resource, time:timestamp.  Declared sensitive attributes are read
@@ -854,7 +849,7 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            _read_traces(handle, cases := _XesCases(path, sensitive_attrs, accuracy))
+            _read_traces(handle, cases := _XesCases(path, sensitive_attrs))
     except (OSError, expat.ExpatError) as exc:
         raise LogFileError(f"cannot read {path}: {exc}") from None
     if cases.error is not None:
@@ -862,7 +857,7 @@ def read_xes(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS) -> Ev
     if cases.dropped:
         logger.warning("dropped %d unrecognized XES attributes from %s", cases.dropped, path)
     try:
-        return cases.columns.log(cases.sensitive_attrs, cases.accuracy)
+        return cases.columns.log(cases.sensitive_attrs)
     except LogError as exc:  # a repeated case id
         raise LogError(f"{path}: {exc}") from None
 
@@ -916,14 +911,13 @@ def write_xes(log: EventLog, path) -> None:
 # --- format dispatch ----------------------------------------------------------
 
 
-def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None, sensitive_attrs=(),
-             accuracy=TimestampAccuracy.SECONDS) -> EventLog:
-    """Read an XES or CSV log (by ``fmt`` or the file suffix), its timestamps
-    floored to ``accuracy`` as read."""
+def load_log(path, fmt=None, colmap: Optional[CsvColumnMap] = None,
+             sensitive_attrs=()) -> EventLog:
+    """Read an XES or CSV log (by ``fmt`` or the file suffix), its timestamps exact."""
     colmap = _sensitive_columns(colmap, sensitive_attrs)
     if log_format(fmt, path) == "xes":
-        return read_xes(path, colmap.sensitive_cols, accuracy)
-    return read_csv(path, colmap, accuracy)
+        return read_xes(path, colmap.sensitive_cols)
+    return read_csv(path, colmap)
 
 
 def save_log(log: EventLog, path, fmt=None, colmap: Optional[CsvColumnMap] = None) -> None:
@@ -991,6 +985,9 @@ class RunConfig:
         )
         self.csv_resource = self.csv_resource or None
         self.format = log_format(self.format) if self.format else None
+        for attr in self.discretize:  # as discretize_sensitive would, after the read
+            if attr not in self.sensitive:
+                raise LogError(f"cannot discretize {attr!r}: it is not a declared sensitive attribute")
         self.params  # parsed and checked now, so a bad value fails before any read
 
     @property

@@ -52,7 +52,6 @@ __all__ = [
     "relativize_log",
     "truncate_to_accuracy",
     "variants",
-    "variant_frequency",
     "directly_follows",
     "discretize_sensitive",
 ]
@@ -203,7 +202,7 @@ class EventLog:
             columns.add(inst.case_id, [ev.activity for ev in inst.trace],
                         [ev.resource for ev in inst.trace], [ev.timestamp for ev in inst.trace],
                         inst.sensitive)
-        columns.log(tuple(sensitive_attrs), TimestampAccuracy.SECONDS, self)
+        columns.log(tuple(sensitive_attrs), self)
         object.__setattr__(self, "_instances", instances)
 
     def _fill(self, *columns) -> "EventLog":
@@ -353,9 +352,8 @@ class _Columns:
     activities, resources (None for none) and exact seconds in source order,
     and codes its labels at once, in order of first use, so that a reader
     holds no label per event; :meth:`extend` takes many cases at once.
-    :meth:`log` orders each case by its seconds (stable: source order breaks
-    ties) and floors them to the accuracy, as :func:`truncate_to_accuracy`
-    does."""
+    :meth:`log` orders each case by its exact seconds (stable: source order
+    breaks ties); :func:`truncate_to_accuracy` floors them later."""
 
     def __init__(self):
         self.activity = _Memo(lambda label: len(self.activity))
@@ -377,7 +375,7 @@ class _Columns:
         self.case_ids += case_ids
         self.sensitive += sensitive
 
-    def log(self, attrs: tuple, accuracy: TimestampAccuracy, log=None) -> EventLog:
+    def log(self, attrs: tuple, log=None) -> EventLog:
         """``log``, or a new log, holding the cases added and declaring ``attrs``."""
         log = object.__new__(EventLog) if log is None else log
         case_ids, sensitive = tuple(self.case_ids), tuple(self.sensitive)
@@ -398,9 +396,6 @@ class _Columns:
         if falls.any():
             order = np.lexsort((seconds, np.repeat(np.arange(len(lengths)), lengths)))
             activities, resources, seconds = activities[order], resources[order], seconds[order]
-        unit = accuracy.unit_seconds
-        if unit > 1:
-            seconds -= seconds % unit
         return log._fill(attrs, case_ids, sensitive, bounds, activities, resources, seconds,
                          tuple(self.activity), tuple(self.resource)[1:])
 
@@ -551,19 +546,6 @@ def variants(
     decode = alphabet.__getitem__
     multiset = Counter({tuple(map(decode, t)): n for t, n in Counter(traces).items()})
     return multiset, set(multiset)
-
-
-def variant_frequency(
-    log: EventLog,
-    ps: Perspective,
-    variant: tuple,
-    accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
-) -> float:
-    """Relative frequency of one variant; frequencies over all variants sum to 1."""
-    multiset, _ = variants(log, ps, accuracy)
-    if variant not in multiset:
-        raise LogError(f"variant {variant!r} does not occur in the log")
-    return multiset[variant] / len(log)
 
 
 def directly_follows(log: EventLog, ps: Perspective) -> dict:

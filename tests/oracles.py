@@ -38,7 +38,7 @@ from tlkcpriv.io import (
     _format_timestamp,
     _parse_timestamp,
 )
-from tlkcpriv.log import LogError, TimestampAccuracy, _Columns, _Memo
+from tlkcpriv.log import LogError, _Columns, _Memo
 
 HOUR = 3600
 
@@ -540,14 +540,14 @@ def brute_transport_cost(weights_a, weights_b, cost, steps=60):
 # --- CSV row by row -------------------------------------------------------------
 
 
-def row_read_csv(path, colmap=CsvColumnMap(), accuracy=TimestampAccuracy.SECONDS):
+def row_read_csv(path, colmap=CsvColumnMap()):
     """The reference CSV reader: csv.reader's rows one at a time, each checked
     in turn (cell count, case id, activity, timestamp, sensitive values
     against the case's first row) and appended to its case's lists, then the
     cases handed to the column builder one by one.  An error names the line
     its record starts on, a csv.reader error included; a file that is not
     UTF-8 fails before any row is read."""
-    path, accuracy = Path(path), TimestampAccuracy.parse(accuracy)
+    path = Path(path)
     parse_stamp = _Memo(lambda text: _parse_timestamp(text, colmap.timestamp_format)).__getitem__
     coerce = _Memo(_coerce_value).__getitem__
     label = _Memo(str).__getitem__
@@ -615,7 +615,7 @@ def row_read_csv(path, colmap=CsvColumnMap(), accuracy=TimestampAccuracy.SECONDS
     columns = _Columns()
     for cid, (*fields, values) in cases.items():
         columns.add(cid, *fields, {attr: v for attr, (_, v) in zip(attrs, values)})
-    return columns.log(attrs, accuracy)
+    return columns.log(attrs)
 
 
 # --- XES through an element tree ------------------------------------------------

@@ -22,7 +22,7 @@ from tlkcpriv import (
     relativize_log,
     truncate_to_accuracy,
 )
-from tlkcpriv.background import ProjectedLog, _enumerate
+from tlkcpriv.background import ProjectedLog, _enumerate, _literal
 
 from .conftest import build_log
 from .oracles import all_candidates, brute_match, probes, proper_sub_candidates, random_log
@@ -316,6 +316,17 @@ class TestLiterals:
         assert parse_candidate(format_candidate(cand), spec) == cand
         # unescaped, the comma still separates elements
         assert len(parse_candidate("<a,b>", BkSpec.parse("seq/ac")).elements) == 2
+
+    def test_an_element_formats_the_same_on_a_cache_hit(self):
+        special = ProjectedEvent(" a\\,/@^ ", " r ")  # every escaped character, edge spaces
+        cand = Candidate(BkType.SEQ, (special, ProjectedEvent("b", "s"), special))
+        _literal.cache_clear()
+        literal = format_candidate(cand)  # a miss, then a hit for the repeat
+        assert (_literal.cache_info().misses, _literal.cache_info().hits) == (2, 1)
+        assert literal == r"<\ a\\\,\/\@\^\ /\ r\ ,b/s,\ a\\\,\/\@\^\ /\ r\ >"
+        assert format_candidate(cand) == literal  # all hits
+        assert _literal.cache_info().hits == 4
+        assert parse_candidate(literal, BkSpec.parse("seq/ar")) == cand
 
     @pytest.mark.parametrize(
         "bk,literal",

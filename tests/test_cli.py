@@ -446,6 +446,8 @@ def _flag_errors():
         (["-T", "weeks"],
          "unknown timestamp accuracy 'weeks'; expected one of seconds, minutes, hours, days"),
         (["-C", "1.5"], "C must lie in (0, 1]"),
+        (["--discretize", "Age"],
+         "cannot discretize 'Age': it is not a declared sensitive attribute"),
     ]
     for name, argv in commands.items():
         for flags, message in shared:
@@ -484,6 +486,14 @@ class TestUsageErrorsBeforeAnyRead:
         config.write_text(f"input = {tmp_path / 'missing.xes'}\nformat = txt\n")
         assert run(["stats", "--config", str(config)]) == 2
         assert capsys.readouterr() == ("", "error: unknown log format 'txt' (expected xes or csv)\n")
+
+    def test_config_discretize_is_checked_before_any_read(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text(f"input = {tmp_path / 'missing.csv'}\nsensitive = Disease\n"
+                          "discretize = Age\n")
+        assert run(["stats", "--config", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: cannot discretize 'Age': it is not a declared sensitive attribute\n")
 
 
 class TestDiscretizeFlag:
@@ -594,27 +604,40 @@ class TestStats:
 
 
 class TestSinglePass:
-    """The CLI floors timestamps while reading, except where it rebases cases."""
+    """The CLI reads each log exact and floors it once, after any rebasing."""
 
     @pytest.fixture
-    def truncations(self, monkeypatch):
-        calls = []
-        real = cli.truncate_to_accuracy
-        monkeypatch.setattr(
-            cli, "truncate_to_accuracy", lambda *args: calls.append(args) or real(*args)
-        )
-        return calls
+    def steps(self, monkeypatch):
+        """(name, argument, result) of each call of the rebasing and flooring steps."""
+        steps = []
+        for name in ("relativize_log", "truncate_to_accuracy"):
+            def spy(log, *args, name=name, real=getattr(cli, name), **kwargs):
+                steps.append((name, log, result := real(log, *args, **kwargs)))
+                return result
 
-    def test_no_truncation_pass_without_relativize(self, truncations, tmp_path):
-        flags = ["-i", HOSPITAL_XES, "-T", "hours", "--sensitive", "Disease", "--bk", "seq/ac"]
-        assert run(["stats", *flags]) == 0
+            monkeypatch.setattr(cli, name, spy)
+        return steps
+
+    @pytest.mark.parametrize("relativize", [False, True])
+    def test_each_log_is_floored_once_after_rebasing(self, steps, relativize, tmp_path):
+        flags = ["-T", "hours", "--sensitive", "Disease", "--bk", "seq/ac"]
+        flags += ["--relativize"] * relativize
         out = str(tmp_path / "anon.xes")
-        assert run(["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-o", out,
-                    *flags]) == 0
-        assert run(["audit", *flags[2:], "-i", out]) == 0
-        assert truncations == []
-        assert run(["stats", *flags, "--relativize"]) == 0
-        assert len(truncations) == 1
+        jobs = [  # (argv, logs read)
+            (["stats", "-i", HOSPITAL_XES, *flags], 1),
+            (["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-i", HOSPITAL_XES,
+              "-o", out, *flags], 1),
+            (["audit", "-i", out, *flags], 1),
+            (["evaluate", "--metrics", "dfg", "-i", HOSPITAL_XES, "--anonymized", out, *flags], 2),
+        ]
+        per_log = ["relativize_log"] * relativize + ["truncate_to_accuracy"]
+        for argv, logs in jobs:
+            steps.clear()
+            assert run(argv) == 0
+            assert [name for name, _, _ in steps] == per_log * logs
+            if relativize:  # each floor takes the log its rebasing returned
+                for (_, _, rebased), (_, floored, _) in zip(steps[::2], steps[1::2]):
+                    assert floored is rebased
 
     def test_relativize_floors_after_rebasing(self):
         config = RunConfig(input=HOSPITAL_XES, accuracy="hours", relativize=True,

@@ -4,6 +4,7 @@ import logging
 import math
 import re
 import types
+from collections import Counter
 from typing import get_args, get_type_hints
 from unittest import mock
 from xml.parsers import expat
@@ -30,6 +31,7 @@ from tlkcpriv import (
     read_config,
     read_csv,
     read_xes,
+    relativize_log,
     save_log,
     truncate_to_accuracy,
     write_config,
@@ -38,6 +40,7 @@ from tlkcpriv import (
 )
 
 import tlkcpriv.io as xes_io
+from tlkcpriv import cli
 
 from .conftest import DATA, HOSPITAL_COLMAP
 from .oracles import plain_layout, row_read_csv, tree_read_xes, tree_write_xes
@@ -274,9 +277,9 @@ def _log_columns(log):
             log.activity_labels, log.resource_labels)
 
 
-def _read_or_error(read, *args):
+def _read_or_error(read, path, colmap, accuracy):
     try:
-        return _log_columns(read(*args))
+        return _log_columns(truncate_to_accuracy(read(path, colmap), accuracy))
     except LogError as exc:
         return str(exc)
 
@@ -285,7 +288,7 @@ class TestCsvChunks:
     @settings(max_examples=400, deadline=None)
     @given(data=csv_files(), chars=st.integers(1, 40), rows=st.integers(1, 4),
            limit=st.sampled_from([None, 20]), resource=st.sampled_from(["Resource", None, ""]),
-           accuracy=st.sampled_from(["seconds", "hours"]))
+           accuracy=st.sampled_from([TimestampAccuracy.SECONDS, TimestampAccuracy.HOURS]))
     def test_same_columns_or_error_as_the_row_loop(self, data, chars, rows, limit, resource,
                                                    accuracy, tmp_path_factory):
         # chunks of a few characters: rows and CRLF straddle chunk ends, and a
@@ -969,7 +972,8 @@ def _spied_read(path, sensitive_attrs=(), accuracy=TimestampAccuracy.SECONDS):
     """The outcome of :func:`read_xes` in the form of :func:`tree_read_xes`,
     and how it read the file (see :func:`_spied_reads`)."""
     with _spied_reads() as seen:
-        got = _outcome(lambda: (read_xes(path, sensitive_attrs, accuracy), seen["dropped"]))
+        got = _outcome(lambda: (truncate_to_accuracy(read_xes(path, sensitive_attrs), accuracy),
+                                seen["dropped"]))
     return got, seen
 
 
@@ -1959,8 +1963,26 @@ def _write_stamps(target, cases):
     return target
 
 
+def _assert_prepared_from_exact_read(target, log):
+    """``target`` holds ``log`` with its events shuffled.  Its exact read keeps
+    each case in the order of its exact seconds, and the CLI's log of it, at
+    every accuracy and with or without rebasing, is that read, rebased if
+    asked, then floored."""
+    exact = load_log(target, sensitive_attrs=log.sensitive_attrs)
+    written = {inst.case_id: inst.trace for inst in log}
+    for inst in exact:
+        stamps = [ev.timestamp for ev in inst.trace]
+        assert stamps == sorted(stamps) and Counter(inst.trace) == Counter(written[inst.case_id])
+    for relativize in (False, True):
+        rebased = relativize_log(exact) if relativize else exact
+        for accuracy in TimestampAccuracy:
+            config = RunConfig(input=str(target), accuracy=accuracy.value, relativize=relativize,
+                               sensitive=log.sensitive_attrs)
+            assert cli._load_prepared(config) == truncate_to_accuracy(rebased, accuracy)
+
+
 class TestFlooredRead:
-    """A read at an accuracy equals a read at seconds, then truncated."""
+    """Readers read exact seconds; the CLI floors each log once, after any rebasing."""
 
     @settings(max_examples=100, deadline=None)
     @given(log=xes_logs(NEAR_STAMPS), rng=st.randoms(use_true_random=False))
@@ -1968,10 +1990,7 @@ class TestFlooredRead:
         target = tmp_path_factory.mktemp("xes") / "log.xes"
         write_xes(log, target)
         target.write_text(_shuffle_events(target.read_text(encoding="utf-8"), rng), "utf-8")
-        exact = read_xes(target, log.sensitive_attrs)
-        for accuracy in TimestampAccuracy:
-            floored = read_xes(target, log.sensitive_attrs, accuracy)
-            assert floored == truncate_to_accuracy(exact, accuracy)
+        _assert_prepared_from_exact_read(target, log)
 
     @settings(max_examples=100, deadline=None)
     @given(log=csv_logs(NEAR_STAMPS), rng=st.randoms(use_true_random=False))
@@ -1984,9 +2003,7 @@ class TestFlooredRead:
         rng.shuffle(rows)
         with target.open("w", newline="", encoding="utf-8") as handle:
             csv.writer(handle).writerows([header, *rows])
-        exact = read_csv(target, colmap)
-        for accuracy in TimestampAccuracy:
-            assert read_csv(target, colmap, accuracy) == truncate_to_accuracy(exact, accuracy)
+        _assert_prepared_from_exact_read(target, log)
 
     @pytest.mark.parametrize("fmt", ["xes", "csv"])
     def test_sorts_on_exact_seconds_before_flooring(self, fmt, tmp_path):
@@ -1997,11 +2014,12 @@ class TestFlooredRead:
             "2": {"d": "1970-01-01T00:00:00Z", "c": "1969-12-31T23:59:59.5Z"},
         }
         target = _write_stamps(tmp_path / f"log.{fmt}", cases)
-        colmap = CsvColumnMap(resource_col=None)
-        floored = load_log(target, colmap=colmap, accuracy="hours")
+        floored = cli._load_prepared(RunConfig(input=str(target), accuracy="hours",
+                                               csv_resource=None))
         assert [[e.activity for e in i.trace] for i in floored] == [["a", "b"], ["c", "d"]]
         assert floored.instances[1].trace[0].timestamp == -3600
-        assert floored == truncate_to_accuracy(load_log(target, colmap=colmap), TimestampAccuracy.HOURS)
+        exact = load_log(target, colmap=CsvColumnMap(resource_col=None))
+        assert floored == truncate_to_accuracy(exact, TimestampAccuracy.HOURS)
 
     # xs:dateTime allows any number of fraction digits; a read floors to the second
     @pytest.mark.parametrize("fmt", ["xes", "csv"])
@@ -2038,7 +2056,8 @@ class TestFlooredRead:
             load_log(target, colmap=CsvColumnMap(resource_col=None))
 
     def test_one_event_object_per_distinct_event(self):
-        log = read_xes(DATA / "hospital_log.xes", ("Age", "Disease"), "hours")
+        log = truncate_to_accuracy(read_xes(DATA / "hospital_log.xes", ("Age", "Disease")),
+                                   TimestampAccuracy.HOURS)
         events = [ev for inst in log for ev in inst.trace]
         distinct = {(ev.activity, ev.resource, ev.timestamp) for ev in events}
         assert len({id(ev) for ev in events}) == len(distinct) < len(events)
@@ -2167,7 +2186,8 @@ class TestColumnarJob:
     @pytest.mark.parametrize("fmt", ["xes", "csv"])
     def test_anonymize_job_builds_no_instances(self, fmt, tmp_path):
         save_log(_synthetic_big_log(200, 4025), tmp_path / f"in.{fmt}")
-        log = load_log(tmp_path / f"in.{fmt}", sensitive_attrs=("Disease",), accuracy="hours")
+        log = truncate_to_accuracy(load_log(tmp_path / f"in.{fmt}", sensitive_attrs=("Disease",)),
+                                   TimestampAccuracy.HOURS)
         result = TlkcAnonymizer(theta=0.2, accuracy="hours", L=2, K=5, C=0.8, bk="seq/ar",
                                 sensitive=("Disease",)).anonymize(log)
         save_log(result.log, tmp_path / f"out.{fmt}")
@@ -2191,7 +2211,8 @@ class TestRunConfig:
             RunConfig(algorithm="baseline2", K=3, sensitive=("Disease", "Age")),
             RunConfig(),
             RunConfig(csv_resource=None),  # blank on disk, a CSV without resources
-            RunConfig(input="log.csv", theta=0.3, tie_break=7, discretize=("Age",)),
+            RunConfig(input="log.csv", theta=0.3, tie_break=7, sensitive=("Age",),
+                      discretize=("Age",)),
             RunConfig(algorithm="tlkc-ext", alpha=0.25, beta=0.75, relativize=True),
             # a '#' inside a value is no comment
             RunConfig(input="logs/run#2.csv", csv_timestamp_format="%Y-%m-%d#%H"),

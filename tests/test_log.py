@@ -22,7 +22,6 @@ from tlkcpriv import (
     read_xes,
     relativize_log,
     truncate_to_accuracy,
-    variant_frequency,
     variants,
 )
 from tlkcpriv.anonymize import suppress_global
@@ -45,13 +44,13 @@ def case(log, cid):
     return next(inst for inst in log if inst.case_id == cid)
 
 
-def built(cases, attrs, accuracy):
+def built(cases, attrs):
     """The log that the column builder makes of ``(case_id, activities,
     resources, seconds, sensitive)`` cases."""
     columns = _Columns()
     for fields in cases:
         columns.add(*fields)
-    return columns.log(attrs, accuracy)
+    return columns.log(attrs)
 
 
 def decoded(log, ps, accuracy=TimestampAccuracy.SECONDS):
@@ -261,9 +260,10 @@ class TestTruncate:
 
     def test_builder_orders_floors_and_shares_events(self):
         fields = (["a"] * 3, ["r", "r", None], [32 * HOUR + 45 * 60, 32 * HOUR + 1, 32 * HOUR])
-        exact = built([("1", *fields, {})], (), TimestampAccuracy.SECONDS).instances[0].trace
+        exact = built([("1", *fields, {})], ()).instances[0].trace
         assert [ev.timestamp for ev in exact] == [32 * HOUR, 32 * HOUR + 1, 32 * HOUR + 45 * 60]
-        log = built([("1", *fields, {}), ("2", ["a"], ["r"], [32 * HOUR + 59], {})], (), HOURS)
+        log = truncate_to_accuracy(
+            built([("1", *fields, {}), ("2", ["a"], ["r"], [32 * HOUR + 59], {})], ()), HOURS)
         assert log.seconds.tolist() == [32 * HOUR] * 4
         (first, second, third), (fourth,) = (inst.trace for inst in log.instances)
         assert first == Event("a", None, 32 * HOUR)
@@ -301,7 +301,7 @@ class TestColumns:
                 cases.append((cid, acts, resources, seconds, {"S": cid}))
                 ordered = sorted(fields, key=lambda f: f[2])  # stable
                 oracles.append(ProcessInstance(cid, [Event(*f) for f in ordered], {"S": cid}))
-            got = built(cases, ("S",), acc)
+            got = truncate_to_accuracy(built(cases, ("S",)), acc)
             want = per_event_truncate(EventLog(oracles, ("S",)), acc.unit_seconds)
             assert got == want and got.instances == want.instances
             # one object per equal event
@@ -315,7 +315,7 @@ class TestColumns:
         target = tmp_path / "log.xes"
         target.write_text('<log><trace><string key="concept:name" value="1"/></trace></log>')
         with pytest.raises(LogError, match=": case '1': empty traces are not allowed$"):
-            read_xes(target, (), acc)
+            truncate_to_accuracy(read_xes(target, ()), acc)
 
     @settings(max_examples=150, deadline=None)
     @given(log=hypothesis_logs(), bare=st.sets(st.integers(0, 49)))
@@ -390,7 +390,8 @@ class TestColumns:
 
     def test_logs_differing_in_one_field_differ(self):
         log = build_log({"1": [("a", "r", 0), ("b", None, 1)]}, {"1": {"S": 1}}, ("S",))
-        twin = built([("1", ["a", "b"], ["r", None], [0, HOUR], {"S": 1})], ("S",), HOURS)
+        twin = truncate_to_accuracy(
+            built([("1", ["a", "b"], ["r", None], [0, HOUR], {"S": 1})], ("S",)), HOURS)
         assert twin == log
         for other in (
             build_log({"1": [("a", "r", 0), ("c", None, 1)]}, {"1": {"S": 1}}, ("S",)),
@@ -420,32 +421,13 @@ class TestVariants:
         _, unique = variants(treatment_log, Perspective.ART, HOURS)
         assert len(unique) == 8
 
-    def test_frequency_of_shared_variant(self, hospital_log):
-        v = tuple(ProjectedEvent(activity=a) for a in ("RE", "VI", "RL"))
-        assert variant_frequency(hospital_log, Perspective.A, v) == pytest.approx(2 / 6)
-
-    def test_frequency_of_unique_variant(self, treatment_log):
-        multiset, _ = variants(treatment_log, Perspective.ART, HOURS)
-        v = next(iter(multiset))
-        assert variant_frequency(treatment_log, Perspective.ART, v, HOURS) == pytest.approx(1 / 8)
-
-    def test_single_variant_log(self):
-        log = build_log({"1": [("a", None, 0)], "2": [("a", None, 0)]})
-        multiset, _ = variants(log, Perspective.A)
-        v = next(iter(multiset))
-        assert variant_frequency(log, Perspective.A, v) == 1.0
-
-    def test_unknown_variant_rejected(self, hospital_log):
-        with pytest.raises(LogError):
-            variant_frequency(hospital_log, Perspective.A, (ProjectedEvent(activity="zz"),))
-
     def test_frequencies_sum_to_one(self):
+        # a variant's frequency is its count over len(log)
         rng = random.Random(7)
         for _ in range(20):
             log = random_log(rng)
             multiset, unique = variants(log, Perspective.A)
-            total = sum(variant_frequency(log, Perspective.A, v) for v in unique)
-            assert abs(total - 1.0) < 1e-12
+            assert sum(multiset.values()) == len(log) and set(multiset) == unique
 
 
 class TestDirectlyFollows:
