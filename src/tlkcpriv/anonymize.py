@@ -46,6 +46,7 @@ from .analysis import (
     enumerate_mvt,
 )
 from .log import (
+    CodedTraces,
     EventLog,
     LogError,
     Perspective,
@@ -407,58 +408,58 @@ class Baseline2(_KBaseline):
 
     Both regimes only ever shorten traces, so the result's projections are
     subsequences of the input's and the loop terminates with every surviving
-    variant occurring at least k times.
+    variant occurring at least k times.  Events are removed through one keep
+    mask over the input's events, as the other anonymizers remove them.
     """
 
     def anonymize(self, log: EventLog) -> AnonymizationResult:
         started = time.perf_counter()
         ps, accuracy = self._params()
 
-        # per case: surviving (event index, descriptor code) pairs; codes
-        # sort in canonical descriptor order, so they break every tie
+        # one keep bit per event of the input; codes sort in canonical
+        # descriptor order, so they break every tie
         traces, _ = log.coded(ps, accuracy)
-        state = {cid: list(enumerate(codes)) for cid, codes in zip(log.case_ids, traces)}
+        codes, lengths = traces.codes, traces.lengths
+        keep = np.ones(len(codes), bool)
         structural = False
 
         while True:
-            live = {cid: pairs for cid, pairs in state.items() if pairs}
-            classes: dict = {}
-            for cid, pairs in live.items():
-                classes.setdefault(tuple(d for _, d in pairs), []).append(cid)
-            violating = {
-                rep: cids for rep, cids in classes.items() if len(cids) < self.k
-            }
+            # a case's later edits depend only on its current variant, so the
+            # cases of a class share their fate and a class is a count
+            kept_bounds = np.concatenate(([0], np.cumsum(keep)))[traces.bounds]
+            variants = list(CodedTraces(codes[keep], kept_bounds))
+            classes = Counter(variants)
+            del classes[()]
+            violating = {rep: n for rep, n in classes.items() if n < self.k}
             if not violating:
                 break
 
             if not structural:
-                gfreq: Counter = Counter(
-                    d for pairs in live.values() for _, d in pairs
-                )
-                eligible = sorted({d for rep in violating for d in rep})
+                gfreq = np.bincount(codes[keep]).tolist()
+                eligible = sorted(set().union(*violating))
                 if len({gfreq[d] for d in eligible}) > 1:
                     target = min(eligible, key=lambda d: (gfreq[d], d))
-                    for cid in state:
-                        state[cid] = [
-                            (i, d) for i, d in state[cid] if d != target
-                        ]
+                    keep &= codes != target
                     continue
                 structural = True
 
-            if not self._merge_step(state, live, classes, violating):
-                # no structural move left: drop the canonically first
-                # violating class, mirroring full removal of hopeless variants
-                rep = min(violating)
-                for cid in violating[rep]:
-                    state[cid] = []
+            # no structural move left: dropping a class makes none either, so
+            # every violating class is dropped (the empty target keeps none
+            # of its events), mirroring full removal of hopeless variants
+            moves = self._merge_step(classes, violating)
+            for rep, target in moves or [(rep, ()) for rep in violating]:
+                in_class = np.repeat([v == rep for v in variants], lengths)
+                events = np.flatnonzero(keep & in_class).reshape(-1, len(rep))
+                keep[events] = False
+                keep[events[:, list(_earliest_embedding(target, rep))]] = True
 
-        keep = np.zeros(log.total_events, bool)
-        keep[[start + i for start, cid in zip(log.bounds.tolist(), log.case_ids)
-              for i, _ in state[cid]]] = True
         out, dropped = log._keep(keep)
         return _result(log, out, dropped, started)
 
-    def _merge_step(self, state, live, classes, violating) -> bool:
+    def _merge_step(self, classes, violating) -> list:
+        """The ``(class, target)`` moves of one structural step, each class's
+        cases to keep only the earliest embedding of ``target`` in its variant;
+        empty when no move is left."""
         # absorb: violating class onto an existing proper-subtrace class
         for rep in sorted(violating):
             options = [
@@ -466,33 +467,22 @@ class Baseline2(_KBaseline):
                 for u in classes
                 if len(u) < len(rep)
                 and _earliest_embedding(u, rep) is not None
-                and len(classes[u]) + len(classes[rep]) >= self.k
+                and classes[u] + classes[rep] >= self.k
             ]
             if options:
                 best_len = max(len(u) for u in options)
                 options = [u for u in options if len(u) == best_len]
                 target = min(options, key=lambda u: (_earliest_embedding(u, rep), u))
-                self._map_class(state, live, classes[rep], target)
-                return True
+                return [(rep, target)]
         # coalesce: two violating classes onto their longest common subtrace
         best = None
         for u, v in itertools.combinations(sorted(violating), 2):
             common = _longest_common_subsequence(u, v)
-            if common and len(classes[u]) + len(classes[v]) >= self.k:
+            if common and classes[u] + classes[v] >= self.k:
                 key = (-len(common), common, u, v)
                 if best is None or key < best[0]:
                     best = (key, u, v, common)
         if best is not None:
             _, u, v, common = best
-            self._map_class(state, live, classes[u] + classes[v], common)
-            return True
-        return False
-
-    @staticmethod
-    def _map_class(state, live, case_ids, target: tuple):
-        for cid in case_ids:
-            pairs = live[cid]
-            descs = tuple(d for _, d in pairs)
-            kept_positions = _earliest_embedding(target, descs)
-            state[cid] = [pairs[p] for p in kept_positions]
-
+            return [(u, common), (v, common)]
+        return []

@@ -112,9 +112,18 @@ def _format_timestamp(seconds: int, fmt: str) -> str:
     return dt.strftime(fmt)
 
 
+def _numeral(text, cast=int):
+    """``cast(text)`` of a numeral in ASCII without ``_``, else ValueError:
+    Python's ``int`` and ``float`` also read ``1_000`` and other scripts'
+    digits (``١٢``), which other readers of a log do not."""
+    if isinstance(text, str) and text.isascii() and "_" not in text:
+        return cast(text)
+    raise ValueError(text)
+
+
 def _coerce_value(text):
     """Sensitive attribute values: ``true``/``false`` (any case) as booleans,
-    numbers where they parse, else strings; a blank cell is None.
+    numbers where :func:`_numeral` reads them, else strings; a blank cell is None.
 
     Non-finite float spellings (``nan``, ``inf``, ``-inf``) stay text: a NaN
     is not equal to itself, so it could never match or group as a value.
@@ -126,11 +135,11 @@ def _coerce_value(text):
     if lowered in ("true", "false"):  # as XES spells a boolean
         return lowered == "true"
     try:
-        return int(text)
+        return _numeral(text)
     except ValueError:
         pass
     try:
-        value = float(text)
+        value = _numeral(text, float)
     except ValueError:
         return text
     return value if math.isfinite(value) else text
@@ -369,7 +378,7 @@ _XES_LOG_TAG = f'<log xes.version="2.0" xmlns="{_XES_NS}"'
 def _xes_float(text):
     """A float, or Python's spelling of it when not finite (``NaN`` and
     `` nan `` read as ``nan``, ``1e999`` as ``inf``), which stays text."""
-    value = float(text)
+    value = _numeral(text, float)
     return value if math.isfinite(value) else str(value)
 
 
@@ -381,7 +390,7 @@ def _xes_boolean(text):
 
 # XES attribute tags whose value is kept as the text it is, and the typed ones
 _XES_TEXT_TAGS = frozenset({"string", "date", "id"})
-_XES_CASTS = {"int": int, "float": _xes_float, "boolean": _xes_boolean}
+_XES_CASTS = {"int": _numeral, "float": _xes_float, "boolean": _xes_boolean}
 
 # the escaping ElementTree applies to attribute values, in one pass
 _ATTR_ESCAPES = str.maketrans(

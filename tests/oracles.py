@@ -2,7 +2,8 @@
 internals: containment is re-derived from scratch, candidates are enumerated
 exhaustively, the greedy rounds rank descriptors one by one, the transport
 problem is searched on a grid, edit distances are filled cell by cell, XES
-goes through a whole ElementTree, and CSV is read row by row.
+goes through a whole ElementTree, CSV is read row by row, and Baseline2
+holds per-case lists of surviving events.
 """
 
 import csv
@@ -27,6 +28,7 @@ from tlkcpriv import (
     Perspective,
     ProcessInstance,
     ProjectedEvent,
+    TimestampAccuracy,
     variants,
 )
 from tlkcpriv.io import (
@@ -353,6 +355,93 @@ def descriptor_greedy(log: EventLog, anonymizer):
     return iterations, tuple(dropped), current
 
 
+# --- Baseline2 on per-case pair lists -----------------------------------------
+
+
+def baseline2(log: EventLog, k: int, ps, accuracy):
+    """The reference ``Baseline2``: every case holds its surviving (event
+    index, descriptor code) pairs, rebuilt on each pass and turned into a
+    keep mask at the end.  Returns ``(output log, dropped ids, events
+    removed)``."""
+    from tlkcpriv.anonymize import _earliest_embedding, _longest_common_subsequence
+
+    def merge_step(state, live, classes, violating) -> bool:
+        # absorb: violating class onto an existing proper-subtrace class
+        for rep in sorted(violating):
+            options = [
+                u
+                for u in classes
+                if len(u) < len(rep)
+                and _earliest_embedding(u, rep) is not None
+                and len(classes[u]) + len(classes[rep]) >= k
+            ]
+            if options:
+                best_len = max(len(u) for u in options)
+                options = [u for u in options if len(u) == best_len]
+                target = min(options, key=lambda u: (_earliest_embedding(u, rep), u))
+                map_class(state, live, classes[rep], target)
+                return True
+        # coalesce: two violating classes onto their longest common subtrace
+        best = None
+        for u, v in itertools.combinations(sorted(violating), 2):
+            common = _longest_common_subsequence(u, v)
+            if common and len(classes[u]) + len(classes[v]) >= k:
+                key = (-len(common), common, u, v)
+                if best is None or key < best[0]:
+                    best = (key, u, v, common)
+        if best is not None:
+            _, u, v, common = best
+            map_class(state, live, classes[u] + classes[v], common)
+            return True
+        return False
+
+    def map_class(state, live, case_ids, target: tuple):
+        for cid in case_ids:
+            pairs = live[cid]
+            descs = tuple(d for _, d in pairs)
+            kept_positions = _earliest_embedding(target, descs)
+            state[cid] = [pairs[p] for p in kept_positions]
+
+    # per case: surviving (event index, descriptor code) pairs; codes
+    # sort in canonical descriptor order, so they break every tie
+    ps, accuracy = Perspective.parse(ps), TimestampAccuracy.parse(accuracy)
+    traces, _ = log.coded(ps, accuracy)
+    state = {cid: list(enumerate(codes)) for cid, codes in zip(log.case_ids, traces)}
+    structural = False
+
+    while True:
+        live = {cid: pairs for cid, pairs in state.items() if pairs}
+        classes: dict = {}
+        for cid, pairs in live.items():
+            classes.setdefault(tuple(d for _, d in pairs), []).append(cid)
+        violating = {rep: cids for rep, cids in classes.items() if len(cids) < k}
+        if not violating:
+            break
+
+        if not structural:
+            gfreq: Counter = Counter(d for pairs in live.values() for _, d in pairs)
+            eligible = sorted({d for rep in violating for d in rep})
+            if len({gfreq[d] for d in eligible}) > 1:
+                target = min(eligible, key=lambda d: (gfreq[d], d))
+                for cid in state:
+                    state[cid] = [(i, d) for i, d in state[cid] if d != target]
+                continue
+            structural = True
+
+        if not merge_step(state, live, classes, violating):
+            # no structural move left: drop the canonically first
+            # violating class, mirroring full removal of hopeless variants
+            rep = min(violating)
+            for cid in violating[rep]:
+                state[cid] = []
+
+    keep = np.zeros(log.total_events, bool)
+    keep[[start + i for start, cid in zip(log.bounds.tolist(), log.case_ids)
+          for i, _ in state[cid]]] = True
+    out, dropped = log._keep(keep)
+    return out, dropped, int(len(keep) - keep.sum())
+
+
 def brute_focal(log: EventLog, attrs):
     out = {}
     for attr in attrs:
@@ -657,6 +746,10 @@ def tree_read_xes(path, sensitive_attrs=()):
                 continue
             value = child.get("value")
             try:
+                if tag in ("int", "float") and value is not None and (
+                    "_" in value or not value.isascii()
+                ):
+                    raise ValueError(value)  # a numeral that only Python reads
                 if tag == "int":
                     out[key] = int(value)
                 elif tag == "float":
@@ -814,6 +907,23 @@ def hypothesis_logs(draw, max_cases=10, max_events=5):
             Event(draw(st.sampled_from(ACTIVITIES)), draw(st.sampled_from(RESOURCES)), h * HOUR)
             for h in hours
         )
+        instances.append(
+            ProcessInstance(f"c{cid}", trace, {"Disease": draw(st.sampled_from(DISEASES))})
+        )
+    return EventLog(tuple(instances), ("Disease",))
+
+
+@st.composite
+def reordered_logs(draw, max_cases=8):
+    """Logs whose cases each put one drawn set of activities in their own
+    order (resource ``r1``, an event per hour): every activity is once in
+    every case, so the descriptors of perspectives ``A`` and ``AR`` are
+    equally frequent and Baseline2 goes straight to its structural merges."""
+    acts = draw(st.lists(st.sampled_from(ACTIVITIES), min_size=1, unique=True))
+    instances = []
+    for cid in range(draw(st.integers(2, max_cases))):
+        order = draw(st.permutations(acts))
+        trace = tuple(Event(a, "r1", h * HOUR) for h, a in enumerate(order))
         instances.append(
             ProcessInstance(f"c{cid}", trace, {"Disease": draw(st.sampled_from(DISEASES))})
         )

@@ -43,12 +43,14 @@ from .conftest import (
     hours_view,
 )
 from .oracles import (
+    baseline2,
     brute_suppress,
     contains,
     descriptor_greedy,
     hypothesis_logs,
     project_raw,
     random_log,
+    reordered_logs,
 )
 from .test_acceptance import _synthetic_big_log
 
@@ -306,6 +308,15 @@ class TestBaseline2:
         )
         assert _earliest_embedding(small, big) == first
         assert (first is None) == (not contains(BkType.SEQ, small, big))
+
+    @pytest.mark.parametrize("ps", list(Perspective), ids=lambda p: p.value)
+    @settings(max_examples=150, deadline=None)
+    @given(log=hypothesis_logs() | reordered_logs(), k=st.integers(1, 5),
+           accuracy=st.sampled_from(["seconds", "hours"]))
+    def test_equals_the_pair_list_reference(self, ps, log, k, accuracy):
+        # the drawn logs give every event a resource, so every perspective applies
+        got = Baseline2(k=k, ps=ps.value, accuracy=accuracy).anonymize(log)
+        assert (got.log, got.dropped_cases, got.events_removed) == baseline2(log, k, ps, accuracy)
 
     def test_deterministic(self, treatment_log):
         a = Baseline2(k=4, ps="ART", accuracy="hours").anonymize(treatment_log)

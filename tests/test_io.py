@@ -81,7 +81,9 @@ class TestCsv:
             read_csv(target, CsvColumnMap())
 
     # True == 1 == 1.0 in Python, yet the cells name different values
-    @pytest.mark.parametrize("first, second", [("x", "y"), ("1", "true"), ("1", "1.0")])
+    @pytest.mark.parametrize(
+        "first, second", [("x", "y"), ("1", "true"), ("1", "1.0"), ("1_000", "1000")]
+    )
     def test_conflicting_sensitive_values_rejected(self, first, second, tmp_path):
         target = tmp_path / "log.csv"
         target.write_text(
@@ -91,6 +93,20 @@ class TestCsv:
         )
         with pytest.raises(LogError, match="conflicting"):
             read_csv(target, CsvColumnMap(sensitive_cols=("D",)))
+
+    def test_numerals_only_python_reads_stay_text(self, tmp_path):
+        # int() and float() read these, but a cell is a number only if it is
+        # ASCII without "_"
+        cells = ["1_000", "1000", "\u0661\u0662", "12", "1_0.5", " 2.5 "]
+        target = tmp_path / "log.csv"
+        target.write_text(
+            "CaseId,Activity,Timestamp,D\n"
+            + "".join(f"{i},a,1970-01-01T00:00:00,{cell}\n" for i, cell in enumerate(cells)),
+            encoding="utf-8",
+        )
+        log = read_csv(target, CsvColumnMap(resource_col=None, sensitive_cols=("D",)))
+        got = [inst.sensitive["D"] for inst in log]
+        assert got == ["1_000", 1000, "\u0661\u0662", 12, "1_0.5", 2.5]
 
     def test_conflict_reported_in_row_order(self, tmp_path):
         # the conflict at row 3 comes before the bad timestamp at row 4
@@ -401,9 +417,11 @@ CSV_STANDARD = ("CaseId", "Activity", "Timestamp", "Resource")
 def _reads_as_text(value):
     """Sensitive strings that read back as themselves: trimmed, non-empty, not
     a boolean and not a finite number (``true`` and numerals read back as
-    booleans and numbers)."""
+    booleans and numbers, but not those with ``_`` or non-ASCII digits)."""
     if value != value.strip() or not value or value.lower() in ("true", "false"):
         return False
+    if "_" in value or not value.isascii():
+        return True
     for cast in (int, float):
         try:
             return not math.isfinite(cast(value))
@@ -598,8 +616,16 @@ class TestXes:
              "case '1': <boolean> attribute 'Disease' has bad value 'True'"),
             ('<boolean key="Disease"/>', "",
              "case '1': <boolean> attribute 'Disease' has no value"),
+            # numerals that only Python's int() and float() read
+            ('<int key="Disease" value="1_000"/>', "",
+             "case '1': <int> attribute 'Disease' has bad value '1_000'"),
+            ('<float key="Disease" value="1_0.5"/>', "",
+             "case '1': <float> attribute 'Disease' has bad value '1_0.5'"),
+            ('<int key="Disease" value="&#1633;&#1634;"/>', "",
+             "case '1': <int> attribute 'Disease' has bad value '\u0661\u0662'"),
         ],
-        ids=["bad-int", "no-value", "on-an-event", "no-case-id", "bad-boolean", "no-boolean"],
+        ids=["bad-int", "no-value", "on-an-event", "no-case-id", "bad-boolean", "no-boolean",
+             "underscore-int", "underscore-float", "non-ascii-int"],
     )
     def test_malformed_number_names_path_case_and_key(
         self, trace_attrs, event_attr, message, tmp_path
@@ -1504,7 +1530,7 @@ class TestXesWellFormedness:
 LAYOUT_VALUES = {
     ("string", "concept:name"): (["a", "b", "it's", " é€ ", "a&amp;b"], [None]),
     ("id", "concept:name"): (["a", "7"], []),
-    ("int", "concept:name"): (["5", "05"], ["x"]),
+    ("int", "concept:name"): (["5", "05"], ["x", "1_2"]),
     ("float", "concept:name"): (["1.50", "nan"], ["x"]),
     ("boolean", "concept:name"): (["true"], ["yes"]),
     ("date", "time:timestamp"): (
@@ -1513,8 +1539,8 @@ LAYOUT_VALUES = {
     ),
     ("string", "time:timestamp"): (["1970-01-01T01:00:00Z"], []),
     ("string", "org:resource"): (["r", "s", "r&#9;t"], []),
-    ("int", "Age"): (["4", "-2"], ["old", None]),
-    ("float", "Age"): (["3.5", "inf"], ["x"]),
+    ("int", "Age"): (["4", "-2"], ["old", None, "1_000", "&#1633;&#1634;"]),
+    ("float", "Age"): (["3.5", "inf"], ["x", "1_0.5"]),
     ("boolean", "Age"): (["true", "false"], ["1"]),
     ("string", "Age"): (["9", "young"], []),
     ("string", "Disease"): (["flu", "cold"], []),
