@@ -307,7 +307,11 @@ def enumerate_mft(
     threshold = max(1, ceil(theta * len(traces)))
     longest = int(traces.lengths.max(initial=0))
     levels = []  # per size: the frequent patterns, their supports, which are covered
-    for level in background._enumerate(traces, len(alphabet), BkType.SEQ, longest):
+    walk = background._enumerate(traces, len(alphabet), BkType.SEQ, longest)
+    if longest and np.bincount(traces.codes).max() < threshold:
+        # a pattern's support is at most its rarest code's count: the walk's one empty level
+        walk, levels = (), [(np.zeros((0, 1), np.int32), np.zeros(0, np.int64), np.zeros(0, bool))]
+    for level in walk:
         frequent = level.support >= threshold
         level.carry &= frequent
         if levels:

@@ -4,10 +4,10 @@ Data utility is one minus the earth mover's distance between the two variant
 distributions, with normalized edit distance between variants as the ground
 cost.  One bit-parallel kernel computes the exact edit distance of every
 variant pair at once, 64 DP cells per machine-word operation.  The
-transportation problem is solved exactly on a priced support of cells: HiGHS
-solves it on a few cells per row and column, the LP duals price every other
-cell, and cells that would lower the cost join until the duals certify the
-plan on every cell.  The reported plan is one optimal plan.
+transportation problem is solved exactly on a priced support: HiGHS starts on
+the cells 300 Sinkhorn steps at eps 0.01 price within 10 eps of their least,
+the LP duals price every other cell, and cells that would lower the cost join
+until the duals certify the plan on every cell: one optimal plan.
 
 Result utility compares directly-follows graphs (activities) and handover
 networks (resources) via fitness, precision and their harmonic mean.
@@ -154,10 +154,13 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-# the transport LP is solved on a support of cells: the START_CELLS cheapest
-# of every row and column first, then the PRICED_CELLS most negative reduced
-# costs of every row and column per round, until none is below -PRICE_TOL
-START_CELLS = 4
+# the transport LP is solved on a support of cells: those an entropic dual
+# estimate prices within SCREEN_EPS * SINKHORN_EPS of its minimum first, then
+# the PRICED_CELLS most negative reduced costs of every row and column per
+# round, until none is below -PRICE_TOL
+SINKHORN_STEPS = 300
+SINKHORN_EPS = 0.01
+SCREEN_EPS = 10
 PRICED_CELLS = 3
 PRICE_TOL = 1e-12
 # HiGHS accepts reduced costs down to -1e-7 by default, which would certify a
@@ -198,14 +201,20 @@ def _north_west(wa: np.ndarray, wb: np.ndarray) -> Tuple[list, list]:
     return rows, cols
 
 
-def _optimal_flow(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> np.ndarray:
+def _optimal_flow(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray, support=None) -> np.ndarray:
     """An optimal transport plan from ``wa`` (rows) to ``wb`` (columns) as an
     ``n x m`` flow matrix.
 
-    HiGHS solves the LP on a support of cells only, starting from the
-    cheapest cells of every row and column and the north-west-corner cells
-    (which make it feasible).  The LP duals ``u, v`` price every cell at
-    ``cost - u - v``; while a cell outside the support prices below
+    HiGHS solves the LP on a support of cells only: ``support``, a mask
+    holding a feasible plan, or else a start screened by an entropic dual
+    estimate.  :data:`SINKHORN_STEPS` scaling steps on ``K = exp(-cost /
+    eps)``, ``eps`` = :data:`SINKHORN_EPS` (Cuturi, "Sinkhorn Distances",
+    2013), give duals ``u = eps log a``, ``v = eps log b``; the start holds
+    the cells whose ``cost - u - v`` lies within ``SCREEN_EPS * eps`` of the
+    least, each row's and column's least, and the north-west-corner cells
+    (which make it feasible).  Costs are normalized edit distances in [0, 1],
+    so no kernel entry is below ``e^-100``.  The LP's duals price every cell
+    the same way; while a cell outside the support prices below
     ``-PRICE_TOL``, the most negative cells of every row and column join the
     support and the LP is solved again.  The support only grows, so the loop
     ends, and its last round certifies the plan optimal over all cells
@@ -216,8 +225,15 @@ def _optimal_flow(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> np.ndarra
     from scipy.sparse import csr_matrix  # deferred like scipy.optimize, see linprog
 
     n, m = cost.shape
-    support = _smallest(cost, START_CELLS)
-    support[_north_west(wa, wb)] = True
+    if support is None:
+        kernel = np.exp(-cost / SINKHORN_EPS)
+        b = np.ones(m)
+        for _ in range(SINKHORN_STEPS):
+            a = wa / (kernel @ b)
+            b = wb / (a @ kernel)
+        screen = cost - SINKHORN_EPS * (np.log(a)[:, None] + np.log(b))
+        support = (screen <= screen.min() + SCREEN_EPS * SINKHORN_EPS) | _smallest(screen, 1)
+        support[_north_west(wa, wb)] = True
     b_eq = np.concatenate([wa, wb])
     while True:
         i, j = np.nonzero(support)
@@ -239,7 +255,7 @@ def _optimal_flow(wa: np.ndarray, wb: np.ndarray, cost: np.ndarray) -> np.ndarra
         entering = _smallest(reduced, PRICED_CELLS) & (reduced < -PRICE_TOL)
         if not entering.any():
             break
-        support |= entering
+        support = support | entering
     flow = np.zeros((n, m))
     flow[i, j] = res.x
     return flow

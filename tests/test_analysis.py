@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,7 @@ from tlkcpriv import (
     n_score,
     score,
 )
+from tlkcpriv.background import _enumerate
 
 from .conftest import build_log
 from .oracles import (
@@ -470,6 +472,7 @@ class TestMft:
 class TestCodedPathsAgainstOracles:
     def test_mft_and_coverage_on_random_logs(self):
         rng = random.Random(1717)
+        above_every_code = 0
         for _ in range(12):
             log = random_log(rng, max_cases=6, max_events=5)
             for bk_type in BkType:
@@ -483,6 +486,23 @@ class TestCodedPathsAgainstOracles:
                         patterns, key=lambda p: (len(p), [e.sort_key() for e in p])
                     )
                     assert coverage(log, ps, HOURS) == brute_coverage(log, ps, 3600)
+                    traces, alphabet = log.coded(ps, HOURS)
+                    busiest = int(np.bincount(traces.codes).max(initial=0))
+                    if 0 < busiest < len(log):
+                        # a threshold above every code's event count: nothing is
+                        # frequent, and the levels are the walk's one empty level
+                        above_every_code += 1
+                        theta = (busiest + 1) / len(log)
+                        got = enumerate_mft(log, ps, theta, HOURS)
+                        assert got.threshold > busiest
+                        assert len(got) == 0 and brute_mft(log, ps, 3600, theta) == {}
+                        level = next(_enumerate(traces, len(alphabet), BkType.SEQ, 1))
+                        want = level.support >= got.threshold
+                        (codes, support), = got.levels
+                        assert codes.dtype == level.codes.dtype and support.dtype == level.support.dtype
+                        assert np.array_equal(codes, level.codes[want])
+                        assert np.array_equal(support, level.support[want])
+        assert above_every_code
 
 
 class TestScores:

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -248,20 +249,14 @@ def transport_instances(draw):
     return counts_a, counts_b, rows
 
 
-# an instance that the starting support does not solve: its second round
-# prices in cell (3, 4) at a reduced cost of -1e-6, so a pricing tolerance
-# looser than that would stop one round early
+# an instance that the north-west staircase does not solve: its first round
+# prices in cell (2, 0) at a reduced cost of -1e-6 and no other cell below
+# zero, so a pricing tolerance looser than that would stop one round early,
+# 7.7e-8 above the optimum
 TWO_ROUNDS = (
-    [2, 1, 4, 8, 4, 3],
-    [9, 6, 2, 2, 5],
-    [
-        [0, 2 / 3, 1 / 3, 2 / 9, 1 / 3],
-        [1 / 6, 1 / 3, 1 / 3, 2 / 9, 1 / 3],
-        [0, 1 / 3, 2 / 3, 4 / 9, 4 / 9],
-        [2 / 3, 4 / 9, 1 / 3, 1 / 3, 1 - 1e-6],
-        [1 / 3, 0, 1 / 3, 0, 2 / 3],
-        [0, 1 / 3, 2 / 9, 1 / 6, 0],
-    ],
+    [5, 2, 4],
+    [1, 7, 5],
+    [[2 / 9, 2 / 9, 2 / 9], [1 / 2, 1 / 3, 1 / 6 - 1e-6], [1 / 2, 1, 1 / 3]],
 )
 
 
@@ -283,6 +278,13 @@ def _weights(log, variant_order, ps, accuracy):
     return w / w.sum()
 
 
+def _staircase(wa, wb):
+    """The north-west-corner cells alone, as a start support."""
+    support = np.zeros((len(wa), len(wb)), dtype=bool)
+    support[metrics._north_west(wa, wb)] = True
+    return support
+
+
 def _assert_certified(flow, wa, wb, cost, duals):
     """``flow`` is a feasible plan and ``duals`` price no cell below zero."""
     assert np.all(flow >= 0)
@@ -299,6 +301,19 @@ class TestTransport:
 
         @given(instance=transport_instances())
         @example(instance=TWO_ROUNDS)
+        # one cost 1e-6 below its level, in a 6 x 5 instance
+        @example(instance=(
+            [2, 1, 4, 8, 4, 3],
+            [9, 6, 2, 2, 5],
+            [
+                [0, 2 / 3, 1 / 3, 2 / 9, 1 / 3],
+                [1 / 6, 1 / 3, 1 / 3, 2 / 9, 1 / 3],
+                [0, 1 / 3, 2 / 3, 4 / 9, 4 / 9],
+                [2 / 3, 4 / 9, 1 / 3, 1 / 3, 1 - 1e-6],
+                [1 / 3, 0, 1 / 3, 0, 2 / 3],
+                [0, 1 / 3, 2 / 9, 1 / 6, 0],
+            ],
+        ))
         # a cost below HiGHS's default dual tolerance, 1e-7
         @example(instance=([1, 1, 1, 1], [1, 1], [[0, 0], [0, 0], [0, 0], [0, 6e-8]]))
         @example(instance=([3], [1, 2, 1], [[0.5, 0.0, 0.5]]))
@@ -309,18 +324,45 @@ class TestTransport:
             wa = np.array(counts_a, dtype=float) / sum(counts_a)
             wb = np.array(counts_b, dtype=float) / sum(counts_b)
             cost = np.array(rows)
+            full = full_lp_transport_cost(wa, wb, cost)
+            # the entropic start, then the pricing loop from the staircase alone
+            for start in (None, _staircase(wa, wb)):
+                with pytest.MonkeyPatch.context() as mp:
+                    solves = _record_solves(mp)
+                    flow = metrics._optimal_flow(wa, wb, cost, start)
+                assert abs(float(np.sum(flow * cost)) - full) <= 1e-12
+                _assert_certified(flow, wa, wb, cost, solves[-1].eqlin.marginals)
+            rounds.append(len(solves))  # the staircase's
+
+        check()
+        # not vacuous: TWO_ROUNDS, an explicit example, needs the pricing loop
+        # from the staircase
+        assert max(rounds) >= 2
+
+    @pytest.mark.parametrize(
+        "counts_a, counts_b, cost",
+        [
+            ([3, 1, 2], [1, 4], np.zeros((3, 2))),
+            ([3, 1, 2], [1, 4, 2, 2], np.full((3, 4), 0.5)),
+            ([2], [1, 5, 3, 1], [[0.25, 1.0, 0.0, 0.5]]),
+            ([1, 5, 3, 1], [2], [[0.25], [1.0], [0.0], [0.5]]),
+            ([2, 3, 1, 4], [5, 1, 2], [[0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 1]]),
+            ([990] + [1] * 10, [1] * 6 + [994], np.linspace(0, 1, 77).reshape(11, 7)),
+        ],
+        ids=["all-zero", "all-equal", "one-row", "one-column", "zero-one", "one-heavy-variant"],
+    )
+    def test_entropic_start_on_degenerate_inputs(self, counts_a, counts_b, cost):
+        wa = np.array(counts_a, dtype=float) / sum(counts_a)
+        wb = np.array(counts_b, dtype=float) / sum(counts_b)
+        cost = np.array(cost, dtype=float)
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.MonkeyPatch.context() as mp:
                 solves = _record_solves(mp)
                 flow = metrics._optimal_flow(wa, wb, cost)
-            rounds.append(len(solves))
-            total = float(np.sum(flow * cost))
-            assert abs(total - full_lp_transport_cost(wa, wb, cost)) <= 1e-12
-            _assert_certified(flow, wa, wb, cost, solves[-1].eqlin.marginals)
-
-        check()
-        # not vacuous: some instance needed the pricing loop
-        assert max(rounds) >= 2
-
+        assert np.isfinite(flow).all()
+        assert abs(float(np.sum(flow * cost)) - full_lp_transport_cost(wa, wb, cost)) <= 1e-12
+        _assert_certified(flow, wa, wb, cost, solves[-1].eqlin.marginals)
 
     def test_scalar_oracle_solves_at_the_package_tolerance(self):
         # at HiGHS's default dual tolerance, 1e-7, the oracle's full solve
