@@ -1,5 +1,5 @@
 """Privacy analysis: the (T,L,K,C) audit, minimal violating traces, maximal
-frequent traces and the two greedy scores.
+frequent traces and descriptor coverage.
 
 A candidate with a non-empty match violates the requirements when fewer than
 K cases match it, or when the adversary's confidence in a protected sensitive
@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from math import ceil
+from math import ceil, isnan
 from numbers import Integral, Real
 from typing import Dict, Iterable, Optional
 
@@ -55,8 +55,6 @@ __all__ = [
     "enumerate_mvt",
     "enumerate_mft",
     "coverage",
-    "score",
-    "n_score",
 ]
 
 
@@ -211,22 +209,18 @@ class _Mined:
     """Items of one level-wise walk, kept as the walk's arrays: ``levels``
     holds a tuple per size, code rows first, and ``decode(*level)`` yields a
     level's items.  ``items`` are decoded when first read and ``len()``
-    counts rows without decoding, so the greedy rounds work in codes; a set
-    built from ``items`` has no levels."""
+    counts rows without decoding, so the greedy rounds work in codes."""
 
-    def __init__(self, items: tuple = (), levels: tuple = (), decode=None):
+    def __init__(self, levels: tuple = (), decode=None):
         self.levels = levels
-        self._items = tuple(items) if decode is None else None
         self._decode = decode
 
-    @property
+    @cached_property
     def items(self) -> tuple:
-        if self._items is None:
-            self._items = tuple(item for level in self.levels for item in self._decode(*level))
-        return self._items
+        return tuple(item for level in self.levels for item in self._decode(*level))
 
     def __len__(self):
-        return sum(len(codes) for codes, *_ in self.levels) if self._decode else len(self._items)
+        return sum(len(codes) for codes, *_ in self.levels)
 
     def __iter__(self):
         return iter(self.items)
@@ -237,7 +231,7 @@ class MvtSet(_Mined):
     ordered: ``items`` holds ``(Candidate, Verdict)`` pairs.
 
     Every proper sub-candidate of every item is non-violating; an empty set
-    is equivalent to the log satisfying the privacy requirements.  Mined
+    is equivalent to the log satisfying the privacy requirements.  The
     ``levels`` are ``(codes, support, hits)``: per size, the code rows, match
     sizes and focal-value hits of the minimal violations.
     """
@@ -246,21 +240,15 @@ class MvtSet(_Mined):
     def candidates(self) -> tuple:
         return tuple(c for c, _ in self.items)
 
-    def privacy_gain(self, e: ProjectedEvent) -> int:
-        return sum(1 for c, _ in self.items if e in c.elements)
-
 
 class MftSet(_Mined):
     """Maximal frequent subtraces, canonically ordered: ``items`` holds
     ``(pattern tuple, support)`` pairs, each support at least ``threshold``.
-    Mined ``levels`` are ``(codes, support)`` per size."""
+    The ``levels`` are ``(codes, support)`` per size."""
 
-    def __init__(self, items: tuple = (), threshold: int = 1, levels: tuple = (), decode=None):
-        super().__init__(items, levels, decode)
+    def __init__(self, levels: tuple = (), decode=None, threshold: int = 1):
+        super().__init__(levels, decode)
         self.threshold = threshold
-
-    def utility_loss(self, e: ProjectedEvent) -> int:
-        return sum(1 for pattern, _ in self.items if e in pattern)
 
 
 def enumerate_mvt(log: EventLog, params: PrivacyParams) -> MvtSet:
@@ -299,12 +287,15 @@ def enumerate_mft(
     A pattern is frequent when at least ceil(theta * #cases) cases contain
     it; maximal when no frequent pattern properly contains it, which, as
     every sub of a frequent pattern is frequent, holds exactly when it is no
-    one-smaller sub of a frequent pattern.
+    one-smaller sub of a frequent pattern.  A theta above 1 leaves no
+    pattern frequent, and one below 0 acts as 0.
     """
+    if isnan(theta):
+        raise LogError("theta must be a number, not NaN")
     if theta > 1:
-        return MftSet((), threshold=len(log) + 1)
+        return MftSet(threshold=len(log) + 1)
     traces, alphabet = log.coded(ps, accuracy)
-    threshold = max(1, ceil(theta * len(traces)))
+    threshold = max(1, ceil(max(theta, 0) * len(traces)))
     longest = int(traces.lengths.max(initial=0))
     levels = []  # per size: the frequent patterns, their supports, which are covered
     walk = background._enumerate(traces, len(alphabet), BkType.SEQ, longest)
@@ -367,19 +358,6 @@ def audit_tlkc(log: EventLog, params: PrivacyParams) -> AuditReport:
     return AuditReport(satisfied=len(mvt) == 0, violations=mvt.items, params=params)
 
 
-def score(e: ProjectedEvent, mvt: MvtSet, mft: MftSet) -> float:
-    """Greedy suppression score: privacy gain over utility loss plus one."""
-    pg = mvt.privacy_gain(e)
-    if pg == 0:
-        raise LogError(f"event {e} occurs in no minimal violating candidate")
-    return _ratio_score(pg, mft.utility_loss(e))
-
-
-def _ratio_score(gain, loss):
-    """:func:`score` from its parts, scalars or arrays."""
-    return gain / (loss + 1)
-
-
 def coverage(
     log: EventLog,
     ps: Perspective,
@@ -390,22 +368,3 @@ def coverage(
     counts = np.bincount(background._view(traces, BkType.SET, len(alphabet)).codes,
                          minlength=len(alphabet))
     return {e: k / len(log) for e, k in zip(alphabet, counts.tolist())}
-
-
-def n_score(
-    e: ProjectedEvent,
-    mvt: MvtSet,
-    coverage: Dict[ProjectedEvent, float],
-    alpha: float,
-    beta: float,
-) -> float:
-    """Normalized score: alpha * relative privacy gain + beta * frequency-aware
-    utility, both in [0, 1].  ``coverage`` is the map :func:`coverage` returns."""
-    if len(mvt) == 0:
-        raise LogError("normalized score needs a non-empty set of minimal violations")
-    return _weighted_score(mvt.privacy_gain(e), len(mvt), coverage.get(e, 0.0), alpha, beta)
-
-
-def _weighted_score(gain, violations: int, coverage, alpha: float, beta: float):
-    """:func:`n_score` from its parts, scalars or arrays."""
-    return alpha * (gain / violations) + beta * (1.0 - coverage)

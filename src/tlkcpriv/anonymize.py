@@ -7,7 +7,7 @@ never invented or reordered):
   privacy gain (minimal violating candidates hit) to utility loss (maximal
   frequent subtraces hit).
 * :class:`TlkcExtAnonymizer` -- same loop with the normalized score; utility
-  is measured by variant coverage instead of maximal frequent subtraces.
+  is measured by descriptor coverage instead of maximal frequent subtraces.
 * :class:`Baseline1` -- drop every case whose variant occurs fewer than k
   times.
 * :class:`Baseline2` -- k-anonymize variants by removing events: globally
@@ -20,9 +20,10 @@ result object is returned by ``anonymize(log)``.
 
 The TLKC anonymizers keep their greedy rounds in descriptor codes: the
 minimal violations and frequent subtraces become (item, code) incidence
-arrays, every code is ranked at once by the formulas of ``score`` and
-``n_score``, only the winners are decoded, and suppression hands the
-surviving log its projection for the next round.
+arrays, each anonymizer's ``start_round`` ranks every code at once by its
+score formula, written there once, only the winners are decoded, and
+suppression hands the surviving log its projection for the next round.
+``IterationRecord.score`` is the winner's rank.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ import numpy as np
 from .analysis import (
     PrivacyParams,
     _number,
-    _ratio_score,
-    _weighted_score,
     coverage,
     enumerate_mft,
     enumerate_mvt,
@@ -265,8 +264,9 @@ def _anonymize_greedily(
 class TlkcAnonymizer(BaseAnonymizer):
     """Greedy suppression until no minimal violating candidate remains.
 
-    Repeatedly picks the descriptor with the highest privacy-gain to
-    utility-loss ratio (:func:`score`), prunes every minimal violating
+    Repeatedly picks the descriptor with the highest score, privacy gain
+    (minimal violating candidates holding it) over utility loss (maximal
+    frequent subtraces holding it) plus one, prunes every minimal violating
     candidate and maximal frequent subtrace containing it, and finally
     suppresses the winners globally.  Ties break on higher privacy gain,
     then canonical descriptor order.  If global suppression drops emptied
@@ -293,20 +293,20 @@ class TlkcAnonymizer(BaseAnonymizer):
 
         def start_round(current, alphabet):
             mft = enumerate_mft(current, params.perspective, params.theta, params.accuracy)
-            return mft.levels, lambda gain, loss, violations: _ratio_score(gain, loss)
+            return mft.levels, lambda gain, loss, violations: gain / (loss + 1)
 
         return _anonymize_greedily(log, params, self.tie_break, start_round)
 
 
 @dataclass(eq=False)
 class TlkcExtAnonymizer(BaseAnonymizer):
-    """Greedy suppression with the normalized score (:func:`n_score`).
+    """Greedy suppression with the normalized score.
 
     The winner maximizes ``alpha * relative privacy gain + beta * (1 -
-    variant coverage)``; maximal frequent subtraces play no role.  The
-    relative privacy gain is recomputed per iteration against the surviving
-    minimal violating candidates, while variant coverage stays fixed to the
-    round's input log.
+    coverage)``, the coverage of :func:`coverage`; maximal frequent
+    subtraces play no role.  The relative privacy gain is recomputed per
+    iteration against the surviving minimal violating candidates, while the
+    coverage stays fixed to the round's input log.
     """
 
     accuracy: str = "hours"
@@ -325,8 +325,8 @@ class TlkcExtAnonymizer(BaseAnonymizer):
         def start_round(current, alphabet):
             cov = coverage(current, params.perspective, params.accuracy)
             cov = np.array([cov[e] for e in alphabet])
-            return (), lambda gain, loss, violations: _weighted_score(
-                gain, violations, cov, params.alpha, params.beta
+            return (), lambda gain, loss, violations: (
+                params.alpha * (gain / violations) + params.beta * (1.0 - cov)
             )
 
         return _anonymize_greedily(log, params, self.tie_break, start_round)

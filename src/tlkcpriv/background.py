@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -52,7 +52,6 @@ __all__ = [
     "CandidateSyntaxError",
     "match",
     "confidence",
-    "enumerate_candidates",
     "parse_candidate",
     "format_candidate",
 ]
@@ -214,23 +213,6 @@ def confidence(matched: Iterable, attr: str):
     return dist, max(dist.values())
 
 
-def enumerate_candidates(
-    log: EventLog,
-    spec: BkSpec,
-    max_size: int,
-    accuracy: TimestampAccuracy = TimestampAccuracy.SECONDS,
-) -> Iterator[tuple]:
-    """Yield (candidate, match indices) for sizes 1..max_size: every candidate
-    realized in at least one trace, each once, smaller ones first and each
-    size in canonical order."""
-    plog = ProjectedLog(log, spec, accuracy)
-    # one size more, never reached, so that the last wanted level keeps its matches
-    for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, max_size + 1):
-        yield from zip(map(plog.decode, level.codes.tolist()), level.matches())
-        if level.codes.shape[1] == max_size:
-            level.carry[:] = False
-
-
 # the most trace positions one chunk of a level's expansion visits (a run of
 # one code counts once); it bounds the expansion's temporary arrays, not the
 # embeddings a level keeps
@@ -261,11 +243,6 @@ class Level:
     carry: np.ndarray
     positions: np.ndarray
     trace_of: np.ndarray
-
-    def matches(self) -> list:
-        """Each pattern's supporting trace indices, as a frozenset."""
-        traces = np.split(self.trace_of[self.positions], np.cumsum(self.support)[:-1])
-        return [frozenset(t.tolist()) for t in traces]
 
 
 class _View(NamedTuple):

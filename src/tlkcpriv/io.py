@@ -986,10 +986,12 @@ class RunConfig:
     csv_timestamp_format: str = ISO_FORMAT
 
     def __post_init__(self):
-        # a comma string (a flag's, a config line's) is split; a blank resource column or
-        # format is none, and another format than xes or csv fails
+        # a comma string (a flag's, a config line's) is split and each name kept once, in
+        # first-seen order; a blank resource column or format is none, and another format
+        # than xes or csv fails
         self.sensitive, self.discretize = (
-            tuple(s.strip() for s in v.split(",") if s.strip()) if isinstance(v, str) else tuple(v)
+            tuple(dict.fromkeys((s.strip() for s in v.split(",") if s.strip())
+                                if isinstance(v, str) else v))
             for v in (self.sensitive, self.discretize)
         )
         self.csv_resource = self.csv_resource or None

@@ -32,7 +32,6 @@ from .log import (
 __all__ = [
     "UtilityReport",
     "GraphComparison",
-    "normalized_levenshtein",
     "emd_data_utility",
     "dfg_compare",
     "handover_compare",
@@ -44,11 +43,6 @@ TRANSPORT_SIZE_CAP = 250_000
 # cells (sequences x words x patterns) of one block of the edit-distance
 # kernel: each of its temporary arrays stays near 256 KiB
 CHUNK_CELLS = 1 << 15
-
-
-def normalized_levenshtein(s1: Sequence, s2: Sequence) -> float:
-    """Edit distance with unit costs, divided by the longer length; 0 iff equal."""
-    return float(_edit_distance_matrix([s1], [s2])[0, 0])
 
 
 def _edit_distance_matrix(va: Sequence[Sequence], vb: Sequence[Sequence]) -> np.ndarray:

@@ -1,5 +1,6 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tlkcpriv import (
@@ -7,6 +8,7 @@ from tlkcpriv import (
     Event,
     EventLog,
     ProcessInstance,
+    TimestampAccuracy,
     read_csv,
 )
 
@@ -82,6 +84,25 @@ def build_log(traces, sensitive=None, attrs=()):
         sens = sensitive.get(cid, {}) if sensitive else {}
         instances.append(ProcessInstance(cid, events, sens))
     return EventLog(tuple(instances), tuple(attrs))
+
+
+def walked(log, spec, max_size, accuracy=TimestampAccuracy.SECONDS):
+    """``(candidate, match indices)`` of every pattern of sizes 1..max_size
+    that the mining walk reaches, smaller ones first and each size in code
+    order, decoded from ``background._enumerate``'s levels.  The walk goes
+    one size further, never reached, so the last wanted level keeps its
+    embeddings."""
+    from tlkcpriv.background import ProjectedLog, _enumerate
+
+    plog = ProjectedLog(log, spec, accuracy)
+    found = []
+    for level in _enumerate(plog.traces, len(plog.alphabet), spec.bk_type, max_size + 1):
+        matched = np.split(level.trace_of[level.positions], np.cumsum(level.support)[:-1])
+        found += zip(map(plog.decode, level.codes.tolist()),
+                     (frozenset(m.tolist()) for m in matched))
+        if level.codes.shape[1] == max_size:
+            level.carry[:] = False
+    return found
 
 
 def hours_view(log):

@@ -278,14 +278,14 @@ class _Tally:
                     self.count[x] -= 1
 
 
-class _GreedyIndex:
+class GreedyIndex:
     """The surviving minimal violations and frequent subtraces of a round,
-    counted per descriptor; ``privacy_gain``, ``utility_loss`` and ``len``
-    let it stand in for both sets that ``score`` and ``n_score`` take."""
+    each given as its descriptors and counted per descriptor, with the
+    paper's two greedy scores over those counts."""
 
-    def __init__(self, mvt, mft):
-        self.mvts = _Tally(c.elements for c in mvt.candidates)
-        self.mfts = _Tally(p for p, _ in mft)
+    def __init__(self, violations, patterns=()):
+        self.mvts = _Tally(violations)
+        self.mfts = _Tally(patterns)
 
     def __len__(self):
         return len(self.mvts.alive)
@@ -295,6 +295,16 @@ class _GreedyIndex:
 
     def utility_loss(self, e: ProjectedEvent) -> int:
         return self.mfts.count[e]
+
+    def score(self, e: ProjectedEvent) -> float:
+        """The ``tlkc`` score: privacy gain over utility loss plus one."""
+        return self.privacy_gain(e) / (self.utility_loss(e) + 1)
+
+    def n_score(self, e: ProjectedEvent, cov: dict, alpha: float, beta: float) -> float:
+        """The ``tlkc-ext`` score: ``alpha`` times the privacy gain relative to
+        the surviving violations plus ``beta`` times one minus the share of
+        cases that hold ``e`` (``cov``, the map of ``coverage``)."""
+        return alpha * (self.privacy_gain(e) / len(self)) + beta * (1.0 - cov.get(e, 0.0))
 
     def events(self):
         return [e for e, n in self.mvts.count.items() if n > 0]
@@ -312,13 +322,11 @@ def _seeded_order(seed):
 
 def descriptor_greedy(log: EventLog, anonymizer):
     """The greedy rounds of a ``TlkcAnonymizer`` or ``TlkcExtAnonymizer``
-    run on descriptors, each rank through the public ``score`` / ``n_score``
-    and each suppression by :func:`brute_suppress`: ``(iterations as
+    run on descriptors, each rank by :class:`GreedyIndex`'s scores and each
+    suppression by :func:`brute_suppress`: ``(iterations as
     (winner, score, remaining violations), dropped ids, output log)``, or
     the ``ParameterError`` text when the log empties."""
-    from tlkcpriv import (
-        PrivacyParams, coverage, enumerate_mft, enumerate_mvt, n_score, score,
-    )
+    from tlkcpriv import PrivacyParams, coverage, enumerate_mft, enumerate_mvt
 
     a = anonymizer
     params = PrivacyParams(a.accuracy, a.L, a.K, a.C, a.bk, a.sensitive)
@@ -331,11 +339,11 @@ def descriptor_greedy(log: EventLog, anonymizer):
             break
         if hasattr(a, "theta"):
             mft = enumerate_mft(current, ps, a.theta, params.accuracy)
-            rank = lambda e, index: score(e, index, index)  # noqa: E731
+            rank = lambda e, index: index.score(e)  # noqa: E731
         else:
             mft, cov = (), coverage(current, ps, params.accuracy)
-            rank = lambda e, index: n_score(e, index, cov, a.alpha, a.beta)  # noqa: E731
-        index = _GreedyIndex(mvt, mft)
+            rank = lambda e, index: index.n_score(e, cov, a.alpha, a.beta)  # noqa: E731
+        index = GreedyIndex((c.elements for c in mvt.candidates), (p for p, _ in mft))
         winners = []
         while len(index):
             events = index.events()

@@ -33,7 +33,6 @@ from tlkcpriv import (
     enumerate_mvt,
     handover_compare,
     match,
-    normalized_levenshtein,
     parse_candidate,
     relativize_log,
     suppress_global,
@@ -47,7 +46,13 @@ from .conftest import (
     TREATMENT_GREEDY,
     hours_view,
 )
-from .oracles import brute_focal, brute_mvt, brute_transport_cost, random_log
+from .oracles import (
+    brute_focal,
+    brute_mvt,
+    brute_transport_cost,
+    random_log,
+    scalar_levenshtein,
+)
 
 HOURS = TimestampAccuracy.HOURS
 
@@ -277,7 +282,7 @@ def test_criterion_7_metrics(hospital_log, treatment_log):
         ([0.25, 0.75], [0.75, 0.25], ["ab", "ba"], ["ab", "ba"]),
     ]
     for wa, wb, ta, tb in hand_instances:
-        cost = [[normalized_levenshtein(x, y) for y in tb] for x in ta]
+        cost = [[scalar_levenshtein(x, y) for y in tb] for x in ta]
         oracle = brute_transport_cost(wa, wb, cost, steps=4)
         got = _transport_cost(wa, wb, ta, tb)
         assert abs(got - oracle) <= 1e-6
@@ -305,7 +310,7 @@ def _transport_cost(wa, wb, ta, tb):
 
     from tlkcpriv import metrics
 
-    cost = np.array([[normalized_levenshtein(x, y) for y in tb] for x in ta])
+    cost = metrics._edit_distance_matrix(ta, tb)
     flow = metrics._optimal_flow(np.array(wa), np.array(wb), cost)
     return float(np.sum(flow * cost))
 

@@ -14,8 +14,6 @@ from tlkcpriv import (
     Event,
     EventLog,
     LogError,
-    MftSet,
-    MvtSet,
     Perspective,
     PrivacyParams,
     ProcessInstance,
@@ -27,13 +25,12 @@ from tlkcpriv import (
     enumerate_mvt,
     focal_values,
     is_violating,
-    n_score,
-    score,
 )
 from tlkcpriv.background import _enumerate
 
 from .conftest import build_log
 from .oracles import (
+    GreedyIndex,
     brute_coverage,
     brute_focal,
     brute_mft,
@@ -208,7 +205,8 @@ class TestMvt:
         assert got == expected
 
     def test_privacy_gain_row(self, treatment_mvt):
-        gains = [treatment_mvt.privacy_gain(e) for e in (E_RE, E_HO, E_VI5, E_BT, E_VI8, E_RL)]
+        index = GreedyIndex(c.elements for c in treatment_mvt.candidates)
+        gains = [index.privacy_gain(e) for e in (E_RE, E_HO, E_VI5, E_BT, E_VI8, E_RL)]
         assert gains == [3, 1, 3, 1, 1, 1]
 
     def test_vacuous_requirements_have_no_violations(self, treatment_log):
@@ -363,7 +361,7 @@ class TestLazyMvtSet:
     def test_items_equal_an_eager_decode(self, spec, log, L, K, C):
         params = PrivacyParams(accuracy="hours", L=L, K=K, C=C, bk=spec, sensitive=("Disease",))
         mvt = enumerate_mvt(log, params)
-        assert mvt._items is None
+        assert "items" not in vars(mvt)
         _, alphabet = log.coded(spec.perspective, HOURS)
         eager = []
         for codes, *_ in mvt.levels:
@@ -375,12 +373,6 @@ class TestLazyMvtSet:
         assert mvt.candidates == tuple(c for c, _ in eager)
         assert mvt.items is mvt.items
 
-    def test_built_from_items(self, treatment_mvt):
-        items = treatment_mvt.items
-        built = MvtSet(items)
-        assert built.items == items and len(built) == len(items) and built.levels == ()
-        assert list(built) == list(items) and MvtSet().items == ()
-
 
 class TestLazyMftSet:
     """A mined :class:`MftSet` decodes its patterns only when they are read,
@@ -391,7 +383,7 @@ class TestLazyMftSet:
     @given(log=hypothesis_logs(), theta=st.sampled_from([0.0, 0.2, 0.5, 1.0]))
     def test_items_equal_an_eager_decode(self, ps, log, theta):
         mft = enumerate_mft(log, ps, theta, HOURS)
-        assert mft._items is None
+        assert "items" not in vars(mft)
         _, alphabet = log.coded(ps, HOURS)
         eager = [
             (tuple(alphabet[c] for c in row), n)
@@ -399,24 +391,16 @@ class TestLazyMftSet:
             for row, n in zip(codes.tolist(), support.tolist())
         ]
         assert len(mft) == len(eager)
-        assert mft._items is None  # counting decodes nothing
+        assert "items" not in vars(mft)  # counting decodes nothing
         assert mft.items == tuple(eager) and list(mft) == eager
         assert mft.items is mft.items
         assert all(n >= mft.threshold for _, n in mft)
 
-    def test_built_from_items(self, treatment_mft):
-        built = MftSet(treatment_mft.items, threshold=treatment_mft.threshold)
-        assert built.items == treatment_mft.items and len(built) == len(treatment_mft)
-        assert built.levels == () and built.threshold == treatment_mft.threshold
-        assert MftSet().items == () and MftSet().threshold == 1
-
 
 class TestMft:
     def test_reference_utility_row(self, treatment_mft):
-        losses = [
-            treatment_mft.utility_loss(e) + 1
-            for e in (E_RE, E_HO, E_VI5, E_BT, E_VI8, E_RL)
-        ]
+        index = GreedyIndex((), (p for p, _ in treatment_mft))
+        losses = [index.utility_loss(e) + 1 for e in (E_RE, E_HO, E_VI5, E_BT, E_VI8, E_RL)]
         assert losses == [4, 4, 2, 5, 6, 5]
 
     def test_every_item_is_frequent_and_maximal(self, treatment_log, treatment_mft):
@@ -466,7 +450,20 @@ class TestMft:
         assert {p for p, _ in got} == maximal_variants
 
     def test_theta_above_one_is_empty(self, treatment_log):
-        assert len(enumerate_mft(treatment_log, Perspective.ART, 1.1, HOURS)) == 0
+        for theta in (1.1, float("inf")):
+            mft = enumerate_mft(treatment_log, Perspective.ART, theta, HOURS)
+            assert len(mft) == 0 and mft.items == () and mft.levels == () and list(mft) == []
+            assert mft.threshold == len(treatment_log) + 1
+
+    def test_nan_theta_is_a_log_error(self, treatment_log):
+        with pytest.raises(LogError, match="theta must be a number, not NaN"):
+            enumerate_mft(treatment_log, Perspective.ART, float("nan"), HOURS)
+
+    @pytest.mark.parametrize("theta", [-0.5, float("-inf")])
+    def test_theta_below_zero_acts_as_zero(self, treatment_log, theta):
+        got = enumerate_mft(treatment_log, Perspective.ART, theta, HOURS)
+        want = enumerate_mft(treatment_log, Perspective.ART, 0.0, HOURS)
+        assert got.threshold == want.threshold == 1 and got.items == want.items
 
 
 class TestCodedPathsAgainstOracles:
@@ -506,6 +503,13 @@ class TestCodedPathsAgainstOracles:
 
 
 class TestScores:
+    """The paper's two greedy scores on the reference log's mined sets, as
+    :class:`oracles.GreedyIndex` counts them."""
+
+    @staticmethod
+    def _index(mvt, mft=()):
+        return GreedyIndex((c.elements for c in mvt.candidates), (p for p, _ in mft))
+
     def test_reference_scores(self, treatment_mvt, treatment_mft):
         expected = {
             E_RE: 0.75,
@@ -515,12 +519,9 @@ class TestScores:
             E_VI8: 1 / 6,
             E_RL: 0.20,
         }
+        index = self._index(treatment_mvt, treatment_mft)
         for e, want in expected.items():
-            assert score(e, treatment_mvt, treatment_mft) == pytest.approx(want, abs=1e-9)
-
-    def test_event_outside_mvts_rejected(self, treatment_mvt, treatment_mft):
-        with pytest.raises(LogError):
-            score(pe("VI", "D1", 6), treatment_mvt, treatment_mft)
+            assert index.score(e) == pytest.approx(want, abs=1e-9)
 
     def test_lone_mvt_no_mft(self, treatment_log):
         mvt = enumerate_mvt(
@@ -531,19 +532,19 @@ class TestScores:
         )
         empty_mft = enumerate_mft(treatment_log, Perspective.ART, 1.1, HOURS)
         e = E_HO  # occurs in exactly one minimal violation
-        assert score(e, mvt, empty_mft) == 1.0
+        assert self._index(mvt, empty_mft).score(e) == 1.0
 
     def test_n_score_of_visit_event(self, treatment_log, treatment_mvt):
-        got = n_score(
-            E_VI5, treatment_mvt, coverage(treatment_log, Perspective.ART, HOURS), 0.5, 0.5
-        )
+        cov = coverage(treatment_log, Perspective.ART, HOURS)
+        got = self._index(treatment_mvt).n_score(E_VI5, cov, 0.5, 0.5)
         # relative gain 3/5, unaffected-variant mass 6/8
         assert got == pytest.approx(0.5 * (3 / 5) + 0.5 * 0.75)
 
     def test_n_score_bounds(self, treatment_log, treatment_mvt):
         cov = coverage(treatment_log, Perspective.ART, HOURS)
+        index = self._index(treatment_mvt)
         for e in (E_RE, E_HO, E_VI5, E_BT, E_VI8, E_RL):
-            value = n_score(e, treatment_mvt, cov, 0.5, 0.5)
+            value = index.n_score(e, cov, 0.5, 0.5)
             assert 0.0 <= value <= 1.0
 
     def test_n_score_alpha_zero_full_coverage(self):
@@ -557,14 +558,8 @@ class TestScores:
         )
         mvt = enumerate_mvt(log, params)
         assert len(mvt) == 1  # the single activity matches both cases, 2 < K
-        assert n_score(pe("a"), mvt, coverage(log, Perspective.A), 0.0, 1.0) == 0.0
-
-    def test_n_score_empty_mvt_rejected(self, treatment_log):
-        from tlkcpriv.analysis import MvtSet
-
-        cov = coverage(treatment_log, Perspective.ART, HOURS)
-        with pytest.raises(LogError):
-            n_score(E_RE, MvtSet(()), cov, 0.5, 0.5)
+        cov = coverage(log, Perspective.A)
+        assert self._index(mvt).n_score(pe("a"), cov, 0.0, 1.0) == 0.0
 
 
 class TestAudit:

@@ -13,8 +13,6 @@ from tlkcpriv import (
     BkType,
     EventLog,
     LogError,
-    MftSet,
-    MvtSet,
     ParameterError,
     Perspective,
     PrivacyParams,
@@ -27,8 +25,6 @@ from tlkcpriv import (
     coverage,
     enumerate_mft,
     enumerate_mvt,
-    n_score,
-    score,
     suppress_global,
     truncate_to_accuracy,
     variants,
@@ -43,6 +39,7 @@ from .conftest import (
     hours_view,
 )
 from .oracles import (
+    GreedyIndex,
     baseline2,
     brute_suppress,
     contains,
@@ -399,11 +396,11 @@ class TestEstimatorProtocol:
 
 
 class TestGreedyCoreAgainstScores:
-    """Each first-round iteration score equals ``score`` / ``n_score``
-    recomputed from scratch on the minimal violations and frequent subtraces
-    that survive the earlier winners, which checks the greedy index's
-    incremental counts against the plain ``privacy_gain`` / ``utility_loss``
-    scans."""
+    """Each first-round iteration score equals the paper's formula,
+    :class:`oracles.GreedyIndex`'s ``score`` / ``n_score``, recounted from
+    scratch on the minimal violations and frequent subtraces that survive
+    the earlier winners, which checks the greedy core's incremental counts
+    against plain per-descriptor counts."""
 
     @pytest.mark.parametrize("algorithm", ["tlkc", "tlkc-ext"])
     def test_first_round_scores_recomputed(self, algorithm):
@@ -433,16 +430,15 @@ class TestGreedyCoreAgainstScores:
             if not mvt_left:
                 continue
 
-            def rank(e):
-                mvt = MvtSet(tuple(mvt_left))
+            def rank(e, index):
                 if algorithm == "tlkc":
-                    return score(e, mvt, MftSet(tuple(mft_left)))
-                return n_score(e, mvt, cov, alpha, 1 - alpha)
+                    return index.score(e)
+                return index.n_score(e, cov, alpha, 1 - alpha)
 
             for rec in result.iterations:
-                alive = {e for cand, _ in mvt_left for e in cand.elements}
-                assert rec.score == rank(rec.winner)
-                assert rec.score == max(rank(e) for e in alive)
+                index = GreedyIndex((c.elements for c, _ in mvt_left), (p for p, _ in mft_left))
+                assert rec.score == rank(rec.winner, index)
+                assert rec.score == max(rank(e, index) for e in index.events())
                 mvt_left = [(c, v) for c, v in mvt_left if rec.winner not in c.elements]
                 mft_left = [(p, n) for p, n in mft_left if rec.winner not in p]
                 assert rec.remaining_mvts == len(mvt_left)

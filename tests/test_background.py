@@ -15,7 +15,6 @@ from tlkcpriv import (
     ProjectedEvent,
     TimestampAccuracy,
     confidence,
-    enumerate_candidates,
     format_candidate,
     match,
     parse_candidate,
@@ -24,7 +23,7 @@ from tlkcpriv import (
 )
 from tlkcpriv.background import ProjectedLog, _enumerate, _literal
 
-from .conftest import build_log
+from .conftest import build_log, walked
 from .oracles import all_candidates, brute_match, probes, proper_sub_candidates, random_log
 
 HOURS = TimestampAccuracy.HOURS
@@ -101,7 +100,7 @@ class TestMatch:
                 for bk_attr in BkAttr:
                     spec = BkSpec(bk_type, bk_attr)
                     plog = ProjectedLog(log, spec, HOURS)
-                    found = list(enumerate_candidates(log, spec, 3, HOURS))
+                    found = walked(log, spec, 3, HOURS)
                     payloads = [cand.elements for cand, _ in found]
                     assert len(set(payloads)) == len(payloads)
                     assert set(payloads) == all_candidates(
@@ -149,7 +148,7 @@ class TestMatch:
             log = random_log(rng, max_cases=6, max_events=5)
             for bk_type in BkType:
                 spec = BkSpec(bk_type, BkAttr.AC)
-                matches = dict(enumerate_candidates(log, spec, 3, HOURS))
+                matches = dict(walked(log, spec, 3, HOURS))
                 for cand, indices in matches.items():
                     for sub in proper_sub_candidates(cand):
                         if sub in matches:
@@ -202,7 +201,7 @@ class TestEnumerate:
     def test_distinct_timed_events_of_treatment_log(self, treatment_log):
         spec = BkSpec.parse("rel/ar")
         singles = [
-            cand for cand, _ in enumerate_candidates(treatment_log, spec, 1, HOURS)
+            cand for cand, _ in walked(treatment_log, spec, 1, HOURS)
         ]
         # seven distinct (activity, resource, hour) descriptors occur
         assert len(singles) == 7
@@ -213,7 +212,7 @@ class TestEnumerate:
         for bk in ("set/ac", "mult/ac", "seq/ac"):
             spec = BkSpec.parse(bk)
             payloads[bk] = {
-                cand.elements for cand, _ in enumerate_candidates(hospital_log, spec, 1)
+                cand.elements for cand, _ in walked(hospital_log, spec, 1)
             }
         assert payloads["set/ac"] == payloads["mult/ac"] == payloads["seq/ac"]
 
@@ -221,7 +220,7 @@ class TestEnumerate:
         log = build_log({"1": [("a", None, 0), ("b", None, 60)]})
         spec = BkSpec.parse("seq/ac")
         got = {
-            format_candidate(c) for c, _ in enumerate_candidates(log, spec, 2)
+            format_candidate(c) for c, _ in walked(log, spec, 2)
         }
         assert got == {"<a>", "<b>", "<a,b>"}
 
@@ -233,7 +232,7 @@ class TestEnumerate:
                 for bk_attr in BkAttr:
                     spec = BkSpec(bk_type, bk_attr)
                     seen = set()
-                    for cand, indices in enumerate_candidates(log, spec, 3, HOURS):
+                    for cand, indices in walked(log, spec, 3, HOURS):
                         assert cand not in seen
                         seen.add(cand)
                         assert indices

@@ -532,6 +532,28 @@ class TestDiscretizeFlag:
             capsys.readouterr().err
         )
 
+    def test_repeated_attribute_is_binned_once(self, capsys):
+        # a second pass would meet the first one's labels as non-numeric values
+        code = run(["stats", "-i", HOSPITAL_XES, "-T", "hours",
+                    "--sensitive", "Age,Disease,Age", "--discretize", "Age, Age"])
+        assert code == 0
+        config = RunConfig(sensitive="Age,Disease,Age", discretize=["Age", "Age"])
+        assert (config.sensitive, config.discretize) == (("Age", "Disease"), ("Age",))
+
+
+class TestRepeatedSensitiveAttribute:
+    def test_written_and_echoed_once(self, tmp_path, capsys):
+        out = tmp_path / "anon.csv"
+        code = run(["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-i", TREATMENT,
+                    "-o", str(out), *TREATMENT_FLAGS[:-1], "Disease,Disease"])
+        assert code == 0
+        header = out.read_text().splitlines()[0].split(",")
+        assert header.count("Disease") == 1
+        assert hours_view(read_csv(out, CsvColumnMap(sensitive_cols=("Disease",)))) == (
+            TREATMENT_GREEDY
+        )
+        assert "sensitive = Disease\n" in (tmp_path / "anon.csv.report.txt").read_text()
+
 
 class TestStats:
     def test_hospital_counts(self, capsys):

@@ -21,7 +21,6 @@ from tlkcpriv import (
     directly_follows,
     emd_data_utility,
     handover_compare,
-    normalized_levenshtein,
     variants,
 )
 from tlkcpriv import metrics
@@ -45,18 +44,23 @@ REFERENCE = dict(
 )
 
 
+def distance(s1, s2):
+    """The package's edit distance between two sequences, one cell of its kernel."""
+    return float(metrics._edit_distance_matrix([s1], [s2])[0, 0])
+
+
 class TestLevenshtein:
     def test_equal_traces(self):
-        assert normalized_levenshtein("abc", "abc") == 0.0
+        assert distance("abc", "abc") == 0.0
 
     def test_single_deletion(self):
-        assert normalized_levenshtein("abc", "ab") == pytest.approx(1 / 3)
+        assert distance("abc", "ab") == pytest.approx(1 / 3)
 
     def test_full_substitution(self):
-        assert normalized_levenshtein("a", "b") == 1.0
+        assert distance("a", "b") == 1.0
 
     def test_both_empty(self):
-        assert normalized_levenshtein("", "") == 0.0
+        assert distance("", "") == 0.0
 
     small = st.lists(st.sampled_from("abcd"), max_size=6).map(tuple)
 
@@ -64,16 +68,16 @@ class TestLevenshtein:
     @example(s=("a", "b"), t=("b", "a"), u=("b", "a", "b"))
     @settings(max_examples=150, deadline=None)
     def test_metric_properties(self, s, t, u):
-        d_st = normalized_levenshtein(s, t)
+        d_st = distance(s, t)
         assert 0.0 <= d_st <= 1.0
         assert (d_st == 0.0) == (s == t)
-        assert d_st == normalized_levenshtein(t, s)
+        assert d_st == distance(t, s)
 
         # the edit distance is a metric, but dividing it by the longer length
         # breaks the triangle inequality (the example: 1 > 1/3 + 1/3), so the
         # inequality is checked on the unscaled distance
         def edits(x, y):
-            return normalized_levenshtein(x, y) * max(len(x), len(y))
+            return distance(x, y) * max(len(x), len(y))
 
         assert edits(s, t) <= edits(s, u) + edits(u, t) + 1e-9
 
@@ -137,7 +141,7 @@ class TestEditDistanceKernel:
         assert got.shape == (len(va), len(vb))
         assert got.tolist() == scalar_cost_matrix(va, vb)
         for x, y in zip(va, vb):
-            assert normalized_levenshtein(x, y) == scalar_levenshtein(x, y)
+            assert distance(x, y) == scalar_levenshtein(x, y)
 
     @pytest.mark.parametrize(
         "pair, ps, accuracy",
@@ -188,11 +192,7 @@ class TestEditDistanceKernel:
             calls.append((len(va), len(vb)))
             return kernel(va, vb)
 
-        def per_cell(s1, s2):
-            raise AssertionError("the cost matrix was filled cell by cell")
-
         monkeypatch.setattr(metrics, "_edit_distance_matrix", counting)
-        monkeypatch.setattr(metrics, "normalized_levenshtein", per_cell)
         anonymized = TlkcAnonymizer(**REFERENCE).anonymize(treatment_log).log
         report = emd_data_utility(treatment_log, anonymized, Perspective.AR, HOURS)
         assert calls == [(len(report.original_variants), len(report.anonymized_variants))]
@@ -412,7 +412,7 @@ class TestEmd:
             steps = len(a) * len(b)
             wa = [mult_a[v] / len(a) for v in va]
             wb = [mult_b[v] / len(b) for v in vb]
-            cost = [[normalized_levenshtein(x, y) for y in vb] for x in va]
+            cost = [[scalar_levenshtein(x, y) for y in vb] for x in va]
             oracle = brute_transport_cost(wa, wb, cost, steps=steps)
             assert report.transport_cost == pytest.approx(oracle, abs=1e-6)
 

@@ -18,7 +18,6 @@ from tlkcpriv import (
     Candidate,
     PrivacyParams,
     TimestampAccuracy,
-    enumerate_candidates,
     enumerate_mft,
     enumerate_mvt,
     is_violating,
@@ -26,6 +25,7 @@ from tlkcpriv import (
 from tlkcpriv import background
 from tlkcpriv.background import ProjectedLog
 
+from .conftest import walked
 from .oracles import (
     all_candidates,
     brute_focal,
@@ -114,7 +114,7 @@ def test_candidates_and_matches_equal_brute_force():
     _, logs = _logs(7200, 6)
     for log in logs:
         for spec in SPECS:
-            found = list(enumerate_candidates(log, spec, 4, HOURS))
+            found = walked(log, spec, 4, HOURS)
             payloads = [cand.elements for cand, _ in found]
             assert len(set(payloads)) == len(payloads)
             assert set(payloads) == all_candidates(
@@ -133,7 +133,7 @@ def test_decoded_candidates_equal_the_public_constructor():
     bags = 0
     for log in logs:
         for spec in SPECS:
-            decoded = [cand for cand, _ in enumerate_candidates(log, spec, 3, HOURS)]
+            decoded = [cand for cand, _ in walked(log, spec, 3, HOURS)]
             params = PrivacyParams(
                 accuracy="hours", L=3, K=rng.choice([2, 3]), C=0.5, bk=spec, sensitive=SENSITIVE
             )
