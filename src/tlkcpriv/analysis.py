@@ -89,7 +89,7 @@ class PrivacyParams:
     def __post_init__(self):
         object.__setattr__(self, "accuracy", TimestampAccuracy.parse(self.accuracy))
         object.__setattr__(self, "bk", BkSpec.parse(self.bk))
-        object.__setattr__(self, "sensitive", tuple(self.sensitive))
+        object.__setattr__(self, "sensitive", tuple(dict.fromkeys(self.sensitive)))
         if not (_number(Integral, self.L) and self.L >= 1):
             raise LogError("L must be a positive integer")
         if not (_number(Integral, self.K) and self.K >= 1):
@@ -162,13 +162,12 @@ class _Checker:
         focal = focal_values(log, params.sensitive)
         # per attribute, the cases holding its focal value, by the same ``==``
         # test a per-case comparison would make (a NaN focal value holds none)
-        self.attrs = tuple(dict.fromkeys(params.sensitive))
         self.flags = tuple(
             np.fromiter(
                 (values.get(attr) == focal.get(attr) for values in log.case_sensitive),
                 bool, len(log),
             )
-            for attr in self.attrs
+            for attr in params.sensitive
         )
 
     def ok(self, support: np.ndarray, hits: np.ndarray) -> np.ndarray:
@@ -179,7 +178,7 @@ class _Checker:
     def verdicts(self, support: np.ndarray, hits: np.ndarray) -> list:
         """The :class:`Verdict` of each candidate, from the arrays of :meth:`ok`."""
         conf = hits / support
-        attrs, K = self.attrs, self.params.K
+        attrs, K = self.params.sensitive, self.params.K
         return [
             Verdict(n, n < K, tuple(attr for attr, hit in zip(attrs, c) if hit), top)
             for n, c, top in zip(support.tolist(), (conf > self.params.C).T.tolist(),

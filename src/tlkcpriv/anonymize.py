@@ -21,9 +21,9 @@ result object is returned by ``anonymize(log)``.
 The TLKC anonymizers keep their greedy rounds in descriptor codes: the
 minimal violations and frequent subtraces become (item, code) incidence
 arrays, each anonymizer's ``start_round`` ranks every code at once by its
-score formula, written there once, only the winners are decoded, and
-suppression hands the surviving log its projection for the next round.
-``IterationRecord.score`` is the winner's rank.
+score formula, written there once, and only the winners are decoded.
+Suppression is a keep mask over the round's projection, and each round
+projects its own input once.  ``IterationRecord.score`` is the winner's rank.
 """
 
 from __future__ import annotations
@@ -127,10 +127,11 @@ def suppress_global(
     """Remove every event whose projection equals one of the descriptors.
 
     Cases whose trace empties are dropped. Returns (new log, dropped ids).
-    The new log keeps the projection on ``ps`` of what is left, so the next
-    greedy round does not project again.
     """
-    return log._without(ps, accuracy, set(descriptors))
+    traces, alphabet = log.coded(ps, accuracy)
+    descriptors = set(descriptors)
+    kept = np.fromiter((e not in descriptors for e in alphabet), bool, len(alphabet))
+    return log._keep(kept[traces.codes])
 
 
 class BaseAnonymizer:

@@ -940,8 +940,8 @@ def save_log(log: EventLog, path, fmt=None, colmap: Optional[CsvColumnMap] = Non
 def _sensitive_columns(colmap: Optional[CsvColumnMap], attrs) -> CsvColumnMap:
     """``colmap`` (default columns if none) with the sensitive columns ``attrs``, the
     one source of a log's sensitive attributes; other sensitive columns are an error."""
-    colmap, attrs = colmap or CsvColumnMap(), tuple(attrs)
-    if colmap.sensitive_cols not in ((), attrs):
+    colmap, attrs = colmap or CsvColumnMap(), tuple(dict.fromkeys(attrs))
+    if tuple(dict.fromkeys(colmap.sensitive_cols)) not in ((), attrs):
         raise LogError(f"CSV sensitive columns {list(colmap.sensitive_cols)} differ from "
                        f"the sensitive attributes {list(attrs)}")
     return replace(colmap, sensitive_cols=attrs)

@@ -24,8 +24,8 @@ place events become descriptors: it numbers the log's distinct descriptors in
 their canonical order, so the analysis, the anonymizers and the variant and
 directly-follows helpers hash, compare and sort small ints and decode only
 what they return.  Untimed perspectives do not depend on the timestamp
-accuracy, so one projection serves them at every accuracy; a log cut by
-global suppression is handed its codes (:meth:`EventLog._without`).
+accuracy, so one projection serves them at every accuracy.  A log cut by
+suppression is a new log, which projects itself when first asked.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ class EventLog:
             columns.add(inst.case_id, [ev.activity for ev in inst.trace],
                         [ev.resource for ev in inst.trace], [ev.timestamp for ev in inst.trace],
                         inst.sensitive)
-        columns.log(tuple(sensitive_attrs), self)
+        columns.log(sensitive_attrs, self)
         object.__setattr__(self, "_instances", instances)
 
     def _fill(self, *columns) -> "EventLog":
@@ -317,20 +317,6 @@ class EventLog:
         )
         return log, tuple(compress(self.case_ids, (lengths == 0).tolist()))
 
-    def _without(self, ps: Perspective, accuracy: TimestampAccuracy, descriptors: set) -> tuple:
-        """:meth:`_keep` of the events whose projection is none of
-        ``descriptors``.  Their codes, numbered on past the vanished ones,
-        are the new log's projection."""
-        traces, alphabet = self.coded(ps, accuracy)
-        kept = np.fromiter((e not in descriptors for e in alphabet), bool, len(alphabet))
-        keep = kept[traces.codes]
-        log, dropped = self._keep(keep)
-        renumber = (np.cumsum(kept) - 1).astype(np.int32)
-        coded = (CodedTraces(renumber[traces.codes[keep]], log.bounds),
-                 tuple(compress(alphabet, kept.tolist())))
-        object.__setattr__(log, "_projection", ((ps, accuracy if ps.has_time else None), coded))
-        return log, dropped
-
 
 def _check(case_ids: tuple, sensitive: tuple, attrs: tuple) -> None:
     """Reject a repeated case id and a case that lacks one of ``attrs``."""
@@ -375,9 +361,11 @@ class _Columns:
         self.case_ids += case_ids
         self.sensitive += sensitive
 
-    def log(self, attrs: tuple, log=None) -> EventLog:
-        """``log``, or a new log, holding the cases added and declaring ``attrs``."""
+    def log(self, attrs, log=None) -> EventLog:
+        """``log``, or a new log, holding the cases added and declaring each
+        name of ``attrs`` once, in first-seen order."""
         log = object.__new__(EventLog) if log is None else log
+        attrs = tuple(dict.fromkeys(attrs))
         case_ids, sensitive = tuple(self.case_ids), tuple(self.sensitive)
         _check(case_ids, sensitive, attrs)
         try:

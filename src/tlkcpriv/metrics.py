@@ -317,10 +317,9 @@ def _graph_compare(
     edges_a = {e for e in df_anon if e[0] in vertices and e[1] in vertices}
     shared = edges_o & edges_a
     fitness = sum(df_anon[e] for e in shared) / sum(df_orig.values())
-    universe = {(x, y) for x in vertices for y in vertices}
-    comp_o = universe - edges_o
-    comp_a = universe - edges_a
-    precision = len(comp_o & comp_a) / len(comp_o) if comp_o else 1.0
+    cells = len(vertices) ** 2  # both edge sets lie in V x V: count its complements
+    outside = cells - len(edges_o)
+    precision = (cells - len(edges_o | edges_a)) / outside if outside else 1.0
     if fitness == 0 or precision == 0:
         f1 = 0.0
     else:

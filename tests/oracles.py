@@ -476,6 +476,16 @@ def brute_directly_follows(log: EventLog, ps: Perspective):
     return dict(counts)
 
 
+def set_graph_precision(df_orig, df_anon, vertices):
+    """Graph precision over the built ``V x V`` universe: the share of the
+    original graph's non-edges that the anonymized graph, cut to ``V``,
+    leaves non-edges (1.0 when the original has none)."""
+    universe = {(x, y) for x in vertices for y in vertices}
+    comp_o = universe - set(df_orig)
+    comp_a = universe - {e for e in df_anon if e[0] in vertices and e[1] in vertices}
+    return len(comp_o & comp_a) / len(comp_o) if comp_o else 1.0
+
+
 # --- edit distance and EMD report cell by cell --------------------------------
 
 

@@ -125,6 +125,17 @@ class TestParams:
                                   "C": np.float64(0.5), "theta": np.float32(0.25)})
         assert params.K == 2 and params.C == 0.5
 
+    def test_repeated_sensitive_attribute_counts_once(self, treatment_log, reference_params):
+        params = PrivacyParams(**{**REFERENCE_PARAMS, "sensitive": ("Disease", "Age", "Disease")})
+        assert params.sensitive == ("Disease", "Age")
+        twice = PrivacyParams(**{**REFERENCE_PARAMS, "sensitive": ["Disease", "Disease"]})
+        assert twice == reference_params
+        # each c-violation names its attribute once
+        records = audit_tlkc(treatment_log, twice).records()
+        assert records == audit_tlkc(treatment_log, reference_params).records()
+        assert any("c-violation(Disease)" in r["verdict"] for r in records)
+        assert not any("Disease)+c-violation(Disease" in r["verdict"] for r in records)
+
 
 class TestFocalValues:
     def test_modal_value_earliest_tie(self, treatment_log):

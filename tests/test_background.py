@@ -372,3 +372,32 @@ class TestLiterals:
         message = rf"position {pos}: \^count must be at least 1$"
         with pytest.raises(CandidateSyntaxError, match=message):
             parse_candidate(literal, BkSpec.parse("mult/ac"))
+
+    def test_empty_candidate_rejected(self):
+        with pytest.raises(LogError, match="^candidates must contain at least one element$"):
+            Candidate(BkType.SEQ, ())
+
+    # each rule of the literal syntax, raised at the element that breaks it
+    @pytest.mark.parametrize(
+        "literal, spec, pos, message",
+        [
+            ("< >", "seq/ac", 1, "candidate has no elements"),
+            ("{}", "set/ar", 1, "candidate has no elements"),
+            ("<a^2>", "seq/ac", 1, "^count is only valid in multisets"),
+            ("{a,b^2}", "set/ac", 3, "^count is only valid in multisets"),
+            ("<a/r>", "seq/ac", 1, "activity-based elements are plain labels"),
+            ("[a,/r]", "mult/ac", 3, "activity-based elements are plain labels"),
+            ("<r1,a/r2>", "seq/re", 4, "resource-based elements carry no activity"),
+            ("<r1,>", "seq/re", 4, "missing resource label"),
+            ("<@3>", "rel/re", 1, "missing resource label"),
+            ("<a/r,b>", "seq/ar", 5, "expected act/res element"),
+            ("{/r}", "set/ar", 1, "expected act/res element"),
+            ("<a/r@3>", "seq/ar", 1, "@<units> is only valid for rel candidates"),
+            ("{a,b@0}", "set/ac", 3, "@<units> is only valid for rel candidates"),
+        ],
+    )
+    def test_each_rule_names_its_position(self, literal, spec, pos, message):
+        with pytest.raises(CandidateSyntaxError) as err:
+            parse_candidate(literal, BkSpec.parse(spec))
+        assert type(err.value) is CandidateSyntaxError and err.value.pos == pos
+        assert str(err.value) == f"cannot parse candidate {literal!r} at position {pos}: {message}"

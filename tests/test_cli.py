@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -359,6 +360,22 @@ class TestEvaluate:
         payload = json.loads(report.read_text())
         assert payload["metrics"]["emd"]["du"] == 1.0
 
+    def test_cost_matrix_over_the_cap_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        from tlkcpriv import metrics
+
+        out = tmp_path / "anon.csv"
+        assert run(["anonymize", "--algorithm", "tlkc", "--theta", "0.25",
+                    "-i", TREATMENT, "-o", str(out), *TREATMENT_FLAGS]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(metrics, "TRANSPORT_SIZE_CAP", 1)
+        code = run(["evaluate", "-i", TREATMENT, "--anonymized", str(out), "--metrics", "emd",
+                    *TREATMENT_FLAGS])
+        assert code == 2
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert re.fullmatch(r"error: variant cost matrix \d+x\d+ exceeds the exact-transport "
+                            r"cap \(1\); sample the logs before comparing\n", stderr)
+
     def test_dfg_and_handover_on_reference_pair(self, tmp_path, capsys):
         out = tmp_path / "anon.csv"
         run(
@@ -466,6 +483,11 @@ def _flag_errors():
     yield pytest.param(["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-o", "anon.txt",
                         "-i", TREATMENT, *TREATMENT_FLAGS],
                        "unknown log format 'txt' (expected xes or csv)", id="anonymize-output-format")
+    yield pytest.param(["anonymize", "--algorithm", "tlkc", "--theta", "0.25", "-i", TREATMENT,
+                        *TREATMENT_FLAGS], "no output path given (use --output)",
+                       id="anonymize-no-output")
+    yield pytest.param(["audit", *TREATMENT_FLAGS], "no input log given (use --input)",
+                       id="audit-no-input")
     yield pytest.param(["attack", "-i", TREATMENT, *TREATMENT_FLAGS, "--bk", "seq/ac", "<a"],
                        "cannot parse candidate '<a' at position 0: seq candidates are written "
                        "<...>", id="attack-literal")

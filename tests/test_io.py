@@ -513,6 +513,32 @@ class TestCsvRoundTrip:
         assert via_xes.instances[0].sensitive["B"] is flag
 
 
+class TestCsvColumns:
+    def test_resourceless_write_round_trips(self, tmp_path):
+        colmap = CsvColumnMap(resource_col=None, sensitive_cols=("D",))
+        log = EventLog((
+            ProcessInstance("1", (Event("a", None, 0), Event("b", None, 60)), {"D": "x"}),
+            ProcessInstance("2", (Event("a", None, 30),), {"D": "y"}),
+        ), ("D",))
+        write_csv(log, tmp_path / "log.csv", colmap)
+        assert (tmp_path / "log.csv").read_text().splitlines()[0] == "CaseId,Activity,Timestamp,D"
+        assert read_csv(tmp_path / "log.csv", colmap) == log
+
+    @pytest.mark.parametrize("columns", [
+        dict(activity_col="CaseId"), dict(timestamp_col="Activity"), dict(case_col="Timestamp"),
+    ])
+    def test_a_repeated_column_is_rejected(self, columns):
+        message = "^case, activity and timestamp columns must be distinct$"
+        with pytest.raises(LogError, match=message):
+            CsvColumnMap(**columns)
+
+    def test_repeated_sensitive_column_counts_once(self, tmp_path):
+        once = read_csv(DATA / "treatment_relative.csv", CsvColumnMap(sensitive_cols=("Disease",)))
+        twice = read_csv(DATA / "treatment_relative.csv",
+                         CsvColumnMap(sensitive_cols=("Disease", "Disease")))
+        assert twice.sensitive_attrs == ("Disease",) and twice == once
+
+
 class TestXes:
     def test_fixture_matches_csv_twin(self, hospital_log):
         log = read_xes(DATA / "hospital_log.xes", ("Age", "Disease"))
@@ -2201,6 +2227,20 @@ class TestFormatDispatch:
             save_log(hospital_log, tmp_path / "log.xes", colmap=colmap)
         assert not (tmp_path / "log.xes").exists()
 
+    def test_repeated_sensitive_attribute_is_read_and_written_once(self, tmp_path):
+        twice = ("Disease", "Disease")
+        log = load_log(DATA / "hospital_log.xes", sensitive_attrs=twice)
+        assert log.sensitive_attrs == ("Disease",)
+        assert log == load_log(DATA / "hospital_log.xes", sensitive_attrs=("Disease",))
+        save_log(log, tmp_path / "log.csv")
+        with (tmp_path / "log.csv").open(newline="") as handle:
+            assert next(csv.reader(handle)) == ["CaseId", "Activity", "Timestamp", "Resource",
+                                                "Disease"]
+        assert load_log(tmp_path / "log.csv", sensitive_attrs=twice) == log
+        for colmap in (CsvColumnMap(sensitive_cols=twice), CsvColumnMap(sensitive_cols=twice[:1])):
+            assert load_log(DATA / "hospital_log.xes", colmap=colmap, sensitive_attrs=twice) == log
+            assert load_log(tmp_path / "log.csv", colmap=colmap, sensitive_attrs=twice[:1]) == log
+
     def test_xes_read_takes_the_column_maps_attributes(self):
         colmap = CsvColumnMap(sensitive_cols=("Disease",))
         log = load_log(DATA / "hospital_log.xes", colmap=colmap, sensitive_attrs=("Disease",))
@@ -2223,6 +2263,10 @@ class TestColumnarJob:
 
 
 class TestRunConfig:
+    def test_missing_config_file_fails(self, tmp_path):
+        with pytest.raises(LogError, match=r"^cannot read config .*none\.conf: "):
+            read_config(tmp_path / "none.conf")
+
     def test_fixture_file(self):
         values = read_config(DATA / "treatment_run.conf")
         config = RunConfig(**values)

@@ -91,6 +91,28 @@ class TestModel:
         with pytest.raises(LogError):
             Event("", None, 0)
 
+    def test_repeated_sensitive_attribute_counts_once(self, treatment_log):
+        cases = treatment_log.instances
+        log = EventLog(cases, ("Disease", "Disease"))
+        assert log.sensitive_attrs == ("Disease",) and log == treatment_log
+        columns = [("1", ["a"], ["r"], [0], {"S": 1, "T": 2})]
+        assert built(columns, ["T", "S", "T", "S"]).sensitive_attrs == ("T", "S")
+
+    def test_log_survives_pickle(self, treatment_log):
+        # a derived log has built no instances yet; both go by value
+        cut = suppress_global(treatment_log, [ProjectedEvent("VI")], Perspective.A)[0]
+        for log in (treatment_log, cut):
+            again = pickle.loads(pickle.dumps(log))
+            assert again == log and again.sensitive_attrs == log.sensitive_attrs
+            assert again.coded(Perspective.AR, HOURS) == log.coded(Perspective.AR, HOURS)
+
+    def test_assignment_rejected(self, treatment_log):
+        for name in ("case_ids", "_projection", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError,
+                               match=f"^cannot assign to field {name!r}$"):
+                setattr(treatment_log, name, ())
+        assert len(treatment_log.case_ids) == len(treatment_log)
+
     @pytest.mark.parametrize("ev", [Event("a", None, 7), Event("b", "r", -3600)])
     def test_event_survives_pickle_copy_and_replace(self, ev):
         assert not hasattr(ev, "__dict__")
@@ -193,6 +215,34 @@ class TestProjectedLog:
             # one slot: the first key was evicted and comes back rebuilt, equal
             key, coded = first
             assert log.coded(*key) == coded and log.coded(*key) is not coded
+
+    def test_sorted_descriptors_follow_the_sort_key(self):
+        # __lt__ orders descriptors of mixed perspectives, whose None fields
+        # compare as the sort key's fill values
+        rng = random.Random(4040)
+        for _ in range(10):
+            log = random_log(rng)
+            for ps in Perspective:
+                alphabet = list(log.coded(ps, HOURS)[1])
+                assert sorted(reversed(alphabet)) == alphabet
+            mixed = [e for ps in Perspective for e in log.coded(ps, HOURS)[1]]
+            rng.shuffle(mixed)
+            assert sorted(mixed) == sorted(mixed, key=ProjectedEvent.sort_key)
+
+    def test_group_reranks_keys_too_wide_to_mix(self):
+        from tlkcpriv.log import _group
+
+        rng = np.random.default_rng(62)
+        count = 1 << 40  # two columns mix to 2**80, past the int64 key
+        columns = [rng.choice(rng.integers(0, count, 4), 500) for _ in range(3)]
+        codes, one = _group([(values, count) for values in columns])
+        rows = np.column_stack(columns)
+        order = np.lexsort(columns[::-1])
+        step = np.r_[True, (np.diff(rows[order], axis=0) != 0).any(axis=1)]
+        want = np.empty(len(order), np.int64)
+        want[order] = np.cumsum(step) - 1
+        assert np.array_equal(codes, want) and len(one) == want.max() + 1
+        assert np.array_equal(rows[one][codes], rows)
 
     def test_default_accuracy_is_seconds(self, treatment_log):
         log = EventLog(treatment_log.instances, treatment_log.sensitive_attrs)
@@ -468,7 +518,7 @@ class TestDirectlyFollows:
     @given(log=hypothesis_logs(), ps=st.sampled_from([Perspective.A, Perspective.R]),
            drop=st.sets(st.sampled_from(["a", "b", "c"]), max_size=2))
     def test_flat_pairs_match_position_scan(self, log, ps, drop):
-        # also on a log cut by suppression, whose projection is renumbered
+        # also on a log cut by suppression, which projects itself afresh
         out, _ = suppress_global(log, [ProjectedEvent(a) for a in drop], Perspective.A)
         for view in (log, out):
             got = directly_follows(view, ps)

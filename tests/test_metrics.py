@@ -35,6 +35,7 @@ from .oracles import (
     scalar_emd_report,
     scalar_levenshtein,
     scalar_transport_flow,
+    set_graph_precision,
 )
 
 HOURS = TimestampAccuracy.HOURS
@@ -385,6 +386,19 @@ class TestEmd:
         report = emd_data_utility(original, anonymized, Perspective.A)
         assert report.du == pytest.approx(0.5)
 
+    def test_cost_matrix_over_the_cap_rejected(self, hospital_log, treatment_log, monkeypatch):
+        n = len(variants(hospital_log, Perspective.A)[1])
+        m = len(variants(treatment_log, Perspective.A)[1])
+        monkeypatch.setattr(metrics, "TRANSPORT_SIZE_CAP", n * m)
+        emd_data_utility(hospital_log, treatment_log, Perspective.A)  # at the cap: solved
+        monkeypatch.setattr(metrics, "TRANSPORT_SIZE_CAP", n * m - 1)
+        with pytest.raises(LogError) as err:
+            emd_data_utility(hospital_log, treatment_log, Perspective.A)
+        assert str(err.value) == (
+            f"variant cost matrix {n}x{m} exceeds the exact-transport cap ({n * m - 1}); "
+            "sample the logs before comparing"
+        )
+
     def test_symmetry(self, hospital_log, treatment_log):
         ab = emd_data_utility(hospital_log, treatment_log, Perspective.A)
         ba = emd_data_utility(treatment_log, hospital_log, Perspective.A)
@@ -497,6 +511,39 @@ class TestDfg:
         log = build_log({"1": [("a", None, 0)]})
         with pytest.raises(LogError):
             dfg_compare(log, log)
+
+
+class TestGraphPrecision:
+    def test_counted_complements_equal_the_built_sets(self):
+        """Precision from edge counts is the set formula's float, bit for bit,
+        for DFG and handover, on anonymized and on unrelated logs."""
+        from tlkcpriv import suppress_global
+
+        rng = random.Random(3303)
+        seen = set()
+        for _ in range(150):
+            original = random_log(rng, max_cases=rng.randint(2, 8))
+            if rng.random() < 0.5:
+                labels = sorted(original.activities())
+                gone = [ProjectedEvent(a) for a in rng.sample(labels, rng.randint(0, 2))]
+                anonymized, _ = suppress_global(original, gone, Perspective.A)
+            else:
+                anonymized = random_log(rng, max_cases=4)
+            if not len(anonymized):
+                continue
+            for compare, ps, vertices in [
+                (dfg_compare, Perspective.A, original.activities()),
+                (handover_compare, Perspective.R, original.resources()),
+            ]:
+                df_o = directly_follows(original, ps)
+                if not df_o:
+                    continue
+                want = set_graph_precision(df_o, directly_follows(anonymized, ps), vertices)
+                got = compare(original, anonymized).precision
+                assert got == want
+                seen.add("one" if want == 1.0 else "below one")
+                seen.add("complete" if len(df_o) == len(vertices) ** 2 else "sparse")
+        assert seen == {"one", "below one", "complete", "sparse"}
 
 
 class TestHandover:
